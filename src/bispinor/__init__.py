@@ -11,6 +11,7 @@ from .clifford import (
     gamma,
     gamma5,
     gamma5_from_epsilon,
+    gamma_dot_spatial,
     gamma_lower,
     generalized_pauli,
     minkowski_dot,
@@ -24,7 +25,6 @@ from .projectors import (
     POLSUM_KINDS,
     diad,
     energy_projector,
-    gamma_dot_spatial,
     pi_projector,
     polsum,
     spin_projector,

@@ -2,7 +2,9 @@
 
 Everything is fixed to the standard (Dirac) representation and the
 metric diag(+1, -1, -1, -1).  Matrices are complex128, cached at module
-load, and returned as read-only views; all functions are pure.
+load, and returned as read-only views; all functions are pure.  Functions
+of vectors broadcast over leading batch axes: a (..., 4) input gives a
+(..., 4, 4) output, and a single vector is the empty batch shape.
 """
 
 from __future__ import annotations
@@ -35,6 +37,23 @@ for _m in (*_GAMMA, _GAMMA5, *_PAULI):
     _m.setflags(write=False)
 
 
+# Matrix stacks for pauli_dot, slash and gamma_dot_spatial: vector component
+# i multiplies matrix i.  Each entry of the sum collects at most two exact
+# products (a component times 0, +-1 or +-i), so one matrix product of the
+# vectors with the flattened stack equals the term-by-term sum exactly.
+_PAULI_DOT = np.stack(_PAULI)
+_SLASH = np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3]))
+_GAMMA_DOT_S = np.stack((0 * _GAMMA[0], *_GAMMA[1:]))
+
+
+def _contract(x, stack: np.ndarray, what: str) -> np.ndarray:
+    """sum_i x[..., i] stack[i] for vectors x of shape (..., len(stack))."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-1:] != (len(stack),):
+        raise ValueError(f"expected a {what}, got shape {x.shape}")
+    return (x @ stack.reshape(len(stack), -1)).reshape(x.shape[:-1] + stack.shape[1:])
+
+
 def pauli(i: int) -> np.ndarray:
     """Pauli matrix sigma_i, i in {1, 2, 3}."""
     if i not in (1, 2, 3):
@@ -43,11 +62,8 @@ def pauli(i: int) -> np.ndarray:
 
 
 def pauli_dot(nvec) -> np.ndarray:
-    """sigma . n for a real or complex 3-vector n."""
-    n = np.asarray(nvec, dtype=complex)
-    if n.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {n.shape}")
-    return n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
+    """sigma . n for real or complex 3-vectors n of shape (..., 3)."""
+    return _contract(nvec, _PAULI_DOT, "3-vector")
 
 
 def gamma(mu: int) -> np.ndarray:
@@ -93,19 +109,21 @@ def gamma5_from_epsilon() -> np.ndarray:
     return -1j / 24.0 * acc
 
 
-def minkowski_dot(a, b) -> complex:
-    """a . b with metric diag(+1,-1,-1,-1); bilinear, no conjugation."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
+def minkowski_dot(a, b):
+    """a . b with metric diag(+1,-1,-1,-1) over the last axis; bilinear."""
+    # .T puts the component axis first; the second .T restores the batch axes
+    t0, t1, t2, t3 = np.multiply(a, b, dtype=complex).T
+    return (t0 - t1 - t2 - t3).T
 
 
 def slash(a) -> np.ndarray:
     """Feynman slash a_mu gamma^mu = a^0 g0 - a^1 g1 - a^2 g2 - a^3 g3."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {a.shape}")
-    return a[0] * _GAMMA[0] - a[1] * _GAMMA[1] - a[2] * _GAMMA[2] - a[3] * _GAMMA[3]
+    return _contract(a, _SLASH, "4-vector")
+
+
+def gamma_dot_spatial(s) -> np.ndarray:
+    """gamma.s = sum_i gamma^i s^i (upper-index gammas) for s = (0, svec)."""
+    return _contract(s, _GAMMA_DOT_S, "four-vector")
 
 
 def sigma_munu(mu: int, nu: int) -> np.ndarray:
@@ -141,9 +159,27 @@ def generalized_pauli(lam: int, sign: int = +1) -> np.ndarray:
     return acc
 
 
-def trace(ms) -> complex:
-    """Trace of the ordered product of 4x4 matrices."""
+# Vector products per batch point through matmul with singleton axes: each
+# point gets the same BLAS call as the single-vector product, so a batch
+# reproduces the single-point values bit for bit.
+def row_times(v, m) -> np.ndarray:
+    """Row vectors v (..., n) times matrices m (..., n, k), one product per batch point."""
+    return (np.asarray(v)[..., None, :] @ m)[..., 0, :]
+
+
+def times_column(m, v) -> np.ndarray:
+    """Matrices m (..., k, n) times column vectors v (..., n), one product per batch point."""
+    return (m @ np.asarray(v)[..., None])[..., 0]
+
+
+def dot(u, v):
+    """Bilinear u . v over the last axis (no conjugation), one per batch point."""
+    return (np.asarray(u)[..., None, :] @ np.asarray(v)[..., None])[..., 0, 0]
+
+
+def trace(ms):
+    """Trace of the ordered product of 4x4 matrices (each may carry batch axes)."""
     ms = list(ms)
     if not ms:
         raise ValueError("trace of an empty product is undefined")
-    return complex(np.trace(reduce(np.matmul, ms)))
+    return np.trace(reduce(np.matmul, ms), axis1=-2, axis2=-1)

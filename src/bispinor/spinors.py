@@ -10,6 +10,11 @@ evaluated with the principal branch: the square root of a negative real is
 was written for (negated energies, the |p0| <= m strip) without separate
 code paths.  Plane-wave phases are fixed to 1, i.e. everything is evaluated
 at the spacetime origin.
+
+A KinematicPoint may hold a batch of points: m and p0 of shape (...) and
+nhat of shape (..., 3).  Every constructor broadcasts over those leading
+axes (a bispinor comes back as (..., 4)), a single point being the empty
+batch shape, and every validator checks every point of a batch.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma, gamma5, pauli_dot
+from .clifford import gamma, gamma5, gamma_dot_spatial, pauli, pauli_dot, row_times, times_column
 
 HELICITIES = (0.5, -0.5)
 
@@ -30,58 +35,117 @@ class RegionError(ValueError):
     """Constructor evaluated outside its energy band."""
 
 
-def _check_helicity(lam) -> float:
-    if lam not in (0.5, -0.5):
-        raise ValueError(f"helicity must be +0.5 or -0.5, got {lam}")
-    return float(lam)
-
-
 def _check_tetrad(tau) -> int:
     if tau not in (1, 2, 3, 4):
         raise ValueError(f"tetrad index must be in 1..4, got {tau}")
     return int(tau)
 
 
+def _first(bad, *values):
+    """The values (per-point scalars or rows) at the first point that ``bad``
+    flags, or None if it flags none."""
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return None
+    bad = np.asarray(bad)
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    return tuple(np.asarray(v)[at] if np.ndim(v) > bad.ndim else np.broadcast_to(v, bad.shape)[at]
+                 for v in values)
+
+
+def check_mass(m):
+    """Raise ValueError unless every mass is positive."""
+    bad = _first(np.logical_not(m > 0), m)
+    if bad:
+        raise ValueError(f"mass must be positive, got {bad[0]}")
+
+
+def check_unit_vector(nhat) -> np.ndarray:
+    """nhat as a read-only float array of shape (..., 3), each row of unit length."""
+    n = np.array(nhat, dtype=float)
+    if n.shape[-1:] != (3,):
+        raise ValueError(f"nhat must be a 3-vector, got shape {n.shape}")
+    norm = np.sqrt((n * n).sum(axis=-1))
+    bad = _first(abs(norm - 1.0) > _REL_TOL, norm)
+    if bad:
+        raise ValueError(f"nhat must be a unit vector, |n| = {float(bad[0])!r}")
+    n.setflags(write=False)
+    return n
+
+
+def _blocks(up, low) -> np.ndarray:
+    """Constant bispinor table with upper block ``up`` and lower block ``low``."""
+    return np.concatenate(np.broadcast_arrays(up, low), axis=-1).astype(complex)
+
+
+# Constant tables indexed by the slot of a helicity label (0 for +1/2, 1 for
+# -1/2): the basis two-spinors phi, the rows sigma_i phi (i = 1..3), so that
+# (sigma.n) phi = nhat @ _SIGMA_PHI[slot], and the rows phi^+ sigma_i.  The
+# bispinor tables place them in a block: each constructor below is
+# alpha * E + beta * (nhat @ M) for tables E, M and boost amplitudes alpha, beta.
+_PHI = np.eye(2, dtype=complex)
+_PHI.setflags(write=False)
+_SIGMA_PHI = np.array([[pauli(i)[:, j] for i in (1, 2, 3)] for j in (0, 1)])
+_PHI_SIGMA = np.conj(_SIGMA_PHI)
+_UP_PHI = [_blocks(phi, 0) for phi in _PHI]
+_LOW_SIGMA_PHI = [_blocks(0, rows) for rows in _SIGMA_PHI]
+_LOW_PHI_SIGMA = [_blocks(0, rows) for rows in _PHI_SIGMA]
+_BREVE_PHI = [[_blocks(up, low) for low in _PHI] for up in _PHI]
+_BREVE_SIGMA_PHI = [[_blocks(up, -low) for low in _SIGMA_PHI] for up in _SIGMA_PHI]
+_BREVE_PHI_SIGMA = [[_blocks(up, -low) for low in _PHI_SIGMA] for up in _PHI_SIGMA]
+
+
+def _slot(lam) -> int:
+    """Index of the nonzero entry of basis_spinor(lam)."""
+    if lam not in (0.5, -0.5):
+        raise ValueError(f"helicity must be +0.5 or -0.5, got {lam}")
+    return 0 if lam > 0 else 1
+
+
 def basis_spinor(lam) -> np.ndarray:
-    """Rest-frame basis two-spinor: (1,0) for +1/2, (0,1) for -1/2."""
-    _check_helicity(lam)
-    return np.array([1, 0], dtype=complex) if lam > 0 else np.array([0, 1], dtype=complex)
+    """Rest-frame basis two-spinor: (1,0) for +1/2, (0,1) for -1/2 (read-only)."""
+    return _PHI[_slot(lam)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicPoint:
-    """Mass, energy parameter and spin axis defining one sample point.
+    """Mass, energy parameter and spin axis defining one sample point, or a batch.
 
     p0 may be negative or smaller than m; which constructors accept the
     point depends on the band |p0| >= m (real boosts) versus |p0| <= m
-    (complex continuation).  nhat must be a unit 3-vector.
+    (complex continuation).  nhat must be a unit 3-vector.  A single point
+    keeps m and p0 as floats; a batch broadcasts m, p0 and the rows of nhat
+    to one batch shape.  nhat is a read-only array of shape (..., 3).
     """
 
     m: float
     p0: float
-    nhat: tuple
+    nhat: np.ndarray
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        n = np.asarray(self.nhat, dtype=float)
-        if n.shape != (3,):
-            raise ValueError(f"nhat must be a 3-vector, got shape {n.shape}")
-        if abs(np.linalg.norm(n) - 1.0) > _REL_TOL:
-            raise ValueError(f"nhat must be a unit vector, |n| = {np.linalg.norm(n)!r}")
-        object.__setattr__(self, "nhat", tuple(float(x) for x in n))
+        n = check_unit_vector(self.nhat)
+        m, p0 = np.asarray(self.m, dtype=float), np.asarray(self.p0, dtype=float)
+        if m.ndim or p0.ndim or n.ndim > 1:
+            shape = np.broadcast_shapes(m.shape, p0.shape, n.shape[:-1])
+            m, p0 = np.broadcast_to(m, shape), np.broadcast_to(p0, shape)
+            n = np.broadcast_to(n, shape + (3,))
+        else:
+            m, p0 = float(m), float(p0)
+        check_mass(m)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "nhat", n)
 
     @property
-    def in_real_band(self) -> bool:
+    def in_real_band(self):
         return abs(self.p0) >= self.m * (1.0 - _REL_TOL)
 
     @property
-    def in_breve_band(self) -> bool:
+    def in_breve_band(self):
         return abs(self.p0) <= self.m * (1.0 + _REL_TOL)
 
-    def boost_factor(self, sign: int) -> complex:
+    def boost_factor(self, sign: int):
         """a for sign=+1, b for sign=-1; principal branch below threshold."""
-        return complex(np.sqrt((self.p0 + sign * self.m) / (2.0 * self.m) + 0j))
+        return np.sqrt((self.p0 + sign * self.m) / (2.0 * self.m) + 0j)
 
     def momentum(self) -> np.ndarray:
         """On-shell four-momentum (p0, |p| nhat), |p| = sqrt(p0^2 - m^2).
@@ -90,19 +154,22 @@ class KinematicPoint:
         branch), which is the mechanical form of the n -> i n continuation.
         """
         q = np.sqrt(self.p0 ** 2 - self.m ** 2 + 0j)
-        return np.array([self.p0, q * self.nhat[0], q * self.nhat[1], q * self.nhat[2]])
+        p = np.empty(self.nhat.shape[:-1] + (4,), dtype=complex)
+        p[..., 0] = self.p0
+        np.multiply(q[..., None], self.nhat, out=p[..., 1:])
+        return p
 
     def negated(self) -> "KinematicPoint":
         """The same point with p0 -> -p0 (spin axis kept)."""
         return KinematicPoint(self.m, -self.p0, self.nhat)
 
     def sigma_n(self) -> np.ndarray:
-        return pauli_dot(np.asarray(self.nhat))
+        return pauli_dot(self.nhat)
 
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Rapidity chi >= 0 and boost axis, cosh(chi) = p0/m."""
+    """Rapidity chi >= 0 and boost axis, cosh(chi) = p0/m (a single point)."""
 
     chi: float
     nhat: tuple
@@ -110,10 +177,7 @@ class BoostParams:
     def __post_init__(self):
         if self.chi < 0:
             raise ValueError(f"rapidity must be >= 0, got {self.chi}")
-        n = np.asarray(self.nhat, dtype=float)
-        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > _REL_TOL:
-            raise ValueError("nhat must be a unit 3-vector")
-        object.__setattr__(self, "nhat", tuple(float(x) for x in n))
+        object.__setattr__(self, "nhat", tuple(check_unit_vector(self.nhat).tolist()))
 
     @classmethod
     def from_kinematic(cls, k: KinematicPoint) -> "BoostParams":
@@ -122,20 +186,20 @@ class BoostParams:
         return cls(math.acosh(max(k.p0 / k.m, 1.0)), k.nhat)
 
 
-def _require_real_band(k: KinematicPoint, what: str):
-    if not k.in_real_band:
-        raise RegionError(
-            f"{what} needs |p0| >= m (got p0={k.p0}, m={k.m}); "
-            "use breve_u / breve_u_bar on the |p0| <= m band"
-        )
+def _amplitudes(k: KinematicPoint, what: str, real_band: bool = True):
+    """The half-boost amplitudes a, b of k, each with a trailing axis of length 1.
 
-
-def _require_breve_band(k: KinematicPoint, what: str):
-    if not k.in_breve_band:
-        raise RegionError(
-            f"{what} needs |p0| <= m (got p0={k.p0}, m={k.m}); "
-            "use the real-band constructors (boosted_spinor, dirac_u, ...)"
-        )
+    Raises RegionError naming ``what`` if a point lies outside its band.
+    """
+    if real_band:
+        bad = _first(np.logical_not(k.in_real_band), k.p0, k.m)
+        rule, hint = ">=", "use breve_u / breve_u_bar on the |p0| <= m band"
+    else:
+        bad = _first(np.logical_not(k.in_breve_band), k.p0, k.m)
+        rule, hint = "<=", "use the real-band constructors (boosted_spinor, dirac_u, ...)"
+    if bad:
+        raise RegionError(f"{what} needs |p0| {rule} m (got p0={bad[0]}, m={bad[1]}); {hint}")
+    return k.boost_factor(+1)[..., None], k.boost_factor(-1)[..., None]
 
 
 def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
@@ -143,11 +207,9 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
 
     Undotted: [a + (sigma.n) b] phi_lam;  dotted: [a - (sigma.n) b] phi_lam.
     """
-    _require_real_band(k, "boosted_spinor")
-    a, b = k.boost_factor(+1), k.boost_factor(-1)
-    if dotted:
-        b = -b
-    return (a * np.eye(2) + b * k.sigma_n()) @ basis_spinor(lam)
+    a, b = _amplitudes(k, "boosted_spinor")
+    j = _slot(lam)
+    return a * _PHI[j] + (-b if dotted else b) * (k.nhat @ _SIGMA_PHI[j])
 
 
 def apply_boost(phi, boost: BoostParams, dotted: bool = False) -> np.ndarray:
@@ -167,11 +229,8 @@ def parity_components(xi_undotted, xi_dotted):
 
 def dirac_u(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     """Positive-parity-stack bispinor (a phi_up ; b (sigma.n) phi_low)."""
-    _require_real_band(k, "dirac_u")
-    a, b = k.boost_factor(+1), k.boost_factor(-1)
-    up = a * basis_spinor(lam_up)
-    low = b * (k.sigma_n() @ basis_spinor(lam_low))
-    return np.concatenate([up, low])
+    a, b = _amplitudes(k, "dirac_u")
+    return a * _UP_PHI[_slot(lam_up)] + b * (k.nhat @ _LOW_SIGMA_PHI[_slot(lam_low)])
 
 
 def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
@@ -183,23 +242,19 @@ def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     amplitudes a, b enter unconjugated.  The polarization-sum closed forms
     hold only under this continuation.
     """
-    _require_real_band(k, "dirac_u_bar")
-    a, b = k.boost_factor(+1), k.boost_factor(-1)
-    up = a * np.conj(basis_spinor(lam_up))
-    low = -b * (np.conj(basis_spinor(lam_low)) @ k.sigma_n())
-    return np.concatenate([up, low])
+    a, b = _amplitudes(k, "dirac_u_bar")
+    return a * _UP_PHI[_slot(lam_up)] + -b * (k.nhat @ _LOW_PHI_SIGMA[_slot(lam_low)])
 
 
 def tetrad_bispinor(k: KinematicPoint, tau) -> np.ndarray:
     """Tetrad basis column: tau 1,2 carry a phi in the upper block,
     tau 3,4 carry b (sigma.n) phi in the lower block (phi = +1/2, -1/2)."""
     tau = _check_tetrad(tau)
-    _require_real_band(k, "tetrad_bispinor")
-    lam = 0.5 if tau in (1, 3) else -0.5
-    zero = np.zeros(2, dtype=complex)
+    a, b = _amplitudes(k, "tetrad_bispinor")
+    j = 0 if tau in (1, 3) else 1
     if tau <= 2:
-        return np.concatenate([k.boost_factor(+1) * basis_spinor(lam), zero])
-    return np.concatenate([zero, k.boost_factor(-1) * (k.sigma_n() @ basis_spinor(lam))])
+        return a * _UP_PHI[j]
+    return b * (k.nhat @ _LOW_SIGMA_PHI[j])
 
 
 def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
@@ -211,14 +266,11 @@ def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
     tau = _check_tetrad(tau)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _require_real_band(k, "antisym_bispinor")
-    lam = 0.5 if tau in (1, 3) else -0.5
-    zero = np.zeros(2, dtype=complex)
+    a, b = _amplitudes(k, "antisym_bispinor")
+    j = 0 if tau in (1, 3) else 1
     if tau <= 2:
-        return np.concatenate([sign * 1j * k.boost_factor(-1) * basis_spinor(lam), zero])
-    return np.concatenate(
-        [zero, sign * 1j * k.boost_factor(+1) * (k.sigma_n() @ basis_spinor(lam))]
-    )
+        return sign * 1j * b * _UP_PHI[j]
+    return sign * 1j * a * (k.nhat @ _LOW_SIGMA_PHI[j])
 
 
 def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -228,12 +280,9 @@ def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     [a - i (sigma.n) b] phi_{lam-}; here b = i sqrt((m - p0)/2m) is
     imaginary, so both block operators are real and Hermitian.
     """
-    _require_breve_band(k, "breve_u")
-    a, b = k.boost_factor(+1), k.boost_factor(-1)
-    N = k.sigma_n()
-    up = (a * np.eye(2) + 1j * b * N) @ basis_spinor(lam_plus)
-    low = (a * np.eye(2) - 1j * b * N) @ basis_spinor(lam_minus)
-    return np.concatenate([up, low])
+    a, b = _amplitudes(k, "breve_u", real_band=False)
+    jp, jm = _slot(lam_plus), _slot(lam_minus)
+    return a * _BREVE_PHI[jp][jm] + 1j * b * (k.nhat @ _BREVE_SIGMA_PHI[jp][jm])
 
 
 def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -245,12 +294,9 @@ def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     with lam+ and the - factor with lam-.  Contracting with breve_u gives
     exactly 2 whenever lam+ = lam-.
     """
-    _require_breve_band(k, "breve_u_bar")
-    a, b = k.boost_factor(+1), k.boost_factor(-1)
-    N = k.sigma_n()
-    up = np.conj(basis_spinor(lam_plus)) @ (a * np.eye(2) + 1j * b * N)
-    low = np.conj(basis_spinor(lam_minus)) @ (a * np.eye(2) - 1j * b * N)
-    return np.concatenate([up, low])
+    a, b = _amplitudes(k, "breve_u_bar", real_band=False)
+    jp, jm = _slot(lam_plus), _slot(lam_minus)
+    return a * _BREVE_PHI[jp][jm] + 1j * b * (k.nhat @ _BREVE_PHI_SIGMA[jp][jm])
 
 
 def rest_basis(tau) -> np.ndarray:
@@ -264,9 +310,9 @@ def rest_basis(tau) -> np.ndarray:
 def dirac_adjoint(u) -> np.ndarray:
     """u^+ gamma^0 as a row vector."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4,):
+    if u.shape[-1:] != (4,):
         raise ValueError(f"expected a bispinor, got shape {u.shape}")
-    return np.conj(u) @ gamma(0)
+    return row_times(np.conj(u), gamma(0))
 
 
 def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
@@ -278,26 +324,27 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     """
     breve = np.asarray(breve, dtype=complex)
     s = np.asarray(s, dtype=float)
-    if s.shape != (4,) or abs(s[0]) > _REL_TOL:
-        raise ValueError(f"s must be a spatial four-vector (0, svec), got {s!r}")
-    gs = s[1] * gamma(1) + s[2] * gamma(2) + s[3] * gamma(3)
+    bad = (s,) if s.shape[-1:] != (4,) else _first(abs(s[..., 0]) > _REL_TOL, s)
+    if bad:
+        raise ValueError(f"s must be a spatial four-vector (0, svec), got {bad[0]!r}")
+    gs = gamma_dot_spatial(s)
     if variant == "u":
-        return gamma5() @ gs @ breve
+        return times_column(gamma5() @ gs, breve)
     if variant == "v":
-        return gs @ gamma5() @ breve
+        return times_column(gs @ gamma5(), breve)
     raise ValueError(f"variant must be 'u' or 'v', got {variant!r}")
 
 
-def kappa(p0: float, m: float) -> float:
+def kappa(p0, m):
     """Spin-eigenvalue ratio sqrt((p0 - m)/(p0 + m)) = tanh(chi/2).
 
     Vanishes at threshold p0 = m and tends to 1 only as p0 -> infinity.
     """
-    if m <= 0:
-        raise ValueError(f"mass must be positive, got {m}")
-    if p0 < m * (1.0 - _REL_TOL):
+    check_mass(m)
+    bad = _first(np.asarray(p0) < m * (1.0 - _REL_TOL), p0, m)
+    if bad:
         raise ValueError(
-            f"kappa is real only for p0 >= m (got p0={p0}, m={m}); "
+            f"kappa is real only for p0 >= m (got p0={bad[0]}, m={bad[1]}); "
             "the |p0| < m band belongs to the breve constructors"
         )
-    return math.sqrt(max(p0 - m, 0.0) / (p0 + m))
+    return np.sqrt(np.maximum(np.subtract(p0, m), 0.0) / np.add(p0, m))
