@@ -1,7 +1,7 @@
 """Command-line front end: run the verification suite or print objects.
 
 Exit codes: 0 success, 1 at least one expected-holds check failed,
-2 usage or configuration error.
+2 usage or configuration error, including any input the library rejects.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import sys
 
 import numpy as np
 
+from .clifford import check_choice
 from .projectors import POLSUM_KINDS, energy_projector, pi_projector, polsum, spin_projector
-from .spinors import KinematicPoint, RegionError, breve_u, tetrad_bispinor
+from .spinors import KinematicPoint, breve_u, tetrad_bispinor
 from .verify import ConfigurationError, run_all
 
 _PROJECTOR_KINDS = ("spin", "energy-plus", "energy-minus", "pi", "pi-neg")
@@ -43,8 +44,17 @@ def _direction(args, prefix: str):
     return v / norm
 
 
-def _require(args, keys) -> list:
-    return [f"--{k}" for k in keys if getattr(args, k, None) is None]
+def _spin_vector(args) -> np.ndarray:
+    svec = _direction(args, "s")
+    if svec is None:
+        raise ValueError(f"show {args.object} --kind {args.kind} requires --sx/--sy/--sz")
+    return np.concatenate([[0.0], svec])
+
+
+def _require(args, *keys) -> None:
+    missing = [f"--{k}" for k in keys if getattr(args, k, None) is None]
+    if missing:
+        raise ValueError(f"show {args.object} requires: " + ", ".join(missing))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,25 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _kinematic_point(args) -> KinematicPoint:
+    _require(args, "p0", "m")
     nhat = _direction(args, "n")
-    if nhat is None:
-        nhat = np.array([0.0, 0.0, 1.0])
-    return KinematicPoint(args.m, args.p0, tuple(nhat))
+    return KinematicPoint(args.m, args.p0, (0.0, 0.0, 1.0) if nhat is None else tuple(nhat))
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return 2
-    if args.tolerance is not None and args.tolerance <= 0:
-        print(f"error: --tolerance must be > 0, got {args.tolerance}", file=sys.stderr)
-        return 2
-    try:
-        report = run_all(seed=args.seed, samples=args.samples,
-                         tolerance_override=args.tolerance)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_all(seed=args.seed, samples=args.samples, tolerance_override=args.tolerance)
     payload = report.to_json() if args.format == "json" else report.to_text()
     if args.output:
         try:
@@ -118,74 +116,31 @@ def cmd_verify(args) -> int:
 
 
 def cmd_show(args) -> int:
-    try:
-        if args.object == "basis":
-            missing = _require(args, ("tau", "p0", "m"))
-            if missing:
-                print("show basis requires: " + ", ".join(missing), file=sys.stderr)
-                return 2
-            _print_vector(tetrad_bispinor(_kinematic_point(args), args.tau))
-            return 0
-
-        if args.object == "breve":
-            missing = _require(args, ("p0", "m"))
-            if missing:
-                print("show breve requires: " + ", ".join(missing), file=sys.stderr)
-                return 2
-            _print_vector(breve_u(_kinematic_point(args), args.lp, args.lm))
-            return 0
-
-        if args.object == "projector":
-            if args.kind not in _PROJECTOR_KINDS:
-                print(f"show projector requires --kind, one of {_PROJECTOR_KINDS}",
-                      file=sys.stderr)
-                return 2
-            if args.kind == "spin":
-                svec = _direction(args, "s")
-                if svec is None:
-                    print("show projector --kind spin requires --sx/--sy/--sz",
-                          file=sys.stderr)
-                    return 2
-                _print_matrix(spin_projector(np.concatenate([[0.0], svec])))
-                return 0
-            missing = _require(args, ("p0", "m"))
-            if missing:
-                print(f"show projector --kind {args.kind} requires: "
-                      + ", ".join(missing), file=sys.stderr)
-                return 2
+    if args.object == "basis":
+        _require(args, "tau")
+        _print_vector(tetrad_bispinor(_kinematic_point(args), args.tau))
+    elif args.object == "breve":
+        _print_vector(breve_u(_kinematic_point(args), args.lp, args.lm))
+    elif args.object == "projector":
+        check_choice("--kind", args.kind, _PROJECTOR_KINDS)
+        if args.kind == "spin":
+            _print_matrix(spin_projector(_spin_vector(args)))
+        elif args.kind in ("energy-plus", "energy-minus"):
             k = _kinematic_point(args)
-            p = k.momentum()
-            if args.kind in ("energy-plus", "energy-minus"):
-                sign = +1 if args.kind == "energy-plus" else -1
-                _print_matrix(energy_projector(p, k.m, sign))
-                return 0
-            svec = _direction(args, "s")
-            if svec is None:
-                print(f"show projector --kind {args.kind} requires --sx/--sy/--sz",
-                      file=sys.stderr)
-                return 2
+            sign = +1 if args.kind == "energy-plus" else -1
+            _print_matrix(energy_projector(k.momentum(), k.m, sign))
+        else:
+            k = _kinematic_point(args)
             variant = "lambda" if args.kind == "pi" else "neg-lambda"
-            _print_matrix(pi_projector(p, k.m, np.concatenate([[0.0], svec]), variant))
-            return 0
-
-        # polsum
-        if args.kind not in POLSUM_KINDS:
-            print(f"show polsum requires --kind, one of {POLSUM_KINDS}", file=sys.stderr)
-            return 2
-        missing = _require(args, ("p0", "m"))
-        if missing:
-            print("show polsum requires: " + ", ".join(missing), file=sys.stderr)
-            return 2
+            _print_matrix(pi_projector(k.momentum(), k.m, _spin_vector(args), variant))
+    else:
         lhs, rhs = polsum(args.kind, _kinematic_point(args))
         print("lhs:")
         _print_matrix(lhs)
         print("rhs:")
         _print_matrix(rhs)
         print(f"max residual: {float(np.max(np.abs(lhs - rhs))):.12g}")
-        return 0
-    except (RegionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 def main(argv=None) -> int:
@@ -194,9 +149,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_show(args)
+    try:
+        return cmd_verify(args) if args.command == "verify" else cmd_show(args)
+    except (ValueError, ConfigurationError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

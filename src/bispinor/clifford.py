@@ -17,6 +17,7 @@ import numpy as np
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 _I2 = np.eye(2, dtype=complex)
+_I4 = np.eye(4, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
 _PAULI = (
@@ -33,7 +34,7 @@ _GAMMA = (
 )
 _GAMMA5 = 1j * _GAMMA[0] @ _GAMMA[1] @ _GAMMA[2] @ _GAMMA[3]
 
-for _m in (*_GAMMA, _GAMMA5, *_PAULI):
+for _m in (_I2, _I4, *_GAMMA, _GAMMA5, *_PAULI):
     _m.setflags(write=False)
 
 
@@ -46,19 +47,30 @@ _SLASH = np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3]))
 _GAMMA_DOT_S = np.stack((0 * _GAMMA[0], *_GAMMA[1:]))
 
 
+def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
+    """x as an array of ``dtype`` with shape (..., n): one n-vector per batch point."""
+    x = np.asarray(x, dtype=dtype)
+    if x.shape[-1:] == (n,):
+        return x
+    raise ValueError(f"{what} must have shape (..., {n}), got shape {x.shape}")
+
+
+def check_choice(what: str, value, options: tuple) -> int:
+    """The position of value in options, which must hold it."""
+    if value in options:
+        return options.index(value)
+    raise ValueError(f"{what} must be one of {options}, got {value!r}")
+
+
 def _contract(x, stack: np.ndarray, what: str) -> np.ndarray:
     """sum_i x[..., i] stack[i] for vectors x of shape (..., len(stack))."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape[-1:] != (len(stack),):
-        raise ValueError(f"expected a {what}, got shape {x.shape}")
+    x = check_vectors(x, len(stack), what)
     return (x @ stack.reshape(len(stack), -1)).reshape(x.shape[:-1] + stack.shape[1:])
 
 
 def pauli(i: int) -> np.ndarray:
     """Pauli matrix sigma_i, i in {1, 2, 3}."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2 or 3, got {i}")
-    return _PAULI[i - 1]
+    return _PAULI[check_choice("Pauli index", i, (1, 2, 3))]
 
 
 def pauli_dot(nvec) -> np.ndarray:
@@ -68,16 +80,13 @@ def pauli_dot(nvec) -> np.ndarray:
 
 def gamma(mu: int) -> np.ndarray:
     """Contravariant gamma^mu in the Dirac representation, mu in 0..3."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"gamma index must be in 0..3, got {mu}")
-    return _GAMMA[mu]
+    return _GAMMA[check_choice("gamma index", mu, (0, 1, 2, 3))]
 
 
 def gamma_lower(mu: int) -> np.ndarray:
     """Covariant gamma_mu = g_{mu mu} gamma^mu (no sum)."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"gamma index must be in 0..3, got {mu}")
-    return _GAMMA[0] if mu == 0 else -_GAMMA[mu]
+    g = gamma(mu)
+    return g if mu == 0 else -g
 
 
 def gamma5() -> np.ndarray:
@@ -146,10 +155,8 @@ def generalized_pauli(lam: int, sign: int = +1) -> np.ndarray:
     orderings of each pair contribute, so the result carries a factor 2
     relative to a single-ordering sum: sigma^+_3 = 2 sigma_{12}.
     """
-    if lam not in (1, 2, 3):
-        raise ValueError(f"index must be 1, 2 or 3, got {lam}")
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    check_choice("generalized Pauli index", lam, (1, 2, 3))
+    check_choice("sign", sign, (+1, -1))
     acc = np.zeros((4, 4), dtype=complex)
     for i in (1, 2, 3):
         for j in (1, 2, 3):

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import gamma, gamma5, gamma_dot_spatial, minkowski_dot, pauli_dot, row_times, slash
-from .spinors import (HELICITIES, KinematicPoint, RegionError, _first, breve_u, breve_u_bar,
-                      check_mass, check_unit_vector, dirac_u, dirac_u_bar)
-
-_I2 = np.eye(2, dtype=complex)
-_I4 = np.eye(4, dtype=complex)
+from .clifford import (_I2, _I4, check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
+                       minkowski_dot, pauli_dot, row_times, slash)
+from .spinors import (HELICITIES, KinematicPoint, _require, breve_u, breve_u_bar, check_mass,
+                      check_spin_vector, check_unit_vector, dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 
@@ -30,30 +28,16 @@ def _outer(u, v) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-def _check_spatial_unit(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1:] != (4,):
-        raise ValueError(f"spin vector must be a four-vector, got shape {s.shape}")
-    bad = _first(abs(s[..., 0]) > 1e-12, s[..., 0])
-    if bad:
-        raise ValueError(f"spin vector must be spatial (s0 = 0), got s0 = {bad[0]}")
-    ss = minkowski_dot(s, s)
-    bad = _first(abs(ss + 1.0) > 1e-12, ss)
-    if bad:
-        raise ValueError(f"spin vector must satisfy s.s = -1, got {bad[0]}")
-    return s
-
-
 def _check_on_shell(p, m) -> np.ndarray:
-    p = np.asarray(p, dtype=complex)
-    if p.shape[-1:] != (4,):
-        raise ValueError(f"momentum must be a four-vector, got shape {p.shape}")
+    """p as a complex array of four-momenta, each on the mass shell p.p = m^2 of a
+    mass 0 < m < inf.  The tolerance does not grow with p0, so it refuses some
+    valid momenta at large p0/m."""
+    p = check_vectors(p, 4, "momentum")
     check_mass(m)
     gap = minkowski_dot(p, p) - m * m
     residual = np.hypot(gap.real, gap.imag)
-    bad = _first(residual > _ONSHELL_TOL * np.maximum(1.0, m * m), residual)
-    if bad:
-        raise ValueError(f"momentum is off shell: |p.p - m^2| = {bad[0]:.3e}")
+    _require(residual <= _ONSHELL_TOL * np.maximum(1.0, m * m),
+             "momentum is off shell: |p.p - m^2| = {:.3e}", residual)
     return p
 
 
@@ -68,19 +52,22 @@ def spin_projector(s) -> np.ndarray:
     Block-diagonal in the Dirac representation:
     diag((1 + sigma.s)/2, (1 - sigma.s)/2).
     """
-    s = _check_spatial_unit(s)
-    return (_I4 + gamma5() @ slash(s)) / 2.0
+    return (_I4 + gamma5() @ slash(check_spin_vector(s))) / 2.0
+
+
+def _energy_projector(p, m, sign: int) -> np.ndarray:
+    """energy_projector without its checks, for a momentum built from a validated point."""
+    m = np.asarray(m)[..., None, None]  # one mass per matrix of the batch
+    if sign > 0:
+        return (slash(p) + m * _I4) / (2.0 * m)
+    return (m * _I4 - slash(p)) / (2.0 * m)
 
 
 def energy_projector(p, m, sign: int) -> np.ndarray:
     """(pslash + m)/2m for sign=+1, (m - pslash)/2m for sign=-1."""
     p = _check_on_shell(p, m)
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    m = np.asarray(m)[..., None, None]  # one mass per matrix of the batch
-    if sign > 0:
-        return (slash(p) + m * _I4) / (2.0 * m)
-    return (m * _I4 - slash(p)) / (2.0 * m)
+    check_choice("sign", sign, (+1, -1))
+    return _energy_projector(p, m, sign)
 
 
 def diad(phi, insert: str) -> np.ndarray:
@@ -89,12 +76,9 @@ def diad(phi, insert: str) -> np.ndarray:
     insert is "gamma0" or "gamma5"; the gamma0 case reproduces the usual
     u ubar outer product.
     """
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape[-1:] != (4,):
-        raise ValueError(f"expected a bispinor, got shape {phi.shape}")
-    if insert not in ("gamma0", "gamma5"):
-        raise ValueError(f"insert must be 'gamma0' or 'gamma5', got {insert!r}")
-    return _outer(phi, row_times(np.conj(phi), gamma(0) if insert == "gamma0" else gamma5()))
+    phi = check_vectors(phi, 4, "bispinor")
+    use_gamma0 = check_choice("insert", insert, ("gamma0", "gamma5")) == 0
+    return _outer(phi, row_times(np.conj(phi), gamma(0) if use_gamma0 else gamma5()))
 
 
 def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
@@ -104,14 +88,12 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
     "neg-lambda":  +(1/4m) (pslash + m) (1 - gamma.s gamma5)
     """
     p = _check_on_shell(p, m)
-    s = _check_spatial_unit(s)
-    gs = gamma_dot_spatial(s)
+    gs = gamma_dot_spatial(check_spin_vector(s))
+    lambda_variant = check_choice("variant", variant, ("lambda", "neg-lambda")) == 0
     m = np.asarray(m)[..., None, None]  # one mass per matrix of the batch
-    if variant == "lambda":
+    if lambda_variant:
         return -(slash(p) - m * _I4) @ (_I4 - gamma5() @ gs) / (4.0 * m)
-    if variant == "neg-lambda":
-        return (slash(p) + m * _I4) @ (_I4 - gs @ gamma5()) / (4.0 * m)
-    raise ValueError(f"variant must be 'lambda' or 'neg-lambda', got {variant!r}")
+    return (slash(p) + m * _I4) @ (_I4 - gs @ gamma5()) / (4.0 * m)
 
 
 def polsum(kind: str, k: KinematicPoint):
@@ -129,28 +111,25 @@ def polsum(kind: str, k: KinematicPoint):
     The antispinor lhs evaluates the same constructors at the negated
     energy point, where the closed form holds through the principal-branch
     continuation of both the column and the adjoint row.  Both sides have
-    shape (..., 4, 4) for a batch of points k.
+    shape (..., 4, 4) for a batch of points k.  The band constructors raise
+    RegionError for a point outside their band.  The momentum is built here
+    from the validated point k, so the on-shell guard of energy_projector
+    is not applied to it.
     """
-    if kind not in POLSUM_KINDS:
-        raise ValueError(f"kind must be one of {POLSUM_KINDS}, got {kind!r}")
+    check_choice("kind", kind, POLSUM_KINDS)
     p = k.momentum()
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
-        real = kind in ("spinor", "antispinor")
-        bad = _first(np.logical_not(k.in_real_band if real else k.in_breve_band), k.p0)
-        if bad:
-            raise RegionError(f"polsum kind {kind!r} needs |p0| {'>=' if real else '<='} m, "
-                              f"got p0={bad[0]}")
-        if real:
+        if kind in ("spinor", "antispinor"):
             kk = k if kind == "spinor" else k.negated()
             col, row = dirac_u, dirac_u_bar
         else:
             kk, col, row = k, breve_u, breve_u_bar
         lhs = sum(_outer(col(kk, lam, lam), row(kk, lam, lam)) for lam in HELICITIES)
-        rhs = energy_projector(p, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
+        rhs = _energy_projector(p, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 
-    lhs = energy_projector(p, k.m, +1) + energy_projector(p, k.m, -1)
+    lhs = _energy_projector(p, k.m, +1) + _energy_projector(p, k.m, -1)
     rhs = np.empty_like(lhs)
     rhs[...] = _I4
     return lhs, rhs

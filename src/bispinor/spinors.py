@@ -15,6 +15,10 @@ A KinematicPoint may hold a batch of points: m and p0 of shape (...) and
 nhat of shape (..., 3).  Every constructor broadcasts over those leading
 axes (a bispinor comes back as (..., 4)), a single point being the empty
 batch shape, and every validator checks every point of a batch.
+
+Each input concept has one validator, applied where the input enters: it
+states the set it accepts, so NaN and +-inf fail by construction.  Objects
+built from an already-validated point are not validated again.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma, gamma5, gamma_dot_spatial, pauli, pauli_dot, row_times, times_column
+from .clifford import (check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
+                       minkowski_dot, pauli, pauli_dot, row_times, times_column)
 
 HELICITIES = (0.5, -0.5)
+_TETRAD = (1, 2, 3, 4)
 
 _REL_TOL = 1e-12
 
@@ -35,41 +41,70 @@ class RegionError(ValueError):
     """Constructor evaluated outside its energy band."""
 
 
-def _check_tetrad(tau) -> int:
-    if tau not in (1, 2, 3, 4):
-        raise ValueError(f"tetrad index must be in 1..4, got {tau}")
-    return int(tau)
-
-
-def _first(bad, *values):
-    """The values (per-point scalars or rows) at the first point that ``bad``
-    flags, or None if it flags none."""
-    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
-        return None
-    bad = np.asarray(bad)
-    at = np.unravel_index(np.argmax(bad), bad.shape)
-    return tuple(np.asarray(v)[at] if np.ndim(v) > bad.ndim else np.broadcast_to(v, bad.shape)[at]
-                 for v in values)
+def _require(ok, message: str, *values, error=ValueError) -> None:
+    """Raise ``error`` unless ``ok`` holds at every point; ``message`` is formatted
+    with the values (per-point scalars or rows) at the first point where it fails."""
+    if (ok.all() if isinstance(ok, np.ndarray) else ok):
+        return
+    ok = np.asarray(ok)
+    at = np.unravel_index(np.argmin(ok), ok.shape)
+    raise error(message.format(*(np.asarray(v)[at] if np.ndim(v) > ok.ndim
+                                 else np.broadcast_to(v, ok.shape)[at] for v in values)))
 
 
 def check_mass(m):
-    """Raise ValueError unless every mass is positive."""
-    bad = _first(np.logical_not(m > 0), m)
-    if bad:
-        raise ValueError(f"mass must be positive, got {bad[0]}")
+    """Raise ValueError unless every mass satisfies 0 < m < inf."""
+    _require((m > 0) & (m < math.inf), "mass must satisfy 0 < m < inf, got {}", m)
+
+
+def check_energy(p0):
+    """Raise ValueError unless every energy parameter is finite."""
+    _require(abs(p0) < math.inf, "p0 must be finite, got {}", p0)
 
 
 def check_unit_vector(nhat) -> np.ndarray:
     """nhat as a read-only float array of shape (..., 3), each row of unit length."""
-    n = np.array(nhat, dtype=float)
-    if n.shape[-1:] != (3,):
-        raise ValueError(f"nhat must be a 3-vector, got shape {n.shape}")
+    n = check_vectors(np.array(nhat, dtype=float), 3, "nhat", float)
     norm = np.sqrt((n * n).sum(axis=-1))
-    bad = _first(abs(norm - 1.0) > _REL_TOL, norm)
-    if bad:
-        raise ValueError(f"nhat must be a unit vector, |n| = {float(bad[0])!r}")
+    _require(abs(norm - 1.0) <= _REL_TOL, "nhat must be a unit vector, |n| = {}", norm)
     n.setflags(write=False)
     return n
+
+
+def check_spin_vector(s) -> np.ndarray:
+    """s as a float array of shape (..., 4), each row a spatial four-vector
+    (0, svec) with s.s = -1."""
+    s = check_vectors(s, 4, "spin vector", float)
+    ok = (abs(s[..., 0]) <= _REL_TOL) & (abs(minkowski_dot(s, s) + 1.0) <= _REL_TOL)
+    _require(ok, "spin vector must be (0, svec) with s.s = -1, got {}", s)
+    return s
+
+
+_BAND_HINTS = {
+    "|p0| >= m": "; use breve_u / breve_u_bar on the |p0| <= m band",
+    "|p0| <= m": "; use the real-band constructors (boosted_spinor, dirac_u, ...)",
+    "p0 >= m": "",
+}
+
+
+def _in_band(p0, m, band: str):
+    """Whether p0 lies in ``band``, one of the keys of _BAND_HINTS, to a relative 1e-12."""
+    e = p0 if band == "p0 >= m" else abs(p0)
+    return e <= m * (1.0 + _REL_TOL) if band == "|p0| <= m" else e >= m * (1.0 - _REL_TOL)
+
+
+def check_band(what: str, p0, m, band: str) -> None:
+    """Raise RegionError naming ``what`` unless every point (p0, m) lies in ``band``."""
+    message = f"{what} needs {band} (got p0={{}}, m={{}}){_BAND_HINTS[band]}"
+    _require(_in_band(p0, m, band), message, p0, m, error=RegionError)
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass instance built from fields derived from an already
+    validated object, without running its validation again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _blocks(up, low) -> np.ndarray:
@@ -96,9 +131,7 @@ _BREVE_PHI_SIGMA = [[_blocks(up, -low) for low in _PHI_SIGMA] for up in _PHI_SIG
 
 def _slot(lam) -> int:
     """Index of the nonzero entry of basis_spinor(lam)."""
-    if lam not in (0.5, -0.5):
-        raise ValueError(f"helicity must be +0.5 or -0.5, got {lam}")
-    return 0 if lam > 0 else 1
+    return check_choice("helicity", lam, HELICITIES)
 
 
 def basis_spinor(lam) -> np.ndarray:
@@ -112,7 +145,8 @@ class KinematicPoint:
 
     p0 may be negative or smaller than m; which constructors accept the
     point depends on the band |p0| >= m (real boosts) versus |p0| <= m
-    (complex continuation).  nhat must be a unit 3-vector.  A single point
+    (complex continuation).  m must satisfy 0 < m < inf, p0 must be finite
+    and nhat must be a unit 3-vector.  A single point
     keeps m and p0 as floats; a batch broadcasts m, p0 and the rows of nhat
     to one batch shape.  nhat is a read-only array of shape (..., 3).
     """
@@ -131,17 +165,18 @@ class KinematicPoint:
         else:
             m, p0 = float(m), float(p0)
         check_mass(m)
+        check_energy(p0)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "nhat", n)
 
     @property
     def in_real_band(self):
-        return abs(self.p0) >= self.m * (1.0 - _REL_TOL)
+        return _in_band(self.p0, self.m, "|p0| >= m")
 
     @property
     def in_breve_band(self):
-        return abs(self.p0) <= self.m * (1.0 + _REL_TOL)
+        return _in_band(self.p0, self.m, "|p0| <= m")
 
     def boost_factor(self, sign: int):
         """a for sign=+1, b for sign=-1; principal branch below threshold."""
@@ -161,7 +196,7 @@ class KinematicPoint:
 
     def negated(self) -> "KinematicPoint":
         """The same point with p0 -> -p0 (spin axis kept)."""
-        return KinematicPoint(self.m, -self.p0, self.nhat)
+        return _trusted(KinematicPoint, m=self.m, p0=-self.p0, nhat=self.nhat)
 
     def sigma_n(self) -> np.ndarray:
         return pauli_dot(self.nhat)
@@ -169,36 +204,28 @@ class KinematicPoint:
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Rapidity chi >= 0 and boost axis, cosh(chi) = p0/m (a single point)."""
+    """Rapidity 0 <= chi < inf and boost axis, cosh(chi) = p0/m (a single point)."""
 
     chi: float
     nhat: tuple
 
     def __post_init__(self):
-        if self.chi < 0:
-            raise ValueError(f"rapidity must be >= 0, got {self.chi}")
+        _require(0 <= self.chi < math.inf, "rapidity must satisfy 0 <= chi < inf, got {}",
+                 self.chi)
         object.__setattr__(self, "nhat", tuple(check_unit_vector(self.nhat).tolist()))
 
     @classmethod
     def from_kinematic(cls, k: KinematicPoint) -> "BoostParams":
-        if k.p0 < k.m * (1.0 - _REL_TOL):
-            raise RegionError(f"rapidity needs p0 >= m, got p0={k.p0}, m={k.m}")
-        return cls(math.acosh(max(k.p0 / k.m, 1.0)), k.nhat)
+        check_band("rapidity", k.p0, k.m, "p0 >= m")
+        return _trusted(cls, chi=math.acosh(max(k.p0 / k.m, 1.0)), nhat=tuple(k.nhat.tolist()))
 
 
-def _amplitudes(k: KinematicPoint, what: str, real_band: bool = True):
+def _amplitudes(k: KinematicPoint, what: str, band: str = "|p0| >= m"):
     """The half-boost amplitudes a, b of k, each with a trailing axis of length 1.
 
-    Raises RegionError naming ``what`` if a point lies outside its band.
+    Raises RegionError naming ``what`` if a point lies outside ``band``.
     """
-    if real_band:
-        bad = _first(np.logical_not(k.in_real_band), k.p0, k.m)
-        rule, hint = ">=", "use breve_u / breve_u_bar on the |p0| <= m band"
-    else:
-        bad = _first(np.logical_not(k.in_breve_band), k.p0, k.m)
-        rule, hint = "<=", "use the real-band constructors (boosted_spinor, dirac_u, ...)"
-    if bad:
-        raise RegionError(f"{what} needs |p0| {rule} m (got p0={bad[0]}, m={bad[1]}); {hint}")
+    check_band(what, k.p0, k.m, band)
     return k.boost_factor(+1)[..., None], k.boost_factor(-1)[..., None]
 
 
@@ -249,12 +276,11 @@ def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
 def tetrad_bispinor(k: KinematicPoint, tau) -> np.ndarray:
     """Tetrad basis column: tau 1,2 carry a phi in the upper block,
     tau 3,4 carry b (sigma.n) phi in the lower block (phi = +1/2, -1/2)."""
-    tau = _check_tetrad(tau)
+    i = check_choice("tetrad index", tau, _TETRAD)
     a, b = _amplitudes(k, "tetrad_bispinor")
-    j = 0 if tau in (1, 3) else 1
-    if tau <= 2:
-        return a * _UP_PHI[j]
-    return b * (k.nhat @ _LOW_SIGMA_PHI[j])
+    if i < 2:
+        return a * _UP_PHI[i % 2]
+    return b * (k.nhat @ _LOW_SIGMA_PHI[i % 2])
 
 
 def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
@@ -263,14 +289,12 @@ def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
     tau 1,2: (+-i) b phi in the upper block; tau 3,4: (+-i) a (sigma.n) phi
     in the lower block.  The overall +-i is the explicit sign argument.
     """
-    tau = _check_tetrad(tau)
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    i = check_choice("tetrad index", tau, _TETRAD)
+    check_choice("sign", sign, (+1, -1))
     a, b = _amplitudes(k, "antisym_bispinor")
-    j = 0 if tau in (1, 3) else 1
-    if tau <= 2:
-        return sign * 1j * b * _UP_PHI[j]
-    return sign * 1j * a * (k.nhat @ _LOW_SIGMA_PHI[j])
+    if i < 2:
+        return sign * 1j * b * _UP_PHI[i % 2]
+    return sign * 1j * a * (k.nhat @ _LOW_SIGMA_PHI[i % 2])
 
 
 def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -280,7 +304,7 @@ def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     [a - i (sigma.n) b] phi_{lam-}; here b = i sqrt((m - p0)/2m) is
     imaginary, so both block operators are real and Hermitian.
     """
-    a, b = _amplitudes(k, "breve_u", real_band=False)
+    a, b = _amplitudes(k, "breve_u", "|p0| <= m")
     jp, jm = _slot(lam_plus), _slot(lam_minus)
     return a * _BREVE_PHI[jp][jm] + 1j * b * (k.nhat @ _BREVE_SIGMA_PHI[jp][jm])
 
@@ -294,25 +318,21 @@ def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     with lam+ and the - factor with lam-.  Contracting with breve_u gives
     exactly 2 whenever lam+ = lam-.
     """
-    a, b = _amplitudes(k, "breve_u_bar", real_band=False)
+    a, b = _amplitudes(k, "breve_u_bar", "|p0| <= m")
     jp, jm = _slot(lam_plus), _slot(lam_minus)
     return a * _BREVE_PHI[jp][jm] + 1j * b * (k.nhat @ _BREVE_PHI_SIGMA[jp][jm])
 
 
 def rest_basis(tau) -> np.ndarray:
     """Displayed band-center basis column e_tau / sqrt(2)."""
-    tau = _check_tetrad(tau)
     e = np.zeros(4, dtype=complex)
-    e[tau - 1] = 1.0 / math.sqrt(2.0)
+    e[check_choice("tetrad index", tau, _TETRAD)] = 1.0 / math.sqrt(2.0)
     return e
 
 
 def dirac_adjoint(u) -> np.ndarray:
     """u^+ gamma^0 as a row vector."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-1:] != (4,):
-        raise ValueError(f"expected a bispinor, got shape {u.shape}")
-    return row_times(np.conj(u), gamma(0))
+    return row_times(np.conj(check_vectors(u, 4, "bispinor")), gamma(0))
 
 
 def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
@@ -320,31 +340,23 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
 
     variant "u": gamma5 (gamma.s) breve;  variant "v": (gamma.s) gamma5 breve,
     with gamma.s = sum_i gamma^i s^i.  Since (gamma.s)^2 = -1 for unit svec,
-    the two maps compose to -1 and are inverse to each other up to sign.
+    which s must be, the two maps compose to -1 and are inverse to each
+    other up to sign.
     """
+    gs = gamma_dot_spatial(check_spin_vector(s))
+    u_map = check_choice("variant", variant, ("u", "v")) == 0
     breve = np.asarray(breve, dtype=complex)
-    s = np.asarray(s, dtype=float)
-    bad = (s,) if s.shape[-1:] != (4,) else _first(abs(s[..., 0]) > _REL_TOL, s)
-    if bad:
-        raise ValueError(f"s must be a spatial four-vector (0, svec), got {bad[0]!r}")
-    gs = gamma_dot_spatial(s)
-    if variant == "u":
-        return times_column(gamma5() @ gs, breve)
-    if variant == "v":
-        return times_column(gs @ gamma5(), breve)
-    raise ValueError(f"variant must be 'u' or 'v', got {variant!r}")
+    return times_column(gamma5() @ gs if u_map else gs @ gamma5(), breve)
 
 
 def kappa(p0, m):
     """Spin-eigenvalue ratio sqrt((p0 - m)/(p0 + m)) = tanh(chi/2).
 
     Vanishes at threshold p0 = m and tends to 1 only as p0 -> infinity.
+    Raises RegionError unless p0 >= m.
     """
+    p0, m = np.asarray(p0, dtype=float), np.asarray(m, dtype=float)
     check_mass(m)
-    bad = _first(np.asarray(p0) < m * (1.0 - _REL_TOL), p0, m)
-    if bad:
-        raise ValueError(
-            f"kappa is real only for p0 >= m (got p0={bad[0]}, m={bad[1]}); "
-            "the |p0| < m band belongs to the breve constructors"
-        )
+    check_energy(p0)
+    check_band("kappa", p0, m, "p0 >= m")
     return np.sqrt(np.maximum(np.subtract(p0, m), 0.0) / np.add(p0, m))

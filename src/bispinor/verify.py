@@ -33,6 +33,10 @@ import numpy as np
 
 from .clifford import (
     METRIC,
+    _I2,
+    _I4,
+    check_choice,
+    check_vectors,
     dot,
     gamma,
     gamma5,
@@ -56,7 +60,6 @@ from .projectors import (
 from .spinors import (
     HELICITIES,
     KinematicPoint,
-    RegionError,
     antisym_bispinor,
     boosted_spinor,
     breve_u,
@@ -112,10 +115,8 @@ class IdentityCheck:
     expected_status: str
 
     def __post_init__(self):
-        if self.expected_status not in EXPECTED_STATUSES:
-            raise ValueError(f"bad expected status {self.expected_status!r}")
-        if self.sampler not in _SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+        check_choice("expected status", self.expected_status, EXPECTED_STATUSES)
+        check_choice("sampler", self.sampler, tuple(_SAMPLERS))
 
 
 @dataclass(frozen=True)
@@ -290,9 +291,7 @@ def section4_two_valued(xi) -> tuple:
     are real, so the left side is quartic in |xi| and scales as |alpha|^4.
     Broadcasts over leading batch axes of xi (..., 4).
     """
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape[-1:] != (4,):
-        raise ValueError(f"expected a bispinor, got shape {xi.shape}")
+    xi = check_vectors(xi, 4, "bispinor")
     g5 = gamma5()
     bra = np.conj(xi)
     total = 0.0
@@ -309,8 +308,6 @@ def section4_two_valued(xi) -> tuple:
 # registry
 # ---------------------------------------------------------------------------
 
-_I2 = np.eye(2, dtype=complex)
-_I4 = np.eye(4, dtype=complex)
 _ZHAT = (0.0, 0.0, 1.0)
 _GAMMAS = np.stack([gamma(mu) for mu in range(4)])
 _GAMMAS_LOWER = np.stack([gamma_lower(mu) for mu in range(4)])
@@ -549,8 +546,8 @@ def _per_check_seed(name: str) -> int:
 
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> list:
-    """The check's sample points for (seed, samples), drawn one at a time."""
-    if samples < 1:
+    """The check's sample points for (seed, samples >= 1), drawn one at a time."""
+    if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed % 2 ** 63, _per_check_seed(check.name)]))
@@ -565,7 +562,7 @@ def residuals(check: IdentityCheck, points: list) -> np.ndarray:
     columns = {key: [pt[key] for pt in points] for key in points[0]}
     try:
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
-    except (RegionError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
     n = len(points) if columns else 1
     if columns and diff.shape[:1] != (n,):
@@ -605,11 +602,12 @@ def run_check(check: IdentityCheck, seed: int, samples: int) -> CheckResult:
 
 def run_all(seed: int = 42, samples: int = 100,
             tolerance_override: float | None = None) -> VerificationReport:
-    """Run the whole registry; deterministic in (seed, samples, override)."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if tolerance_override is not None and tolerance_override <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance_override}")
+    """Run the whole registry; deterministic in (seed, samples, override).
+
+    samples must be >= 1 and an override must satisfy 0 < tolerance < inf.
+    """
+    if tolerance_override is not None and not 0 < tolerance_override < math.inf:
+        raise ValueError(f"tolerance must satisfy 0 < tolerance < inf, got {tolerance_override}")
     results = []
     for check in registry():
         if tolerance_override is not None:

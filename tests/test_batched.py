@@ -306,20 +306,25 @@ def test_projector_validators_check_every_point():
                  lambda: pj.energy_projector(p, heavy, -1))
 
 
-def test_polsum_guard_refusal_is_the_same_in_a_batch():
-    # the scale-blind on-shell guard refuses some valid points at large p0/m
+def test_guard_refusal_is_the_same_in_a_batch_and_polsum_needs_no_guard():
+    # the scale-blind on-shell guard refuses some valid caller momenta at large
+    # p0/m; polsum builds its momentum from the validated point and accepts them
     rng = np.random.default_rng(9)
     m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 400))
     p0 = m * np.exp(rng.uniform(np.log(1e2), np.log(1e3), 400))
     n = _unit_rows(rng, 400)
     refused = []
     for i in range(400):
+        k = sp.KinematicPoint(m[i], p0[i], n[i])
         try:
-            pj.polsum("spinor", sp.KinematicPoint(m[i], p0[i], n[i]))
+            pj.energy_projector(k.momentum(), m[i], +1)
         except ValueError as exc:
             assert str(exc).startswith("momentum is off shell")
             refused.append(i)
+        lhs, rhs = pj.polsum("spinor", k)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     assert refused
     i = refused[0]
-    _raises_like(lambda: pj.polsum("spinor", sp.KinematicPoint(m[i], p0[i], n[i])),
-                 lambda: pj.polsum("spinor", sp.KinematicPoint(m, p0, n)))
+    _raises_like(lambda: pj.energy_projector(sp.KinematicPoint(m[i], p0[i], n[i]).momentum(),
+                                             m[i], +1),
+                 lambda: pj.energy_projector(sp.KinematicPoint(m, p0, n).momentum(), m, +1))

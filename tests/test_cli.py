@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bispinor.cli import main
 
@@ -129,3 +135,39 @@ def test_show_direction_is_normalized(capsys):
     vals = np.array([complex(tok.replace("j", "j")) for tok in
                      out.strip("()\n").split(", ")])
     assert vals.shape == (4,)
+
+
+def test_show_polsum_far_above_threshold(capsys):
+    assert main(["show", "polsum", "--kind", "spinor", "--p0", "1e3", "--m", "1"]) == 0
+    assert "max residual:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "polsum", "--kind", "spinor", "--p0", "1e200", "--m", "1"],
+    ["show", "projector", "--kind", "pi", "--p0", "2", "--m", "1", "--sx", "nan"],
+    ["show", "basis", "--tau", "1", "--p0", "inf", "--m", "1"],
+    ["show", "breve", "--p0", "0", "--m", "inf"],
+    ["verify", "--samples", "2", "--tolerance", "nan"],
+])
+def test_rejected_input_exits_2_with_a_message(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+SHOW_FLAGS = ("p0", "m", "nx", "ny", "nz", "sx", "sy", "sz", "lp", "lm")
+FLOATS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -0.0]),
+                   st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.sampled_from(["basis", "breve", "projector", "polsum"]),
+       kind=st.sampled_from(["spin", "energy-plus", "energy-minus", "pi", "pi-neg", "spinor",
+                             "antispinor", "breve-plus", "breve-minus", "completeness"]),
+       values=st.lists(FLOATS, min_size=len(SHOW_FLAGS), max_size=len(SHOW_FLAGS)))
+@example(obj="polsum", kind="spinor", values=[1e200, 1.0] + [None] * 8)
+def test_show_exits_0_or_2_on_any_float_input(obj, kind, values):
+    argv = ["show", obj, "--kind", kind, "--tau", "1"]
+    argv += [f"--{flag}={value!r}" for flag, value in zip(SHOW_FLAGS, values)
+             if value is not None]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)
