@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 at least one expected-holds check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -37,11 +38,11 @@ def _direction(args, prefix: str):
     comps = [getattr(args, prefix + axis) for axis in ("x", "y", "z")]
     if all(c is None for c in comps):
         return None
-    v = np.array([0.0 if c is None else float(c) for c in comps])
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError(f"--{prefix}x/--{prefix}y/--{prefix}z must not all be zero")
-    return v / norm
+    v = [0.0 if c is None else float(c) for c in comps]
+    if not (all(map(math.isfinite, v)) and any(v)):
+        raise ValueError(f"--{prefix}x/--{prefix}y/--{prefix}z must be finite, not all zero: {v}")
+    v = np.array(v) / max(map(abs, v))  # largest component 1: math.hypot cannot overflow
+    return v / math.hypot(*v)
 
 
 def _spin_vector(args) -> np.ndarray:

@@ -29,11 +29,12 @@ def _outer(u, v) -> np.ndarray:
 
 
 def _check_on_shell(p, m) -> np.ndarray:
-    """p as a complex array of four-momenta, each on the mass shell p.p = m^2 of a
-    mass 0 < m < inf.  The tolerance does not grow with p0, so it refuses some
+    """p as a complex array of finite four-momenta, each on the mass shell p.p = m^2
+    of a mass 0 < m < inf.  The tolerance does not grow with p0, so it refuses some
     valid momenta at large p0/m."""
     p = check_vectors(p, 4, "momentum")
     check_mass(m)
+    _require(np.isfinite(p).all(axis=-1), "momentum must be finite, got {}", p)
     gap = minkowski_dot(p, p) - m * m
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL * np.maximum(1.0, m * m),
@@ -82,18 +83,14 @@ def diad(phi, insert: str) -> np.ndarray:
 
 
 def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
-    """Explicit band projectors built from (pslash -+ m) and gamma.s.
+    """Explicit band projectors Lambda_-+(p) P(+-s): energy_projector times spin_projector.
 
-    "lambda":      -(1/4m) (pslash - m) (1 - gamma5 gamma.s)
-    "neg-lambda":  +(1/4m) (pslash + m) (1 - gamma.s gamma5)
+    "lambda":      Lambda_-(p) P(s)  = -(1/4m) (pslash - m) (1 - gamma5 gamma.s)
+    "neg-lambda":  Lambda_+(p) P(-s) = +(1/4m) (pslash + m) (1 - gamma.s gamma5)
     """
-    p = _check_on_shell(p, m)
-    gs = gamma_dot_spatial(check_spin_vector(s))
-    lambda_variant = check_choice("variant", variant, ("lambda", "neg-lambda")) == 0
-    m = np.asarray(m)[..., None, None]  # one mass per matrix of the batch
-    if lambda_variant:
-        return -(slash(p) - m * _I4) @ (_I4 - gamma5() @ gs) / (4.0 * m)
-    return (slash(p) + m * _I4) @ (_I4 - gs @ gamma5()) / (4.0 * m)
+    if check_choice("variant", variant, ("lambda", "neg-lambda")) == 0:
+        return energy_projector(p, m, -1) @ spin_projector(s)
+    return energy_projector(p, m, +1) @ spin_projector(np.negative(s))
 
 
 def polsum(kind: str, k: KinematicPoint):

@@ -14,7 +14,9 @@ at the spacetime origin.
 A KinematicPoint may hold a batch of points: m and p0 of shape (...) and
 nhat of shape (..., 3).  Every constructor broadcasts over those leading
 axes (a bispinor comes back as (..., 4)), a single point being the empty
-batch shape, and every validator checks every point of a batch.
+batch shape, and every validator checks every point of a batch.  A single
+point keeps Python floats, which round ** and math.* differently from numpy
+arrays, so code shared with batches applies neither to a point's values.
 
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
@@ -35,6 +37,7 @@ HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
 
 _REL_TOL = 1e-12
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # x * x is finite for |x| < _SQRT_MAX
 
 
 class RegionError(ValueError):
@@ -187,8 +190,11 @@ class KinematicPoint:
 
         Inside the |p0| < m band the spatial part is imaginary (principal
         branch), which is the mechanical form of the n -> i n continuation.
+        Raises OverflowError where p0^2 or m^2 overflows.
         """
-        q = np.sqrt(self.p0 ** 2 - self.m ** 2 + 0j)
+        _require((abs(self.p0) < _SQRT_MAX) & (self.m < _SQRT_MAX), "momentum overflows: "
+                 "p0^2 - m^2 is out of range at p0={}, m={}", self.p0, self.m, error=OverflowError)
+        q = np.sqrt(self.p0 * self.p0 - self.m * self.m + 0j)
         p = np.empty(self.nhat.shape[:-1] + (4,), dtype=complex)
         p[..., 0] = self.p0
         np.multiply(q[..., None], self.nhat, out=p[..., 1:])

@@ -31,46 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import (
-    METRIC,
-    _I2,
-    _I4,
-    check_choice,
-    check_vectors,
-    dot,
-    gamma,
-    gamma5,
-    gamma5_from_epsilon,
-    gamma_dot_spatial,
-    gamma_lower,
-    generalized_pauli,
-    pauli_dot,
-    row_times,
-    slash,
-    times_column,
-    trace,
-)
-from .projectors import (
-    diad,
-    pi_projector,
-    polsum,
-    spin_projector,
-    spin_projector_rest,
-)
-from .spinors import (
-    HELICITIES,
-    KinematicPoint,
-    antisym_bispinor,
-    boosted_spinor,
-    breve_u,
-    breve_u_bar,
-    dirac_adjoint,
-    dirac_u,
-    kappa,
-    parity_components,
-    rest_basis,
-    spinor_from_breve,
-)
+from .clifford import (METRIC, _I2, _I4, check_choice, check_vectors, dot, gamma, gamma5,
+                       gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
+                       pauli_dot, row_times, slash, times_column, trace)
+from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
+from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, boosted_spinor, breve_u,
+                      breve_u_bar, dirac_adjoint, dirac_u, kappa, parity_components, rest_basis,
+                      spinor_from_breve)
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_TOLERANCE = 1e-10
@@ -300,8 +267,9 @@ def section4_two_valued(xi) -> tuple:
         x_low = dot(row_times(bra, sp @ g5), xi)
         x_up = dot(row_times(bra, g5 @ np.conj(sp)), xi)
         total = total + (x_up.real * x_low.real - x_up.imag * x_low.imag)
-    rhs = np.sum(np.abs(xi) ** 2, axis=-1) ** 2
-    return total, rhs
+    a = np.abs(xi)
+    norm2 = np.sum(a * a, axis=-1)
+    return total, norm2 * norm2
 
 
 # ---------------------------------------------------------------------------

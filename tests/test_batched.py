@@ -328,3 +328,93 @@ def test_guard_refusal_is_the_same_in_a_batch_and_polsum_needs_no_guard():
     _raises_like(lambda: pj.energy_projector(sp.KinematicPoint(m[i], p0[i], n[i]).momentum(),
                                              m[i], +1),
                  lambda: pj.energy_projector(sp.KinematicPoint(m, p0, n).momentum(), m, +1))
+
+
+# ---------------------------------------------------------------------------
+# a single point computes its batch's bits, at points where Python float
+# powers (** on a float or a numpy scalar) round differently from products
+# ---------------------------------------------------------------------------
+
+ZHAT = (0.0, 0.0, 1.0)
+
+
+def _same_bits(alone, row):
+    alone, row = np.asarray(alone), np.asarray(row)
+    assert alone.dtype == row.dtype and alone.shape == row.shape
+    assert alone.tobytes() == row.tobytes()
+
+
+def test_every_worst_point_replays_to_its_max_residual():
+    report = json.loads(vf.run_all(seed=37, samples=3).to_json())
+    checks = {c.name: c for c in vf.registry()}
+    for row in report["checks"]:
+        check, point = checks[row["name"]], row["worst_point"]
+        alone = np.max(np.abs(np.asarray(check.lhs(point)) - np.asarray(check.rhs(point))))
+        assert alone == row["max_residual"], row["name"]
+
+
+def test_a_point_and_its_batch_row_agree_where_powers_round_differently():
+    p0 = 3.561285623743724
+    assert p0 ** 2 != p0 * p0
+    single = sp.KinematicPoint(1.0, p0, ZHAT)
+    batch = sp.KinematicPoint(1.0, [2.0, p0, 7.5], ZHAT)
+    pairs = [(single.momentum(), batch.momentum()),
+             (cl.slash(single.momentum()), cl.slash(batch.momentum()))]
+    for kind in ("spinor", "antispinor"):
+        pairs += zip(pj.polsum(kind, single), pj.polsum(kind, batch))
+    for alone, rows in pairs:
+        _same_bits(alone, rows[1])
+
+
+def test_section4_two_valued_agrees_alone_and_in_a_batch():
+    check = next(c for c in vf.registry() if c.name == "section4-two-valued")
+    points = vf.sample_points(check, 7, 1000)
+    xi = vf._xi_of(points[580])
+    norm2 = np.sum(np.abs(xi) ** 2)
+    assert np.float64(norm2) ** 2 != norm2 * norm2
+    batch = vf.section4_two_valued(vf._xi_of({k: [pt[k] for pt in points] for k in points[0]}))
+    for alone, rows in zip(vf.section4_two_valued(xi), batch):
+        _same_bits(alone, rows[580])
+
+
+@pytest.mark.filterwarnings("error")
+def test_momentum_overflow_fails_closed_alike_for_a_point_and_a_batch():
+    _raises_like(lambda: sp.KinematicPoint(1.0, 1e200, ZHAT).momentum(),
+                 lambda: sp.KinematicPoint(1.0, [2.0, 1e200], ZHAT).momentum())
+    with pytest.raises(OverflowError, match=r"p0=1e\+200"):
+        sp.KinematicPoint(1.0, 1e200, ZHAT).momentum()
+    _raises_like(lambda: sp.KinematicPoint(1e200, 0.5, ZHAT).momentum(),
+                 lambda: sp.KinematicPoint([1.0, 1e200], 0.5, ZHAT).momentum())
+
+
+def _pi_expanded(p, m, s, variant):
+    """The band projectors as first written, expanded by hand (the reference)."""
+    gs = cl.gamma_dot_spatial(s)
+    m = np.asarray(m)[..., None, None]
+    i4 = np.eye(4)
+    if variant == "lambda":
+        return -(cl.slash(p) - m * i4) @ (i4 - cl.gamma5() @ gs) / (4.0 * m)
+    return (cl.slash(p) + m * i4) @ (i4 - gs @ cl.gamma5()) / (4.0 * m)
+
+
+@pytest.mark.parametrize("band", ["real", "breve"])
+@pytest.mark.parametrize("variant", ["lambda", "neg-lambda"])
+def test_pi_projector_is_the_energy_times_the_spin_projector(band, variant):
+    rng = np.random.default_rng(10)
+    if band == "real":
+        ratio = rng.uniform(1.0, 10.0, 2000) * rng.choice((1.0, -1.0), 2000)
+    else:
+        ratio = rng.uniform(-1.0, 1.0, 2000)
+    n = _unit_rows(rng, 2000)
+    s = np.concatenate([np.zeros((2000, 1)), n], axis=1)
+    sign, spin = (-1, s) if variant == "lambda" else (+1, -s)
+    for m in (np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000)), 1.0, 0.25, 8.0):
+        p = sp.KinematicPoint(m, m * ratio, n).momentum()
+        pi = pj.pi_projector(p, m, s, variant)
+        assert np.array_equal(pi, pj.energy_projector(p, m, sign) @ pj.spin_projector(spin))
+        ref = _pi_expanded(p, m, s, variant)
+        if np.ndim(m):
+            scale = np.max(np.abs(ref), axis=(-2, -1))
+            assert np.all(np.max(np.abs(pi - ref), axis=(-2, -1)) <= 1e-15 * scale)
+        else:  # a power of two: the same bits as the expanded formula
+            assert np.array_equal(pi, ref)

@@ -137,6 +137,27 @@ def test_show_direction_is_normalized(capsys):
     assert vals.shape == (4,)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nz", ["1e200", "1e-170", "1.7e308"])
+def test_show_direction_normalizes_without_overflow_or_underflow(nz, capsys):
+    assert main(["show", "breve", "--p0", "0", "--m", "1", "--nz", "1"]) == 0
+    unit = capsys.readouterr().out
+    assert main(["show", "breve", "--p0", "0", "--m", "1", "--nz", nz]) == 0
+    assert capsys.readouterr().out == unit
+    assert main(["show", "breve", "--p0", "0", "--m", "1", "--nx", nz, "--nz", nz]) == 0
+    assert main(["show", "breve", "--p0", "0", "--m", "1", "--nx", "1", "--nz", "1"]) == 0
+    tilted = capsys.readouterr().out.splitlines()
+    assert tilted[0] == tilted[1]
+
+
+@pytest.mark.parametrize("flag", ["--nx", "--sz"])
+def test_show_direction_rejects_a_non_finite_component(flag, capsys):
+    argv = ["show", "projector", "--kind", "pi", "--p0", "2", "--m", "1", "--sz", "1"]
+    assert main(argv + [flag, "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[:3]}x/{flag[:3]}y/{flag[:3]}z must be finite")
+
+
 def test_show_polsum_far_above_threshold(capsys):
     assert main(["show", "polsum", "--kind", "spinor", "--p0", "1e3", "--m", "1"]) == 0
     assert "max residual:" in capsys.readouterr().out

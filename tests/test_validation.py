@@ -51,3 +51,18 @@ def test_kappa_outside_its_band_is_a_region_error():
     for p0 in (0.5, -2.0):
         with pytest.raises(sp.RegionError, match="kappa needs p0 >= m"):
             sp.kappa(p0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_momentum_is_rejected_as_non_finite(value):
+    for p in ((value, 0.0, 0.0, 0.0), (2.0, 0.0, value, 1.0)):
+        with pytest.raises(ValueError, match="^momentum must be finite"):
+            pj.energy_projector(p, 1.0, +1)
+        with pytest.raises(ValueError, match="^momentum must be finite"):
+            pj.pi_projector(p, 1.0, (0.0, 0.0, 0.0, 1.0))
+
+
+def test_finite_off_shell_momentum_is_off_shell():
+    with pytest.raises(ValueError, match="^momentum is off shell"):
+        pj.energy_projector((2.0, 0.0, 0.0, 0.0), 1.0, +1)
