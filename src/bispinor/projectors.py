@@ -16,8 +16,9 @@ import numpy as np
 
 from .clifford import (_I2, _I4, check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
                        minkowski_dot, pauli_dot, row_times, slash)
-from .spinors import (HELICITIES, KinematicPoint, _require, breve_u, breve_u_bar, check_mass,
-                      check_spin_vector, check_unit_vector, dirac_u, dirac_u_bar)
+from .spinors import (_SQRT_MAX, HELICITIES, KinematicPoint, _in_scale, _require, breve_u,
+                      breve_u_bar, check_mass, check_spin_vector, check_unit_vector, dirac_u,
+                      dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 
@@ -29,12 +30,15 @@ def _outer(u, v) -> np.ndarray:
 
 
 def _check_on_shell(p, m) -> np.ndarray:
-    """p as a complex array of finite four-momenta, each on the mass shell p.p = m^2
-    of a mass 0 < m < inf.  The tolerance does not grow with p0, so it refuses some
-    valid momenta at large p0/m."""
+    """p as a complex array of finite four-momenta (|p_i| and |p_i|/m below 1.3e154, else
+    OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154.
+    The tolerance does not grow with p0, so it refuses some valid momenta at large p0/m."""
     p = check_vectors(p, 4, "momentum")
     check_mass(m)
-    _require(np.isfinite(p).all(axis=-1), "momentum must be finite, got {}", p)
+    top = abs(p).max(axis=-1)  # nan for a nan component
+    _require(top < np.inf, "momentum must be finite, got {}", p)
+    _require(_in_scale(top, m) & (m < _SQRT_MAX), "momentum overflows: "
+             "p.p - m^2 is out of range at p={}, m={}", p, m, error=OverflowError)
     gap = minkowski_dot(p, p) - m * m
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL * np.maximum(1.0, m * m),

@@ -31,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
-                       minkowski_dot, pauli, pauli_dot, row_times, times_column)
+                       pauli, pauli_dot, row_times, times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
 
 _REL_TOL = 1e-12
 _SQRT_MAX = math.sqrt(np.finfo(float).max)  # x * x is finite for |x| < _SQRT_MAX
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float; 1 / (2 m) is finite above it
 
 
 class RegionError(ValueError):
@@ -56,8 +57,19 @@ def _require(ok, message: str, *values, error=ValueError) -> None:
 
 
 def check_mass(m):
-    """Raise ValueError unless every mass satisfies 0 < m < inf."""
-    _require((m > 0) & (m < math.inf), "mass must satisfy 0 < m < inf, got {}", m)
+    """Raise ValueError unless every mass is a normal float, 2.2e-308 <= m < inf."""
+    _require((m >= _TINY) & (m < math.inf), "mass must satisfy 2.2e-308 <= m < inf, got {}", m)
+
+
+def _in_scale(x, m):
+    """Whether |x| and |x| / m lie below 1.3e154, so that x * x and x / m are finite."""
+    x = abs(x)
+    return (x < _SQRT_MAX) & (x / _SQRT_MAX < m)
+
+
+def _norm3(v):
+    """|v| over the last axis of length 3, by hypot: no square of a component is formed."""
+    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
 
 
 def check_energy(p0):
@@ -68,7 +80,7 @@ def check_energy(p0):
 def check_unit_vector(nhat) -> np.ndarray:
     """nhat as a read-only float array of shape (..., 3), each row of unit length."""
     n = check_vectors(np.array(nhat, dtype=float), 3, "nhat", float)
-    norm = np.sqrt((n * n).sum(axis=-1))
+    norm = _norm3(n)
     _require(abs(norm - 1.0) <= _REL_TOL, "nhat must be a unit vector, |n| = {}", norm)
     n.setflags(write=False)
     return n
@@ -76,9 +88,10 @@ def check_unit_vector(nhat) -> np.ndarray:
 
 def check_spin_vector(s) -> np.ndarray:
     """s as a float array of shape (..., 4), each row a spatial four-vector
-    (0, svec) with s.s = -1."""
+    (0, svec) with s.s = -1: |svec| = 1 as for a unit nhat, so non-finite or huge
+    components fail without s.s being formed."""
     s = check_vectors(s, 4, "spin vector", float)
-    ok = (abs(s[..., 0]) <= _REL_TOL) & (abs(minkowski_dot(s, s) + 1.0) <= _REL_TOL)
+    ok = (abs(s[..., 0]) <= _REL_TOL) & (abs(_norm3(s[..., 1:]) - 1.0) <= _REL_TOL)
     _require(ok, "spin vector must be (0, svec) with s.s = -1, got {}", s)
     return s
 
@@ -148,9 +161,9 @@ class KinematicPoint:
 
     p0 may be negative or smaller than m; which constructors accept the
     point depends on the band |p0| >= m (real boosts) versus |p0| <= m
-    (complex continuation).  m must satisfy 0 < m < inf, p0 must be finite
-    and nhat must be a unit 3-vector.  A single point
-    keeps m and p0 as floats; a batch broadcasts m, p0 and the rows of nhat
+    (complex continuation).  m must satisfy 2.2e-308 <= m < inf, p0 must be finite
+    (|p0| and |p0|/m below 1.3e154, else OverflowError) and nhat a unit 3-vector.
+    A single point keeps m and p0 as floats; a batch broadcasts m, p0 and the rows of nhat
     to one batch shape.  nhat is a read-only array of shape (..., 3).
     """
 
@@ -169,6 +182,8 @@ class KinematicPoint:
             m, p0 = float(m), float(p0)
         check_mass(m)
         check_energy(p0)
+        _require(_in_scale(p0, m), "p0 overflows: p0^2 or p0/m is out of range at p0={}, m={}",
+                 p0, m, error=OverflowError)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "nhat", n)
@@ -190,9 +205,9 @@ class KinematicPoint:
 
         Inside the |p0| < m band the spatial part is imaginary (principal
         branch), which is the mechanical form of the n -> i n continuation.
-        Raises OverflowError where p0^2 or m^2 overflows.
+        Raises OverflowError where m^2 overflows (p0^2 is finite by construction).
         """
-        _require((abs(self.p0) < _SQRT_MAX) & (self.m < _SQRT_MAX), "momentum overflows: "
+        _require(self.m < _SQRT_MAX, "momentum overflows: "
                  "p0^2 - m^2 is out of range at p0={}, m={}", self.p0, self.m, error=OverflowError)
         q = np.sqrt(self.p0 * self.p0 - self.m * self.m + 0j)
         p = np.empty(self.nhat.shape[:-1] + (4,), dtype=complex)

@@ -10,9 +10,10 @@ runs during development:
                  kept as documentation (reported, never asserted),
   informational  a recorded relation with no asserted equality.
 
-Reports are pure functions of (seed, samples, tolerance_override): samples
-are drawn from a generator seeded per check by (seed, sha256(name)), so
-repeated runs are bit-identical and checks do not perturb each other.
+Reports are pure functions of (seed, samples, tolerance_override): each
+check draws all its samples as columns, one numpy call per key, from a
+generator seeded per check by (seed, sha256(name)), so repeated runs are
+bit-identical and checks do not perturb each other.
 
 A check's lhs and rhs builders take a batch of points as columns, one list
 per sampler key, and return arrays with a leading sample axis; given one
@@ -39,7 +40,7 @@ from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, boosted_spin
                       breve_u_bar, dirac_adjoint, dirac_u, kappa, parity_components, rest_basis,
                       spinor_from_breve)
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 DEFAULT_TOLERANCE = 1e-10
 
 EXPECTED_STATUSES = ("holds", "informational", "expected-fail")
@@ -177,71 +178,54 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# samplers: each draws one JSON-serializable point so that worst_point rows
-# reproduce the failure without rerunning the harness
+# samplers: each draws all n points of a check as numpy columns, one call per
+# key; sample_points hands them on as lists of plain values, so that every
+# builder argument, and every worst_point row, is JSON-serializable
 # ---------------------------------------------------------------------------
 
-def _unit_vector(rng) -> list:
+def _unit_rows(rng, n: int) -> np.ndarray:
+    """n unit 3-vectors; rows with |v| <= 1e-6 are redrawn in order until none is left."""
+    v = rng.normal(size=(n, 3))
     while True:
-        v = rng.normal(size=3)
-        n = math.sqrt(v.dot(v))  # the value np.linalg.norm(v) computes
-        if n > 1e-6:
-            return (v / n).tolist()
+        norm = np.sqrt(np.sum(v * v, axis=1))
+        short = norm <= 1e-6
+        if not short.any():
+            return v / norm[:, None]
+        v[short] = rng.normal(size=(int(short.sum()), 3))
 
 
 _LOG_10 = np.log(10.0)
 
-
-def _sample_real_band(rng) -> dict:
-    # p0/m log-uniform in [1, 10], m fixed to 1 (identities are homogeneous in m)
-    return {"m": 1.0, "p0": float(np.exp(rng.uniform(0.0, _LOG_10))),
-            "nhat": _unit_vector(rng)}
-
-
-def _sample_breve_band(rng) -> dict:
-    return {"m": 1.0, "p0": float(rng.uniform(-1.0, 1.0)), "nhat": _unit_vector(rng)}
-
-
-def _sample_sphere(rng) -> dict:
-    return {"nhat": _unit_vector(rng)}
-
-
-def _sample_index_pair(rng) -> dict:
-    return {"mu": int(rng.integers(0, 4)), "nu": int(rng.integers(0, 4))}
-
-
-def _sample_gamma_label(rng) -> dict:
-    # 0..3 the gammas, 4 stands for gamma5
-    return {"mu": int(rng.integers(0, 5))}
-
-
-def _sample_matrix_seed(rng) -> dict:
-    return {"matrix_seed": int(rng.integers(0, 2 ** 31 - 1))}
-
-
-def _sample_spinor4(rng) -> dict:
-    z = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return {"xi_re": z.real.tolist(), "xi_im": z.imag.tolist()}
-
-
 _SAMPLERS = {
-    "real-band": _sample_real_band,
-    "breve-band": _sample_breve_band,
-    "sphere": _sample_sphere,
-    "index-pair": _sample_index_pair,
-    "gamma-label": _sample_gamma_label,
-    "matrix-seed": _sample_matrix_seed,
-    "spinor4": _sample_spinor4,
-    "fixed": lambda rng: {},
+    # p0/m log-uniform in [1, 10], m fixed to 1 (identities are homogeneous in m)
+    "real-band": lambda rng, n: {"m": np.ones(n), "p0": np.exp(rng.uniform(0.0, _LOG_10, n)),
+                                 "nhat": _unit_rows(rng, n)},
+    "breve-band": lambda rng, n: {"m": np.ones(n), "p0": rng.uniform(-1.0, 1.0, n),
+                                  "nhat": _unit_rows(rng, n)},
+    "sphere": lambda rng, n: {"nhat": _unit_rows(rng, n)},
+    "index-pair": lambda rng, n: {"mu": rng.integers(0, 4, n), "nu": rng.integers(0, 4, n)},
+    # 0..3 the gammas, 4 stands for gamma5
+    "gamma-label": lambda rng, n: {"mu": rng.integers(0, 5, n)},
+    # three complex 4x4 matrices per point, 48 real and 48 imaginary parts in row-major order
+    "matrices": lambda rng, n: dict(zip(("a_re", "a_im"), rng.uniform(-0.5, 0.5, (2, n, 48)))),
+    "spinor4": lambda rng, n: dict(zip(("xi_re", "xi_im"), rng.normal(size=(2, n, 4)))),
+    "fixed": lambda rng, n: {},
 }
+
+
+def point(columns: dict, i: int) -> dict:
+    """Row i of a check's sample columns: plain Python floats, ints and lists."""
+    return {key: column[i] for key, column in columns.items()}
 
 
 def _kin(pt: dict) -> KinematicPoint:
     return KinematicPoint(pt["m"], pt["p0"], pt["nhat"])
 
 
-def _xi_of(pt: dict) -> np.ndarray:
-    return np.asarray(pt["xi_re"], dtype=float) + 1j * np.asarray(pt["xi_im"], dtype=float)
+def _complex_of(pt: dict, name: str) -> np.ndarray:
+    """The complex array pt[name + "_re"] + i pt[name + "_im"]."""
+    re, im = (np.asarray(pt[name + part], dtype=float) for part in ("_re", "_im"))
+    return re + 1j * im
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -295,15 +279,10 @@ def _anticommutator(stack, pt):
     return a @ b + b @ a
 
 
-def _three_matrices(seeds) -> np.ndarray:
-    """Three seeded uniform complex 4x4 matrices per seed, stacked as (3, ..., 4, 4).
-
-    Each seed draws real part, imaginary part, real part, ... in turn.
-    """
-    draws = np.array([np.random.default_rng(seed).uniform(-0.5, 0.5, (3, 2, 4, 4))
-                      for seed in np.ravel(seeds).tolist()])
-    mats = draws[:, :, 0] + 1j * draws[:, :, 1]
-    return np.moveaxis(mats.reshape(np.shape(seeds) + (3, 4, 4)), -3, 0)
+def _three_matrices(pt) -> np.ndarray:
+    """A point's three complex 4x4 matrices a, stacked as (3, ..., 4, 4)."""
+    a = _complex_of(pt, "a")
+    return np.moveaxis(a.reshape(a.shape[:-1] + (3, 4, 4)), -3, 0)
 
 
 def _norm_gram(pt):
@@ -409,8 +388,8 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "fixed", lambda pt: gamma5(), lambda pt: gamma5_from_epsilon(), 1e-14, "holds"),
     ("trace-cyclicity",
      "trace of a cyclic permutation of a matrix product (toolkit invariant)",
-     "matrix-seed", lambda pt: trace(_three_matrices(pt["matrix_seed"]))[..., None],
-     lambda pt: trace(np.roll(_three_matrices(pt["matrix_seed"]), 1, axis=0))[..., None],
+     "matrices", lambda pt: trace(_three_matrices(pt))[..., None],
+     lambda pt: trace(np.roll(_three_matrices(pt), 1, axis=0))[..., None],
      1e-14, "holds"),
     ("norm-spinor",
      "normalization of the definite-parity bispinor basis: ubar u = delta",
@@ -498,8 +477,8 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",
-     "spinor4", lambda pt: section4_two_valued(_xi_of(pt))[0][..., None],
-     lambda pt: section4_two_valued(_xi_of(pt))[1][..., None], 1e-10, "informational"),
+     "spinor4", lambda pt: section4_two_valued(_complex_of(pt, "xi"))[0][..., None],
+     lambda pt: section4_two_valued(_complex_of(pt, "xi"))[1][..., None], 1e-10, "informational"),
 ))
 assert len({c.name for c in _REGISTRY}) == len(_REGISTRY), "registry names must be unique"
 
@@ -513,26 +492,25 @@ def _per_check_seed(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
 
 
-def sample_points(check: IdentityCheck, seed: int, samples: int) -> list:
-    """The check's sample points for (seed, samples >= 1), drawn one at a time."""
+def sample_points(check: IdentityCheck, seed: int, samples: int) -> dict:
+    """The check's sample points for (seed, samples >= 1) as columns: one list of
+    samples rows per sampler key (no columns for a "fixed" check), one draw per key."""
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed % 2 ** 63, _per_check_seed(check.name)]))
-    sampler = _SAMPLERS[check.sampler]
-    return [sampler(rng) for _ in range(samples)]
+    return {key: column.tolist() for key, column in _SAMPLERS[check.sampler](rng, samples).items()}
 
 
-def residuals(check: IdentityCheck, points: list) -> np.ndarray:
-    """max |lhs - rhs| per point from one evaluation of each side on the columns of
-    the points (one residual in all for a "fixed" check, whose points are empty).
+def residuals(check: IdentityCheck, columns: dict) -> np.ndarray:
+    """max |lhs - rhs| per point from one evaluation of each side on the columns
+    (one residual in all for a "fixed" check, which has no columns).
     A builder's domain error or a non-finite residual is a ConfigurationError."""
-    columns = {key: [pt[key] for pt in points] for key in points[0]}
     try:
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
     except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
-    n = len(points) if columns else 1
+    n = len(next(iter(columns.values()))) if columns else 1
     if columns and diff.shape[:1] != (n,):
         raise ConfigurationError(
             f"check {check.name!r}: sides of shape {diff.shape} have no leading axis "
@@ -542,15 +520,15 @@ def residuals(check: IdentityCheck, points: list) -> np.ndarray:
     if not finite.all():
         i = int(np.argmin(finite))
         raise ConfigurationError(
-            f"check {check.name!r}: non-finite residual at sample {i}, point {points[i]}")
+            f"check {check.name!r}: non-finite residual at sample {i}, point {point(columns, i)}")
     return out
 
 
 def run_check(check: IdentityCheck, seed: int, samples: int) -> CheckResult:
     """Evaluate one check over deterministic samples drawn for (seed, name); the
     worst sample is the first one with the largest residual."""
-    points = sample_points(check, seed, samples)
-    res = residuals(check, points)
+    columns = sample_points(check, seed, samples)
+    res = residuals(check, columns)
     worst = int(np.argmax(res))
     if check.expected_status == "holds":
         status = "pass" if res[worst] <= check.tolerance else "fail"
@@ -561,7 +539,7 @@ def run_check(check: IdentityCheck, seed: int, samples: int) -> CheckResult:
         paper_ref=check.paper_ref,
         samples=samples,
         max_residual=float(res[worst]),
-        worst_point=points[worst],
+        worst_point=point(columns, worst),
         status=status,
         expected_status=check.expected_status,
         tolerance=check.tolerance,

@@ -49,10 +49,11 @@ def _raises_like(scalar_call, batch_call):
 def test_batched_residuals_equal_each_point_evaluated_alone(seed):
     assert len(vf.registry()) == 27
     for check in vf.registry():
-        points = vf.sample_points(check, seed, SAMPLES)
-        batched = vf.residuals(check, points)
+        columns = vf.sample_points(check, seed, SAMPLES)
+        batched = vf.residuals(check, columns)
         assert batched.shape == ((1,) if check.sampler == "fixed" else (SAMPLES,))
-        for i, point in enumerate(points):
+        for i in range(SAMPLES):
+            point = vf.point(columns, i)
             alone = np.max(np.abs(np.asarray(check.lhs(point)) - np.asarray(check.rhs(point))))
             assert batched[min(i, len(batched) - 1)] == alone, (check.name, i)
 
@@ -110,8 +111,8 @@ def test_non_finite_residual_fails_closed(every_sample):
     with pytest.raises(vf.ConfigurationError, match="nan-fixture.*non-finite residual") as err:
         vf.run_check(_nan_fixture(every_sample), seed=1, samples=50)
     first = vf.sample_points(_nan_fixture(every_sample), 1, 50)
-    i = 0 if every_sample else next(i for i, pt in enumerate(first) if pt["nhat"][0] > 0)
-    assert f"sample {i}, point {first[i]}" in str(err.value)
+    i = 0 if every_sample else next(i for i in range(50) if first["nhat"][i][0] > 0)
+    assert f"sample {i}, point {vf.point(first, i)}" in str(err.value)
 
 
 def test_non_finite_residual_exits_2(monkeypatch, capsys):
@@ -345,7 +346,15 @@ def _same_bits(alone, row):
 
 
 def test_every_worst_point_replays_to_its_max_residual():
-    report = json.loads(vf.run_all(seed=37, samples=3).to_json())
+    _assert_worst_points_replay(seed=37, samples=3)
+
+
+def test_every_worst_point_replays_at_a_thousand_samples():
+    _assert_worst_points_replay(seed=42, samples=1000)
+
+
+def _assert_worst_points_replay(seed, samples):
+    report = json.loads(vf.run_all(seed=seed, samples=samples).to_json())
     checks = {c.name: c for c in vf.registry()}
     for row in report["checks"]:
         check, point = checks[row["name"]], row["worst_point"]
@@ -368,13 +377,15 @@ def test_a_point_and_its_batch_row_agree_where_powers_round_differently():
 
 def test_section4_two_valued_agrees_alone_and_in_a_batch():
     check = next(c for c in vf.registry() if c.name == "section4-two-valued")
-    points = vf.sample_points(check, 7, 1000)
-    xi = vf._xi_of(points[580])
-    norm2 = np.sum(np.abs(xi) ** 2)
-    assert np.float64(norm2) ** 2 != norm2 * norm2
-    batch = vf.section4_two_valued(vf._xi_of({k: [pt[k] for pt in points] for k in points[0]}))
-    for alone, rows in zip(vf.section4_two_valued(xi), batch):
-        _same_bits(alone, rows[580])
+    columns = vf.sample_points(check, 7, 1000)
+    xis = [vf._complex_of(vf.point(columns, i), "xi") for i in range(1000)]
+    # the first sample whose |xi|^2 squares differently with ** than with a product
+    i = next((i for i, xi in enumerate(xis)
+              if np.float64(norm2 := np.sum(np.abs(xi) ** 2)) ** 2 != norm2 * norm2), None)
+    assert i is not None
+    batch = vf.section4_two_valued(vf._complex_of(columns, "xi"))
+    for alone, rows in zip(vf.section4_two_valued(xis[i]), batch):
+        _same_bits(alone, rows[i])
 
 
 @pytest.mark.filterwarnings("error")

@@ -169,6 +169,8 @@ def test_show_polsum_far_above_threshold(capsys):
     ["show", "basis", "--tau", "1", "--p0", "inf", "--m", "1"],
     ["show", "breve", "--p0", "0", "--m", "inf"],
     ["verify", "--samples", "2", "--tolerance", "nan"],
+    ["show", "basis", "--tau", "1", "--p0", "1e200", "--m", "1.2697076285132332e-146"],
+    ["show", "polsum", "--kind", "completeness", "--p0", "0", "--m", "5e-324"],
 ])
 def test_rejected_input_exits_2_with_a_message(argv, capsys):
     assert main(argv) == 2
@@ -186,6 +188,8 @@ FLOATS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e
                              "antispinor", "breve-plus", "breve-minus", "completeness"]),
        values=st.lists(FLOATS, min_size=len(SHOW_FLAGS), max_size=len(SHOW_FLAGS)))
 @example(obj="polsum", kind="spinor", values=[1e200, 1.0] + [None] * 8)
+@example(obj="basis", kind="spin", values=[1e200, 2.4123403520774395e-288] + [None] * 8)
+@example(obj="projector", kind="energy-minus", values=[3.0, 5e-324] + [None] * 8)
 def test_show_exits_0_or_2_on_any_float_input(obj, kind, values):
     argv = ["show", obj, "--kind", kind, "--tau", "1"]
     argv += [f"--{flag}={value!r}" for flag, value in zip(SHOW_FLAGS, values)

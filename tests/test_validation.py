@@ -11,6 +11,7 @@ from bispinor import spinors as sp
 
 ZHAT = (0.0, 0.0, 1.0)
 REST = (1.0, 0.0, 0.0, 0.0)
+ZS = (0.0, 0.0, 0.0, 1.0)
 
 ENTRY_POINTS = {
     "KinematicPoint-m": lambda x: sp.KinematicPoint(x, 1.0, ZHAT),
@@ -66,3 +67,49 @@ def test_non_finite_momentum_is_rejected_as_non_finite(value):
 def test_finite_off_shell_momentum_is_off_shell():
     with pytest.raises(ValueError, match="^momentum is off shell"):
         pj.energy_projector((2.0, 0.0, 0.0, 0.0), 1.0, +1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200],
+                         ids=["nan", "inf", "-inf", "1e200"])
+@pytest.mark.parametrize("entry", ["spin_projector", "pi_projector-s", "spinor_from_breve"])
+def test_spin_vector_is_rejected_before_s_dot_s_is_formed(entry, value):
+    with pytest.raises(ValueError, match=r"^spin vector must be \(0, svec\)"):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_caller_momentum_beyond_the_scale_overflows_for_a_point_and_a_batch():
+    p = (1e200, 0.0, 0.0, 1e200)
+    for call in (lambda q: pj.energy_projector(q, 1.0, +1), lambda q: pj.pi_projector(q, 1.0, ZS)):
+        with pytest.raises(OverflowError, match=r"^momentum overflows: .* at p=\[1\.e\+200"):
+            call(p)
+        with pytest.raises(OverflowError, match=r"^momentum overflows: .* at p=\[1\.e\+200"):
+            call([(2.0, 0.0, 0.0, math.sqrt(3.0)), p])
+    # |p_i| / m at or above the scale, and a mass whose square overflows
+    with pytest.raises(OverflowError, match="^momentum overflows"):
+        pj.energy_projector((1e-140, 0.0, 0.0, 0.0), 1e-300, +1)
+    with pytest.raises(OverflowError, match="^momentum overflows"):
+        pj.energy_projector(REST, 1e200, +1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_mass_must_be_a_normal_float():
+    for m in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="^mass must satisfy"):
+            sp.KinematicPoint(m, 0.0, ZHAT)
+        with pytest.raises(ValueError, match="^mass must satisfy"):
+            pj.energy_projector((m, 0.0, 0.0, 0.0), m, +1)
+    k = sp.KinematicPoint(np.finfo(float).tiny, 0.0, ZHAT)
+    for kind in ("breve-plus", "breve-minus", "completeness"):
+        assert all(np.isfinite(side).all() for side in pj.polsum(kind, k))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, p0", [(1.0, 1e200), (1.2697076285132332e-146, 1e200), (1e-300, 3.0)])
+def test_p0_beyond_the_scale_of_m_overflows_at_construction(m, p0):
+    for batch in (False, True):
+        with pytest.raises(OverflowError, match=r"^p0 overflows: .* at p0="):
+            sp.KinematicPoint([2.0 * m, m] if batch else m, [m, p0] if batch else p0, ZHAT)
+    k = sp.KinematicPoint(m, 0.99 * m * 1.3e154, ZHAT)
+    assert np.isfinite(sp.dirac_u(k, 0.5, 0.5)).all()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,9 +212,111 @@ def test_report_json_schema():
 
 
 def test_report_json_round_trips_doubles():
-    import json
-
     report = vf.run_all(seed=int(3), samples=7)
     doc = json.loads(report.to_json())
     for row, res in zip(doc["checks"], report.checks):
         assert row["max_residual"] == res.max_residual  # 17 significant digits
+
+
+# ---------------------------------------------------------------------------
+# the sampler contract: columns of n rows in the sampler's domain, one stream
+# per (seed, check name), rows readable as plain JSON values
+# ---------------------------------------------------------------------------
+
+SAMPLER_KEYS = {
+    "real-band": ["m", "p0", "nhat"],
+    "breve-band": ["m", "p0", "nhat"],
+    "sphere": ["nhat"],
+    "index-pair": ["mu", "nu"],
+    "gamma-label": ["mu"],
+    "matrices": ["a_re", "a_im"],
+    "spinor4": ["xi_re", "xi_im"],
+    "fixed": [],
+}
+ROW_SHAPES = {"m": (), "p0": (), "nhat": (3,), "mu": (), "nu": (), "a_re": (48,), "a_im": (48,),
+              "xi_re": (4,), "xi_im": (4,)}
+
+
+def _fixture(sampler: str, name: str = "sampler-contract"):
+    return vf.IdentityCheck(name, "sampler fixture", sampler, lambda pt: 0, lambda pt: 0,
+                            1e-12, "holds")
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
+def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
+    assert set(SAMPLER_KEYS) == set(vf._SAMPLERS)
+    lists = vf.sample_points(_fixture(sampler), seed=5, samples=n)
+    assert list(lists) == SAMPLER_KEYS[sampler]
+    assert all(type(column) is list and len(column) == n for column in lists.values())
+    columns = {key: np.asarray(column) for key, column in lists.items()}
+    for key, column in columns.items():
+        assert column.shape == (n,) + ROW_SHAPES[key], key
+        assert np.isfinite(column).all(), key
+    if "nhat" in columns:
+        nhat = columns["nhat"]
+        assert np.all(np.abs(np.sqrt(np.sum(nhat * nhat, axis=1)) - 1.0) <= 1e-12)
+    if "m" in columns:
+        assert np.all(columns["m"] == 1.0)
+        low, high = (1.0, 10.0) if sampler == "real-band" else (-1.0, 1.0)
+        assert np.all((columns["p0"] >= low) & (columns["p0"] <= high))
+    for key in ("mu", "nu"):
+        if key in columns:
+            high = 4 if sampler == "gamma-label" else 3
+            assert columns[key].dtype.kind == "i"
+            assert np.all((columns[key] >= 0) & (columns[key] <= high))
+            if n == 2000:
+                assert set(columns[key].tolist()) == set(range(high + 1))
+    for key in ("a_re", "a_im"):
+        if key in columns:
+            assert np.all((columns[key] >= -0.5) & (columns[key] < 0.5))
+
+
+def _bits(columns: dict) -> dict:
+    return {key: np.asarray(column).tobytes() for key, column in columns.items()}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
+def test_sample_points_are_a_function_of_seed_samples_and_name(sampler):
+    check = _fixture(sampler)
+    first = _bits(vf.sample_points(check, seed=11, samples=300))
+    assert _bits(vf.sample_points(check, seed=11, samples=300)) == first
+    # drawing another check in between perturbs nothing
+    vf.sample_points(_fixture("real-band", "another-check"), seed=11, samples=500)
+    assert _bits(vf.sample_points(check, seed=11, samples=300)) == first
+    if sampler != "fixed":
+        assert _bits(vf.sample_points(check, seed=12, samples=300)) != first
+        assert _bits(vf.sample_points(_fixture(sampler, "renamed"), 11, 300)) != first
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
+def test_point_rows_survive_a_json_round_trip_exactly(sampler):
+    columns = vf.sample_points(_fixture(sampler), seed=3, samples=40)
+    for i in range(40):
+        pt = vf.point(columns, i)
+        assert json.loads(vf._json(pt)) == pt
+        for key, value in pt.items():
+            assert type(value) in (float, int, list), key
+            assert np.array_equal(np.asarray(value), columns[key][i]), key
+    report = vf.run_all(seed=3, samples=40)
+    for row, result in zip(json.loads(report.to_json())["checks"], report.checks):
+        assert row["worst_point"] == result.worst_point
+
+
+class _ScriptedNormals:
+    """A generator stand-in whose normal() returns the scripted draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def normal(self, size):
+        out = np.array(self.draws.pop(0), dtype=float)
+        assert out.shape == size
+        return out
+
+
+def test_unit_rows_redraw_only_the_short_rows_in_order():
+    rng = _ScriptedNormals([[0, 0, 0], [1, 2, 2], [0, 0, 1e-7]], [[0, 3, 4], [2, 0, 0]])
+    rows = vf._unit_rows(rng, 3)
+    assert rng.draws == []
+    np.testing.assert_array_equal(rows, [[0, 0.6, 0.8], [1 / 3, 2 / 3, 2 / 3], [1, 0, 0]])
