@@ -32,11 +32,9 @@ from .projectors import (
 )
 from .spinors import (
     HELICITIES,
-    BoostParams,
     KinematicPoint,
     RegionError,
     antisym_bispinor,
-    apply_boost,
     basis_spinor,
     boosted_spinor,
     breve_u,

@@ -31,18 +31,22 @@ def _outer(u, v) -> np.ndarray:
 
 def _check_on_shell(p, m) -> np.ndarray:
     """p as a complex array of finite four-momenta (|p_i| and |p_i|/m below 1.3e154, else
-    OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154.
-    The tolerance does not grow with p0, so it refuses some valid momenta at large p0/m."""
+    OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154:
+    |p.p - m^2| <= 1e-10 max(1, m^2, max_i |p_i|^2), so the tolerance grows with the
+    momentum's scale.  p and m are divided by max(1, m, max_i |p_i|) before any square is
+    formed, so a far-off-shell momentum is refused without overflow."""
     p = check_vectors(p, 4, "momentum")
     check_mass(m)
     top = abs(p).max(axis=-1)  # nan for a nan component
     _require(top < np.inf, "momentum must be finite, got {}", p)
     _require(_in_scale(top, m) & (m < _SQRT_MAX), "momentum overflows: "
              "p.p - m^2 is out of range at p={}, m={}", p, m, error=OverflowError)
-    gap = minkowski_dot(p, p) - m * m
+    scale = np.maximum(np.maximum(top, m), 1.0)
+    q, mu = p / scale[..., None], m / scale
+    gap = minkowski_dot(q, q) - mu * mu
     residual = np.hypot(gap.real, gap.imag)
-    _require(residual <= _ONSHELL_TOL * np.maximum(1.0, m * m),
-             "momentum is off shell: |p.p - m^2| = {:.3e}", residual)
+    _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
+             "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
     return p
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
 from .clifford import (check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
                        pauli, pauli_dot, row_times, times_column)
 
@@ -103,24 +104,13 @@ _BAND_HINTS = {
 }
 
 
-def _in_band(p0, m, band: str):
-    """Whether p0 lies in ``band``, one of the keys of _BAND_HINTS, to a relative 1e-12."""
-    e = p0 if band == "p0 >= m" else abs(p0)
-    return e <= m * (1.0 + _REL_TOL) if band == "|p0| <= m" else e >= m * (1.0 - _REL_TOL)
-
-
 def check_band(what: str, p0, m, band: str) -> None:
-    """Raise RegionError naming ``what`` unless every point (p0, m) lies in ``band``."""
+    """Raise RegionError naming ``what`` unless every point (p0, m) lies in ``band``, one of
+    the keys of _BAND_HINTS, to a relative 1e-12."""
+    e = p0 if band == "p0 >= m" else abs(p0)
+    ok = e <= m * (1.0 + _REL_TOL) if band == "|p0| <= m" else e >= m * (1.0 - _REL_TOL)
     message = f"{what} needs {band} (got p0={{}}, m={{}}){_BAND_HINTS[band]}"
-    _require(_in_band(p0, m, band), message, p0, m, error=RegionError)
-
-
-def _trusted(cls, **fields):
-    """A frozen dataclass instance built from fields derived from an already
-    validated object, without running its validation again."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    _require(ok, message, p0, m, error=RegionError)
 
 
 def _blocks(up, low) -> np.ndarray:
@@ -188,14 +178,6 @@ class KinematicPoint:
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "nhat", n)
 
-    @property
-    def in_real_band(self):
-        return _in_band(self.p0, self.m, "|p0| >= m")
-
-    @property
-    def in_breve_band(self):
-        return _in_band(self.p0, self.m, "|p0| <= m")
-
     def boost_factor(self, sign: int):
         """a for sign=+1, b for sign=-1; principal branch below threshold."""
         return np.sqrt((self.p0 + sign * self.m) / (2.0 * self.m) + 0j)
@@ -216,29 +198,11 @@ class KinematicPoint:
         return p
 
     def negated(self) -> "KinematicPoint":
-        """The same point with p0 -> -p0 (spin axis kept)."""
-        return _trusted(KinematicPoint, m=self.m, p0=-self.p0, nhat=self.nhat)
-
-    def sigma_n(self) -> np.ndarray:
-        return pauli_dot(self.nhat)
-
-
-@dataclass(frozen=True)
-class BoostParams:
-    """Rapidity 0 <= chi < inf and boost axis, cosh(chi) = p0/m (a single point)."""
-
-    chi: float
-    nhat: tuple
-
-    def __post_init__(self):
-        _require(0 <= self.chi < math.inf, "rapidity must satisfy 0 <= chi < inf, got {}",
-                 self.chi)
-        object.__setattr__(self, "nhat", tuple(check_unit_vector(self.nhat).tolist()))
-
-    @classmethod
-    def from_kinematic(cls, k: KinematicPoint) -> "BoostParams":
-        check_band("rapidity", k.p0, k.m, "p0 >= m")
-        return _trusted(cls, chi=math.acosh(max(k.p0 / k.m, 1.0)), nhat=tuple(k.nhat.tolist()))
+        """The same point with p0 -> -p0 (spin axis kept), built from the validated
+        fields without running __post_init__ again."""
+        k = object.__new__(KinematicPoint)
+        k.__dict__.update(m=self.m, p0=-self.p0, nhat=self.nhat)
+        return k
 
 
 def _amplitudes(k: KinematicPoint, what: str, band: str = "|p0| >= m"):
@@ -258,14 +222,6 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
     a, b = _amplitudes(k, "boosted_spinor")
     j = _slot(lam)
     return a * _PHI[j] + (-b if dotted else b) * (k.nhat @ _SIGMA_PHI[j])
-
-
-def apply_boost(phi, boost: BoostParams, dotted: bool = False) -> np.ndarray:
-    """Apply exp(+-(chi/2) sigma.n) to a two-spinor (+ undotted, - dotted)."""
-    phi = np.asarray(phi, dtype=complex)
-    h = boost.chi / 2.0
-    s = -math.sinh(h) if dotted else math.sinh(h)
-    return (math.cosh(h) * np.eye(2) + s * pauli_dot(np.asarray(boost.nhat))) @ phi
 
 
 def parity_components(xi_undotted, xi_dotted):
@@ -374,10 +330,11 @@ def kappa(p0, m):
     """Spin-eigenvalue ratio sqrt((p0 - m)/(p0 + m)) = tanh(chi/2).
 
     Vanishes at threshold p0 = m and tends to 1 only as p0 -> infinity.
-    Raises RegionError unless p0 >= m.
+    Raises RegionError unless p0 >= m.  Both terms are halved, an exact scaling
+    for normal floats, so p0 + m cannot overflow.
     """
     p0, m = np.asarray(p0, dtype=float), np.asarray(m, dtype=float)
     check_mass(m)
     check_energy(p0)
     check_band("kappa", p0, m, "p0 >= m")
-    return np.sqrt(np.maximum(np.subtract(p0, m), 0.0) / np.add(p0, m))
+    return np.sqrt(np.maximum(0.5 * (p0 - m), 0.0) / (0.5 * p0 + 0.5 * m))

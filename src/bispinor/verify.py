@@ -36,11 +36,11 @@ from .clifford import (METRIC, _I2, _I4, check_choice, check_vectors, dot, gamma
                        gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
                        pauli_dot, row_times, slash, times_column, trace)
 from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
-from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, boosted_spinor, breve_u,
-                      breve_u_bar, dirac_adjoint, dirac_u, kappa, parity_components, rest_basis,
-                      spinor_from_breve)
+from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
+                      breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
+                      parity_components, rest_basis, spinor_from_breve)
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 DEFAULT_TOLERANCE = 1e-10
 
 EXPECTED_STATUSES = ("holds", "informational", "expected-fail")
@@ -285,6 +285,28 @@ def _three_matrices(pt) -> np.ndarray:
     return np.moveaxis(a.reshape(a.shape[:-1] + (3, 4, 4)), -3, 0)
 
 
+def _boost_exponential(pt):
+    """exp(+-(chi/2) sigma.n) phi_lam in spectral form, e^{+-chi/2} P(n) phi
+    + e^{-+chi/2} P(-n) phi, with e^{+-chi/2} = sqrt((p0 +- |p|)/m) from the momentum:
+    rows (lam, undotted/dotted), as _boosted_spinors stacks boosted_spinor."""
+    k = _kin(pt)
+    check_band("boost-exponential", k.p0, k.m, "p0 >= m")
+    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
+    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None] for sign in (+1, -1))
+    along, against = spin_projector_rest(k.nhat), spin_projector_rest(-k.nhat)
+    rows = []
+    for lam in HELICITIES:
+        pa, pb = times_column(along, basis_spinor(lam)), times_column(against, basis_spinor(lam))
+        rows += [up * pa + down * pb, down * pa + up * pb]
+    return np.stack(rows, axis=-2)
+
+
+def _boosted_spinors(pt):
+    k = _kin(pt)
+    return np.stack([boosted_spinor(k, lam, dotted) for lam in HELICITIES
+                     for dotted in (False, True)], axis=-2)
+
+
 def _norm_gram(pt):
     k = _kin(pt)
     us = [dirac_u(k, lam, lam) for lam in HELICITIES]
@@ -391,6 +413,9 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "matrices", lambda pt: trace(_three_matrices(pt))[..., None],
      lambda pt: trace(np.roll(_three_matrices(pt), 1, axis=0))[..., None],
      1e-14, "holds"),
+    ("boost-exponential",
+     "boosted two-spinor as the exponential exp(+-(chi/2) sigma.n) phi, cosh chi = p0/m",
+     "real-band", _boost_exponential, _boosted_spinors, 1e-12, "holds"),
     ("norm-spinor",
      "normalization of the definite-parity bispinor basis: ubar u = delta",
      "real-band", _norm_gram, lambda pt: _I2, 1e-12, "holds"),

@@ -47,7 +47,7 @@ def _raises_like(scalar_call, batch_call):
 
 @pytest.mark.parametrize("seed", [0, 42])
 def test_batched_residuals_equal_each_point_evaluated_alone(seed):
-    assert len(vf.registry()) == 27
+    assert len(vf.registry()) == 28
     for check in vf.registry():
         columns = vf.sample_points(check, seed, SAMPLES)
         batched = vf.residuals(check, columns)
@@ -184,9 +184,10 @@ def test_kinematic_point_batch():
     assert k.nhat.shape == (N, 3) and not k.nhat.flags.writeable
     singles = [sp.KinematicPoint(*args) for args in zip(m, p0, n)]
     _same_as_stack(k.momentum(), [s.momentum() for s in singles])
-    _same_as_stack(k.in_real_band, [s.in_real_band for s in singles])
+    _same_as_stack(k.negated().momentum(), [s.negated().momentum() for s in singles])
+    _same_as_stack(k.boost_factor(+1), [s.boost_factor(+1) for s in singles])
     _same_as_stack(k.boost_factor(-1), [s.boost_factor(-1) for s in singles])
-    _same_as_stack(k.sigma_n(), [s.sigma_n() for s in singles])
+    _same_as_stack(cl.pauli_dot(k.nhat), [cl.pauli_dot(s.nhat) for s in singles])
     shared = sp.KinematicPoint(1.0, -1.0, n)
     assert shared.m.shape == shared.p0.shape == (N,)
     bad_n = n.copy()
@@ -308,27 +309,25 @@ def test_projector_validators_check_every_point():
 
 
 def test_guard_refusal_is_the_same_in_a_batch_and_polsum_needs_no_guard():
-    # the scale-blind on-shell guard refuses some valid caller momenta at large
-    # p0/m; polsum builds its momentum from the validated point and accepts them
+    # the on-shell guard's tolerance scales with max(1, m^2, p_i^2): it accepts every
+    # momentum built from a valid point at large p0/m, alone and as a batch, refuses
+    # an off-shell one alike for a point and a batch, and polsum agrees with it
     rng = np.random.default_rng(9)
     m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 400))
     p0 = m * np.exp(rng.uniform(np.log(1e2), np.log(1e3), 400))
     n = _unit_rows(rng, 400)
-    refused = []
+    p = sp.KinematicPoint(m, p0, n).momentum()
     for i in range(400):
-        k = sp.KinematicPoint(m[i], p0[i], n[i])
-        try:
-            pj.energy_projector(k.momentum(), m[i], +1)
-        except ValueError as exc:
-            assert str(exc).startswith("momentum is off shell")
-            refused.append(i)
-        lhs, rhs = pj.polsum("spinor", k)
+        lhs, rhs = pj.polsum("spinor", sp.KinematicPoint(m[i], p0[i], n[i]))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    assert refused
-    i = refused[0]
-    _raises_like(lambda: pj.energy_projector(sp.KinematicPoint(m[i], p0[i], n[i]).momentum(),
-                                             m[i], +1),
-                 lambda: pj.energy_projector(sp.KinematicPoint(m, p0, n).momentum(), m, +1))
+    _same_as_stack(pj.energy_projector(p, m, +1),
+                   [pj.energy_projector(p[i], m[i], +1) for i in range(400)])
+    off = p.copy()
+    off[5, 0] *= 1.0 + 1e-6
+    _raises_like(lambda: pj.energy_projector(off[5], m[5], +1),
+                 lambda: pj.energy_projector(off, m, +1))
+    with pytest.raises(ValueError, match="^momentum is off shell"):
+        pj.energy_projector(off[5], m[5], +1)
 
 
 # ---------------------------------------------------------------------------

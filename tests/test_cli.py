@@ -163,6 +163,13 @@ def test_show_polsum_far_above_threshold(capsys):
     assert "max residual:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["energy-plus", "energy-minus", "pi", "pi-neg"])
+def test_show_projector_far_above_threshold(kind, capsys):
+    argv = ["show", "projector", "--kind", kind, "--p0", "1e3", "--m", "1"]
+    assert main(argv + (["--sz", "1"] if kind.startswith("pi") else [])) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["show", "polsum", "--kind", "spinor", "--p0", "1e200", "--m", "1"],
     ["show", "projector", "--kind", "pi", "--p0", "2", "--m", "1", "--sx", "nan"],

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bispinor import clifford as cl
 from bispinor import spinors as sp
+from bispinor import verify as vf
 
 ZHAT = (0.0, 0.0, 1.0)
 SQ2 = math.sqrt(2.0)
@@ -37,10 +38,14 @@ def test_kinematic_point_validation():
         sp.KinematicPoint(1.0, 1.0, (0, 0, 2))
     with pytest.raises(ValueError):
         sp.KinematicPoint(-1.0, 1.0, ZHAT)
+    # the band is checked by the constructors: p0 = m lies on both bands
     k = sp.KinematicPoint(1.0, 1.25, ZHAT)
-    assert k.in_real_band and not k.in_breve_band
-    assert sp.KinematicPoint(1.0, 1.0, ZHAT).in_real_band
-    assert sp.KinematicPoint(1.0, 1.0, ZHAT).in_breve_band
+    sp.dirac_u(k, 0.5, 0.5)
+    with pytest.raises(sp.RegionError):
+        sp.breve_u(k, 0.5, 0.5)
+    edge = sp.KinematicPoint(1.0, 1.0, ZHAT)
+    sp.dirac_u(edge, 0.5, 0.5)
+    sp.breve_u(edge, 0.5, 0.5)
 
 
 def test_momentum_on_shell_in_both_bands():
@@ -86,32 +91,33 @@ def test_parity_closed_forms_random_points():
             a, b = k.boost_factor(+1), k.boost_factor(-1)
             phi = sp.basis_spinor(lam)
             np.testing.assert_allclose(even, a * phi, atol=1e-12)
-            np.testing.assert_allclose(odd, b * (k.sigma_n() @ phi), atol=1e-12)
+            np.testing.assert_allclose(odd, b * (cl.pauli_dot(k.nhat) @ phi), atol=1e-12)
 
 
-def test_boost_params_invariant():
-    k = sp.KinematicPoint(1.0, 1.25, ZHAT)
-    b = sp.BoostParams.from_kinematic(k)
-    assert math.cosh(b.chi) == pytest.approx(1.25, abs=1e-12)
-    with pytest.raises(sp.RegionError):
-        sp.BoostParams.from_kinematic(sp.KinematicPoint(1.0, 0.2, ZHAT))
-
-
-def test_apply_boost_identity_at_zero_rapidity():
-    b = sp.BoostParams(0.0, ZHAT)
-    phi = np.array([0.3 + 0.1j, -0.7])
-    np.testing.assert_allclose(sp.apply_boost(phi, b), phi, atol=1e-15)
+def _boost_row(side, p0, nhat, lam, dotted):
+    """One (lam, dotted) row of a boost-exponential side at the point (1, p0, nhat)."""
+    check = next(c for c in vf.registry() if c.name == "boost-exponential")
+    rows = getattr(check, side)({"m": 1.0, "p0": p0, "nhat": list(nhat)})
+    return rows[2 * sp.HELICITIES.index(lam) + dotted]
 
 
 @settings(max_examples=60, deadline=None)
 @given(p0=st.floats(1.0, 10.0), nhat=unit_dirs,
        lam=st.sampled_from([0.5, -0.5]), dotted=st.booleans())
 def test_boost_equivalence(p0, nhat, lam, dotted):
+    # exp(+-(chi/2) sigma.n) phi in spectral form equals the boosted spinor
     k = sp.KinematicPoint(1.0, p0, nhat)
-    boosted = sp.apply_boost(sp.basis_spinor(lam), sp.BoostParams.from_kinematic(k),
-                             dotted=dotted)
-    np.testing.assert_allclose(boosted, sp.boosted_spinor(k, lam, dotted=dotted),
-                               atol=1e-12)
+    rhs = _boost_row("rhs", p0, nhat, lam, dotted)
+    np.testing.assert_array_equal(rhs, sp.boosted_spinor(k, lam, dotted=dotted))
+    np.testing.assert_allclose(_boost_row("lhs", p0, nhat, lam, dotted), rhs, rtol=0, atol=1e-12)
+
+
+def test_boost_exponential_at_zero_rapidity_is_the_basis_spinor():
+    for nhat in (ZHAT, *_directions(3, 10)):
+        for lam in sp.HELICITIES:
+            for dotted in (False, True):
+                np.testing.assert_allclose(_boost_row("lhs", 1.0, nhat, lam, dotted),
+                                           sp.basis_spinor(lam), rtol=0, atol=1e-15)
 
 
 def test_dotted_undotted_product_is_invariant():

@@ -18,8 +18,6 @@ ENTRY_POINTS = {
     "KinematicPoint-p0": lambda x: sp.KinematicPoint(1.0, x, ZHAT),
     "KinematicPoint-nhat": lambda x: sp.KinematicPoint(1.0, 1.0, (x, 0.0, 1.0)),
     "KinematicPoint-batch-p0": lambda x: sp.KinematicPoint(1.0, [1.0, x], ZHAT),
-    "BoostParams-chi": lambda x: sp.BoostParams(x, ZHAT),
-    "BoostParams-nhat": lambda x: sp.BoostParams(0.5, (x, 0.0, 1.0)),
     "kappa-p0": lambda x: sp.kappa(x, 1.0),
     "kappa-m": lambda x: sp.kappa(2.0, x),
     "spin_projector": lambda x: pj.spin_projector((0.0, x, 0.0, 1.0)),
@@ -64,9 +62,38 @@ def test_non_finite_momentum_is_rejected_as_non_finite(value):
             pj.pi_projector(p, 1.0, (0.0, 0.0, 0.0, 1.0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_finite_off_shell_momentum_is_off_shell():
-    with pytest.raises(ValueError, match="^momentum is off shell"):
-        pj.energy_projector((2.0, 0.0, 0.0, 0.0), 1.0, +1)
+    # the second has each component in scale, but a sum of spatial squares that is not
+    for p in ((2.0, 0.0, 0.0, 0.0), (0.0, 1e154, 1e154, 0.0)):
+        for call in (lambda q: pj.energy_projector(q, 1.0, +1),
+                     lambda q: pj.pi_projector(q, 1.0, ZS)):
+            for q in (p, [REST, p]):
+                with pytest.raises(ValueError, match="^momentum is off shell"):
+                    call(q)
+
+
+@pytest.mark.filterwarnings("error")
+def test_on_shell_tolerance_scales_with_the_momentum():
+    # momenta built from valid points are accepted up to p0/m = 1e9 and over m in 1e-6..1e6
+    rng = np.random.default_rng(4)
+    m = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 2000))
+    p0 = m * np.exp(rng.uniform(0.0, np.log(1e9), 2000)) * rng.choice((1.0, -1.0), 2000)
+    n = rng.normal(size=(2000, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    p = sp.KinematicPoint(m, p0, n).momentum()
+    assert np.isfinite(pj.energy_projector(p, m, +1)).all()
+    for p0 in (1e4, 1e6, 1e9):
+        pj.energy_projector(sp.KinematicPoint(1.0, p0, ZHAT).momentum(), 1.0, -1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kappa_does_not_overflow_near_the_largest_float():
+    want = math.sqrt(0.7 / 2.7)
+    assert sp.kappa(1.7e308, 1e308) == pytest.approx(want, rel=1e-15)
+    batch = sp.kappa([1.7e308, 3.0], [1e308, 1.0])
+    assert batch == pytest.approx([want, math.sqrt(0.5)], rel=1e-15)
+    assert batch[0] == sp.kappa(1.7e308, 1e308)
 
 
 @pytest.mark.filterwarnings("error")

@@ -25,6 +25,7 @@ FROZEN_EXPECTATIONS = {
     "gamma-hermiticity": "holds",
     "gamma5-pseudoscalar": "holds",
     "trace-cyclicity": "holds",
+    "boost-exponential": "holds",
     "norm-spinor": "holds",
     "helicity-sum-unity": "holds",
     "polsum-spinor": "holds",
