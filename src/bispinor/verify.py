@@ -18,7 +18,10 @@ bit-identical and checks do not perturb each other.
 A check's lhs and rhs builders take a batch of points as columns, one list
 per sampler key, and return arrays with a leading sample axis; given one
 point (a reported worst_point) they return that point's arrays.  A check
-on the "fixed" sampler has no sample axis and is evaluated once.
+on the "fixed" sampler has no sample axis and is evaluated once.  The
+columns come as a Columns, which keeps what both sides derive from them
+(the arrays, the KinematicPoint, a row's common evaluation), so each is
+computed once per check; a plain dict recomputes it on every call.
 """
 
 from __future__ import annotations
@@ -179,8 +182,8 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # samplers: each draws all n points of a check as numpy columns, one call per
-# key; sample_points hands them on as lists of plain values, so that every
-# builder argument, and every worst_point row, is JSON-serializable
+# key; sample_points hands them on as lists of plain values in a Columns, so
+# that every builder argument, and every worst_point row, is JSON-serializable
 # ---------------------------------------------------------------------------
 
 def _unit_rows(rng, n: int) -> np.ndarray:
@@ -213,19 +216,49 @@ _SAMPLERS = {
 }
 
 
+class Columns(dict):
+    """A check's sample columns, one list per sampler key (all that json sees), plus
+    ``derived``: the values the builders compute from the columns, each filled on
+    first use and only read after.  The columns must not change once a builder read them."""
+
+    __slots__ = ("derived",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.derived = {}
+
+
+def _shared(pt: dict, key, make):
+    """make(), computed once per Columns under key and on every call for a plain dict."""
+    if not isinstance(pt, Columns):
+        return make()
+    if key not in pt.derived:
+        pt.derived[key] = make()
+    return pt.derived[key]
+
+
 def point(columns: dict, i: int) -> dict:
     """Row i of a check's sample columns: plain Python floats, ints and lists."""
     return {key: column[i] for key, column in columns.items()}
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _nhat(pt: dict) -> np.ndarray:
+    return _shared(pt, "nhat", lambda: _read_only(np.array(pt["nhat"], dtype=float)))
+
+
 def _kin(pt: dict) -> KinematicPoint:
-    return KinematicPoint(pt["m"], pt["p0"], pt["nhat"])
+    return _shared(pt, "kin", lambda: KinematicPoint(pt["m"], pt["p0"], _nhat(pt)))
 
 
 def _complex_of(pt: dict, name: str) -> np.ndarray:
-    """The complex array pt[name + "_re"] + i pt[name + "_im"]."""
-    re, im = (np.asarray(pt[name + part], dtype=float) for part in ("_re", "_im"))
-    return re + 1j * im
+    """The complex array pt[name + "_re"] + i pt[name + "_im"] (read-only)."""
+    return _shared(pt, name, lambda: _read_only(
+        np.asarray(pt[name + "_re"], float) + 1j * np.asarray(pt[name + "_im"], float)))
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -315,7 +348,7 @@ def _norm_gram(pt):
 
 
 def _polsum_side(kind: str, side: int):
-    return lambda pt: polsum(kind, _kin(pt))[side]
+    return lambda pt: _shared(pt, ("polsum", kind), lambda: polsum(kind, _kin(pt)))[side]
 
 
 def _kappa_pair(pt):
@@ -370,21 +403,35 @@ def _adjoint_dagger_rows(pt, paper_sign: bool):
 
 def _pi_annihilation(pt):
     k = _kin(pt)
-    pi = pi_projector(k.momentum(), k.m, _spatial(pt["nhat"]), "lambda")
+    pi = pi_projector(k.momentum(), k.m, _spatial(_nhat(pt)), "lambda")
     return np.stack([times_column(pi, breve_u(k, lam, lam)) for lam in HELICITIES], axis=-2)
 
 
 def _map_roundtrip(pt, expected: bool):
-    k = _kin(pt)
-    s = _spatial(pt["nhat"])
-    return np.stack([-breve_u(k, lam, lam) if expected else
-                     spinor_from_breve(spinor_from_breve(breve_u(k, lam, lam), s, "u"), s, "v")
-                     for lam in HELICITIES], axis=-2)
+    us = _shared(pt, "breve_u", lambda: [breve_u(_kin(pt), lam, lam) for lam in HELICITIES])
+    s = _spatial(_nhat(pt))
+    return np.stack([-u if expected else spinor_from_breve(spinor_from_breve(u, s, "u"), s, "v")
+                     for u in us], axis=-2)
+
+
+def _unity_gamma0(pt):
+    k = KinematicPoint(1.0, -1.0, _nhat(pt))
+    return sum(diad(antisym_bispinor(k, tau, +1), "gamma0") for tau in (1, 2, 3, 4))
+
+
+def _tetrad_sum(pt):
+    """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n), with P(n) and P(-n) built once."""
+    along, against = (spin_projector(_spatial(n)) for n in (_nhat(pt), -_nhat(pt)))
+    return sum((along, against) * 2) / 2.0
+
+
+def _two_valued(pt, side: int):
+    return _shared(pt, "two-valued", lambda: section4_two_valued(_complex_of(pt, "xi")))[side]
 
 
 def _orientation_projector(pt):
     # spin four-vector contraction with index-lowered gammas, then gamma5
-    s = _spatial(pt["nhat"])[..., None, None]
+    s = _spatial(_nhat(pt))[..., None, None]
     contracted = sum(s[..., mu, :, :] * gamma_lower(mu) for mu in range(4))
     return (_I4 + gamma5() @ contracted) / 2.0
 
@@ -421,8 +468,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "real-band", _norm_gram, lambda pt: _I2, 1e-12, "holds"),
     ("helicity-sum-unity",
      "sum of the two-spinor helicity projectors over +-n gives unity",
-     "sphere", lambda pt: (spin_projector_rest(pt["nhat"])
-                           + spin_projector_rest(-np.asarray(pt["nhat"]))),
+     "sphere", lambda pt: spin_projector_rest(_nhat(pt)) + spin_projector_rest(-_nhat(pt)),
      lambda pt: _I2, 1e-14, "holds"),
     ("polsum-spinor",
      "polarization-sum rule, spinor sector: closed form (pslash + m)/2m",
@@ -433,9 +479,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-12, "holds"),
     ("unity-decomposition-gamma0",
      "unity decomposition over the antisymmetric-basis gamma0 diads at p0 = -m",
-     "sphere", lambda pt: sum(diad(antisym_bispinor(KinematicPoint(1.0, -1.0, pt["nhat"]),
-                                                    tau, +1), "gamma0") for tau in (1, 2, 3, 4)),
-     lambda pt: _I4, 1e-12, "expected-fail"),
+     "sphere", _unity_gamma0, lambda pt: _I4, 1e-12, "expected-fail"),
     ("kappa-boundary",
      "spin-eigenvalue ratio: closed form vs the parity-amplitude ratio, zero at threshold",
      "real-band", _kappa_pair, _kappa_reference, 1e-12, "holds"),
@@ -469,9 +513,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      lambda pt: _I4 / 2.0, 1e-12, "expected-fail"),
     ("tetrad-projector-sum",
      "tetrad sum of covariant spin projectors: sum_tau P(s_tau)/2 = 1",
-     "sphere", lambda pt: sum(spin_projector(_spatial(s)) for s in
-                              (pt["nhat"], -np.asarray(pt["nhat"])) * 2) / 2.0,
-     lambda pt: _I4, 1e-12, "holds"),
+     "sphere", _tetrad_sum, lambda pt: _I4, 1e-12, "holds"),
     ("polsum-breve-plus",
      "complex-band polarization sum against the closed form (pslash + m)/2m",
      "breve-band", _polsum_side("breve-plus", 0), _polsum_side("breve-plus", 1),
@@ -498,12 +540,12 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      lambda pt: _map_roundtrip(pt, expected=True), 1e-12, "holds"),
     ("section4-projector-equivalence",
      "covariant orientation projector (1 + gamma5 s.gamma)/2 matches the spin projector",
-     "sphere", _orientation_projector, lambda pt: spin_projector(_spatial(pt["nhat"])),
+     "sphere", _orientation_projector, lambda pt: spin_projector(_spatial(_nhat(pt))),
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",
-     "spinor4", lambda pt: section4_two_valued(_complex_of(pt, "xi"))[0][..., None],
-     lambda pt: section4_two_valued(_complex_of(pt, "xi"))[1][..., None], 1e-10, "informational"),
+     "spinor4", lambda pt: _two_valued(pt, 0)[..., None],
+     lambda pt: _two_valued(pt, 1)[..., None], 1e-10, "informational"),
 ))
 assert len({c.name for c in _REGISTRY}) == len(_REGISTRY), "registry names must be unique"
 
@@ -517,14 +559,16 @@ def _per_check_seed(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
 
 
-def sample_points(check: IdentityCheck, seed: int, samples: int) -> dict:
-    """The check's sample points for (seed, samples >= 1) as columns: one list of
-    samples rows per sampler key (no columns for a "fixed" check), one draw per key."""
+def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
+    """The check's sample points for (seed, samples >= 1) as a Columns: one list of
+    samples rows per sampler key (no columns for a "fixed" check), one draw per key,
+    with nothing derived yet."""
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed % 2 ** 63, _per_check_seed(check.name)]))
-    return {key: column.tolist() for key, column in _SAMPLERS[check.sampler](rng, samples).items()}
+    return Columns((key, column.tolist())
+                   for key, column in _SAMPLERS[check.sampler](rng, samples).items())
 
 
 def residuals(check: IdentityCheck, columns: dict) -> np.ndarray:

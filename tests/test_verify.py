@@ -321,3 +321,69 @@ def test_unit_rows_redraw_only_the_short_rows_in_order():
     rows = vf._unit_rows(rng, 3)
     assert rng.draws == []
     np.testing.assert_array_equal(rows, [[0, 0.6, 0.8], [1 / 3, 2 / 3, 2 / 3], [1, 0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# shared evaluation: both sides of a check read one conversion, one
+# KinematicPoint and the row's common evaluation from its Columns
+# ---------------------------------------------------------------------------
+
+def _side_bits(side, pt) -> tuple:
+    out = np.asarray(side(pt))
+    return out.shape, out.dtype, out.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 64])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_shared_evaluation_changes_no_bit(seed, samples):
+    for check in vf.registry():
+        columns = vf.sample_points(check, seed, samples)
+        assert type(columns) is vf.Columns and columns.derived == {}
+        plain = dict(columns)
+        lhs, rhs = _side_bits(check.lhs, columns), _side_bits(check.rhs, columns)
+        assert lhs == _side_bits(check.lhs, plain), check.name
+        assert rhs == _side_bits(check.rhs, plain), check.name
+        # the other order on fresh columns: whichever side runs first fills them
+        fresh = vf.sample_points(check, seed, samples)
+        assert _side_bits(check.rhs, fresh) == rhs, check.name
+        assert _side_bits(check.lhs, fresh) == lhs, check.name
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls, original = [], getattr(vf, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vf, name, counted)
+    return calls
+
+
+def test_each_check_computes_its_shared_values_once(monkeypatch):
+    counts = {name: _counting(monkeypatch, name)
+              for name in ("polsum", "KinematicPoint", "section4_two_valued")}
+    for check in vf.registry():
+        for calls in counts.values():
+            calls.clear()
+        vf.run_check(check, seed=9, samples=50)
+        n = {name: len(calls) for name, calls in counts.items()}
+        assert n["polsum"] == (1 if check.name.startswith("polsum-")
+                               or check.name == "completeness" else 0), check.name
+        assert n["section4_two_valued"] == (check.name == "section4-two-valued"), check.name
+        if check.sampler in ("real-band", "breve-band"):
+            assert n["KinematicPoint"] == 1, check.name
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
+def test_columns_encode_as_their_plain_dict_before_and_after_evaluation(sampler):
+    check = next(c for c in vf.registry() if c.sampler == sampler)
+    columns = vf.sample_points(check, seed=4, samples=16)
+    encoded = json.dumps(dict(columns), sort_keys=True)
+    assert json.dumps(columns, sort_keys=True) == encoded
+    check.lhs(columns)
+    check.rhs(columns)
+    if sampler not in ("index-pair", "gamma-label", "fixed"):
+        assert columns.derived
+    assert json.dumps(columns, sort_keys=True) == encoded
+    assert json.dumps(dict(columns), sort_keys=True) == encoded
