@@ -22,6 +22,10 @@ on the "fixed" sampler has no sample axis and is evaluated once.  The
 columns come as a Columns, which keeps what both sides derive from them
 (the arrays, the KinematicPoint, a row's common evaluation), so each is
 computed once per check; a plain dict recomputes it on every call.
+
+The JSON report is the report dataclasses field for field, written by the
+stdlib encoder: every float in its shortest round-trip repr, so each value
+comes back from json.loads with its type, sign and bits.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor
                       breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
                       parity_components, rest_basis, spinor_from_breve)
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 DEFAULT_TOLERANCE = 1e-10
 
 EXPECTED_STATUSES = ("holds", "informational", "expected-fail")
@@ -101,32 +105,10 @@ class CheckResult:
     expected_status: str
     tolerance: float
 
-    def to_dict(self) -> dict:
-        """Schema-stable JSON row (the wider fields stay text-format only)."""
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "worst_point": self.worst_point,
-            "status": self.status,
-        }
 
-
-def _json(o, indent: str = "") -> str:
-    """o as indented JSON; floats with 17 significant digits (round-trip safe)."""
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError("non-finite float in report")
-        return format(o, ".17g")
-    inner = indent + "  "
-    if isinstance(o, dict) and o:
-        items = [f"{json.dumps(key)}: {_json(value, inner)}" for key, value in o.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(o, (list, tuple)) and o:
-        items = [_json(value, inner) for value in o]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return json.dumps(o)
+def _fields(o) -> dict:
+    """A report dataclass as its fields, for json.dumps (a TypeError for anything else)."""
+    return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
 
 
 @dataclass(frozen=True)
@@ -142,18 +124,8 @@ class VerificationReport:
     def failed(self) -> tuple:
         return tuple(c for c in self.checks if c.status == "fail")
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "conventions": self.conventions,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
     def to_json(self) -> str:
-        return _json(self.to_dict()) + "\n"
+        return json.dumps(self, default=_fields, indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = [
@@ -560,13 +532,14 @@ def _per_check_seed(name: str) -> int:
 
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
-    """The check's sample points for (seed, samples >= 1) as a Columns: one list of
-    samples rows per sampler key (no columns for a "fixed" check), one draw per key,
+    """The check's sample points for (seed >= 0, samples >= 1) as a Columns: one list
+    of samples rows per sampler key (no columns for a "fixed" check), one draw per key,
     with nothing derived yet."""
+    if not seed >= 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed % 2 ** 63, _per_check_seed(check.name)]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _per_check_seed(check.name)]))
     return Columns((key, column.tolist())
                    for key, column in _SAMPLERS[check.sampler](rng, samples).items())
 
@@ -619,7 +592,7 @@ def run_all(seed: int = 42, samples: int = 100,
             tolerance_override: float | None = None) -> VerificationReport:
     """Run the whole registry; deterministic in (seed, samples, override).
 
-    samples must be >= 1 and an override must satisfy 0 < tolerance < inf.
+    seed must be >= 0, samples >= 1 and an override must satisfy 0 < tolerance < inf.
     """
     if tolerance_override is not None and not 0 < tolerance_override < math.inf:
         raise ValueError(f"tolerance must satisfy 0 < tolerance < inf, got {tolerance_override}")

@@ -132,13 +132,32 @@ def test_builders_without_a_sample_axis_are_a_configuration_error():
 # the report encoder
 # ---------------------------------------------------------------------------
 
-def _reference_json(doc) -> str:
-    """indent=2 JSON with floats as 17 significant digits, from json.dumps."""
+def _leaves(value, parsed):
+    """(value, parsed) pairs of a report's leaves and their json.loads counterparts."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        assert list(parsed) == list(value)
+        for key in value:
+            yield from _leaves(value[key], parsed[key])
+    elif isinstance(value, (list, tuple)):
+        assert len(parsed) == len(value)
+        for v, p in zip(value, parsed):
+            yield from _leaves(v, p)
+    else:
+        yield value, parsed
+
+
+def _reference_json(report) -> str:
+    """indent=2 JSON of a report's dataclass fields, with each float spelled as
+    its shortest round-trip repr."""
     floats = []
 
     def mark(o):
+        if dataclasses.is_dataclass(o):
+            return {f.name: mark(getattr(o, f.name)) for f in dataclasses.fields(o)}
         if isinstance(o, float):
-            floats.append(format(o, ".17g"))
+            floats.append(repr(o))
             return f"\0{len(floats) - 1}\0"
         if isinstance(o, dict):
             return {k: mark(v) for k, v in o.items()}
@@ -146,7 +165,7 @@ def _reference_json(doc) -> str:
             return [mark(v) for v in o]
         return o
 
-    text = json.dumps(mark(doc), indent=2)
+    text = json.dumps(mark(report), indent=2)
     for i, f in enumerate(floats):
         text = text.replace(json.dumps(f"\0{i}\0"), f, 1)
     return text + "\n"
@@ -155,13 +174,24 @@ def _reference_json(doc) -> str:
 @pytest.mark.parametrize("seed,samples", [(0, 1), (7, 20), (42, 3)])
 def test_report_json_matches_reference_encoding(seed, samples):
     report = vf.run_all(seed=seed, samples=samples)
-    assert report.to_json() == _reference_json(report.to_dict())
+    assert report.to_json() == _reference_json(report)
+
+
+def test_report_json_keeps_every_value_type_and_bit():
+    report = vf.run_all(seed=42, samples=2)
+    leaves = list(_leaves(report, json.loads(report.to_json())))
+    floats = [(value, parsed) for value, parsed in leaves if type(value) is float]
+    assert any(value.is_integer() for value, _ in floats)  # e.g. m = 1.0
+    for value, parsed in leaves:
+        assert type(parsed) is type(value) and parsed == value
+    for value, parsed in floats:
+        assert parsed.hex() == value.hex()
 
 
 def test_report_json_rejects_non_finite_floats():
     row = dataclasses.replace(vf.run_all(seed=0, samples=1).checks[0], max_residual=float("inf"))
     report = dataclasses.replace(vf.run_all(seed=0, samples=1), checks=(row,))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="not JSON compliant"):
         report.to_json()
 
 

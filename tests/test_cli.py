@@ -70,6 +70,11 @@ def test_verify_rejects_bad_config(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_verify_unknown_flag_exits_2(capsys):
     assert main(["verify", "--bogus"]) == 2
     capsys.readouterr()

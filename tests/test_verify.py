@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,22 +203,30 @@ def test_tolerance_override_monotonicity():
 
 def test_report_json_schema():
     report = vf.run_all(seed=1, samples=5)
-    doc = report.to_dict()
+    doc = json.loads(report.to_json())
     assert list(doc) == ["version", "seed", "samples", "tolerance", "conventions",
                          "checks"]
+    assert list(doc) == [f.name for f in dataclasses.fields(vf.VerificationReport)]
     for row in doc["checks"]:
         assert list(row) == ["name", "paper_ref", "samples", "max_residual",
-                             "worst_point", "status"]
+                             "worst_point", "status", "expected_status", "tolerance"]
+        assert list(row) == [f.name for f in dataclasses.fields(vf.CheckResult)]
     for key in ("metric", "representation", "branch_rule", "gamma_dot_s_index",
                 "epsilon_orientation"):
         assert key in doc["conventions"]
+
+
+def test_package_version_is_tool_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert pyprojecttoml.read_configuration(path)["project"]["version"] == vf.TOOL_VERSION
 
 
 def test_report_json_round_trips_doubles():
     report = vf.run_all(seed=int(3), samples=7)
     doc = json.loads(report.to_json())
     for row, res in zip(doc["checks"], report.checks):
-        assert row["max_residual"] == res.max_residual  # 17 significant digits
+        assert row["max_residual"] == res.max_residual  # shortest round-trip repr
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +297,7 @@ def test_sample_points_are_a_function_of_seed_samples_and_name(sampler):
     assert _bits(vf.sample_points(check, seed=11, samples=300)) == first
     if sampler != "fixed":
         assert _bits(vf.sample_points(check, seed=12, samples=300)) != first
+        assert _bits(vf.sample_points(check, seed=11 + 2 ** 63, samples=300)) != first
         assert _bits(vf.sample_points(_fixture(sampler, "renamed"), 11, 300)) != first
 
 
@@ -295,7 +306,7 @@ def test_point_rows_survive_a_json_round_trip_exactly(sampler):
     columns = vf.sample_points(_fixture(sampler), seed=3, samples=40)
     for i in range(40):
         pt = vf.point(columns, i)
-        assert json.loads(vf._json(pt)) == pt
+        assert json.loads(json.dumps(pt)) == pt
         for key, value in pt.items():
             assert type(value) in (float, int, list), key
             assert np.array_equal(np.asarray(value), columns[key][i]), key
