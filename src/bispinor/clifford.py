@@ -45,6 +45,11 @@ for _m in (_I2, _I4, *_GAMMA, _GAMMA5, *_PAULI):
 _PAULI_DOT = np.stack(_PAULI)
 _SLASH = np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3]))
 _GAMMA_DOT_S = np.stack((0 * _GAMMA[0], *_GAMMA[1:]))
+# gamma5 slash(s), gamma5 (gamma.s) and (gamma.s) gamma5 as stacks of the same kind:
+# gamma5 only permutes rows or columns of a stack matrix, so the entries stay 0, +-1, +-i.
+_GAMMA5_SLASH = _GAMMA5 @ _SLASH
+_GAMMA5_GAMMA_DOT_S = _GAMMA5 @ _GAMMA_DOT_S
+_GAMMA_DOT_S_GAMMA5 = _GAMMA_DOT_S @ _GAMMA5
 
 
 def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:

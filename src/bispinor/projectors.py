@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import (_I2, _I4, check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
-                       minkowski_dot, pauli_dot, row_times, slash)
+from .clifford import (_GAMMA5_SLASH, _I2, _I4, _contract, check_choice, check_vectors, gamma,
+                       gamma5, gamma_dot_spatial, minkowski_dot, pauli_dot, row_times, slash)
 from .spinors import (_SQRT_MAX, HELICITIES, KinematicPoint, _in_scale, _require, breve_u,
                       breve_u_bar, check_mass, check_spin_vector, check_unit_vector, dirac_u,
                       dirac_u_bar)
@@ -61,7 +61,7 @@ def spin_projector(s) -> np.ndarray:
     Block-diagonal in the Dirac representation:
     diag((1 + sigma.s)/2, (1 - sigma.s)/2).
     """
-    return (_I4 + gamma5() @ slash(check_spin_vector(s))) / 2.0
+    return (_I4 + _contract(check_spin_vector(s), _GAMMA5_SLASH, "spin vector")) / 2.0
 
 
 def _energy_projector(p, m, sign: int) -> np.ndarray:

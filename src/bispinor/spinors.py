@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
-from .clifford import (check_choice, check_vectors, gamma, gamma5, gamma_dot_spatial,
-                       pauli, pauli_dot, row_times, times_column)
+from .clifford import (_GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract, check_choice,
+                       check_vectors, gamma, pauli, pauli_dot, row_times, times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
@@ -320,10 +320,11 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     which s must be, the two maps compose to -1 and are inverse to each
     other up to sign.
     """
-    gs = gamma_dot_spatial(check_spin_vector(s))
+    s = check_spin_vector(s)
     u_map = check_choice("variant", variant, ("u", "v")) == 0
     breve = np.asarray(breve, dtype=complex)
-    return times_column(gamma5() @ gs if u_map else gs @ gamma5(), breve)
+    stack = _GAMMA5_GAMMA_DOT_S if u_map else _GAMMA_DOT_S_GAMMA5
+    return times_column(_contract(s, stack, "spin vector"), breve)
 
 
 def kappa(p0, m):

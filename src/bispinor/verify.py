@@ -15,13 +15,17 @@ check draws all its samples as columns, one numpy call per key, from a
 generator seeded per check by (seed, sha256(name)), so repeated runs are
 bit-identical and checks do not perturb each other.
 
-A check's lhs and rhs builders take a batch of points as columns, one list
-per sampler key, and return arrays with a leading sample axis; given one
-point (a reported worst_point) they return that point's arrays.  A check
-on the "fixed" sampler has no sample axis and is evaluated once.  The
-columns come as a Columns, which keeps what both sides derive from them
-(the arrays, the KinematicPoint, a row's common evaluation), so each is
-computed once per check; a plain dict recomputes it on every call.
+A check's lhs and rhs builders take a batch of points as columns, one per
+sampler key, and return arrays with a leading sample axis; given one point
+(a reported worst_point) they return that point's arrays.  A check on the
+"fixed" sampler has no sample axis and is evaluated once.  The columns come
+as a Columns: builders read the sampler's own read-only arrays from it
+through _column, and it keeps what both sides derive from them (the
+KinematicPoint, a row's common evaluation), so each is computed once per
+check.  Its dict items, one list per key, are only the JSON view, from
+which worst_point rows are cut and which a traced benchmark run encodes.  A
+plain dict (a replayed worst_point) is converted, and its derived values
+recomputed, on every call.
 
 The JSON report is the report dataclasses field for field, written by the
 stdlib encoder: every float in its shortest round-trip repr, so each value
@@ -154,8 +158,9 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # samplers: each draws all n points of a check as numpy columns, one call per
-# key; sample_points hands them on as lists of plain values in a Columns, so
-# that every builder argument, and every worst_point row, is JSON-serializable
+# key; sample_points hands them on in a Columns, as the read-only arrays the
+# builders read and as lists of plain values, the JSON view of every
+# worst_point row and of every builder argument
 # ---------------------------------------------------------------------------
 
 def _unit_rows(rng, n: int) -> np.ndarray:
@@ -190,13 +195,15 @@ _SAMPLERS = {
 
 class Columns(dict):
     """A check's sample columns, one list per sampler key (all that json sees), plus
-    ``derived``: the values the builders compute from the columns, each filled on
-    first use and only read after.  The columns must not change once a builder read them."""
+    ``arrays``: the sampler's arrays, made read-only, which the builders read instead of
+    the lists, and ``derived``: the values the builders compute from the arrays, each
+    filled on first use and only read after."""
 
-    __slots__ = ("derived",)
+    __slots__ = ("arrays", "derived")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, arrays: dict):
+        super().__init__((key, column.tolist()) for key, column in arrays.items())
+        self.arrays = {key: _read_only(column) for key, column in arrays.items()}
         self.derived = {}
 
 
@@ -219,18 +226,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _column(pt: dict, key: str) -> np.ndarray:
+    """Column key of pt as a read-only array: the sampler's array for a Columns,
+    the lists converted on every call for a plain dict."""
+    if isinstance(pt, Columns):
+        return pt.arrays[key]
+    return _read_only(np.array(pt[key]))
+
+
 def _nhat(pt: dict) -> np.ndarray:
-    return _shared(pt, "nhat", lambda: _read_only(np.array(pt["nhat"], dtype=float)))
+    return _column(pt, "nhat")
 
 
 def _kin(pt: dict) -> KinematicPoint:
-    return _shared(pt, "kin", lambda: KinematicPoint(pt["m"], pt["p0"], _nhat(pt)))
+    return _shared(pt, "kin", lambda: KinematicPoint(_column(pt, "m"), _column(pt, "p0"),
+                                                     _nhat(pt)))
 
 
 def _complex_of(pt: dict, name: str) -> np.ndarray:
     """The complex array pt[name + "_re"] + i pt[name + "_im"] (read-only)."""
     return _shared(pt, name, lambda: _read_only(
-        np.asarray(pt[name + "_re"], float) + 1j * np.asarray(pt[name + "_im"], float)))
+        _column(pt, name + "_re") + 1j * _column(pt, name + "_im")))
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -280,7 +296,7 @@ def _times_i4(x) -> np.ndarray:
 
 
 def _anticommutator(stack, pt):
-    a, b = stack[np.asarray(pt["mu"])], stack[np.asarray(pt["nu"])]
+    a, b = stack[_column(pt, "mu")], stack[_column(pt, "nu")]
     return a @ b + b @ a
 
 
@@ -413,17 +429,17 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
     ("anticommutator-minkowski",
      "gamma-matrix anticommutation with the Minkowski metric on the right side",
      "index-pair", lambda pt: _anticommutator(_GAMMAS, pt),
-     lambda pt: _times_i4(2.0 * METRIC[pt["mu"], pt["nu"]]), 1e-14, "holds"),
+     lambda pt: _times_i4(2.0 * METRIC[_column(pt, "mu"), _column(pt, "nu")]), 1e-14, "holds"),
     ("anticommutator-literal-delta",
      "gamma-matrix anticommutation with a literal Kronecker delta, as displayed",
      "index-pair", lambda pt: _anticommutator(_GAMMAS_LOWER, pt),
-     lambda pt: _times_i4(2.0 * np.where(np.equal(pt["mu"], pt["nu"]), 1.0, 0.0)),
+     lambda pt: _times_i4(2.0 * np.where(_column(pt, "mu") == _column(pt, "nu"), 1.0, 0.0)),
      1e-14, "expected-fail"),
     ("gamma-hermiticity",
      "hermiticity pattern: gamma0 and gamma5 Hermitian, spatial gammas anti-Hermitian",
-     "gamma-label", lambda pt: np.conj(np.swapaxes(_GAMMA_LABELS[np.asarray(pt["mu"])], -1, -2)),
-     lambda pt: (np.where(np.isin(pt["mu"], (0, 4)), 1.0, -1.0)[..., None, None]
-                 * _GAMMA_LABELS[np.asarray(pt["mu"])]), 1e-14, "holds"),
+     "gamma-label", lambda pt: np.conj(np.swapaxes(_GAMMA_LABELS[_column(pt, "mu")], -1, -2)),
+     lambda pt: (np.where(np.isin(_column(pt, "mu"), (0, 4)), 1.0, -1.0)[..., None, None]
+                 * _GAMMA_LABELS[_column(pt, "mu")]), 1e-14, "holds"),
     ("gamma5-pseudoscalar",
      "gamma5 from the quadruple product equals the epsilon-contraction form",
      "fixed", lambda pt: gamma5(), lambda pt: gamma5_from_epsilon(), 1e-14, "holds"),
@@ -532,16 +548,15 @@ def _per_check_seed(name: str) -> int:
 
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
-    """The check's sample points for (seed >= 0, samples >= 1) as a Columns: one list
-    of samples rows per sampler key (no columns for a "fixed" check), one draw per key,
-    with nothing derived yet."""
+    """The check's sample points for (seed >= 0, samples >= 1) as a Columns: one array,
+    and its list, of samples rows per sampler key (no columns for a "fixed" check), one
+    draw per key, with nothing derived yet."""
     if not seed >= 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _per_check_seed(check.name)]))
-    return Columns((key, column.tolist())
-                   for key, column in _SAMPLERS[check.sampler](rng, samples).items())
+    return Columns(_SAMPLERS[check.sampler](rng, samples))
 
 
 def residuals(check: IdentityCheck, columns: dict) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bispinor import clifford as cl
 from bispinor import projectors as pj
+from bispinor import spinors as sp
 from bispinor.spinors import HELICITIES, KinematicPoint, RegionError
 
 I2 = np.eye(2)
@@ -203,3 +204,20 @@ def test_polsum_mass_homogeneity_at_m_two():
     for kind in ("spinor", "antispinor", "completeness"):
         lhs, rhs = pj.polsum(kind, k)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(unit_dirs, st.lists(unit_dirs, min_size=1, max_size=8))
+def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):
+    # spin_projector and spinor_from_breve contract s against gamma5-gamma stacks; every
+    # entry is a component times 0, +-1 or +-i, so each equals the explicit product
+    g5 = cl.gamma5()
+    rng = np.random.default_rng(len(batch))
+    for s in (_spatial(nhat), np.array([_spatial(n) for n in batch])):
+        assert np.array_equal(pj.spin_projector(s), (I4 + g5 @ cl.slash(s)) / 2.0)
+        breve = rng.normal(size=s.shape[:-1] + (4,)) + 1j * rng.normal(size=s.shape[:-1] + (4,))
+        gs = cl.gamma_dot_spatial(s)
+        assert np.array_equal(sp.spinor_from_breve(breve, s, "u"),
+                              cl.times_column(g5 @ gs, breve))
+        assert np.array_equal(sp.spinor_from_breve(breve, s, "v"),
+                              cl.times_column(gs @ g5, breve))

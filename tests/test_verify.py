@@ -315,6 +315,27 @@ def test_point_rows_survive_a_json_round_trip_exactly(sampler):
         assert row["worst_point"] == result.worst_point
 
 
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
+def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
+    check = _fixture(sampler)
+    columns = vf.sample_points(check, seed=6, samples=50)
+    rng = np.random.default_rng(np.random.SeedSequence([6, vf._per_check_seed(check.name)]))
+    drawn = vf._SAMPLERS[sampler](rng, 50)
+    assert list(columns.arrays) == list(columns) == list(drawn)
+    for key, array in columns.arrays.items():
+        assert not array.flags.writeable, key
+        assert array.dtype == drawn[key].dtype, key
+        assert array.tobytes() == drawn[key].tobytes(), key
+        assert array.tolist() == columns[key], key
+        assert np.array(columns[key]).tobytes() == array.tobytes(), key
+        assert vf._column(columns, key) is array, key
+        # a plain dict (the lists, or one replayed row) is converted to the same bits
+        for plain, want in ((dict(columns), array), (vf.point(columns, 3), array[3])):
+            got = vf._column(plain, key)
+            assert not got.flags.writeable, key
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+
+
 class _ScriptedNormals:
     """A generator stand-in whose normal() returns the scripted draws in turn."""
 
@@ -394,7 +415,9 @@ def test_columns_encode_as_their_plain_dict_before_and_after_evaluation(sampler)
     assert json.dumps(columns, sort_keys=True) == encoded
     check.lhs(columns)
     check.rhs(columns)
-    if sampler not in ("index-pair", "gamma-label", "fixed"):
+    # builders read the sampler's arrays as they are; only a row that derives a value
+    # (a KinematicPoint, a complex array) fills derived, which json never sees
+    if sampler not in ("index-pair", "gamma-label", "sphere", "fixed"):
         assert columns.derived
     assert json.dumps(columns, sort_keys=True) == encoded
     assert json.dumps(dict(columns), sort_keys=True) == encoded
