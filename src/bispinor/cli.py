@@ -152,7 +152,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return cmd_verify(args) if args.command == "verify" else cmd_show(args)
-    except (ValueError, ConfigurationError, ArithmeticError) as exc:
+    except (ValueError, ConfigurationError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,8 +179,9 @@ class KinematicPoint:
         object.__setattr__(self, "nhat", n)
 
     def boost_factor(self, sign: int):
-        """a for sign=+1, b for sign=-1; principal branch below threshold."""
-        return np.sqrt((self.p0 + sign * self.m) / (2.0 * self.m) + 0j)
+        """a for sign=+1, b for sign=-1; principal branch below threshold.  Halved after
+        the division, not divided by 2m, which overflows for m > 8.99e307."""
+        return np.sqrt((self.p0 + sign * self.m) / self.m * 0.5 + 0j)
 
     def momentum(self) -> np.ndarray:
         """On-shell four-momentum (p0, |p| nhat), |p| = sqrt(p0^2 - m^2).

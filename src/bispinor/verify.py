@@ -15,17 +15,15 @@ check draws all its samples as columns, one numpy call per key, from a
 generator seeded per check by (seed, sha256(name)), so repeated runs are
 bit-identical and checks do not perturb each other.
 
-A check's lhs and rhs builders take a batch of points as columns, one per
-sampler key, and return arrays with a leading sample axis; given one point
-(a reported worst_point) they return that point's arrays.  A check on the
-"fixed" sampler has no sample axis and is evaluated once.  The columns come
-as a Columns: builders read the sampler's own read-only arrays from it
-through _column, and it keeps what both sides derive from them (the
-KinematicPoint, a row's common evaluation), so each is computed once per
-check.  Its dict items, one list per key, are only the JSON view, from
-which worst_point rows are cut and which a traced benchmark run encodes.  A
-plain dict (a replayed worst_point) is converted, and its derived values
-recomputed, on every call.
+A check's lhs and rhs builders take a Columns, one column per sampler key,
+and return arrays with a leading sample axis; given the Columns of one point
+they return that point's arrays, so a reported worst_point replays as
+check.lhs(Columns(worst_point)).  A check on the "fixed" sampler has no
+sample axis and is evaluated once.  Builders read only Columns.arrays, the
+columns as read-only arrays, and Columns keeps what both sides derive from
+them (the KinematicPoint, a row's common evaluation), so each is computed
+once per Columns.  Its dict items, one list per key, are only the JSON view,
+from which worst_point rows are cut and which a traced benchmark run encodes.
 
 The JSON report is the report dataclasses field for field, written by the
 stdlib encoder: every float in its shortest round-trip repr, so each value
@@ -88,8 +86,8 @@ class IdentityCheck:
     name: str
     paper_ref: str
     sampler: str
-    lhs: Callable[[dict], np.ndarray]
-    rhs: Callable[[dict], np.ndarray]
+    lhs: Callable[[Columns], np.ndarray]
+    rhs: Callable[[Columns], np.ndarray]
     tolerance: float
     expected_status: str
 
@@ -194,23 +192,22 @@ _SAMPLERS = {
 
 
 class Columns(dict):
-    """A check's sample columns, one list per sampler key (all that json sees), plus
-    ``arrays``: the sampler's arrays, made read-only, which the builders read instead of
-    the lists, and ``derived``: the values the builders compute from the arrays, each
-    filled on first use and only read after."""
+    """A check's sample columns, from any mapping of columns (a sampler's draw, or a
+    reported worst_point): one list per key as the dict items (all that json sees), plus
+    ``arrays``: the columns as read-only arrays, the only thing the builders read, and
+    ``derived``: the values the builders compute from the arrays, each filled on first
+    use and only read after."""
 
     __slots__ = ("arrays", "derived")
 
-    def __init__(self, arrays: dict):
-        super().__init__((key, column.tolist()) for key, column in arrays.items())
-        self.arrays = {key: _read_only(column) for key, column in arrays.items()}
+    def __init__(self, columns: dict):
+        self.arrays = {key: _read_only(np.asarray(column)) for key, column in columns.items()}
+        super().__init__((key, array.tolist()) for key, array in self.arrays.items())
         self.derived = {}
 
 
-def _shared(pt: dict, key, make):
-    """make(), computed once per Columns under key and on every call for a plain dict."""
-    if not isinstance(pt, Columns):
-        return make()
+def _shared(pt: Columns, key, make):
+    """make(), computed once per Columns under key."""
     if key not in pt.derived:
         pt.derived[key] = make()
     return pt.derived[key]
@@ -226,27 +223,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _column(pt: dict, key: str) -> np.ndarray:
-    """Column key of pt as a read-only array: the sampler's array for a Columns,
-    the lists converted on every call for a plain dict."""
-    if isinstance(pt, Columns):
-        return pt.arrays[key]
-    return _read_only(np.array(pt[key]))
+def _kin(pt: Columns) -> KinematicPoint:
+    a = pt.arrays
+    return _shared(pt, "kin", lambda: KinematicPoint(a["m"], a["p0"], a["nhat"]))
 
 
-def _nhat(pt: dict) -> np.ndarray:
-    return _column(pt, "nhat")
-
-
-def _kin(pt: dict) -> KinematicPoint:
-    return _shared(pt, "kin", lambda: KinematicPoint(_column(pt, "m"), _column(pt, "p0"),
-                                                     _nhat(pt)))
-
-
-def _complex_of(pt: dict, name: str) -> np.ndarray:
-    """The complex array pt[name + "_re"] + i pt[name + "_im"] (read-only)."""
-    return _shared(pt, name, lambda: _read_only(
-        _column(pt, name + "_re") + 1j * _column(pt, name + "_im")))
+def _complex_of(pt: Columns, name: str) -> np.ndarray:
+    """The complex array name_re + i name_im of pt's arrays (read-only)."""
+    a = pt.arrays
+    return _shared(pt, name, lambda: _read_only(a[name + "_re"] + 1j * a[name + "_im"]))
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -296,7 +281,7 @@ def _times_i4(x) -> np.ndarray:
 
 
 def _anticommutator(stack, pt):
-    a, b = stack[_column(pt, "mu")], stack[_column(pt, "nu")]
+    a, b = stack[pt.arrays["mu"]], stack[pt.arrays["nu"]]
     return a @ b + b @ a
 
 
@@ -391,25 +376,25 @@ def _adjoint_dagger_rows(pt, paper_sign: bool):
 
 def _pi_annihilation(pt):
     k = _kin(pt)
-    pi = pi_projector(k.momentum(), k.m, _spatial(_nhat(pt)), "lambda")
+    pi = pi_projector(k.momentum(), k.m, _spatial(pt.arrays["nhat"]), "lambda")
     return np.stack([times_column(pi, breve_u(k, lam, lam)) for lam in HELICITIES], axis=-2)
 
 
 def _map_roundtrip(pt, expected: bool):
     us = _shared(pt, "breve_u", lambda: [breve_u(_kin(pt), lam, lam) for lam in HELICITIES])
-    s = _spatial(_nhat(pt))
+    s = _spatial(pt.arrays["nhat"])
     return np.stack([-u if expected else spinor_from_breve(spinor_from_breve(u, s, "u"), s, "v")
                      for u in us], axis=-2)
 
 
 def _unity_gamma0(pt):
-    k = KinematicPoint(1.0, -1.0, _nhat(pt))
+    k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
     return sum(diad(antisym_bispinor(k, tau, +1), "gamma0") for tau in (1, 2, 3, 4))
 
 
 def _tetrad_sum(pt):
     """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n), with P(n) and P(-n) built once."""
-    along, against = (spin_projector(_spatial(n)) for n in (_nhat(pt), -_nhat(pt)))
+    along, against = (spin_projector(_spatial(n)) for n in (pt.arrays["nhat"], -pt.arrays["nhat"]))
     return sum((along, against) * 2) / 2.0
 
 
@@ -419,7 +404,7 @@ def _two_valued(pt, side: int):
 
 def _orientation_projector(pt):
     # spin four-vector contraction with index-lowered gammas, then gamma5
-    s = _spatial(_nhat(pt))[..., None, None]
+    s = _spatial(pt.arrays["nhat"])[..., None, None]
     contracted = sum(s[..., mu, :, :] * gamma_lower(mu) for mu in range(4))
     return (_I4 + gamma5() @ contracted) / 2.0
 
@@ -429,17 +414,17 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
     ("anticommutator-minkowski",
      "gamma-matrix anticommutation with the Minkowski metric on the right side",
      "index-pair", lambda pt: _anticommutator(_GAMMAS, pt),
-     lambda pt: _times_i4(2.0 * METRIC[_column(pt, "mu"), _column(pt, "nu")]), 1e-14, "holds"),
+     lambda pt: _times_i4(2.0 * METRIC[pt.arrays["mu"], pt.arrays["nu"]]), 1e-14, "holds"),
     ("anticommutator-literal-delta",
      "gamma-matrix anticommutation with a literal Kronecker delta, as displayed",
      "index-pair", lambda pt: _anticommutator(_GAMMAS_LOWER, pt),
-     lambda pt: _times_i4(2.0 * np.where(_column(pt, "mu") == _column(pt, "nu"), 1.0, 0.0)),
+     lambda pt: _times_i4(2.0 * np.where(pt.arrays["mu"] == pt.arrays["nu"], 1.0, 0.0)),
      1e-14, "expected-fail"),
     ("gamma-hermiticity",
      "hermiticity pattern: gamma0 and gamma5 Hermitian, spatial gammas anti-Hermitian",
-     "gamma-label", lambda pt: np.conj(np.swapaxes(_GAMMA_LABELS[_column(pt, "mu")], -1, -2)),
-     lambda pt: (np.where(np.isin(_column(pt, "mu"), (0, 4)), 1.0, -1.0)[..., None, None]
-                 * _GAMMA_LABELS[_column(pt, "mu")]), 1e-14, "holds"),
+     "gamma-label", lambda pt: np.conj(np.swapaxes(_GAMMA_LABELS[pt.arrays["mu"]], -1, -2)),
+     lambda pt: (np.where(np.isin(pt.arrays["mu"], (0, 4)), 1.0, -1.0)[..., None, None]
+                 * _GAMMA_LABELS[pt.arrays["mu"]]), 1e-14, "holds"),
     ("gamma5-pseudoscalar",
      "gamma5 from the quadruple product equals the epsilon-contraction form",
      "fixed", lambda pt: gamma5(), lambda pt: gamma5_from_epsilon(), 1e-14, "holds"),
@@ -456,7 +441,8 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "real-band", _norm_gram, lambda pt: _I2, 1e-12, "holds"),
     ("helicity-sum-unity",
      "sum of the two-spinor helicity projectors over +-n gives unity",
-     "sphere", lambda pt: spin_projector_rest(_nhat(pt)) + spin_projector_rest(-_nhat(pt)),
+     "sphere",
+     lambda pt: spin_projector_rest(pt.arrays["nhat"]) + spin_projector_rest(-pt.arrays["nhat"]),
      lambda pt: _I2, 1e-14, "holds"),
     ("polsum-spinor",
      "polarization-sum rule, spinor sector: closed form (pslash + m)/2m",
@@ -528,7 +514,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      lambda pt: _map_roundtrip(pt, expected=True), 1e-12, "holds"),
     ("section4-projector-equivalence",
      "covariant orientation projector (1 + gamma5 s.gamma)/2 matches the spin projector",
-     "sphere", _orientation_projector, lambda pt: spin_projector(_spatial(_nhat(pt))),
+     "sphere", _orientation_projector, lambda pt: spin_projector(_spatial(pt.arrays["nhat"])),
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",
@@ -548,18 +534,19 @@ def _per_check_seed(name: str) -> int:
 
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
-    """The check's sample points for (seed >= 0, samples >= 1) as a Columns: one array,
-    and its list, of samples rows per sampler key (no columns for a "fixed" check), one
-    draw per key, with nothing derived yet."""
-    if not seed >= 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not samples >= 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    """The check's sample points for ints (not bools) seed >= 0 and samples >= 1 as a
+    Columns: one array, and its list, of samples rows per sampler key (no columns for a
+    "fixed" check), one draw per key, with nothing derived yet."""
+    for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _per_check_seed(check.name)]))
     return Columns(_SAMPLERS[check.sampler](rng, samples))
 
 
-def residuals(check: IdentityCheck, columns: dict) -> np.ndarray:
+def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
     """max |lhs - rhs| per point from one evaluation of each side on the columns
     (one residual in all for a "fixed" check, which has no columns).
     A builder's domain error or a non-finite residual is a ConfigurationError."""
@@ -607,7 +594,8 @@ def run_all(seed: int = 42, samples: int = 100,
             tolerance_override: float | None = None) -> VerificationReport:
     """Run the whole registry; deterministic in (seed, samples, override).
 
-    seed must be >= 0, samples >= 1 and an override must satisfy 0 < tolerance < inf.
+    seed must be an int >= 0, samples an int >= 1 and an override must satisfy
+    0 < tolerance < inf.
     """
     if tolerance_override is not None and not 0 < tolerance_override < math.inf:
         raise ValueError(f"tolerance must satisfy 0 < tolerance < inf, got {tolerance_override}")

@@ -53,7 +53,7 @@ def test_batched_residuals_equal_each_point_evaluated_alone(seed):
         batched = vf.residuals(check, columns)
         assert batched.shape == ((1,) if check.sampler == "fixed" else (SAMPLES,))
         for i in range(SAMPLES):
-            point = vf.point(columns, i)
+            point = vf.Columns(vf.point(columns, i))
             alone = np.max(np.abs(np.asarray(check.lhs(point)) - np.asarray(check.rhs(point))))
             assert batched[min(i, len(batched) - 1)] == alone, (check.name, i)
 
@@ -386,7 +386,7 @@ def _assert_worst_points_replay(seed, samples):
     report = json.loads(vf.run_all(seed=seed, samples=samples).to_json())
     checks = {c.name: c for c in vf.registry()}
     for row in report["checks"]:
-        check, point = checks[row["name"]], row["worst_point"]
+        check, point = checks[row["name"]], vf.Columns(row["worst_point"])
         alone = np.max(np.abs(np.asarray(check.lhs(point)) - np.asarray(check.rhs(point))))
         assert alone == row["max_residual"], row["name"]
 
@@ -407,7 +407,7 @@ def test_a_point_and_its_batch_row_agree_where_powers_round_differently():
 def test_section4_two_valued_agrees_alone_and_in_a_batch():
     check = next(c for c in vf.registry() if c.name == "section4-two-valued")
     columns = vf.sample_points(check, 7, 1000)
-    xis = [vf._complex_of(vf.point(columns, i), "xi") for i in range(1000)]
+    xis = [vf._complex_of(vf.Columns(vf.point(columns, i)), "xi") for i in range(1000)]
     # the first sample whose |xi|^2 squares differently with ** than with a product
     i = next((i for i, xi in enumerate(xis)
               if np.float64(norm2 := np.sum(np.abs(xi) ** 2)) ** 2 != norm2 * norm2), None)

@@ -183,6 +183,8 @@ def test_show_projector_far_above_threshold(kind, capsys):
     ["verify", "--samples", "2", "--tolerance", "nan"],
     ["show", "basis", "--tau", "1", "--p0", "1e200", "--m", "1.2697076285132332e-146"],
     ["show", "polsum", "--kind", "completeness", "--p0", "0", "--m", "5e-324"],
+    # the first row's draw asks for 8 PB, beyond any address space, so it fails at once
+    ["verify", "--samples", "1000000000000000"],
 ])
 def test_rejected_input_exits_2_with_a_message(argv, capsys):
     assert main(argv) == 2

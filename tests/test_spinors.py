@@ -97,7 +97,7 @@ def test_parity_closed_forms_random_points():
 def _boost_row(side, p0, nhat, lam, dotted):
     """One (lam, dotted) row of a boost-exponential side at the point (1, p0, nhat)."""
     check = next(c for c in vf.registry() if c.name == "boost-exponential")
-    rows = getattr(check, side)({"m": 1.0, "p0": p0, "nhat": list(nhat)})
+    rows = getattr(check, side)(vf.Columns({"m": 1.0, "p0": p0, "nhat": list(nhat)}))
     return rows[2 * sp.HELICITIES.index(lam) + dotted]
 
 

@@ -97,6 +97,19 @@ def test_kappa_does_not_overflow_near_the_largest_float():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p0", [0.0, 2.0 ** 150, -2.0 ** 150])
+def test_breve_amplitudes_at_the_largest_masses_equal_the_unit_mass_ones(p0):
+    # the amplitudes depend on p0/m only, so m = 2**1023 gives the m = 1 bits; 2m overflows
+    m = 2.0 ** 1023
+    for breve in (sp.breve_u, sp.breve_u_bar):
+        want = breve(sp.KinematicPoint(1.0, p0 / m, ZHAT), 0.5, 0.5)
+        assert np.any(want != 0)
+        assert breve(sp.KinematicPoint(m, p0, ZHAT), 0.5, 0.5).tobytes() == want.tobytes()
+        batch = breve(sp.KinematicPoint([m, 1.0], [p0, p0 / m], ZHAT), 0.5, 0.5)
+        assert batch[0].tobytes() == batch[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200],
                          ids=["nan", "inf", "-inf", "1e200"])
 @pytest.mark.parametrize("entry", ["spin_projector", "pi_projector-s", "spinor_from_breve"])

@@ -98,6 +98,11 @@ def test_run_check_rejects_bad_sample_count():
         vf.run_check(vf.registry()[0], seed=1, samples=0)
     with pytest.raises(ValueError):
         vf.run_all(samples=0)
+    # non-integer run parameters, and bools, are refused by name before any draw
+    for seed, samples, bad in ((42, 2.5, "samples"), (1.5, 3, "seed"), (True, 2, "seed"),
+                               (0, False, "samples"), (float("nan"), 1, "seed")):
+        with pytest.raises(ValueError, match=f"^{bad} must be an int, got "):
+            vf.run_all(seed, samples)
 
 
 def test_run_check_determinism_and_isolation():
@@ -118,8 +123,8 @@ def test_worst_point_reproduces_reported_residual():
     by = _by_name()
     check = by["polsum-spinor"]
     res = vf.run_check(check, seed=42, samples=50)
-    lhs = check.lhs(res.worst_point)
-    rhs = check.rhs(res.worst_point)
+    worst = vf.Columns(res.worst_point)
+    lhs, rhs = check.lhs(worst), check.rhs(worst)
     assert float(np.max(np.abs(lhs - rhs))) == pytest.approx(res.max_residual, rel=0,
                                                              abs=0)
 
@@ -328,11 +333,11 @@ def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
         assert array.tobytes() == drawn[key].tobytes(), key
         assert array.tolist() == columns[key], key
         assert np.array(columns[key]).tobytes() == array.tobytes(), key
-        assert vf._column(columns, key) is array, key
-        # a plain dict (the lists, or one replayed row) is converted to the same bits
+        # the Columns of a plain dict (the lists, or one replayed row) holds the same bits
         for plain, want in ((dict(columns), array), (vf.point(columns, 3), array[3])):
-            got = vf._column(plain, key)
-            assert not got.flags.writeable, key
+            rebuilt = vf.Columns(plain)
+            got = rebuilt.arrays[key]
+            assert rebuilt[key] == plain[key] and not got.flags.writeable, key
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
 
 
@@ -371,7 +376,7 @@ def test_shared_evaluation_changes_no_bit(seed, samples):
     for check in vf.registry():
         columns = vf.sample_points(check, seed, samples)
         assert type(columns) is vf.Columns and columns.derived == {}
-        plain = dict(columns)
+        plain = vf.Columns(dict(columns))
         lhs, rhs = _side_bits(check.lhs, columns), _side_bits(check.rhs, columns)
         assert lhs == _side_bits(check.lhs, plain), check.name
         assert rhs == _side_bits(check.rhs, plain), check.name
