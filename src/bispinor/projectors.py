@@ -34,7 +34,8 @@ def _check_on_shell(p, m) -> np.ndarray:
     OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154:
     |p.p - m^2| <= 1e-10 max(1, m^2, max_i |p_i|^2), so the tolerance grows with the
     momentum's scale.  p and m are divided by max(1, m, max_i |p_i|) before any square is
-    formed, so a far-off-shell momentum is refused without overflow."""
+    formed, so a far-off-shell momentum is refused without overflow.  p comes back
+    broadcast to the batch shape it shares with m, one momentum per mass."""
     p = check_vectors(p, 4, "momentum")
     check_mass(m)
     top = abs(p).max(axis=-1)  # nan for a nan component
@@ -47,12 +48,12 @@ def _check_on_shell(p, m) -> np.ndarray:
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
              "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
-    return p
+    return p if p.shape == q.shape else np.broadcast_to(p, q.shape)
 
 
 def spin_projector_rest(nhat) -> np.ndarray:
     """Two-spinor helicity projector (1 + sigma.n)/2."""
-    return (_I2 + pauli_dot(check_unit_vector(nhat))) / 2.0
+    return (_I2 + pauli_dot(check_unit_vector(nhat))) * 0.5
 
 
 def spin_projector(s) -> np.ndarray:
@@ -61,15 +62,26 @@ def spin_projector(s) -> np.ndarray:
     Block-diagonal in the Dirac representation:
     diag((1 + sigma.s)/2, (1 - sigma.s)/2).
     """
-    return (_I4 + _contract(check_spin_vector(s), _GAMMA5_SLASH, "spin vector")) / 2.0
+    return (_I4 + _contract(check_spin_vector(s), _GAMMA5_SLASH, "spin vector")) * 0.5
+
+
+def add_diagonal(x: np.ndarray, d) -> np.ndarray:
+    """x + d I for a fresh C-contiguous stack x of square matrices (..., n, n) and one
+    scalar d per matrix, added in place to the diagonal of x, which is returned."""
+    if not x.flags.c_contiguous:
+        raise ValueError("add_diagonal needs a C-contiguous stack of matrices")
+    n = x.shape[-1]
+    # a reshape of a C-contiguous array is a view, so the add writes into x
+    diagonal = x.reshape(x.shape[:-2] + (n * n,))[..., ::n + 1]
+    diagonal += np.asarray(d)[..., None]
+    return x
 
 
 def _energy_projector(p, m, sign: int) -> np.ndarray:
     """energy_projector without its checks, for a momentum built from a validated point."""
-    m = np.asarray(m)[..., None, None]  # one mass per matrix of the batch
-    if sign > 0:
-        return (slash(p) + m * _I4) / (2.0 * m)
-    return (m * _I4 - slash(p)) / (2.0 * m)
+    # each entry of slash is exact up to one rounding (see clifford), so slash(-p) equals
+    # -slash(p) entry for entry; only the sign of a zero entry may differ
+    return add_diagonal(slash(p if sign > 0 else -p), m) / (2.0 * np.asarray(m)[..., None, None])
 
 
 def energy_projector(p, m, sign: int) -> np.ndarray:

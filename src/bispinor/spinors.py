@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,15 @@ class KinematicPoint:
         the division, not divided by 2m, which overflows for m > 8.99e307."""
         return np.sqrt((self.p0 + sign * self.m) / self.m * 0.5 + 0j)
 
+    @cached_property
+    def _half_boosts(self) -> tuple:
+        """(a, b) = (boost_factor(+1), boost_factor(-1)), read-only: computed on first use
+        and shared by every constructor called on this point."""
+        ab = self.boost_factor(+1), self.boost_factor(-1)
+        for x in ab:
+            x.setflags(write=False)
+        return ab
+
     def momentum(self) -> np.ndarray:
         """On-shell four-momentum (p0, |p| nhat), |p| = sqrt(p0^2 - m^2).
 
@@ -212,7 +222,8 @@ def _amplitudes(k: KinematicPoint, what: str, band: str = "|p0| >= m"):
     Raises RegionError naming ``what`` if a point lies outside ``band``.
     """
     check_band(what, k.p0, k.m, band)
-    return k.boost_factor(+1)[..., None], k.boost_factor(-1)[..., None]
+    a, b = k._half_boosts
+    return a[..., None], b[..., None]
 
 
 def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
@@ -229,7 +240,7 @@ def parity_components(xi_undotted, xi_dotted):
     """Even/odd parity combinations ((xi + xid)/2, (xi - xid)/2)."""
     xi = np.asarray(xi_undotted, dtype=complex)
     xid = np.asarray(xi_dotted, dtype=complex)
-    return (xi + xid) / 2.0, (xi - xid) / 2.0
+    return (xi + xid) * 0.5, (xi - xid) * 0.5
 
 
 def dirac_u(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:

@@ -19,11 +19,15 @@ A check's lhs and rhs builders take a Columns, one column per sampler key,
 and return arrays with a leading sample axis; given the Columns of one point
 they return that point's arrays, so a reported worst_point replays as
 check.lhs(Columns(worst_point)).  A check on the "fixed" sampler has no
-sample axis and is evaluated once.  Builders read only Columns.arrays, the
+sample axis and is evaluated once; its two sides are constants built at
+import.  Other sides that depend on no sample (the gamma-algebra rows'
+products, daggers and metric terms) are tables built at import and indexed
+by the sampled labels.  Builders read only Columns.arrays, the
 columns as read-only arrays, and Columns keeps what both sides derive from
 them (the KinematicPoint, a row's common evaluation), so each is computed
-once per Columns.  Its dict items, one list per key, are only the JSON view,
-from which worst_point rows are cut and which a traced benchmark run encodes.
+once per Columns.  residuals and worst_point rows read the arrays as well;
+the dict items, one list per key, are only the JSON view that a traced
+benchmark run encodes.
 
 The JSON report is the report dataclasses field for field, written by the
 stdlib encoder: every float in its shortest round-trip repr, so each value
@@ -37,6 +41,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -44,7 +49,8 @@ import numpy as np
 from .clifford import (METRIC, _I2, _I4, check_choice, check_vectors, dot, gamma, gamma5,
                        gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
                        pauli_dot, row_times, slash, times_column, trace)
-from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
+from .projectors import (add_diagonal, diad, pi_projector, polsum, spin_projector,
+                         spin_projector_rest)
 from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
                       breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
                       parity_components, rest_basis, spinor_from_breve)
@@ -157,8 +163,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # samplers: each draws all n points of a check as numpy columns, one call per
 # key; sample_points hands them on in a Columns, as the read-only arrays the
-# builders read and as lists of plain values, the JSON view of every
-# worst_point row and of every builder argument
+# builders read and as lists of plain values, the JSON view of every builder
+# argument
 # ---------------------------------------------------------------------------
 
 def _unit_rows(rng, n: int) -> np.ndarray:
@@ -196,12 +202,15 @@ class Columns(dict):
     reported worst_point): one list per key as the dict items (all that json sees), plus
     ``arrays``: the columns as read-only arrays, the only thing the builders read, and
     ``derived``: the values the builders compute from the arrays, each filled on first
-    use and only read after."""
+    use and only read after.  A read-only array is kept as it is; any other column is
+    copied, so the caller's own arrays stay writeable."""
 
     __slots__ = ("arrays", "derived")
 
     def __init__(self, columns: dict):
-        self.arrays = {key: _read_only(np.asarray(column)) for key, column in columns.items()}
+        arrays = {key: np.asarray(column) for key, column in columns.items()}
+        self.arrays = {key: a if not a.flags.writeable else _read_only(a.copy())
+                       for key, a in arrays.items()}
         super().__init__((key, array.tolist()) for key, array in self.arrays.items())
         self.derived = {}
 
@@ -213,9 +222,9 @@ def _shared(pt: Columns, key, make):
     return pt.derived[key]
 
 
-def point(columns: dict, i: int) -> dict:
+def point(columns: Columns, i: int) -> dict:
     """Row i of a check's sample columns: plain Python floats, ints and lists."""
-    return {key: column[i] for key, column in columns.items()}
+    return {key: array[i].tolist() for key, array in columns.arrays.items()}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -267,9 +276,6 @@ def section4_two_valued(xi) -> tuple:
 # ---------------------------------------------------------------------------
 
 _ZHAT = (0.0, 0.0, 1.0)
-_GAMMAS = np.stack([gamma(mu) for mu in range(4)])
-_GAMMAS_LOWER = np.stack([gamma_lower(mu) for mu in range(4)])
-_GAMMA_LABELS = np.stack([*_GAMMAS, gamma5()])  # label 4 stands for gamma5
 _BAND_CENTER_PAIRS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5))
 _REST_EIGENVALUES = (1.0, -1.0, -1.0, 1.0)
 _ZERO_ROWS = np.zeros((2, 4), dtype=complex)
@@ -280,15 +286,49 @@ def _times_i4(x) -> np.ndarray:
     return np.asarray(x)[..., None, None] * _I4
 
 
-def _anticommutator(stack, pt):
-    a, b = stack[pt.arrays["mu"]], stack[pt.arrays["nu"]]
+def _anticommutators(stack) -> np.ndarray:
+    """{a, b} for every ordered pair of a stack's matrices, as (mu, nu, 4, 4)."""
+    a, b = stack[:, None], stack[None, :]
     return a @ b + b @ a
+
+
+# Tables of the sample-independent sides of the gamma-algebra rows, indexed by the
+# sampled labels: (mu, nu) for the anticommutators, mu for the labels 0..4 (4 for gamma5).
+_GAMMAS = np.stack([gamma(mu) for mu in range(4)])
+_GAMMA_LABELS = np.stack([*_GAMMAS, gamma5()])
+_ANTICOMMUTATORS = _anticommutators(_GAMMAS)
+_ANTICOMMUTATORS_LOWER = _anticommutators(np.stack([gamma_lower(mu) for mu in range(4)]))
+_TWO_METRIC_I4 = _times_i4(2.0 * METRIC)
+_TWO_DELTA_I4 = _times_i4(2.0 * np.eye(4))
+_LABEL_DAGGERS = np.conj(np.swapaxes(_GAMMA_LABELS, -1, -2))
+_SIGNED_LABELS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])[:, None, None] * _GAMMA_LABELS
+
+
+def _by_pair(table):
+    return lambda pt: table[pt.arrays["mu"], pt.arrays["nu"]]
+
+
+def _by_label(table):
+    return lambda pt: table[pt.arrays["mu"]]
+
+
+def _fixed(value):
+    """The side of a "fixed" row: a value that depends on no sample, built once (read-only)."""
+    value = np.asarray(value)
+    value.setflags(write=False)
+    return lambda pt: value
 
 
 def _three_matrices(pt) -> np.ndarray:
     """A point's three complex 4x4 matrices a, stacked as (3, ..., 4, 4)."""
     a = _complex_of(pt, "a")
     return np.moveaxis(a.reshape(a.shape[:-1] + (3, 4, 4)), -3, 0)
+
+
+def _cycled_trace(pt) -> np.ndarray:
+    """tr(a2 a0 a1) of a point's three matrices a0, a1, a2, read as views."""
+    a = _three_matrices(pt)
+    return trace((a[2], a[0], a[1]))[..., None]
 
 
 def _boost_exponential(pt):
@@ -342,7 +382,7 @@ def _kappa_reference(pt):
     return np.stack([ratio, np.zeros_like(ratio)], axis=-1)
 
 
-def _rest_spin_action(pt):
+def _rest_spin_action():
     big_sigma = np.block([
         [pauli_dot(np.asarray(_ZHAT)), np.zeros((2, 2))],
         [np.zeros((2, 2)), -pauli_dot(np.asarray(_ZHAT))],
@@ -358,7 +398,7 @@ def _breve_norms(pt, pairs):
 
 def _adjoint_dirac_rows(pt):
     k = _kin(pt)
-    op = slash(k.momentum()) + _times_i4(k.m)
+    op = add_diagonal(slash(k.momentum()), k.m)
     return np.stack([row_times(breve_u_bar(k, lam, lam), op) for lam in HELICITIES], axis=-2)
 
 
@@ -395,7 +435,7 @@ def _unity_gamma0(pt):
 def _tetrad_sum(pt):
     """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n), with P(n) and P(-n) built once."""
     along, against = (spin_projector(_spatial(n)) for n in (pt.arrays["nhat"], -pt.arrays["nhat"]))
-    return sum((along, against) * 2) / 2.0
+    return sum((along, against) * 2) * 0.5
 
 
 def _two_valued(pt, side: int):
@@ -406,32 +446,28 @@ def _orientation_projector(pt):
     # spin four-vector contraction with index-lowered gammas, then gamma5
     s = _spatial(pt.arrays["nhat"])[..., None, None]
     contracted = sum(s[..., mu, :, :] * gamma_lower(mu) for mu in range(4))
-    return (_I4 + gamma5() @ contracted) / 2.0
+    return (_I4 + gamma5() @ contracted) * 0.5
 
 
 # Each row: name, paper_ref, sampler, lhs, rhs, tolerance, expected status.
 _REGISTRY = tuple(IdentityCheck(*row) for row in (
     ("anticommutator-minkowski",
      "gamma-matrix anticommutation with the Minkowski metric on the right side",
-     "index-pair", lambda pt: _anticommutator(_GAMMAS, pt),
-     lambda pt: _times_i4(2.0 * METRIC[pt.arrays["mu"], pt.arrays["nu"]]), 1e-14, "holds"),
+     "index-pair", _by_pair(_ANTICOMMUTATORS), _by_pair(_TWO_METRIC_I4), 1e-14, "holds"),
     ("anticommutator-literal-delta",
      "gamma-matrix anticommutation with a literal Kronecker delta, as displayed",
-     "index-pair", lambda pt: _anticommutator(_GAMMAS_LOWER, pt),
-     lambda pt: _times_i4(2.0 * np.where(pt.arrays["mu"] == pt.arrays["nu"], 1.0, 0.0)),
+     "index-pair", _by_pair(_ANTICOMMUTATORS_LOWER), _by_pair(_TWO_DELTA_I4),
      1e-14, "expected-fail"),
     ("gamma-hermiticity",
      "hermiticity pattern: gamma0 and gamma5 Hermitian, spatial gammas anti-Hermitian",
-     "gamma-label", lambda pt: np.conj(np.swapaxes(_GAMMA_LABELS[pt.arrays["mu"]], -1, -2)),
-     lambda pt: (np.where(np.isin(pt.arrays["mu"], (0, 4)), 1.0, -1.0)[..., None, None]
-                 * _GAMMA_LABELS[pt.arrays["mu"]]), 1e-14, "holds"),
+     "gamma-label", _by_label(_LABEL_DAGGERS), _by_label(_SIGNED_LABELS), 1e-14, "holds"),
     ("gamma5-pseudoscalar",
      "gamma5 from the quadruple product equals the epsilon-contraction form",
-     "fixed", lambda pt: gamma5(), lambda pt: gamma5_from_epsilon(), 1e-14, "holds"),
+     "fixed", _fixed(gamma5()), _fixed(gamma5_from_epsilon()), 1e-14, "holds"),
     ("trace-cyclicity",
      "trace of a cyclic permutation of a matrix product (toolkit invariant)",
      "matrices", lambda pt: trace(_three_matrices(pt))[..., None],
-     lambda pt: trace(np.roll(_three_matrices(pt), 1, axis=0))[..., None],
+     _cycled_trace,
      1e-14, "holds"),
     ("boost-exponential",
      "boosted two-spinor as the exponential exp(+-(chi/2) sigma.n) phi, cosh chi = p0/m",
@@ -459,8 +495,8 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "real-band", _kappa_pair, _kappa_reference, 1e-12, "holds"),
     ("rest-eigenvalues",
      "band-center basis eigenvalues of diag(sigma.n, -sigma.n) along z: +1, -1, -1, +1",
-     "fixed", _rest_spin_action,
-     lambda pt: np.stack([_REST_EIGENVALUES[tau - 1] * rest_basis(tau) for tau in (1, 2, 3, 4)]),
+     "fixed", _fixed(_rest_spin_action()),
+     _fixed(np.stack([_REST_EIGENVALUES[tau - 1] * rest_basis(tau) for tau in (1, 2, 3, 4)])),
      1e-14, "holds"),
     ("breve-norm",
      "norm of the complex bispinor equals 2 for equal helicity labels",
@@ -483,8 +519,8 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      lambda pt: _ZERO_ROWS, 1e-12, "informational"),
     ("diad-half-unity",
      "gamma5 diads over the band-center basis sum to half unity, as displayed",
-     "fixed", lambda pt: sum(diad(rest_basis(tau), "gamma5") for tau in (1, 2, 3, 4)),
-     lambda pt: _I4 / 2.0, 1e-12, "expected-fail"),
+     "fixed", _fixed(sum(diad(rest_basis(tau), "gamma5") for tau in (1, 2, 3, 4))),
+     _fixed(_I4 / 2.0), 1e-12, "expected-fail"),
     ("tetrad-projector-sum",
      "tetrad sum of covariant spin projectors: sum_tau P(s_tau)/2 = 1",
      "sphere", _tetrad_sum, lambda pt: _I4, 1e-12, "holds"),
@@ -505,9 +541,9 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "breve-band", _pi_annihilation, lambda pt: _ZERO_ROWS, 1e-12, "informational"),
     ("breve-rest-relation",
      "constructed complex bispinor at band center vs the displayed unit basis",
-     "fixed", lambda pt: np.stack([breve_u(KinematicPoint(1.0, 0.0, _ZHAT), lp, lm)
-                                   for lp, lm in _BAND_CENTER_PAIRS]),
-     lambda pt: np.stack([rest_basis(tau) for tau in (1, 2, 3, 4)]), 1e-12, "informational"),
+     "fixed", _fixed([breve_u(KinematicPoint(1.0, 0.0, _ZHAT), lp, lm)
+                      for lp, lm in _BAND_CENTER_PAIRS]),
+     _fixed([rest_basis(tau) for tau in (1, 2, 3, 4)]), 1e-12, "informational"),
     ("spinor-breve-maps",
      "the two spinor/bispinor maps through gamma5 gamma.s compose to minus one",
      "breve-band", lambda pt: _map_roundtrip(pt, expected=False),
@@ -535,15 +571,17 @@ def _per_check_seed(name: str) -> int:
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
     """The check's sample points for ints (not bools) seed >= 0 and samples >= 1 as a
-    Columns: one array, and its list, of samples rows per sampler key (no columns for a
-    "fixed" check), one draw per key, with nothing derived yet."""
+    Columns: one array (the draw itself, made read-only, not copied), and its list, of
+    samples rows per sampler key (no columns for a "fixed" check), one draw per key, with
+    nothing derived yet."""
     for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _per_check_seed(check.name)]))
-    return Columns(_SAMPLERS[check.sampler](rng, samples))
+    drawn = _SAMPLERS[check.sampler](rng, samples)
+    return Columns({key: _read_only(column) for key, column in drawn.items()})
 
 
 def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
@@ -554,8 +592,9 @@ def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
     except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
-    n = len(next(iter(columns.values()))) if columns else 1
-    if columns and diff.shape[:1] != (n,):
+    arrays = columns.arrays
+    n = len(next(iter(arrays.values()))) if arrays else 1
+    if arrays and diff.shape[:1] != (n,):
         raise ConfigurationError(
             f"check {check.name!r}: sides of shape {diff.shape} have no leading axis "
             f"of {n} samples")
@@ -594,11 +633,12 @@ def run_all(seed: int = 42, samples: int = 100,
             tolerance_override: float | None = None) -> VerificationReport:
     """Run the whole registry; deterministic in (seed, samples, override).
 
-    seed must be an int >= 0, samples an int >= 1 and an override must satisfy
-    0 < tolerance < inf.
+    seed must be an int >= 0, samples an int >= 1 and an override a real number (not a
+    bool) with 0 < tolerance < inf.
     """
-    if tolerance_override is not None and not 0 < tolerance_override < math.inf:
-        raise ValueError(f"tolerance must satisfy 0 < tolerance < inf, got {tolerance_override}")
+    t = tolerance_override
+    if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < math.inf):
+        raise ValueError(f"tolerance must be a real number with 0 < tolerance < inf, got {t!r}")
     results = []
     for check in registry():
         if tolerance_override is not None:

@@ -221,3 +221,48 @@ def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):
                               cl.times_column(g5 @ gs, breve))
         assert np.array_equal(sp.spinor_from_breve(breve, s, "v"),
                               cl.times_column(gs @ g5, breve))
+
+
+def test_energy_projector_equals_the_closed_form_entry_for_entry():
+    # the mass is added in place to the diagonal of slash(+-p); the result equals the
+    # closed form (+-pslash + m I4)/2m entry for entry (a zero entry may differ in sign)
+    def closed_form(p, m, sign):
+        m = np.asarray(m)[..., None, None]
+        if sign > 0:
+            return (cl.slash(p) + m * cl._I4) / (2.0 * m)
+        return (m * cl._I4 - cl.slash(p)) / (2.0 * m)
+
+    singles = [*_random_points(21, 5), *_random_points(22, 5, band="breve"),
+               KinematicPoint(3.0, -7.5, ZHAT)]
+    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
+                           np.array([k.nhat for k in singles]))
+    for k in (*singles, batch):
+        p = k.momentum()
+        for sign in (+1, -1):
+            got = pj._energy_projector(p, k.m, sign)
+            assert np.array_equal(got, closed_form(p, k.m, sign))
+            assert got.shape == np.shape(k.p0) + (4, 4)
+
+
+def test_energy_projector_broadcasts_one_momentum_over_a_batch_of_masses():
+    # the mass is added in place, so the momentum is broadcast to the shared batch first
+    p = np.array([1.25, 0, 0, 0.75])
+    for sign in (+1, -1):
+        got = pj.energy_projector(p, np.array([1.0, 1.0]), sign)
+        assert got.shape == (2, 4, 4)
+        assert np.array_equal(got, np.stack([pj.energy_projector(p, 1.0, sign)] * 2))
+
+
+def test_add_diagonal_adds_in_place_and_refuses_a_strided_stack():
+    x = np.arange(32, dtype=complex).reshape(2, 4, 4)
+    want = x + np.array([1.5, -2.0])[:, None, None] * np.eye(4)
+    assert pj.add_diagonal(x, np.array([1.5, -2.0])) is x
+    assert np.array_equal(x, want)
+    single = np.zeros((4, 4), dtype=complex)
+    assert np.array_equal(pj.add_diagonal(single, 0.5), 0.5 * np.eye(4))
+    # a conjugate transpose (a view, or a fresh array in its layout) is not C-contiguous:
+    # a reshape would copy it, and the add would be lost
+    dagger = np.conj(np.swapaxes(cl.slash(np.array([[2.0, 0, 0, 1], [3.0, 1, 1, 1]])), -1, -2))
+    for stack in (dagger, np.swapaxes(x, -1, -2)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            pj.add_diagonal(stack, 1.0)

@@ -271,3 +271,21 @@ def test_mass_homogeneity_at_m_two():
     kb = sp.KinematicPoint(2.0, -1.2, (0.6, 0.0, 0.8))
     assert sp.breve_u_bar(kb, -0.5, -0.5) @ sp.breve_u(kb, -0.5, -0.5) == pytest.approx(
         2.0, abs=1e-12)
+
+
+def test_cached_amplitudes_are_the_boost_factors():
+    # the half-boost amplitudes are computed once per point and shared by every
+    # constructor; they keep boost_factor's bits for a point, a batch and a negated point
+    rng = np.random.default_rng(8)
+    nhat = rng.normal(size=(6, 3))
+    nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+    points = (sp.KinematicPoint(1.0, 2.5, ZHAT), sp.KinematicPoint(2.0, 0.5, nhat[0]),
+              sp.KinematicPoint(np.ones(6), rng.uniform(-3.0, 3.0, 6), nhat))
+    for k in points:
+        for kk in (k, k.negated()):  # k's amplitudes are filled before negated() is called
+            a, b = kk._half_boosts
+            assert a.tobytes() == kk.boost_factor(+1).tobytes()
+            assert b.tobytes() == kk.boost_factor(-1).tobytes()
+            assert np.shape(a) == np.shape(b) == np.shape(kk.p0)
+            assert not a.flags.writeable and not b.flags.writeable
+            assert kk._half_boosts[0] is a

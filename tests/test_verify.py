@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bispinor import clifford as cl
 from bispinor import verify as vf
 from bispinor.spinors import KinematicPoint, boosted_spinor
 
@@ -206,6 +207,12 @@ def test_tolerance_override_monotonicity():
         vf.run_all(seed=42, samples=5, tolerance_override=-1.0)
 
 
+@pytest.mark.parametrize("bad", [True, "1e-3", float("nan")])
+def test_tolerance_override_must_be_a_positive_finite_real(bad):
+    with pytest.raises(ValueError, match="^tolerance must be a real number with 0 < "):
+        vf.run_all(seed=1, samples=1, tolerance_override=bad)
+
+
 def test_report_json_schema():
     report = vf.run_all(seed=1, samples=5)
     doc = json.loads(report.to_json())
@@ -312,6 +319,8 @@ def test_point_rows_survive_a_json_round_trip_exactly(sampler):
     for i in range(40):
         pt = vf.point(columns, i)
         assert json.loads(json.dumps(pt)) == pt
+        # cut from the arrays, the row equals the JSON view's row
+        assert pt == {key: column[i] for key, column in dict(columns).items()}
         for key, value in pt.items():
             assert type(value) in (float, int, list), key
             assert np.array_equal(np.asarray(value), columns[key][i]), key
@@ -339,6 +348,27 @@ def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
             got = rebuilt.arrays[key]
             assert rebuilt[key] == plain[key] and not got.flags.writeable, key
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+
+
+def test_columns_copy_a_writeable_array_and_keep_a_read_only_one(monkeypatch):
+    a = np.array([1.0, 2.0])
+    columns = vf.Columns({"p0": a})
+    assert a.flags.writeable
+    got = columns.arrays["p0"]
+    assert not got.flags.writeable and got.tobytes() == a.tobytes()
+    a[0] = 5.0  # the caller's array is its own
+    assert columns.arrays["p0"][0] == 1.0 and columns["p0"] == [1.0, 2.0]
+    # the sampler's fresh arrays are handed over read-only, without a copy
+    drawn, real_band = {}, vf._SAMPLERS["real-band"]
+
+    def sampler(rng, n):
+        drawn.update(real_band(rng, n))
+        return drawn
+
+    monkeypatch.setitem(vf._SAMPLERS, "real-band", sampler)
+    columns = vf.sample_points(_fixture("real-band"), seed=2, samples=5)
+    assert all(columns.arrays[key] is array for key, array in drawn.items())
+    assert not any(array.flags.writeable for array in drawn.values())
 
 
 class _ScriptedNormals:
@@ -426,3 +456,39 @@ def test_columns_encode_as_their_plain_dict_before_and_after_evaluation(sampler)
         assert columns.derived
     assert json.dumps(columns, sort_keys=True) == encoded
     assert json.dumps(dict(columns), sort_keys=True) == encoded
+
+
+# ---------------------------------------------------------------------------
+# sample-independent tables: the gamma-algebra rows gather both sides from
+# tables built once at import; each gather keeps the per-sample product's bits
+# ---------------------------------------------------------------------------
+
+def test_gamma_tables_keep_the_per_sample_products():
+    by = _by_name()
+    mu, nu = np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)  # all 16 ordered pairs
+    pairs = vf.Columns({"mu": mu, "nu": nu})
+    for name, gamma, metric in (
+            ("anticommutator-minkowski", cl.gamma, np.diag([1.0, -1, -1, -1])),
+            ("anticommutator-literal-delta", cl.gamma_lower, np.eye(4))):
+        stack = np.stack([gamma(i) for i in range(4)])
+        a, b = stack[mu], stack[nu]
+        assert by[name].lhs(pairs).tobytes() == (a @ b + b @ a).tobytes(), name
+        want_rhs = (2.0 * metric[mu, nu])[:, None, None] * np.eye(4, dtype=complex)
+        assert by[name].rhs(pairs).tobytes() == want_rhs.tobytes(), name
+        for i in range(16):  # a replayed single pair gathers one matrix
+            one = vf.Columns(vf.point(pairs, i))
+            assert by[name].lhs(one).tobytes() == (a[i] @ b[i] + b[i] @ a[i]).tobytes(), name
+    labels = np.arange(5)
+    gammas = np.stack([*(cl.gamma(i) for i in range(4)), cl.gamma5()])[labels]
+    check, pt = by["gamma-hermiticity"], vf.Columns({"mu": labels})
+    assert check.lhs(pt).tobytes() == np.conj(np.swapaxes(gammas, -1, -2)).tobytes()
+    signs = np.where(np.isin(labels, (0, 4)), 1.0, -1.0)[:, None, None]
+    assert check.rhs(pt).tobytes() == (signs * gammas).tobytes()
+
+
+def test_cycled_trace_keeps_the_bits_of_the_rolled_copy():
+    check = _by_name()["trace-cyclicity"]
+    columns = vf.sample_points(check, seed=5, samples=64)
+    three = vf._three_matrices(columns)
+    want = cl.trace(np.roll(three, 1, axis=0))[..., None]
+    assert check.rhs(columns).tobytes() == want.tobytes()
