@@ -16,9 +16,10 @@ import numpy as np
 
 from .clifford import (_GAMMA5_SLASH, _I2, _I4, _contract, check_choice, check_vectors, gamma,
                        gamma5, gamma_dot_spatial, minkowski_dot, pauli_dot, row_times, slash)
-from .spinors import (_SQRT_MAX, HELICITIES, KinematicPoint, _in_scale, _require, breve_u,
-                      breve_u_bar, check_mass, check_spin_vector, check_unit_vector, dirac_u,
-                      dirac_u_bar)
+# the band constructors are not called here, but callers resolve them as projectors.dirac_u
+from .spinors import (_SQRT_MAX, KinematicPoint, _equal_helicity_pair, _in_scale, _require,
+                      breve_u, breve_u_bar, check_mass, check_spin_vector, check_unit_vector,
+                      dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 
@@ -81,7 +82,12 @@ def _energy_projector(p, m, sign: int) -> np.ndarray:
     """energy_projector without its checks, for a momentum built from a validated point."""
     # each entry of slash is exact up to one rounding (see clifford), so slash(-p) equals
     # -slash(p) entry for entry; only the sign of a zero entry may differ
-    return add_diagonal(slash(p if sign > 0 else -p), m) / (2.0 * np.asarray(m)[..., None, None])
+    x = add_diagonal(slash(p if sign > 0 else -p), m)
+    # scaled in place by 1 / 2m through the float view, as numpy divides a complex by a
+    # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from x / 2m
+    scaled = x.view(float)
+    scaled *= np.asarray(1.0 / (2.0 * m))[..., None, None]
+    return x
 
 
 def energy_projector(p, m, sign: int) -> np.ndarray:
@@ -137,12 +143,9 @@ def polsum(kind: str, k: KinematicPoint):
     p = k.momentum()
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
-        if kind in ("spinor", "antispinor"):
-            kk = k if kind == "spinor" else k.negated()
-            col, row = dirac_u, dirac_u_bar
-        else:
-            kk, col, row = k, breve_u, breve_u_bar
-        lhs = sum(_outer(col(kk, lam, lam), row(kk, lam, lam)) for lam in HELICITIES)
+        breve = kind.startswith("breve")
+        cols, rows = _equal_helicity_pair(k.negated() if kind == "antispinor" else k, breve)
+        lhs = _outer(cols[..., 0, :], rows[..., 0, :]) + _outer(cols[..., 1, :], rows[..., 1, :])
         rhs = _energy_projector(p, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 

@@ -18,6 +18,12 @@ batch shape, and every validator checks every point of a batch.  A single
 point keeps Python floats, which round ** and math.* differently from numpy
 arrays, so code shared with batches applies neither to a point's values.
 
+Every band constructor is one formula, alpha * E + beta * (nhat @ M) with
+alpha, beta drawn from a, b and constant tables E, M, evaluated by _combine.
+The tables of the two equal-helicity states (lam, lam) also sit side by side
+as one table with a helicity axis, so that _equal_helicity_pair builds both
+states of a point, columns and rows, in one pass, for the polarization sums.
+
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
 built from an already-validated point are not validated again.
@@ -122,18 +128,34 @@ def _blocks(up, low) -> np.ndarray:
 # Constant tables indexed by the slot of a helicity label (0 for +1/2, 1 for
 # -1/2): the basis two-spinors phi, the rows sigma_i phi (i = 1..3), so that
 # (sigma.n) phi = nhat @ _SIGMA_PHI[slot], and the rows phi^+ sigma_i.  The
-# bispinor tables place them in a block: each constructor below is
-# alpha * E + beta * (nhat @ M) for tables E, M and boost amplitudes alpha, beta.
+# bispinor tables place them in a block; the breve tables are indexed
+# [slot+, slot-].  Every band constructor below is _combine's
+# alpha * E + beta * (nhat @ M), with E = table[slot] of shape (4,) and M of
+# shape (3, 4).
 _PHI = np.eye(2, dtype=complex)
 _PHI.setflags(write=False)
 _SIGMA_PHI = np.array([[pauli(i)[:, j] for i in (1, 2, 3)] for j in (0, 1)])
 _PHI_SIGMA = np.conj(_SIGMA_PHI)
-_UP_PHI = [_blocks(phi, 0) for phi in _PHI]
-_LOW_SIGMA_PHI = [_blocks(0, rows) for rows in _SIGMA_PHI]
-_LOW_PHI_SIGMA = [_blocks(0, rows) for rows in _PHI_SIGMA]
-_BREVE_PHI = [[_blocks(up, low) for low in _PHI] for up in _PHI]
-_BREVE_SIGMA_PHI = [[_blocks(up, -low) for low in _SIGMA_PHI] for up in _SIGMA_PHI]
-_BREVE_PHI_SIGMA = [[_blocks(up, -low) for low in _PHI_SIGMA] for up in _PHI_SIGMA]
+_UP_PHI = _blocks(_PHI, 0)
+_LOW_SIGMA_PHI = _blocks(0, _SIGMA_PHI)
+_LOW_PHI_SIGMA = _blocks(0, _PHI_SIGMA)
+_BREVE_PHI = _blocks(_PHI[:, None], _PHI)
+_BREVE_SIGMA_PHI = _blocks(_SIGMA_PHI[:, None], -_SIGMA_PHI)
+_BREVE_PHI_SIGMA = _blocks(_PHI_SIGMA[:, None], -_PHI_SIGMA)
+
+
+def _pair(tables) -> np.ndarray:
+    """The tables of the two helicity slots as one table with a helicity axis, E of shape
+    (2, 4) or M of shape (3, 2, 4), flattened for the matmul to (8,) or (3, 8)."""
+    return np.concatenate(tuple(tables), axis=-1)
+
+
+# Tables with a helicity axis: the equal-helicity states (lam, lam), lam = +1/2
+# then -1/2, as (E, M of the column, M of the row) for dirac_u / dirac_u_bar and
+# for breve_u / breve_u_bar.  _combine evaluates both states at once, (..., 8).
+_PAIR_DIRAC = _pair(_UP_PHI), _pair(_LOW_SIGMA_PHI), _pair(_LOW_PHI_SIGMA)
+_PAIR_BREVE = (_pair(_BREVE_PHI[(0, 1), (0, 1)]), _pair(_BREVE_SIGMA_PHI[(0, 1), (0, 1)]),
+               _pair(_BREVE_PHI_SIGMA[(0, 1), (0, 1)]))
 
 
 def _slot(lam) -> int:
@@ -226,6 +248,31 @@ def _amplitudes(k: KinematicPoint, what: str, band: str = "|p0| >= m"):
     return a[..., None], b[..., None]
 
 
+def _combine(alpha, beta, nhat, e, m) -> np.ndarray:
+    """alpha * E + beta * (nhat @ M) for amplitudes alpha, beta with a trailing axis of
+    length 1 and constant tables E of shape (d,) and M of shape (3, d): one state (d = 4,
+    or 2 for a two-spinor), or the two states of a helicity pair side by side (_pair)."""
+    return alpha * e + beta * (nhat @ m)
+
+
+def _equal_helicity_pair(k: KinematicPoint, breve: bool) -> tuple:
+    """The columns and rows of both equal-helicity states (lam, lam), lam = +1/2 then
+    -1/2, at k, each of shape (..., 2, 4), after one band check: dirac_u and dirac_u_bar
+    on |p0| >= m, or breve_u and breve_u_bar (breve) on |p0| <= m.  Each state has the
+    bits of its public constructor."""
+    if breve:
+        a, b = _amplitudes(k, "breve_u", "|p0| <= m")
+        beta_col = beta_row = 1j * b
+        e, m_col, m_row = _PAIR_BREVE
+    else:
+        a, b = _amplitudes(k, "dirac_u")
+        beta_col, beta_row = b, -b
+        e, m_col, m_row = _PAIR_DIRAC
+    shape = k.nhat.shape[:-1] + (2, 4)
+    return (_combine(a, beta_col, k.nhat, e, m_col).reshape(shape),
+            _combine(a, beta_row, k.nhat, e, m_row).reshape(shape))
+
+
 def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
     """Helicity basis spinor boosted to the point k.
 
@@ -233,7 +280,7 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
     """
     a, b = _amplitudes(k, "boosted_spinor")
     j = _slot(lam)
-    return a * _PHI[j] + (-b if dotted else b) * (k.nhat @ _SIGMA_PHI[j])
+    return _combine(a, -b if dotted else b, k.nhat, _PHI[j], _SIGMA_PHI[j])
 
 
 def parity_components(xi_undotted, xi_dotted):
@@ -246,7 +293,7 @@ def parity_components(xi_undotted, xi_dotted):
 def dirac_u(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     """Positive-parity-stack bispinor (a phi_up ; b (sigma.n) phi_low)."""
     a, b = _amplitudes(k, "dirac_u")
-    return a * _UP_PHI[_slot(lam_up)] + b * (k.nhat @ _LOW_SIGMA_PHI[_slot(lam_low)])
+    return _combine(a, b, k.nhat, _UP_PHI[_slot(lam_up)], _LOW_SIGMA_PHI[_slot(lam_low)])
 
 
 def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
@@ -259,7 +306,7 @@ def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     hold only under this continuation.
     """
     a, b = _amplitudes(k, "dirac_u_bar")
-    return a * _UP_PHI[_slot(lam_up)] + -b * (k.nhat @ _LOW_PHI_SIGMA[_slot(lam_low)])
+    return _combine(a, -b, k.nhat, _UP_PHI[_slot(lam_up)], _LOW_PHI_SIGMA[_slot(lam_low)])
 
 
 def tetrad_bispinor(k: KinematicPoint, tau) -> np.ndarray:
@@ -294,8 +341,8 @@ def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     imaginary, so both block operators are real and Hermitian.
     """
     a, b = _amplitudes(k, "breve_u", "|p0| <= m")
-    jp, jm = _slot(lam_plus), _slot(lam_minus)
-    return a * _BREVE_PHI[jp][jm] + 1j * b * (k.nhat @ _BREVE_SIGMA_PHI[jp][jm])
+    j = _slot(lam_plus), _slot(lam_minus)
+    return _combine(a, 1j * b, k.nhat, _BREVE_PHI[j], _BREVE_SIGMA_PHI[j])
 
 
 def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -308,8 +355,8 @@ def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     exactly 2 whenever lam+ = lam-.
     """
     a, b = _amplitudes(k, "breve_u_bar", "|p0| <= m")
-    jp, jm = _slot(lam_plus), _slot(lam_minus)
-    return a * _BREVE_PHI[jp][jm] + 1j * b * (k.nhat @ _BREVE_PHI_SIGMA[jp][jm])
+    j = _slot(lam_plus), _slot(lam_minus)
+    return _combine(a, 1j * b, k.nhat, _BREVE_PHI[j], _BREVE_PHI_SIGMA[j])
 
 
 def rest_basis(tau) -> np.ndarray:

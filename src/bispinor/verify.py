@@ -202,14 +202,15 @@ class Columns(dict):
     reported worst_point): one list per key as the dict items (all that json sees), plus
     ``arrays``: the columns as read-only arrays, the only thing the builders read, and
     ``derived``: the values the builders compute from the arrays, each filled on first
-    use and only read after.  A read-only array is kept as it is; any other column is
-    copied, so the caller's own arrays stay writeable."""
+    use and only read after.  An array is kept as it is only when neither it nor an array
+    it views can be written; any other column is copied, so the caller's own arrays stay
+    writeable and cannot change the columns."""
 
     __slots__ = ("arrays", "derived")
 
     def __init__(self, columns: dict):
         arrays = {key: np.asarray(column) for key, column in columns.items()}
-        self.arrays = {key: a if not a.flags.writeable else _read_only(a.copy())
+        self.arrays = {key: a if _frozen(a) else _read_only(a.copy())
                        for key, a in arrays.items()}
         super().__init__((key, array.tolist()) for key, array in self.arrays.items())
         self.derived = {}
@@ -228,8 +229,23 @@ def point(columns: Columns, i: int) -> dict:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+    """a, made read-only together with every array it views (a fresh draw that a sampler
+    split into columns, say)."""
+    b = a
+    while isinstance(b, np.ndarray):
+        b.setflags(write=False)
+        b = b.base
     return a
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether neither a nor any array it views can be written (a view of a buffer that
+    is not an array counts as writeable)."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def _kin(pt: Columns) -> KinematicPoint:
@@ -571,9 +587,9 @@ def _per_check_seed(name: str) -> int:
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
     """The check's sample points for ints (not bools) seed >= 0 and samples >= 1 as a
-    Columns: one array (the draw itself, made read-only, not copied), and its list, of
-    samples rows per sampler key (no columns for a "fixed" check), one draw per key, with
-    nothing derived yet."""
+    Columns: one array (the draw itself, made read-only together with the one draw a
+    sampler may split into columns, not copied), and its list, of samples rows per sampler
+    key (no columns for a "fixed" check), one draw per key, with nothing derived yet."""
     for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")

@@ -191,10 +191,22 @@ def test_polsum_breve_kinds_return_both_sides():
 
 
 def test_polsum_region_and_kind_errors():
-    with pytest.raises(RegionError):
-        pj.polsum("spinor", KinematicPoint(1.0, 0.5, ZHAT))
-    with pytest.raises(RegionError):
-        pj.polsum("breve-plus", KinematicPoint(1.0, 2.0, ZHAT))
+    # off its band, polsum raises its column constructor's RegionError, for a point and
+    # at the first failing point of a batch; the antispinor names the negated energy
+    cases = (("spinor", 0.5, "dirac_u needs |p0| >= m (got p0=0.5, m=1.0); use breve_u / "
+                             "breve_u_bar on the |p0| <= m band"),
+             ("antispinor", 0.5, "dirac_u needs |p0| >= m (got p0=-0.5, m=1.0); use breve_u / "
+                                 "breve_u_bar on the |p0| <= m band"),
+             ("breve-plus", 2.0, "breve_u needs |p0| <= m (got p0=2.0, m=1.0); use the "
+                                 "real-band constructors (boosted_spinor, dirac_u, ...)"),
+             ("breve-minus", -2.0, "breve_u needs |p0| <= m (got p0=-2.0, m=1.0); use the "
+                                   "real-band constructors (boosted_spinor, dirac_u, ...)"))
+    for kind, p0, text in cases:
+        for k in (KinematicPoint(1.0, p0, ZHAT),
+                  KinematicPoint(np.ones(3), np.array([1.0, p0, 0.0 if p0 > 1 else 3.0]), ZHAT)):
+            with pytest.raises(RegionError) as got:
+                pj.polsum(kind, k)
+            assert str(got.value) == text
     with pytest.raises(ValueError):
         pj.polsum("vector", KinematicPoint(1.0, 2.0, ZHAT))
 
@@ -266,3 +278,21 @@ def test_add_diagonal_adds_in_place_and_refuses_a_strided_stack():
     for stack in (dagger, np.swapaxes(x, -1, -2)):
         with pytest.raises(ValueError, match="C-contiguous"):
             pj.add_diagonal(stack, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["spinor", "antispinor", "breve-plus", "breve-minus"])
+def test_polsum_of_a_point_equals_its_batch_row_bit_for_bit(kind):
+    # points and batches take one path, the band edges included
+    band = "breve" if kind.startswith("breve") else "real"
+    singles = [*_random_points(31, 6, band=band),
+               *((KinematicPoint(2.0, p0, ZHAT) for p0 in (-2.0, 0.0, 2.0)) if band == "breve"
+                 else (KinematicPoint(2.0, 2.0, ZHAT), KinematicPoint(0.5, -0.75, ZHAT)))]
+    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
+                           np.array([k.nhat for k in singles]))
+    lhs, rhs = pj.polsum(kind, batch)
+    assert lhs.shape == rhs.shape == (len(singles), 4, 4)
+    for i, k in enumerate(singles):
+        one_lhs, one_rhs = pj.polsum(kind, k)
+        assert one_lhs.tobytes() == lhs[i].tobytes()
+        assert one_rhs.tobytes() == rhs[i].tobytes()
+

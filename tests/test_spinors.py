@@ -289,3 +289,30 @@ def test_cached_amplitudes_are_the_boost_factors():
             assert np.shape(a) == np.shape(b) == np.shape(kk.p0)
             assert not a.flags.writeable and not b.flags.writeable
             assert kk._half_boosts[0] is a
+
+
+def _band_points(breve: bool):
+    """Single points and one batch of them on a band, the band edges included: p0 = +-m
+    and p0 = 0 on the breve band; p0 = m and the negated() points on the real band."""
+    rng = np.random.default_rng(12)
+    m = np.exp(rng.uniform(-2.0, 2.0, 8))
+    ratio = rng.uniform(-1.0, 1.0, 8) if breve else np.exp(rng.uniform(0.0, 3.0, 8))
+    ratio[:3] = (1.0, -1.0, 0.0) if breve else (1.0, 1.0, 1.0)
+    nhat = rng.normal(size=(8, 3))
+    nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+    singles = [sp.KinematicPoint(float(mi), float(mi * r), n) for mi, r, n in zip(m, ratio, nhat)]
+    points = [*singles, sp.KinematicPoint(m, m * ratio, nhat)]
+    return points if breve else [*points, *(k.negated() for k in points)]
+
+
+@pytest.mark.parametrize("breve", [False, True])
+def test_equal_helicity_pair_equals_the_stacked_public_constructors(breve):
+    # both states of a pair, columns and rows, have their public constructor's bits
+    col, row = (sp.breve_u, sp.breve_u_bar) if breve else (sp.dirac_u, sp.dirac_u_bar)
+    for k in _band_points(breve):
+        cols, rows = sp._equal_helicity_pair(k, breve)
+        for got, make in ((cols, col), (rows, row)):
+            want = np.stack([make(k, lam, lam) for lam in sp.HELICITIES], axis=-2)
+            assert got.shape == want.shape == np.shape(k.p0) + (2, 4)
+            assert got.tobytes() == want.tobytes()
+

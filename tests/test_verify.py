@@ -358,17 +358,37 @@ def test_columns_copy_a_writeable_array_and_keep_a_read_only_one(monkeypatch):
     assert not got.flags.writeable and got.tobytes() == a.tobytes()
     a[0] = 5.0  # the caller's array is its own
     assert columns.arrays["p0"][0] == 1.0 and columns["p0"] == [1.0, 2.0]
-    # the sampler's fresh arrays are handed over read-only, without a copy
-    drawn, real_band = {}, vf._SAMPLERS["real-band"]
+    # a read-only view of a writeable array is copied too: a write through the array it
+    # views must not reach the columns, their lists or a replayed row
+    a = np.array([1.0, 2.0])
+    view = a.view()
+    view.setflags(write=False)
+    columns = vf.Columns({"p0": view})
+    a[0] = 5.0
+    assert columns.arrays["p0"].tolist() == columns["p0"] == [1.0, 2.0]
+    assert vf.point(columns, 0) == {"p0": 1.0}
+    # an array that owns its data, or views only read-only arrays, is kept as it is
+    frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
+    frozen.setflags(write=False)
+    for kept in (frozen, frozen[1]):
+        assert vf.Columns({"p0": kept}).arrays["p0"] is kept
+    # the sampler's fresh arrays are handed over read-only, without a copy, also when a
+    # sampler splits one draw into two columns; the draw itself is made read-only
+    for name in ("real-band", "matrices", "spinor4"):
+        drawn, draw = {}, vf._SAMPLERS[name]
 
-    def sampler(rng, n):
-        drawn.update(real_band(rng, n))
-        return drawn
+        def sampler(rng, n, draw=draw, drawn=drawn):
+            drawn.update(draw(rng, n))
+            return drawn
 
-    monkeypatch.setitem(vf._SAMPLERS, "real-band", sampler)
-    columns = vf.sample_points(_fixture("real-band"), seed=2, samples=5)
-    assert all(columns.arrays[key] is array for key, array in drawn.items())
-    assert not any(array.flags.writeable for array in drawn.values())
+        monkeypatch.setitem(vf._SAMPLERS, name, sampler)
+        columns = vf.sample_points(_fixture(name), seed=2, samples=5)
+        assert all(columns.arrays[key] is array for key, array in drawn.items()), name
+        for array in drawn.values():
+            assert not array.flags.writeable, name
+            assert array.base is None or not array.base.flags.writeable, name
+        if name != "real-band":
+            assert all(array.base is not None for array in drawn.values()), name
 
 
 class _ScriptedNormals:
