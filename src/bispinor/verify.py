@@ -25,9 +25,9 @@ products, daggers and metric terms) are tables built at import and indexed
 by the sampled labels.  Builders read only Columns.arrays, the
 columns as read-only arrays, and Columns keeps what both sides derive from
 them (the KinematicPoint, a row's common evaluation), so each is computed
-once per Columns.  residuals and worst_point rows read the arrays as well;
-the dict items, one list per key, are only the JSON view that a traced
-benchmark run encodes.
+once per Columns.  residuals and worst_point rows read the arrays as well.
+A Columns is a dict with no items, so it encodes as {} wherever a builder
+argument is JSON-encoded (a traced benchmark run encodes each one).
 
 The JSON report is the report dataclasses field for field, written by the
 stdlib encoder: every float in its shortest round-trip repr, so each value
@@ -163,8 +163,7 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # samplers: each draws all n points of a check as numpy columns, one call per
 # key; sample_points hands them on in a Columns, as the read-only arrays the
-# builders read and as lists of plain values, the JSON view of every builder
-# argument
+# builders read
 # ---------------------------------------------------------------------------
 
 def _unit_rows(rng, n: int) -> np.ndarray:
@@ -198,21 +197,22 @@ _SAMPLERS = {
 
 
 class Columns(dict):
-    """A check's sample columns, from any mapping of columns (a sampler's draw, or a
-    reported worst_point): one list per key as the dict items (all that json sees), plus
-    ``arrays``: the columns as read-only arrays, the only thing the builders read, and
-    ``derived``: the values the builders compute from the arrays, each filled on first
-    use and only read after.  An array is kept as it is only when neither it nor an array
-    it views can be written; any other column is copied, so the caller's own arrays stay
-    writeable and cannot change the columns."""
+    """A check's sample columns, from any mapping of columns (a sampler's draw, a
+    reported worst_point, or another Columns, whose arrays it reads): ``arrays``, the
+    columns as read-only arrays, the only thing the builders read, and ``derived``, the
+    values the builders compute from the arrays, each filled on first use and only read
+    after.  An array is kept as it is only when neither it nor an array it views can be
+    written; any other column is copied, so the caller's own arrays stay writeable and
+    cannot change the columns.  The dict itself stays empty, so json encodes it as {}."""
 
     __slots__ = ("arrays", "derived")
 
     def __init__(self, columns: dict):
+        if isinstance(columns, Columns):
+            columns = columns.arrays
         arrays = {key: np.asarray(column) for key, column in columns.items()}
         self.arrays = {key: a if _frozen(a) else _read_only(a.copy())
                        for key, a in arrays.items()}
-        super().__init__((key, array.tolist()) for key, array in self.arrays.items())
         self.derived = {}
 
 
@@ -587,9 +587,9 @@ def _per_check_seed(name: str) -> int:
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
     """The check's sample points for ints (not bools) seed >= 0 and samples >= 1 as a
-    Columns: one array (the draw itself, made read-only together with the one draw a
-    sampler may split into columns, not copied), and its list, of samples rows per sampler
-    key (no columns for a "fixed" check), one draw per key, with nothing derived yet."""
+    Columns: one array of samples rows per sampler key (no columns for a "fixed" check),
+    one draw per key, made read-only together with the one draw a sampler may split into
+    columns and not copied, with nothing derived yet."""
     for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")

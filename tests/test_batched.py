@@ -99,7 +99,7 @@ def test_registry_is_built_once():
 
 def _nan_fixture(every_sample: bool):
     def lhs(pt):
-        x = np.asarray(pt["nhat"])[..., :1]
+        x = pt.arrays["nhat"][..., :1]
         return np.full_like(x, np.nan) if every_sample else np.where(x > 0, np.nan, 0.0)
     return vf.IdentityCheck(
         name="nan-fixture", paper_ref="non-finite residual fixture", sampler="sphere",
@@ -111,7 +111,7 @@ def test_non_finite_residual_fails_closed(every_sample):
     with pytest.raises(vf.ConfigurationError, match="nan-fixture.*non-finite residual") as err:
         vf.run_check(_nan_fixture(every_sample), seed=1, samples=50)
     first = vf.sample_points(_nan_fixture(every_sample), 1, 50)
-    i = 0 if every_sample else next(i for i in range(50) if first["nhat"][i][0] > 0)
+    i = 0 if every_sample else next(i for i in range(50) if first.arrays["nhat"][i, 0] > 0)
     assert f"sample {i}, point {vf.point(first, i)}" in str(err.value)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_configuration_error_names_the_check():
         paper_ref="sampler/builder mismatch fixture",
         sampler="breve-band",
         lhs=lambda pt: boosted_spinor(
-            KinematicPoint(pt["m"], pt["p0"], tuple(pt["nhat"])), 0.5),
+            KinematicPoint(pt.arrays["m"], pt.arrays["p0"], pt.arrays["nhat"]), 0.5),
         rhs=lambda pt: np.zeros(2),
         tolerance=1e-12,
         expected_status="holds",
@@ -269,12 +270,14 @@ def _fixture(sampler: str, name: str = "sampler-contract"):
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
 def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
     assert set(SAMPLER_KEYS) == set(vf._SAMPLERS)
-    lists = vf.sample_points(_fixture(sampler), seed=5, samples=n)
-    assert list(lists) == SAMPLER_KEYS[sampler]
-    assert all(type(column) is list and len(column) == n for column in lists.values())
-    columns = {key: np.asarray(column) for key, column in lists.items()}
+    drawn = vf.sample_points(_fixture(sampler), seed=5, samples=n)
+    assert list(drawn) == [] and drawn.derived == {}
+    columns = drawn.arrays
+    assert list(columns) == SAMPLER_KEYS[sampler]
     for key, column in columns.items():
+        assert type(column) is np.ndarray and not column.flags.writeable, key
         assert column.shape == (n,) + ROW_SHAPES[key], key
+        assert column.dtype.kind == ("i" if key in ("mu", "nu") else "f"), key
         assert np.isfinite(column).all(), key
     if "nhat" in columns:
         nhat = columns["nhat"]
@@ -295,8 +298,8 @@ def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
             assert np.all((columns[key] >= -0.5) & (columns[key] < 0.5))
 
 
-def _bits(columns: dict) -> dict:
-    return {key: np.asarray(column).tobytes() for key, column in columns.items()}
+def _bits(columns: vf.Columns) -> dict:
+    return {key: array.tobytes() for key, array in columns.arrays.items()}
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
@@ -319,11 +322,11 @@ def test_point_rows_survive_a_json_round_trip_exactly(sampler):
     for i in range(40):
         pt = vf.point(columns, i)
         assert json.loads(json.dumps(pt)) == pt
-        # cut from the arrays, the row equals the JSON view's row
-        assert pt == {key: column[i] for key, column in dict(columns).items()}
+        # cut from the arrays, the row equals the row of the whole columns' plain lists
+        assert pt == {key: array.tolist()[i] for key, array in columns.arrays.items()}
         for key, value in pt.items():
             assert type(value) in (float, int, list), key
-            assert np.array_equal(np.asarray(value), columns[key][i]), key
+            assert np.array_equal(np.asarray(value), columns.arrays[key][i]), key
     report = vf.run_all(seed=3, samples=40)
     for row, result in zip(json.loads(report.to_json())["checks"], report.checks):
         assert row["worst_point"] == result.worst_point
@@ -335,18 +338,18 @@ def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
     columns = vf.sample_points(check, seed=6, samples=50)
     rng = np.random.default_rng(np.random.SeedSequence([6, vf._per_check_seed(check.name)]))
     drawn = vf._SAMPLERS[sampler](rng, 50)
-    assert list(columns.arrays) == list(columns) == list(drawn)
+    assert list(columns.arrays) == list(drawn) and list(columns) == []
+    lists = {key: array.tolist() for key, array in columns.arrays.items()}
     for key, array in columns.arrays.items():
         assert not array.flags.writeable, key
         assert array.dtype == drawn[key].dtype, key
         assert array.tobytes() == drawn[key].tobytes(), key
-        assert array.tolist() == columns[key], key
-        assert np.array(columns[key]).tobytes() == array.tobytes(), key
+        assert np.array(lists[key]).tobytes() == array.tobytes(), key
         # the Columns of a plain dict (the lists, or one replayed row) holds the same bits
-        for plain, want in ((dict(columns), array), (vf.point(columns, 3), array[3])):
+        for plain, want in ((lists, array), (vf.point(columns, 3), array[3])):
             rebuilt = vf.Columns(plain)
             got = rebuilt.arrays[key]
-            assert rebuilt[key] == plain[key] and not got.flags.writeable, key
+            assert got.tolist() == plain[key] and not got.flags.writeable, key
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
 
 
@@ -357,15 +360,15 @@ def test_columns_copy_a_writeable_array_and_keep_a_read_only_one(monkeypatch):
     got = columns.arrays["p0"]
     assert not got.flags.writeable and got.tobytes() == a.tobytes()
     a[0] = 5.0  # the caller's array is its own
-    assert columns.arrays["p0"][0] == 1.0 and columns["p0"] == [1.0, 2.0]
+    assert columns.arrays["p0"].tolist() == [1.0, 2.0]
     # a read-only view of a writeable array is copied too: a write through the array it
-    # views must not reach the columns, their lists or a replayed row
+    # views must not reach the columns or a replayed row
     a = np.array([1.0, 2.0])
     view = a.view()
     view.setflags(write=False)
     columns = vf.Columns({"p0": view})
     a[0] = 5.0
-    assert columns.arrays["p0"].tolist() == columns["p0"] == [1.0, 2.0]
+    assert columns.arrays["p0"].tolist() == [1.0, 2.0]
     assert vf.point(columns, 0) == {"p0": 1.0}
     # an array that owns its data, or views only read-only arrays, is kept as it is
     frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -426,7 +429,7 @@ def test_shared_evaluation_changes_no_bit(seed, samples):
     for check in vf.registry():
         columns = vf.sample_points(check, seed, samples)
         assert type(columns) is vf.Columns and columns.derived == {}
-        plain = vf.Columns(dict(columns))
+        plain = vf.Columns(columns.arrays)
         lhs, rhs = _side_bits(check.lhs, columns), _side_bits(check.rhs, columns)
         assert lhs == _side_bits(check.lhs, plain), check.name
         assert rhs == _side_bits(check.rhs, plain), check.name
@@ -464,18 +467,45 @@ def test_each_check_computes_its_shared_values_once(monkeypatch):
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
 def test_columns_encode_as_their_plain_dict_before_and_after_evaluation(sampler):
+    # a builder argument must stay JSON-encodable: a traced benchmark run encodes each
+    # one; a Columns has no dict items, so it encodes as {}
     check = next(c for c in vf.registry() if c.sampler == sampler)
     columns = vf.sample_points(check, seed=4, samples=16)
-    encoded = json.dumps(dict(columns), sort_keys=True)
-    assert json.dumps(columns, sort_keys=True) == encoded
+    assert json.dumps(columns, sort_keys=True) == "{}"
     check.lhs(columns)
     check.rhs(columns)
     # builders read the sampler's arrays as they are; only a row that derives a value
     # (a KinematicPoint, a complex array) fills derived, which json never sees
     if sampler not in ("index-pair", "gamma-label", "sphere", "fixed"):
         assert columns.derived
-    assert json.dumps(columns, sort_keys=True) == encoded
-    assert json.dumps(dict(columns), sort_keys=True) == encoded
+    assert json.dumps(columns, sort_keys=True) == "{}"
+    assert dict(columns) == {}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
+def test_columns_of_a_columns_keep_its_arrays(sampler):
+    check = next(c for c in vf.registry() if c.sampler == sampler)
+    columns = vf.sample_points(check, seed=4, samples=16)
+    check.lhs(columns)
+    rebuilt = vf.Columns(columns)
+    assert rebuilt.derived == {}
+    assert list(rebuilt.arrays) == list(columns.arrays)
+    for key, array in columns.arrays.items():
+        assert rebuilt.arrays[key].tobytes() == array.tobytes(), key
+    assert _side_bits(check.lhs, rebuilt) == _side_bits(check.lhs, columns)
+
+
+def test_sampling_builds_no_per_sample_python_objects():
+    check, n = _fixture("matrices"), 20_000
+    tracemalloc.start()
+    try:
+        columns = vf.sample_points(check, seed=1, samples=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(array.nbytes for array in columns.arrays.values())
+    assert nbytes == 2 * n * 48 * 8
+    assert peak < 1.5 * nbytes
 
 
 # ---------------------------------------------------------------------------
