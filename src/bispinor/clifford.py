@@ -61,8 +61,9 @@ def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
 
 
 def check_choice(what: str, value, options: tuple) -> int:
-    """The position of value in options, which must hold it."""
-    if value in options:
+    """The position of value in options, which must hold it.  A bool is refused: it
+    would match 1 or 0 as an equal number."""
+    if not isinstance(value, (bool, np.bool_)) and value in options:
         return options.index(value)
     raise ValueError(f"{what} must be one of {options}, got {value!r}")
 

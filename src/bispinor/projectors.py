@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import (_GAMMA5_SLASH, _I2, _I4, _contract, check_choice, check_vectors, gamma,
-                       gamma5, gamma_dot_spatial, minkowski_dot, pauli_dot, row_times, slash)
+                       gamma5, minkowski_dot, pauli_dot, row_times, slash)
 # the band constructors are not called here, but callers resolve them as projectors.dirac_u
-from .spinors import (_SQRT_MAX, KinematicPoint, _equal_helicity_pair, _in_scale, _require,
-                      breve_u, breve_u_bar, check_mass, check_spin_vector, check_unit_vector,
-                      dirac_u, dirac_u_bar)
+from .spinors import (_SQRT_MAX, KinematicPoint, _in_scale, _require, _state, breve_u,
+                      breve_u_bar, check_bispinor, check_mass, check_spin_vector,
+                      check_unit_vector, dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 
@@ -103,7 +103,7 @@ def diad(phi, insert: str) -> np.ndarray:
     insert is "gamma0" or "gamma5"; the gamma0 case reproduces the usual
     u ubar outer product.
     """
-    phi = check_vectors(phi, 4, "bispinor")
+    phi = check_bispinor(phi)
     use_gamma0 = check_choice("insert", insert, ("gamma0", "gamma5")) == 0
     return _outer(phi, row_times(np.conj(phi), gamma(0) if use_gamma0 else gamma5()))
 
@@ -143,9 +143,11 @@ def polsum(kind: str, k: KinematicPoint):
     p = k.momentum()
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
-        breve = kind.startswith("breve")
-        cols, rows = _equal_helicity_pair(k.negated() if kind == "antispinor" else k, breve)
-        lhs = _outer(cols[..., 0, :], rows[..., 0, :]) + _outer(cols[..., 1, :], rows[..., 1, :])
+        # the columns u(+1/2), u(-1/2), then the rows ubar(+1/2), ubar(-1/2), in one pass
+        name = "breve_u" if kind.startswith("breve") else "dirac_u"
+        pair = _state(k.negated() if kind == "antispinor" else k, name, "pair")
+        u = pair.reshape(pair.shape[:-1] + (4, 4))
+        lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])
         rhs = _energy_projector(p, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 

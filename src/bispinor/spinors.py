@@ -18,11 +18,13 @@ batch shape, and every validator checks every point of a batch.  A single
 point keeps Python floats, which round ** and math.* differently from numpy
 arrays, so code shared with batches applies neither to a point's values.
 
-Every band constructor is one formula, alpha * E + beta * (nhat @ M) with
-alpha, beta drawn from a, b and constant tables E, M, evaluated by _combine.
-The tables of the two equal-helicity states (lam, lam) also sit side by side
-as one table with a helicity axis, so that _equal_helicity_pair builds both
-states of a point, columns and rows, in one pass, for the polarization sums.
+Every band constructor is one formula, a * E + b * (nhat @ M), evaluated by
+_state from the point's cached a, b and one pair of constant tables (E, M)
+that _TABLES holds per constructor name and labels.  A constructor's signs
+and phases sit in its tables: -M for the dotted two-spinor and for the row
+dirac_u_bar, i M for the breve states, a zero E or M for the tetrad.  One more
+entry of dirac_u and of breve_u holds both equal-helicity states (lam, lam),
+columns then rows, side by side, so that polsum builds all four in one pass.
 
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
@@ -104,6 +106,13 @@ def check_spin_vector(s) -> np.ndarray:
     return s
 
 
+def check_bispinor(u) -> np.ndarray:
+    """u as a complex array of shape (..., 4), each component finite."""
+    u = check_vectors(u, 4, "bispinor")
+    _require(np.isfinite(u).all(axis=-1), "bispinor must be finite, got {}", u)
+    return u
+
+
 _BAND_HINTS = {
     "|p0| >= m": "; use breve_u / breve_u_bar on the |p0| <= m band",
     "|p0| <= m": "; use the real-band constructors (boosted_spinor, dirac_u, ...)",
@@ -125,37 +134,55 @@ def _blocks(up, low) -> np.ndarray:
     return np.concatenate(np.broadcast_arrays(up, low), axis=-1).astype(complex)
 
 
-# Constant tables indexed by the slot of a helicity label (0 for +1/2, 1 for
-# -1/2): the basis two-spinors phi, the rows sigma_i phi (i = 1..3), so that
-# (sigma.n) phi = nhat @ _SIGMA_PHI[slot], and the rows phi^+ sigma_i.  The
-# bispinor tables place them in a block; the breve tables are indexed
-# [slot+, slot-].  Every band constructor below is _combine's
-# alpha * E + beta * (nhat @ M), with E = table[slot] of shape (4,) and M of
-# shape (3, 4).
+# The basis two-spinors phi and, per helicity slot (0 for +1/2, 1 for -1/2), the rows
+# sigma_i phi (i = 1..3), so that (sigma.n) phi = nhat @ _SIGMA_PHI[slot], and the rows
+# phi^+ sigma_i.  The tables below place them in blocks.
 _PHI = np.eye(2, dtype=complex)
 _PHI.setflags(write=False)
 _SIGMA_PHI = np.array([[pauli(i)[:, j] for i in (1, 2, 3)] for j in (0, 1)])
 _PHI_SIGMA = np.conj(_SIGMA_PHI)
-_UP_PHI = _blocks(_PHI, 0)
-_LOW_SIGMA_PHI = _blocks(0, _SIGMA_PHI)
-_LOW_PHI_SIGMA = _blocks(0, _PHI_SIGMA)
-_BREVE_PHI = _blocks(_PHI[:, None], _PHI)
-_BREVE_SIGMA_PHI = _blocks(_SIGMA_PHI[:, None], -_SIGMA_PHI)
-_BREVE_PHI_SIGMA = _blocks(_PHI_SIGMA[:, None], -_PHI_SIGMA)
+_SLOT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pair(tables) -> np.ndarray:
-    """The tables of the two helicity slots as one table with a helicity axis, E of shape
-    (2, 4) or M of shape (3, 2, 4), flattened for the matmul to (8,) or (3, 8)."""
-    return np.concatenate(tuple(tables), axis=-1)
+def _dirac(up, low, row=False) -> tuple:
+    """(E, M) of dirac_u, (a phi_up ; b (sigma.n) phi_low), or with ``row`` of
+    dirac_u_bar, (a phi_up^+ | -b phi_low^+ (sigma.n))."""
+    return _blocks(_PHI[up], 0), _blocks(0, -_PHI_SIGMA[low] if row else _SIGMA_PHI[low])
 
 
-# Tables with a helicity axis: the equal-helicity states (lam, lam), lam = +1/2
-# then -1/2, as (E, M of the column, M of the row) for dirac_u / dirac_u_bar and
-# for breve_u / breve_u_bar.  _combine evaluates both states at once, (..., 8).
-_PAIR_DIRAC = _pair(_UP_PHI), _pair(_LOW_SIGMA_PHI), _pair(_LOW_PHI_SIGMA)
-_PAIR_BREVE = (_pair(_BREVE_PHI[(0, 1), (0, 1)]), _pair(_BREVE_SIGMA_PHI[(0, 1), (0, 1)]),
-               _pair(_BREVE_PHI_SIGMA[(0, 1), (0, 1)]))
+def _breve(plus, minus, row=False) -> tuple:
+    """(E, M) of breve_u, ([a + i b (sigma.n)] phi_plus ; [a - i b (sigma.n)] phi_minus),
+    or with ``row`` of breve_u_bar, the same with the rows phi^+ sigma_i."""
+    s = _PHI_SIGMA if row else _SIGMA_PHI
+    return _blocks(_PHI[plus], _PHI[minus]), 1j * _blocks(s[plus], -s[minus])
+
+
+def _tetrad(i) -> tuple:
+    """(E, M) of tetrad column i: a phi in the upper block for i = 0, 1, b (sigma.n) phi
+    in the lower block for i = 2, 3, phi = +1/2 then -1/2."""
+    e, m = _dirac(i % 2, i % 2)
+    return (e, np.zeros_like(m)) if i < 2 else (np.zeros_like(e), m)
+
+
+def _pair(make) -> tuple:
+    """(E, M) of both equal-helicity states (lam, lam), lam = +1/2 then -1/2, columns
+    then rows, side by side: a state of width 16, read as the four states' (4, 4)."""
+    parts = [make(j, j, row) for row in (False, True) for j in (0, 1)]
+    return tuple(np.concatenate(tables, axis=-1) for tables in zip(*parts))
+
+
+_REAL_BAND, _BREVE_BAND = "|p0| >= m", "|p0| <= m"
+# constructor name -> (its band, {labels: (E, M)}); the labels are helicity slots, a
+# dotted flag or a tetrad slot, or "pair" for the equal-helicity pair of its band
+_TABLES = {
+    "boosted_spinor": (_REAL_BAND, {(j, d): (_PHI[j], -_SIGMA_PHI[j] if d else _SIGMA_PHI[j])
+                                    for j in (0, 1) for d in (False, True)}),
+    "dirac_u": (_REAL_BAND, {**{j: _dirac(*j) for j in _SLOT_PAIRS}, "pair": _pair(_dirac)}),
+    "dirac_u_bar": (_REAL_BAND, {j: _dirac(*j, row=True) for j in _SLOT_PAIRS}),
+    "tetrad_bispinor": (_REAL_BAND, {(i,): _tetrad(i) for i in range(4)}),
+    "breve_u": (_BREVE_BAND, {**{j: _breve(*j) for j in _SLOT_PAIRS}, "pair": _pair(_breve)}),
+    "breve_u_bar": (_BREVE_BAND, {j: _breve(*j, row=True) for j in _SLOT_PAIRS}),
+}
 
 
 def _slot(lam) -> int:
@@ -238,39 +265,15 @@ class KinematicPoint:
         return k
 
 
-def _amplitudes(k: KinematicPoint, what: str, band: str = "|p0| >= m"):
-    """The half-boost amplitudes a, b of k, each with a trailing axis of length 1.
-
-    Raises RegionError naming ``what`` if a point lies outside ``band``.
-    """
-    check_band(what, k.p0, k.m, band)
+def _state(k: KinematicPoint, name: str, labels) -> np.ndarray:
+    """a * E + b * (nhat @ M) at k for the tables (E, M) of constructor ``name`` at
+    ``labels``: one state, or the (..., 16) of a pair.  Raises RegionError naming
+    ``name`` if a point lies outside its band."""
+    band, tables = _TABLES[name]
+    check_band(name, k.p0, k.m, band)
+    e, m = tables[labels]
     a, b = k._half_boosts
-    return a[..., None], b[..., None]
-
-
-def _combine(alpha, beta, nhat, e, m) -> np.ndarray:
-    """alpha * E + beta * (nhat @ M) for amplitudes alpha, beta with a trailing axis of
-    length 1 and constant tables E of shape (d,) and M of shape (3, d): one state (d = 4,
-    or 2 for a two-spinor), or the two states of a helicity pair side by side (_pair)."""
-    return alpha * e + beta * (nhat @ m)
-
-
-def _equal_helicity_pair(k: KinematicPoint, breve: bool) -> tuple:
-    """The columns and rows of both equal-helicity states (lam, lam), lam = +1/2 then
-    -1/2, at k, each of shape (..., 2, 4), after one band check: dirac_u and dirac_u_bar
-    on |p0| >= m, or breve_u and breve_u_bar (breve) on |p0| <= m.  Each state has the
-    bits of its public constructor."""
-    if breve:
-        a, b = _amplitudes(k, "breve_u", "|p0| <= m")
-        beta_col = beta_row = 1j * b
-        e, m_col, m_row = _PAIR_BREVE
-    else:
-        a, b = _amplitudes(k, "dirac_u")
-        beta_col, beta_row = b, -b
-        e, m_col, m_row = _PAIR_DIRAC
-    shape = k.nhat.shape[:-1] + (2, 4)
-    return (_combine(a, beta_col, k.nhat, e, m_col).reshape(shape),
-            _combine(a, beta_row, k.nhat, e, m_row).reshape(shape))
+    return a[..., None] * e + b[..., None] * (k.nhat @ m)
 
 
 def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
@@ -278,9 +281,7 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
 
     Undotted: [a + (sigma.n) b] phi_lam;  dotted: [a - (sigma.n) b] phi_lam.
     """
-    a, b = _amplitudes(k, "boosted_spinor")
-    j = _slot(lam)
-    return _combine(a, -b if dotted else b, k.nhat, _PHI[j], _SIGMA_PHI[j])
+    return _state(k, "boosted_spinor", (_slot(lam), bool(dotted)))
 
 
 def parity_components(xi_undotted, xi_dotted):
@@ -292,8 +293,7 @@ def parity_components(xi_undotted, xi_dotted):
 
 def dirac_u(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     """Positive-parity-stack bispinor (a phi_up ; b (sigma.n) phi_low)."""
-    a, b = _amplitudes(k, "dirac_u")
-    return _combine(a, b, k.nhat, _UP_PHI[_slot(lam_up)], _LOW_SIGMA_PHI[_slot(lam_low)])
+    return _state(k, "dirac_u", (_slot(lam_up), _slot(lam_low)))
 
 
 def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
@@ -305,32 +305,27 @@ def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     amplitudes a, b enter unconjugated.  The polarization-sum closed forms
     hold only under this continuation.
     """
-    a, b = _amplitudes(k, "dirac_u_bar")
-    return _combine(a, -b, k.nhat, _UP_PHI[_slot(lam_up)], _LOW_PHI_SIGMA[_slot(lam_low)])
+    return _state(k, "dirac_u_bar", (_slot(lam_up), _slot(lam_low)))
 
 
 def tetrad_bispinor(k: KinematicPoint, tau) -> np.ndarray:
     """Tetrad basis column: tau 1,2 carry a phi in the upper block,
     tau 3,4 carry b (sigma.n) phi in the lower block (phi = +1/2, -1/2)."""
-    i = check_choice("tetrad index", tau, _TETRAD)
-    a, b = _amplitudes(k, "tetrad_bispinor")
-    if i < 2:
-        return a * _UP_PHI[i % 2]
-    return b * (k.nhat @ _LOW_SIGMA_PHI[i % 2])
+    return _state(k, "tetrad_bispinor", (check_choice("tetrad index", tau, _TETRAD),))
 
 
 def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
-    """Antisymmetric partner basis, imaginary at threshold.
+    """Antisymmetric partner basis, imaginary at threshold: sign * tetrad_bispinor at
+    the negated point.
 
-    tau 1,2: (+-i) b phi in the upper block; tau 3,4: (+-i) a (sigma.n) phi
-    in the lower block.  The overall +-i is the explicit sign argument.
+    On p0 >= m the negated point's amplitudes are i b and i a, so tau 1,2 carry
+    (+-i) b phi in the upper block and tau 3,4 carry (+-i) a (sigma.n) phi in the
+    lower block; the overall +-i is the explicit sign argument.  On p0 <= -m they are
+    real, minus the principal-branch i b and i a.  A point off the band raises
+    tetrad_bispinor's RegionError, which names the negated p0.
     """
-    i = check_choice("tetrad index", tau, _TETRAD)
     check_choice("sign", sign, (+1, -1))
-    a, b = _amplitudes(k, "antisym_bispinor")
-    if i < 2:
-        return sign * 1j * b * _UP_PHI[i % 2]
-    return sign * 1j * a * (k.nhat @ _LOW_SIGMA_PHI[i % 2])
+    return sign * tetrad_bispinor(k.negated(), tau)
 
 
 def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -340,9 +335,7 @@ def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     [a - i (sigma.n) b] phi_{lam-}; here b = i sqrt((m - p0)/2m) is
     imaginary, so both block operators are real and Hermitian.
     """
-    a, b = _amplitudes(k, "breve_u", "|p0| <= m")
-    j = _slot(lam_plus), _slot(lam_minus)
-    return _combine(a, 1j * b, k.nhat, _BREVE_PHI[j], _BREVE_SIGMA_PHI[j])
+    return _state(k, "breve_u", (_slot(lam_plus), _slot(lam_minus)))
 
 
 def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -354,9 +347,7 @@ def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     with lam+ and the - factor with lam-.  Contracting with breve_u gives
     exactly 2 whenever lam+ = lam-.
     """
-    a, b = _amplitudes(k, "breve_u_bar", "|p0| <= m")
-    j = _slot(lam_plus), _slot(lam_minus)
-    return _combine(a, 1j * b, k.nhat, _BREVE_PHI[j], _BREVE_PHI_SIGMA[j])
+    return _state(k, "breve_u_bar", (_slot(lam_plus), _slot(lam_minus)))
 
 
 def rest_basis(tau) -> np.ndarray:
@@ -368,7 +359,7 @@ def rest_basis(tau) -> np.ndarray:
 
 def dirac_adjoint(u) -> np.ndarray:
     """u^+ gamma^0 as a row vector."""
-    return row_times(np.conj(check_vectors(u, 4, "bispinor")), gamma(0))
+    return row_times(np.conj(check_bispinor(u)), gamma(0))
 
 
 def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
@@ -381,7 +372,7 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     """
     s = check_spin_vector(s)
     u_map = check_choice("variant", variant, ("u", "v")) == 0
-    breve = np.asarray(breve, dtype=complex)
+    breve = check_bispinor(breve)
     stack = _GAMMA5_GAMMA_DOT_S if u_map else _GAMMA_DOT_S_GAMMA5
     return times_column(_contract(s, stack, "spin vector"), breve)
 

@@ -280,7 +280,6 @@ def test_clifford_functions_batch():
     mats = rng.normal(size=(3, N, 4, 4))
     _same_as_stack(cl.trace(mats), [cl.trace(mats[:, i]) for i in range(N)])
     assert cl.slash(a.reshape(4, 10, 4)).shape == (4, 10, 4, 4)
-    assert cl.gamma_dot_spatial is pj.gamma_dot_spatial
 
 
 def test_projectors_batch():

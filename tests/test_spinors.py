@@ -307,12 +307,74 @@ def _band_points(breve: bool):
 
 @pytest.mark.parametrize("breve", [False, True])
 def test_equal_helicity_pair_equals_the_stacked_public_constructors(breve):
-    # both states of a pair, columns and rows, have their public constructor's bits
+    # the pair entry of the builder holds both equal-helicity states, columns then rows,
+    # each with its public constructor's bits, after one band check naming the column
     col, row = (sp.breve_u, sp.breve_u_bar) if breve else (sp.dirac_u, sp.dirac_u_bar)
     for k in _band_points(breve):
-        cols, rows = sp._equal_helicity_pair(k, breve)
-        for got, make in ((cols, col), (rows, row)):
-            want = np.stack([make(k, lam, lam) for lam in sp.HELICITIES], axis=-2)
-            assert got.shape == want.shape == np.shape(k.p0) + (2, 4)
-            assert got.tobytes() == want.tobytes()
+        pair = sp._state(k, col.__name__, "pair")
+        want = np.stack([make(k, lam, lam) for make in (col, row) for lam in sp.HELICITIES],
+                        axis=-2)
+        assert pair.shape == np.shape(k.p0) + (16,) and want.shape == np.shape(k.p0) + (4, 4)
+        assert pair.tobytes() == want.tobytes()
+    with pytest.raises(sp.RegionError, match=rf"^{col.__name__} needs "):
+        sp._state(sp.KinematicPoint(1.0, 2.0 if breve else 0.5, ZHAT), col.__name__, "pair")
 
+
+def test_band_constructors_keep_their_written_out_formulas():
+    # every band constructor and label against its formula written out from a, b, phi and
+    # the rows sigma_i phi, on both bands, the edges and negated points: bit for bit, but
+    # for two deliberate differences.  The tetrad's zero block now adds a * 0 or b * 0,
+    # which turns a -0 of tau 3, 4 into +0.  The antisymmetric basis is the negated-point
+    # tetrad, whose amplitudes are real below the band, so there it is minus the written
+    # i b, i a form: the same basis up to the overall sign its sign argument leaves free.
+    def blocks(up, low):
+        return np.concatenate(np.broadcast_arrays(up, low), axis=-1).astype(complex)
+
+    phi = np.eye(2, dtype=complex)
+    sigma_phi = [np.array([cl.pauli(i)[:, j] for i in (1, 2, 3)]) for j in (0, 1)]
+    phi_sigma = [np.conj(x) for x in sigma_phi]
+    slots = [(j, l) for j in (0, 1) for l in (0, 1)]
+    lam = sp.HELICITIES
+    for breve in (False, True):
+        for k in _band_points(breve):
+            a, b = (x[..., None] for x in k._half_boosts)
+            n = k.nhat
+            if breve:
+                for j, l in slots:
+                    e = blocks(phi[j], phi[l])
+                    want = a * e + 1j * b * (n @ blocks(sigma_phi[j], -sigma_phi[l]))
+                    assert sp.breve_u(k, lam[j], lam[l]).tobytes() == want.tobytes()
+                    want = a * e + 1j * b * (n @ blocks(phi_sigma[j], -phi_sigma[l]))
+                    assert sp.breve_u_bar(k, lam[j], lam[l]).tobytes() == want.tobytes()
+                continue
+            for j, dotted in ((0, False), (0, True), (1, False), (1, True)):
+                want = a * phi[j] + (-b if dotted else b) * (n @ sigma_phi[j])
+                assert sp.boosted_spinor(k, lam[j], dotted).tobytes() == want.tobytes()
+            for j, l in slots:
+                want = a * blocks(phi[j], 0) + b * (n @ blocks(0, sigma_phi[l]))
+                assert sp.dirac_u(k, lam[j], lam[l]).tobytes() == want.tobytes()
+                want = a * blocks(phi[j], 0) + -b * (n @ blocks(0, phi_sigma[l]))
+                assert sp.dirac_u_bar(k, lam[j], lam[l]).tobytes() == want.tobytes()
+            below = np.where(k.p0 < 0, -1.0, 1.0)[..., None]
+            for i in range(4):
+                upper = i < 2
+                want = a * blocks(phi[i], 0) if upper else b * (n @ blocks(0, sigma_phi[i - 2]))
+                got = sp.tetrad_bispinor(k, i + 1)
+                assert got.tobytes() == want.tobytes() if upper else np.array_equal(got, want)
+                for sign in (+1, -1):
+                    want = (sign * 1j * b * blocks(phi[i], 0) if upper
+                            else sign * 1j * a * (n @ blocks(0, sigma_phi[i - 2])))
+                    assert np.array_equal(sp.antisym_bispinor(k, i + 1, sign), below * want)
+    # off its band each constructor names itself, antisym_bispinor the negated tetrad
+    real, center = sp.KinematicPoint(1.0, 0.5, ZHAT), sp.KinematicPoint(1.0, 2.0, ZHAT)
+    for call, text in ((lambda: sp.boosted_spinor(real, 0.5), "boosted_spinor needs |p0| >= m"),
+                       (lambda: sp.dirac_u(real, 0.5, 0.5), "dirac_u needs |p0| >= m"),
+                       (lambda: sp.dirac_u_bar(real, 0.5, 0.5), "dirac_u_bar needs |p0| >= m"),
+                       (lambda: sp.tetrad_bispinor(real, 1), "tetrad_bispinor needs |p0| >= m"),
+                       (lambda: sp.antisym_bispinor(real, 1),
+                        "tetrad_bispinor needs |p0| >= m (got p0=-0.5, m=1.0)"),
+                       (lambda: sp.breve_u(center, 0.5, 0.5), "breve_u needs |p0| <= m"),
+                       (lambda: sp.breve_u_bar(center, 0.5, 0.5), "breve_u_bar needs |p0| <= m")):
+        with pytest.raises(sp.RegionError) as got:
+            call()
+        assert str(got.value).startswith(text)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bispinor import clifford as cl
 from bispinor import projectors as pj
 from bispinor import spinors as sp
 
@@ -26,6 +27,9 @@ ENTRY_POINTS = {
     "energy_projector-m": lambda x: pj.energy_projector(REST, x, +1),
     "pi_projector-s": lambda x: pj.pi_projector(REST, 1.0, (0.0, x, 0.0, 1.0)),
     "spinor_from_breve": lambda x: sp.spinor_from_breve(np.ones(4), (0.0, x, 0.0, 1.0)),
+    "spinor_from_breve-bispinor": lambda x: sp.spinor_from_breve((x, 0.0, 0.0, 0.0), ZS),
+    "dirac_adjoint": lambda x: sp.dirac_adjoint((x, 0.0, 0.0, 0.0)),
+    "diad": lambda x: pj.diad((x, 0.0, 0.0, 0.0), "gamma0"),
 }
 
 
@@ -34,6 +38,26 @@ ENTRY_POINTS = {
 def test_entry_points_reject_non_finite_input(entry, value):
     with pytest.raises(ValueError):
         ENTRY_POINTS[entry](value)
+
+
+# a discrete choice of each kind (an index, a sign) whose options include 1 or 0
+CHOICES = {
+    "gamma": cl.gamma,
+    "pauli": cl.pauli,
+    "generalized_pauli": cl.generalized_pauli,
+    "tetrad_bispinor": lambda v: sp.tetrad_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), v),
+    "antisym_bispinor-sign": lambda v: sp.antisym_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), 1, v),
+    "energy_projector-sign": lambda v: pj.energy_projector(REST, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("entry", sorted(CHOICES))
+def test_a_bool_is_not_a_discrete_choice(entry, value):
+    # True == 1 and False == 0, but neither is taken for an index or a sign
+    with pytest.raises(ValueError, match=r" must be one of \(.*\), got (np\.)?(True|False)"):
+        CHOICES[entry](value)
+    CHOICES[entry](1)
 
 
 def test_spinor_from_breve_requires_unit_spin_vector():
