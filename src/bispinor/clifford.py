@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import permutations
+from numbers import Integral
 
 import numpy as np
 
@@ -62,9 +63,12 @@ def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
 
 def check_choice(what: str, value, options: tuple) -> int:
     """The position of value in options, which must hold it.  A bool is refused: it
-    would match 1 or 0 as an equal number."""
+    would match 1 or 0 as an equal number.  So is a value that is not an integer
+    (numbers.Integral, which NumPy ints are) where it matches an int option: 1.0 == 1."""
     if not isinstance(value, (bool, np.bool_)) and value in options:
-        return options.index(value)
+        i = options.index(value)
+        if not isinstance(options[i], int) or isinstance(value, Integral):
+            return i
     raise ValueError(f"{what} must be one of {options}, got {value!r}")
 
 

@@ -8,15 +8,20 @@ layer; nothing here compares the two sides.
 Every function broadcasts over leading batch axes of its vector and
 kinematic-point arguments (a matrix comes back as (..., 4, 4)), and every
 validator checks every point of a batch.
+
+The energy projector is one product of the five-vector x = (p0, p1, p2, p3, m) with a
+constant stack, scaled by 1/2m in place, and the spin projector one product of (s, 1),
+halved; the on-shell guard of the public projectors builds x once and hands it on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .clifford import (_GAMMA5_SLASH, _I2, _I4, _contract, check_choice, check_vectors, gamma,
+# slash and the band constructors are not called here, but callers resolve them as
+# projectors.slash, projectors.dirac_u and so on
+from .clifford import (_GAMMA5_SLASH, _I2, _I4, _SLASH, check_choice, check_vectors, gamma,
                        gamma5, minkowski_dot, pauli_dot, row_times, slash)
-# the band constructors are not called here, but callers resolve them as projectors.dirac_u
 from .spinors import (_SQRT_MAX, KinematicPoint, _in_scale, _require, _state, breve_u,
                       breve_u_bar, check_bispinor, check_mass, check_spin_vector,
                       check_unit_vector, dirac_u, dirac_u_bar)
@@ -26,30 +31,54 @@ POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completene
 _ONSHELL_TOL = 1e-10
 
 
+# x @ _ENERGY[sign] is sign pslash + m I4, flattened, for x = (p0, p1, p2, p3, m), and
+# (s0, s1, s2, s3, 1) @ _SPIN is 1 + gamma5 slash(s): the slash stacks with I4 appended.
+# Every entry of a stack matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal
+# entries that hold +-p0 or +-s3, so each entry is exact up to one rounding, as in slash.
+# _ENERGY[+1, -1] holds both signs side by side: read as (..., 8, 4), Lambda+ over Lambda-.
+_ENERGY = {sign: np.concatenate([sign * _SLASH, _I4[None]]).reshape(5, 16) for sign in (+1, -1)}
+_ENERGY[+1, -1] = np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1)
+_SPIN = np.concatenate([_GAMMA5_SLASH, _I4[None]]).reshape(5, 16)
+for _stack in (*_ENERGY.values(), _SPIN):
+    _stack.setflags(write=False)
+
+
 def _outer(u, v) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
+def _five_vector(k: KinematicPoint) -> np.ndarray:
+    """x = (p0, p1, p2, p3, m) of a validated point k: its momentum beside its mass."""
+    x = k._momentum_in(5)
+    x[..., 4] = k.m
+    return x
+
+
 def _check_on_shell(p, m) -> np.ndarray:
-    """p as a complex array of finite four-momenta (|p_i| and |p_i|/m below 1.3e154, else
-    OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154:
-    |p.p - m^2| <= 1e-10 max(1, m^2, max_i |p_i|^2), so the tolerance grows with the
-    momentum's scale.  p and m are divided by max(1, m, max_i |p_i|) before any square is
-    formed, so a far-off-shell momentum is refused without overflow.  p comes back
-    broadcast to the batch shape it shares with m, one momentum per mass."""
+    """The five-vectors x = (p0, p1, p2, p3, m), complex, of finite four-momenta p
+    (|p_i| and |p_i|/m below 1.3e154, else OverflowError), each on the mass shell
+    p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154: |p.p - m^2| <= 1e-10 max(1, m^2,
+    max_i |p_i|^2), so the tolerance grows with the momentum's scale.  p and m are
+    divided by max(1, m, max_i |p_i|) before any square is formed, so a far-off-shell
+    momentum is refused without overflow.  x has the batch shape p and m share, one
+    momentum per mass."""
     p = check_vectors(p, 4, "momentum")
     check_mass(m)
     top = abs(p).max(axis=-1)  # nan for a nan component
     _require(top < np.inf, "momentum must be finite, got {}", p)
-    _require(_in_scale(top, m) & (m < _SQRT_MAX), "momentum overflows: "
-             "p.p - m^2 is out of range at p={}, m={}", p, m, error=OverflowError)
+    in_scale = _in_scale(top, m) & (m < _SQRT_MAX)  # of the batch shape p and m share
+    x = np.empty(in_scale.shape + (5,), dtype=complex)
+    x[..., :4] = p
+    x[..., 4] = m
+    _require(in_scale, "momentum overflows: p.p - m^2 is out of range at p={}, m={}",
+             x[..., :4], m, error=OverflowError)
     scale = np.maximum(np.maximum(top, m), 1.0)
     q, mu = p / scale[..., None], m / scale
     gap = minkowski_dot(q, q) - mu * mu
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
              "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
-    return p if p.shape == q.shape else np.broadcast_to(p, q.shape)
+    return x
 
 
 def spin_projector_rest(nhat) -> np.ndarray:
@@ -63,38 +92,35 @@ def spin_projector(s) -> np.ndarray:
     Block-diagonal in the Dirac representation:
     diag((1 + sigma.s)/2, (1 - sigma.s)/2).
     """
-    return (_I4 + _contract(check_spin_vector(s), _GAMMA5_SLASH, "spin vector")) * 0.5
+    s = check_spin_vector(s)
+    y = np.empty(s.shape[:-1] + (5,), dtype=complex)
+    y[..., :4] = s
+    y[..., 4] = 1.0
+    return (y @ _SPIN).reshape(s.shape[:-1] + (4, 4)) * 0.5
 
 
-def add_diagonal(x: np.ndarray, d) -> np.ndarray:
-    """x + d I for a fresh C-contiguous stack x of square matrices (..., n, n) and one
-    scalar d per matrix, added in place to the diagonal of x, which is returned."""
-    if not x.flags.c_contiguous:
-        raise ValueError("add_diagonal needs a C-contiguous stack of matrices")
-    n = x.shape[-1]
-    # a reshape of a C-contiguous array is a view, so the add writes into x
-    diagonal = x.reshape(x.shape[:-2] + (n * n,))[..., ::n + 1]
-    diagonal += np.asarray(d)[..., None]
-    return x
+def _slash_plus_mass(x, sign) -> np.ndarray:
+    """sign pslash + m I4, fresh, for five-vectors x = (p, m) of shape (..., 5), as
+    (..., 4, 4); for sign (+1, -1) both, the + matrix above the - one, as (..., 8, 4)."""
+    return (x @ _ENERGY[sign]).reshape(x.shape[:-1] + (-1, 4))
 
 
-def _energy_projector(p, m, sign: int) -> np.ndarray:
-    """energy_projector without its checks, for a momentum built from a validated point."""
-    # each entry of slash is exact up to one rounding (see clifford), so slash(-p) equals
-    # -slash(p) entry for entry; only the sign of a zero entry may differ
-    x = add_diagonal(slash(p if sign > 0 else -p), m)
+def _energy_projector(x, m, sign) -> np.ndarray:
+    """energy_projector without its checks: _slash_plus_mass(x, sign) / 2m for the
+    five-vectors x of _five_vector or _check_on_shell and their masses m as given."""
+    e = _slash_plus_mass(x, sign)
     # scaled in place by 1 / 2m through the float view, as numpy divides a complex by a
-    # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from x / 2m
-    scaled = x.view(float)
+    # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m
+    scaled = e.view(float)
     scaled *= np.asarray(1.0 / (2.0 * m))[..., None, None]
-    return x
+    return e
 
 
 def energy_projector(p, m, sign: int) -> np.ndarray:
     """(pslash + m)/2m for sign=+1, (m - pslash)/2m for sign=-1."""
-    p = _check_on_shell(p, m)
+    x = _check_on_shell(p, m)
     check_choice("sign", sign, (+1, -1))
-    return _energy_projector(p, m, sign)
+    return _energy_projector(x, m, sign)
 
 
 def diad(phi, insert: str) -> np.ndarray:
@@ -115,8 +141,8 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
     "neg-lambda":  Lambda_+(p) P(-s) = +(1/4m) (pslash + m) (1 - gamma.s gamma5)
     """
     if check_choice("variant", variant, ("lambda", "neg-lambda")) == 0:
-        return energy_projector(p, m, -1) @ spin_projector(s)
-    return energy_projector(p, m, +1) @ spin_projector(np.negative(s))
+        return _energy_projector(_check_on_shell(p, m), m, -1) @ spin_projector(s)
+    return _energy_projector(_check_on_shell(p, m), m, +1) @ spin_projector(np.negative(s))
 
 
 def polsum(kind: str, k: KinematicPoint):
@@ -140,7 +166,7 @@ def polsum(kind: str, k: KinematicPoint):
     is not applied to it.
     """
     check_choice("kind", kind, POLSUM_KINDS)
-    p = k.momentum()
+    x = _five_vector(k)
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
         # the columns u(+1/2), u(-1/2), then the rows ubar(+1/2), ubar(-1/2), in one pass
@@ -148,10 +174,11 @@ def polsum(kind: str, k: KinematicPoint):
         pair = _state(k.negated() if kind == "antispinor" else k, name, "pair")
         u = pair.reshape(pair.shape[:-1] + (4, 4))
         lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])
-        rhs = _energy_projector(p, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
+        rhs = _energy_projector(x, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 
-    lhs = _energy_projector(p, k.m, +1) + _energy_projector(p, k.m, -1)
+    both = _energy_projector(x, k.m, (+1, -1))
+    lhs = both[..., :4, :] + both[..., 4:, :]
     rhs = np.empty_like(lhs)
     rhs[...] = _I4
     return lhs, rhs

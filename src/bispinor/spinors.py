@@ -249,12 +249,16 @@ class KinematicPoint:
         branch), which is the mechanical form of the n -> i n continuation.
         Raises OverflowError where m^2 overflows (p0^2 is finite by construction).
         """
+        return self._momentum_in(4)
+
+    def _momentum_in(self, width: int) -> np.ndarray:
+        """The momentum in the first four slots of a fresh complex array (..., width)."""
         _require(self.m < _SQRT_MAX, "momentum overflows: "
                  "p0^2 - m^2 is out of range at p0={}, m={}", self.p0, self.m, error=OverflowError)
         q = np.sqrt(self.p0 * self.p0 - self.m * self.m + 0j)
-        p = np.empty(self.nhat.shape[:-1] + (4,), dtype=complex)
+        p = np.empty(self.nhat.shape[:-1] + (width,), dtype=complex)
         p[..., 0] = self.p0
-        np.multiply(q[..., None], self.nhat, out=p[..., 1:])
+        np.multiply(q[..., None], self.nhat, out=p[..., 1:4])
         return p
 
     def negated(self) -> "KinematicPoint":
@@ -280,7 +284,10 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
     """Helicity basis spinor boosted to the point k.
 
     Undotted: [a + (sigma.n) b] phi_lam;  dotted: [a - (sigma.n) b] phi_lam.
+    dotted must be a bool (Python or NumPy), not any value with a truth value.
     """
+    if not isinstance(dotted, (bool, np.bool_)):
+        raise ValueError(f"dotted must be True or False, got {dotted!r}")
     return _state(k, "boosted_spinor", (_slot(lam), bool(dotted)))
 
 

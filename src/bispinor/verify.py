@@ -49,8 +49,8 @@ import numpy as np
 from .clifford import (METRIC, _I2, _I4, check_choice, check_vectors, dot, gamma, gamma5,
                        gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
                        pauli_dot, row_times, slash, times_column, trace)
-from .projectors import (add_diagonal, diad, pi_projector, polsum, spin_projector,
-                         spin_projector_rest)
+from .projectors import (_five_vector, _slash_plus_mass, diad, pi_projector, polsum,
+                         spin_projector, spin_projector_rest)
 from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
                       breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
                       parity_components, rest_basis, spinor_from_breve)
@@ -265,6 +265,13 @@ def _spatial(nhat) -> np.ndarray:
     return np.concatenate([np.zeros(n.shape[:-1] + (1,)), n], axis=-1)
 
 
+# The factors sigma_lam gamma5 and gamma5 conj(sigma_lam) of section4_two_valued, one pair
+# per lam = 1, 2, 3 (sigma_lam the plus-variant generalized Pauli matrix), built once.
+_TWO_VALUED_FACTORS = tuple(
+    (_read_only(sigma @ gamma5()), _read_only(gamma5() @ np.conj(sigma)))
+    for sigma in (generalized_pauli(lam, +1) for lam in (1, 2, 3)))
+
+
 def section4_two_valued(xi) -> tuple:
     """Two-valuedness contraction (sum_lam x^lam x_lam, |xi|^4).
 
@@ -274,13 +281,11 @@ def section4_two_valued(xi) -> tuple:
     Broadcasts over leading batch axes of xi (..., 4).
     """
     xi = check_vectors(xi, 4, "bispinor")
-    g5 = gamma5()
     bra = np.conj(xi)
     total = 0.0
-    for lam in (1, 2, 3):
-        sp = generalized_pauli(lam, +1)
-        x_low = dot(row_times(bra, sp @ g5), xi)
-        x_up = dot(row_times(bra, g5 @ np.conj(sp)), xi)
+    for low, up in _TWO_VALUED_FACTORS:
+        x_low = dot(row_times(bra, low), xi)
+        x_up = dot(row_times(bra, up), xi)
         total = total + (x_up.real * x_low.real - x_up.imag * x_low.imag)
     a = np.abs(xi)
     norm2 = np.sum(a * a, axis=-1)
@@ -414,7 +419,7 @@ def _breve_norms(pt, pairs):
 
 def _adjoint_dirac_rows(pt):
     k = _kin(pt)
-    op = add_diagonal(slash(k.momentum()), k.m)
+    op = _slash_plus_mass(_five_vector(k), +1)
     return np.stack([row_times(breve_u_bar(k, lam, lam), op) for lam in HELICITIES], axis=-2)
 
 

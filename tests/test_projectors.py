@@ -11,6 +11,7 @@ from bispinor.spinors import HELICITIES, KinematicPoint, RegionError
 I2 = np.eye(2)
 I4 = np.eye(4)
 ZHAT = (0.0, 0.0, 1.0)
+ZS4 = (0.0, 0.0, 0.0, 1.0)
 
 unit_dirs = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
     lambda v: np.linalg.norm(v) > 0.2
@@ -236,8 +237,8 @@ def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):
 
 
 def test_energy_projector_equals_the_closed_form_entry_for_entry():
-    # the mass is added in place to the diagonal of slash(+-p); the result equals the
-    # closed form (+-pslash + m I4)/2m entry for entry (a zero entry may differ in sign)
+    # one product of (p, m) with a constant stack, scaled by 1/2m, equals the closed form
+    # (+-pslash + m I4)/2m entry for entry (a zero entry may differ in sign)
     def closed_form(p, m, sign):
         m = np.asarray(m)[..., None, None]
         if sign > 0:
@@ -251,7 +252,7 @@ def test_energy_projector_equals_the_closed_form_entry_for_entry():
     for k in (*singles, batch):
         p = k.momentum()
         for sign in (+1, -1):
-            got = pj._energy_projector(p, k.m, sign)
+            got = pj._energy_projector(pj._five_vector(k), k.m, sign)
             assert np.array_equal(got, closed_form(p, k.m, sign))
             assert got.shape == np.shape(k.p0) + (4, 4)
 
@@ -265,19 +266,90 @@ def test_energy_projector_broadcasts_one_momentum_over_a_batch_of_masses():
         assert np.array_equal(got, np.stack([pj.energy_projector(p, 1.0, sign)] * 2))
 
 
-def test_add_diagonal_adds_in_place_and_refuses_a_strided_stack():
-    x = np.arange(32, dtype=complex).reshape(2, 4, 4)
-    want = x + np.array([1.5, -2.0])[:, None, None] * np.eye(4)
-    assert pj.add_diagonal(x, np.array([1.5, -2.0])) is x
-    assert np.array_equal(x, want)
-    single = np.zeros((4, 4), dtype=complex)
-    assert np.array_equal(pj.add_diagonal(single, 0.5), 0.5 * np.eye(4))
-    # a conjugate transpose (a view, or a fresh array in its layout) is not C-contiguous:
-    # a reshape would copy it, and the add would be lost
-    dagger = np.conj(np.swapaxes(cl.slash(np.array([[2.0, 0, 0, 1], [3.0, 1, 1, 1]])), -1, -2))
-    for stack in (dagger, np.swapaxes(x, -1, -2)):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            pj.add_diagonal(stack, 1.0)
+def _written_out_energy(p, m, sign):
+    """The energy projector as slash, an in-place diagonal add and a scale: slash(+-p),
+    m added to its diagonal through a strided view, then the float view times 1/2m."""
+    m = np.asarray(m, dtype=float)
+    p = np.broadcast_to(p, np.broadcast_shapes(np.shape(p)[:-1], m.shape) + (4,))
+    x = cl.slash(p if sign > 0 else -p)
+    x.reshape(x.shape[:-2] + (16,))[..., ::5] += m[..., None]
+    scaled = x.view(float)
+    scaled *= (1.0 / (2.0 * m))[..., None, None]
+    return x
+
+
+def _written_out_spin(s):
+    """(I4 + s @ the gamma5 slash stack) / 2, the stack product taken over complex s."""
+    s = np.asarray(s, dtype=complex)
+    g5s = (s @ cl._GAMMA5_SLASH.reshape(4, 16)).reshape(s.shape[:-1] + (4, 4))
+    return (cl._I4 + g5s) * 0.5
+
+
+def _written_out_polsum_rhs(kind, k):
+    if kind == "completeness":
+        return np.broadcast_to(cl._I4, np.shape(k.p0) + (4, 4))
+    return _written_out_energy(k.momentum(), k.m, +1 if kind in ("spinor", "breve-plus") else -1)
+
+
+def _projector_points():
+    """Points of both bands over masses 1e-3..1e3, the band edges p0 = +-m, p0 = 0, and
+    axis-aligned nhat (signed zeros included)."""
+    rng = np.random.default_rng(43)
+    m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 16))
+    p0 = m * np.concatenate([np.exp(rng.uniform(0.0, np.log(1e2), 8)), rng.uniform(-1, 1, 8)])
+    n = rng.normal(size=(16, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    axes = [(0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, -0.0)]
+    edges = [KinematicPoint(mi, p0 * mi, a) for mi in (0.5, 3.0, float(m[0]))
+             for p0 in (1.0, -1.0, 0.0) for a in axes]
+    return [*(KinematicPoint(float(m[i]), float(p0[i]), n[i]) for i in range(16)), *edges,
+            KinematicPoint(2.0, -7.5, (0.6, 0.0, -0.8))]
+
+
+def test_projectors_keep_the_bytes_of_their_written_out_forms():
+    # each projector is one product of (p, m) or (s, 1) with a constant stack; its bytes
+    # (tobytes, so the signs of zero entries count) are those of slash, the in-place
+    # diagonal add and the scale, for points, a batch, and one momentum over many masses
+    singles = _projector_points()
+    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
+                           np.array([k.nhat for k in singles]))
+    for k in (*singles, batch):
+        p, s = k.momentum(), np.concatenate([np.zeros(np.shape(k.p0) + (1,)), k.nhat], axis=-1)
+        for sign in (+1, -1):
+            assert pj.energy_projector(p, k.m, sign).tobytes() == \
+                _written_out_energy(p, k.m, sign).tobytes()
+        assert pj.spin_projector(s).tobytes() == _written_out_spin(s).tobytes()
+        assert pj.pi_projector(p, k.m, s, "lambda").tobytes() == \
+            (_written_out_energy(p, k.m, -1) @ _written_out_spin(s)).tobytes()
+        assert pj.pi_projector(p, k.m, s, "neg-lambda").tobytes() == \
+            (_written_out_energy(p, k.m, +1) @ _written_out_spin(np.negative(s))).tobytes()
+        real = np.abs(k.p0) >= k.m
+        kinds = ["completeness", *(["spinor", "antispinor"] if np.all(real) else []),
+                 *(["breve-plus", "breve-minus"] if not np.any(real & (np.abs(k.p0) > k.m))
+                   else [])]
+        for kind in kinds:
+            assert pj.polsum(kind, k)[1].tobytes() == _written_out_polsum_rhs(kind, k).tobytes()
+        both = _written_out_energy(p, k.m, +1) + _written_out_energy(p, k.m, -1)
+        assert pj.polsum("completeness", k)[0].tobytes() == both.tobytes()
+    # every point equals its batch row
+    p, s = batch.momentum(), np.concatenate([np.zeros((len(singles), 1)), batch.nhat], axis=-1)
+    rows = [pj.energy_projector(p, batch.m, +1), pj.energy_projector(p, batch.m, -1),
+            pj.spin_projector(s), pj.pi_projector(p, batch.m, s, "lambda"),
+            pj.pi_projector(p, batch.m, s, "neg-lambda"), *pj.polsum("completeness", batch)]
+    for i, k in enumerate(singles):
+        q, t = k.momentum(), s[i]
+        alone = [pj.energy_projector(q, k.m, +1), pj.energy_projector(q, k.m, -1),
+                 pj.spin_projector(t), pj.pi_projector(q, k.m, t, "lambda"),
+                 pj.pi_projector(q, k.m, t, "neg-lambda"), *pj.polsum("completeness", k)]
+        for one, stacked in zip(alone, rows):
+            assert one.tobytes() == stacked[i].tobytes()
+    # one momentum over a batch of masses, for the guard's broadcast
+    q, masses = np.array([1.25, 0.0, 0.0, 0.75]), np.array([1.0, 1.0, 1.0])
+    for sign in (+1, -1):
+        assert pj.energy_projector(q, masses, sign).tobytes() == \
+            _written_out_energy(q, masses, sign).tobytes()
+    assert pj.pi_projector(q, masses, ZS4, "lambda").tobytes() == \
+        (_written_out_energy(q, masses, -1) @ _written_out_spin(ZS4)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["spinor", "antispinor", "breve-plus", "breve-minus"])

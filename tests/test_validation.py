@@ -60,6 +60,28 @@ def test_a_bool_is_not_a_discrete_choice(entry, value):
     CHOICES[entry](1)
 
 
+@pytest.mark.parametrize("value", [1.0, np.float64(1.0)], ids=["1.0", "np.float64"])
+@pytest.mark.parametrize("entry", sorted(CHOICES))
+def test_a_float_is_not_an_integer_choice(entry, value):
+    # 1.0 == 1, but where the options are ints only an integer is taken; NumPy ints are
+    with pytest.raises(ValueError, match=r" must be one of \(.*\), got (np\.float64\()?1\.0"):
+        CHOICES[entry](value)
+    CHOICES[entry](np.int64(1))
+
+
+def test_helicity_labels_stay_float_choices_and_dotted_is_a_bool():
+    k = sp.KinematicPoint(1.0, 2.0, ZHAT)
+    for lam in (0.5, np.float64(0.5)):
+        assert sp.basis_spinor(lam).tobytes() == sp.basis_spinor(0.5).tobytes()
+    for value in ("no", 1, 0, 1.0, None):
+        with pytest.raises(ValueError, match=r"^dotted must be True or False, got "):
+            sp.boosted_spinor(k, 0.5, dotted=value)
+    for value in (True, np.True_, False, np.False_):
+        assert sp.boosted_spinor(k, 0.5, dotted=value).tobytes() == \
+            sp.boosted_spinor(k, 0.5, bool(value)).tobytes()
+    assert sp.boosted_spinor(k, 0.5, True).tobytes() != sp.boosted_spinor(k, 0.5).tobytes()
+
+
 def test_spinor_from_breve_requires_unit_spin_vector():
     x = np.array([1.0, 2.0, -1.0, 0.5j])
     s = (0.0, 0.0, 0.0, 2.0)  # spatial, but s.s = -4
@@ -95,6 +117,36 @@ def test_finite_off_shell_momentum_is_off_shell():
             for q in (p, [REST, p]):
                 with pytest.raises(ValueError, match="^momentum is off shell"):
                     call(q)
+
+
+GUARD_REFUSALS = {
+    "nan": ((math.nan, 0.0, 0.0, 0.0), ValueError, "momentum must be finite, got "),
+    "inf": ((2.0, 0.0, -math.inf, 1.0), ValueError, "momentum must be finite, got "),
+    "overflow": ((1e200, 0.0, 0.0, 1e200), OverflowError,
+                 "momentum overflows: p.p - m^2 is out of range at p="),
+    "off-shell": ((1.25, 0.0, 0.0, 0.5), ValueError,
+                  "momentum is off shell: |p.p - m^2| / max(1, m^2, max_i |p_i|^2) = "),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(GUARD_REFUSALS))
+def test_the_guard_refuses_with_one_type_and_prefix_at_a_point_and_in_a_batch(case):
+    # the guard that builds the five-vector (p, m) refuses exactly as before it did: the
+    # same exception type (not a subclass) and the same message prefix, for a point, a
+    # batch of momenta, and one momentum over a batch of masses
+    p, error, prefix = GUARD_REFUSALS[case]
+    on_shell = (1.25, 0.0, 0.0, 0.75)
+    calls = [lambda q, m: pj.energy_projector(q, m, +1), lambda q, m: pj.energy_projector(q, m, -1),
+             lambda q, m: pj.pi_projector(q, m, ZS, "lambda"),
+             lambda q, m: pj.pi_projector(q, m, ZS, "neg-lambda")]
+    for call in calls:
+        two = np.array([1.0, 1.0])
+        for q, m in ((p, 1.0), ([on_shell, p], 1.0), ([on_shell, p], two), (p, two)):
+            with pytest.raises(error) as caught:
+                call(q, m)
+            assert type(caught.value) is error
+            assert str(caught.value).startswith(prefix)
 
 
 @pytest.mark.filterwarnings("error")
