@@ -54,15 +54,16 @@ def _five_vector(k: KinematicPoint) -> np.ndarray:
     return x
 
 
-def _check_on_shell(p, m) -> np.ndarray:
-    """The five-vectors x = (p0, p1, p2, p3, m), complex, of finite four-momenta p
-    (|p_i| and |p_i|/m below 1.3e154, else OverflowError), each on the mass shell
-    p.p = m^2 of a mass 2.2e-308 <= m < 1.3e154: |p.p - m^2| <= 1e-10 max(1, m^2,
-    max_i |p_i|^2), so the tolerance grows with the momentum's scale.  p and m are
-    divided by max(1, m, max_i |p_i|) before any square is formed, so a far-off-shell
-    momentum is refused without overflow.  x has the batch shape p and m share, one
-    momentum per mass."""
+def _check_on_shell(p, m) -> tuple:
+    """(x, m): the masses m as floats, from any real or sequence of reals, and the complex
+    five-vectors x = (p0, p1, p2, p3, m) of finite four-momenta p (|p_i| and |p_i|/m below
+    1.3e154, else OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m
+    < 1.3e154: |p.p - m^2| <= 1e-10 max(1, m^2, max_i |p_i|^2).  p and m are divided by
+    max(1, m, max_i |p_i|) before any square is formed, so a far-off-shell momentum is
+    refused without overflow.  x has the batch shape p and m share, one momentum per
+    mass."""
     p = check_vectors(p, 4, "momentum")
+    m = np.asarray(m, dtype=float)[()]
     check_mass(m)
     top = abs(p).max(axis=-1)  # nan for a nan component
     _require(top < np.inf, "momentum must be finite, got {}", p)
@@ -78,7 +79,7 @@ def _check_on_shell(p, m) -> np.ndarray:
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
              "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
-    return x
+    return x, m
 
 
 def spin_projector_rest(nhat) -> np.ndarray:
@@ -107,7 +108,7 @@ def _slash_plus_mass(x, sign) -> np.ndarray:
 
 def _energy_projector(x, m, sign) -> np.ndarray:
     """energy_projector without its checks: _slash_plus_mass(x, sign) / 2m for the
-    five-vectors x of _five_vector or _check_on_shell and their masses m as given."""
+    five-vectors x and their float masses m (a validated point's, or _check_on_shell's)."""
     e = _slash_plus_mass(x, sign)
     # scaled in place by 1 / 2m through the float view, as numpy divides a complex by a
     # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m
@@ -118,7 +119,7 @@ def _energy_projector(x, m, sign) -> np.ndarray:
 
 def energy_projector(p, m, sign: int) -> np.ndarray:
     """(pslash + m)/2m for sign=+1, (m - pslash)/2m for sign=-1."""
-    x = _check_on_shell(p, m)
+    x, m = _check_on_shell(p, m)
     check_choice("sign", sign, (+1, -1))
     return _energy_projector(x, m, sign)
 
@@ -140,9 +141,9 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
     "lambda":      Lambda_-(p) P(s)  = -(1/4m) (pslash - m) (1 - gamma5 gamma.s)
     "neg-lambda":  Lambda_+(p) P(-s) = +(1/4m) (pslash + m) (1 - gamma.s gamma5)
     """
-    if check_choice("variant", variant, ("lambda", "neg-lambda")) == 0:
-        return _energy_projector(_check_on_shell(p, m), m, -1) @ spin_projector(s)
-    return _energy_projector(_check_on_shell(p, m), m, +1) @ spin_projector(np.negative(s))
+    sign = +1 if check_choice("variant", variant, ("lambda", "neg-lambda")) else -1
+    x, m = _check_on_shell(p, m)
+    return _energy_projector(x, m, sign) @ spin_projector(np.negative(s) if sign > 0 else s)
 
 
 def polsum(kind: str, k: KinematicPoint):

@@ -29,6 +29,12 @@ columns then rows, side by side, so that polsum builds all four in one pass.
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
 built from an already-validated point are not validated again.
+
+One ownership rule holds wherever the library keeps arrays (a KinematicPoint, a
+verify.Columns): an object that keeps arrays copies every array a caller passes it
+and marks its copy read-only, so no write by the caller can reach a validated
+point; arrays the library makes itself are handed on uncopied and marked read-only
+with one setflags (_read_only).  Nothing inspects which array views which.
 """
 
 from __future__ import annotations
@@ -66,6 +72,13 @@ def _require(ok, message: str, *values, error=ValueError) -> None:
                                  else np.broadcast_to(v, ok.shape)[at] for v in values)))
 
 
+def _read_only(a):
+    """a, an array the library made itself, marked read-only (a scalar as it is)."""
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
+
+
 def check_mass(m):
     """Raise ValueError unless every mass is a normal float, 2.2e-308 <= m < inf."""
     _require((m >= _TINY) & (m < math.inf), "mass must satisfy 2.2e-308 <= m < inf, got {}", m)
@@ -92,8 +105,7 @@ def check_unit_vector(nhat) -> np.ndarray:
     n = check_vectors(np.array(nhat, dtype=float), 3, "nhat", float)
     norm = _norm3(n)
     _require(abs(norm - 1.0) <= _REL_TOL, "nhat must be a unit vector, |n| = {}", norm)
-    n.setflags(write=False)
-    return n
+    return _read_only(n)
 
 
 def check_spin_vector(s) -> np.ndarray:
@@ -203,8 +215,8 @@ class KinematicPoint:
     point depends on the band |p0| >= m (real boosts) versus |p0| <= m
     (complex continuation).  m must satisfy 2.2e-308 <= m < inf, p0 must be finite
     (|p0| and |p0|/m below 1.3e154, else OverflowError) and nhat a unit 3-vector.
-    A single point keeps m and p0 as floats; a batch broadcasts m, p0 and the rows of nhat
-    to one batch shape.  nhat is a read-only array of shape (..., 3).
+    A single point keeps m and p0 as floats; a batch broadcasts read-only copies of m, p0
+    and the rows of nhat to one batch shape.  nhat is a read-only array of shape (..., 3).
     """
 
     m: float
@@ -213,7 +225,7 @@ class KinematicPoint:
 
     def __post_init__(self):
         n = check_unit_vector(self.nhat)
-        m, p0 = np.asarray(self.m, dtype=float), np.asarray(self.p0, dtype=float)
+        m, p0 = np.array(self.m, dtype=float), np.array(self.p0, dtype=float)
         if m.ndim or p0.ndim or n.ndim > 1:
             shape = np.broadcast_shapes(m.shape, p0.shape, n.shape[:-1])
             m, p0 = np.broadcast_to(m, shape), np.broadcast_to(p0, shape)
@@ -237,10 +249,7 @@ class KinematicPoint:
     def _half_boosts(self) -> tuple:
         """(a, b) = (boost_factor(+1), boost_factor(-1)), read-only: computed on first use
         and shared by every constructor called on this point."""
-        ab = self.boost_factor(+1), self.boost_factor(-1)
-        for x in ab:
-            x.setflags(write=False)
-        return ab
+        return _read_only(self.boost_factor(+1)), _read_only(self.boost_factor(-1))
 
     def momentum(self) -> np.ndarray:
         """On-shell four-momentum (p0, |p| nhat), |p| = sqrt(p0^2 - m^2).
@@ -265,7 +274,7 @@ class KinematicPoint:
         """The same point with p0 -> -p0 (spin axis kept), built from the validated
         fields without running __post_init__ again."""
         k = object.__new__(KinematicPoint)
-        k.__dict__.update(m=self.m, p0=-self.p0, nhat=self.nhat)
+        k.__dict__.update(m=self.m, p0=_read_only(-self.p0), nhat=self.nhat)
         return k
 
 

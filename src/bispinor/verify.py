@@ -22,10 +22,12 @@ check.lhs(Columns(worst_point)).  A check on the "fixed" sampler has no
 sample axis and is evaluated once; its two sides are constants built at
 import.  Other sides that depend on no sample (the gamma-algebra rows'
 products, daggers and metric terms) are tables built at import and indexed
-by the sampled labels.  Builders read only Columns.arrays, the
-columns as read-only arrays, and Columns keeps what both sides derive from
-them (the KinematicPoint, a row's common evaluation), so each is computed
-once per Columns.  residuals and worst_point rows read the arrays as well.
+by the sampled labels.  Builders read only Columns.arrays: the sampler's
+draw, one array per key, handed over uncopied, or read-only copies of the
+columns a caller passes (the ownership rule of the spinors module).  Columns
+keeps what both sides derive from them (the KinematicPoint, a row's common
+evaluation), so each is computed once per Columns.  residuals and
+worst_point rows read the arrays as well.
 A Columns is a dict with no items, so it encodes as {} wherever a builder
 argument is JSON-encoded (a traced benchmark run encodes each one).
 
@@ -41,7 +43,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -51,9 +53,9 @@ from .clifford import (METRIC, _I2, _I4, check_choice, check_vectors, dot, gamma
                        pauli_dot, row_times, slash, times_column, trace)
 from .projectors import (_five_vector, _slash_plus_mass, diad, pi_projector, polsum,
                          spin_projector, spin_projector_rest)
-from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
-                      breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
-                      parity_components, rest_basis, spinor_from_breve)
+from .spinors import (HELICITIES, KinematicPoint, _read_only, antisym_bispinor, basis_spinor,
+                      boosted_spinor, breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u,
+                      kappa, parity_components, rest_basis, spinor_from_breve)
 
 TOOL_VERSION = "0.4.0"
 DEFAULT_TOLERANCE = 1e-10
@@ -190,62 +192,45 @@ _SAMPLERS = {
     # 0..3 the gammas, 4 stands for gamma5
     "gamma-label": lambda rng, n: {"mu": rng.integers(0, 5, n)},
     # three complex 4x4 matrices per point, 48 real and 48 imaginary parts in row-major order
-    "matrices": lambda rng, n: dict(zip(("a_re", "a_im"), rng.uniform(-0.5, 0.5, (2, n, 48)))),
-    "spinor4": lambda rng, n: dict(zip(("xi_re", "xi_im"), rng.normal(size=(2, n, 4)))),
+    "matrices": lambda rng, n: {"a_re": rng.uniform(-0.5, 0.5, (n, 48)),
+                                "a_im": rng.uniform(-0.5, 0.5, (n, 48))},
+    "spinor4": lambda rng, n: {"xi_re": rng.normal(size=(n, 4)), "xi_im": rng.normal(size=(n, 4))},
     "fixed": lambda rng, n: {},
 }
 
 
 class Columns(dict):
-    """A check's sample columns, from any mapping of columns (a sampler's draw, a
-    reported worst_point, or another Columns, whose arrays it reads): ``arrays``, the
-    columns as read-only arrays, the only thing the builders read, and ``derived``, the
-    values the builders compute from the arrays, each filled on first use and only read
-    after.  An array is kept as it is only when neither it nor an array it views can be
-    written; any other column is copied, so the caller's own arrays stay writeable and
-    cannot change the columns.  The dict itself stays empty, so json encodes it as {}."""
+    """A check's sample columns, from any mapping of columns (a reported worst_point, or
+    another Columns, whose arrays it reads): ``arrays``, a read-only copy of each column,
+    the only thing the builders read, and ``derived``, the values the builders compute
+    from the arrays, each filled on first use, read-only, and only read after.  Every column is
+    copied, so no write to the caller's arrays can change the columns; sample_points
+    alone hands over its fresh draw uncopied.  The dict itself stays empty, so json
+    encodes it as {}."""
 
     __slots__ = ("arrays", "derived")
 
     def __init__(self, columns: dict):
         if isinstance(columns, Columns):
             columns = columns.arrays
-        arrays = {key: np.asarray(column) for key, column in columns.items()}
-        self.arrays = {key: a if _frozen(a) else _read_only(a.copy())
-                       for key, a in arrays.items()}
+        self.arrays = {key: _read_only(np.array(column)) for key, column in columns.items()}
         self.derived = {}
 
 
 def _shared(pt: Columns, key, make):
-    """make(), computed once per Columns under key."""
+    """make(), computed once per Columns under key; the arrays it holds, alone or in a
+    tuple or list, are made read-only, as builders hand them on."""
     if key not in pt.derived:
-        pt.derived[key] = make()
+        value = make()
+        for a in value if isinstance(value, (tuple, list)) else (value,):
+            _read_only(a)
+        pt.derived[key] = value
     return pt.derived[key]
 
 
 def point(columns: Columns, i: int) -> dict:
     """Row i of a check's sample columns: plain Python floats, ints and lists."""
     return {key: array[i].tolist() for key, array in columns.arrays.items()}
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, made read-only together with every array it views (a fresh draw that a sampler
-    split into columns, say)."""
-    b = a
-    while isinstance(b, np.ndarray):
-        b.setflags(write=False)
-        b = b.base
-    return a
-
-
-def _frozen(a: np.ndarray) -> bool:
-    """Whether neither a nor any array it views can be written (a view of a buffer that
-    is not an array counts as writeable)."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
 
 
 def _kin(pt: Columns) -> KinematicPoint:
@@ -256,7 +241,7 @@ def _kin(pt: Columns) -> KinematicPoint:
 def _complex_of(pt: Columns, name: str) -> np.ndarray:
     """The complex array name_re + i name_im of pt's arrays (read-only)."""
     a = pt.arrays
-    return _shared(pt, name, lambda: _read_only(a[name + "_re"] + 1j * a[name + "_im"]))
+    return _shared(pt, name, lambda: a[name + "_re"] + 1j * a[name + "_im"])
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -335,8 +320,7 @@ def _by_label(table):
 
 def _fixed(value):
     """The side of a "fixed" row: a value that depends on no sample, built once (read-only)."""
-    value = np.asarray(value)
-    value.setflags(write=False)
+    value = _read_only(np.asarray(value))
     return lambda pt: value
 
 
@@ -591,18 +575,19 @@ def _per_check_seed(name: str) -> int:
 
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
-    """The check's sample points for ints (not bools) seed >= 0 and samples >= 1 as a
-    Columns: one array of samples rows per sampler key (no columns for a "fixed" check),
-    one draw per key, made read-only together with the one draw a sampler may split into
-    columns and not copied, with nothing derived yet."""
+    """The check's sample points for integers (numbers.Integral, not bools) seed >= 0 and
+    samples >= 1 as a Columns: one array of samples rows per sampler key (no columns for a
+    "fixed" check), the sampler's own draw, made read-only and not copied."""
     for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _per_check_seed(check.name)]))
-    drawn = _SAMPLERS[check.sampler](rng, samples)
-    return Columns({key: _read_only(column) for key, column in drawn.items()})
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _per_check_seed(check.name)]))
+    drawn = _SAMPLERS[check.sampler](rng, int(samples))
+    columns = Columns({})
+    columns.arrays = {key: _read_only(a) for key, a in drawn.items()}
+    return columns
 
 
 def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
@@ -641,7 +626,7 @@ def run_check(check: IdentityCheck, seed: int, samples: int) -> CheckResult:
     return CheckResult(
         name=check.name,
         paper_ref=check.paper_ref,
-        samples=samples,
+        samples=int(samples),  # an integer, as sample_points checked
         max_residual=float(res[worst]),
         worst_point=point(columns, worst),
         status=status,
@@ -654,8 +639,9 @@ def run_all(seed: int = 42, samples: int = 100,
             tolerance_override: float | None = None) -> VerificationReport:
     """Run the whole registry; deterministic in (seed, samples, override).
 
-    seed must be an int >= 0, samples an int >= 1 and an override a real number (not a
-    bool) with 0 < tolerance < inf.
+    seed must be an integer >= 0 and samples one >= 1 (Python or NumPy ints, not bools;
+    the report holds them as ints), and an override a real number (not a bool) with
+    0 < tolerance < inf.
     """
     t = tolerance_override
     if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < math.inf):
@@ -667,8 +653,8 @@ def run_all(seed: int = 42, samples: int = 100,
         results.append(run_check(check, seed, samples))
     return VerificationReport(
         version=TOOL_VERSION,
-        seed=seed,
-        samples=samples,
+        seed=int(seed),  # integers, as run_check checked
+        samples=int(samples),
         tolerance=tolerance_override if tolerance_override is not None else DEFAULT_TOLERANCE,
         conventions=json.loads(json.dumps(CONVENTIONS)),
         checks=tuple(results),

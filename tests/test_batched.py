@@ -230,6 +230,24 @@ def test_kinematic_point_batch():
                  lambda: sp.KinematicPoint(bad_m, p0, n))
 
 
+def test_a_batch_point_copies_what_the_caller_passes():
+    # a validated point holds read-only copies: a later write of NaN or a negative mass into
+    # the caller's arrays changes no bit of the point or of anything built on it
+    m, p0, n = _points(10, N, "real")
+    k = sp.KinematicPoint(m, p0, n)
+    kb = sp.KinematicPoint(m, m * np.linspace(-0.9, 0.9, N), n)
+    before = (k.m.copy(), k.p0.copy(), sp.dirac_u(k, 0.5, -0.5), sp.breve_u(kb, -0.5, 0.5),
+              *pj.polsum("spinor", k), *pj.polsum("breve-plus", kb))
+    m[0], p0[1], n[2] = -1.0, np.nan, np.nan
+    after = (k.m, k.p0, sp.dirac_u(k, 0.5, -0.5), sp.breve_u(kb, -0.5, 0.5),
+             *pj.polsum("spinor", k), *pj.polsum("breve-plus", kb))
+    for old, new in zip(before, after):
+        assert old.tobytes() == new.tobytes()
+    for array in (k.m, k.p0, k.nhat, k.negated().p0, kb.negated().m):
+        assert not array.flags.writeable
+        assert not any(np.shares_memory(array, given) for given in (m, p0, n))
+
+
 @pytest.mark.parametrize("lams", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)])
 def test_bispinor_constructors_batch(lams):
     for band, names in (("real", ("dirac_u", "dirac_u_bar")),
@@ -357,6 +375,28 @@ def test_guard_refusal_is_the_same_in_a_batch_and_polsum_needs_no_guard():
                  lambda: pj.energy_projector(off, m, +1))
     with pytest.raises(ValueError, match="^momentum is off shell"):
         pj.energy_projector(off[5], m[5], +1)
+
+
+def test_guard_takes_a_mass_as_any_real_or_sequence_of_reals():
+    # energy_projector and pi_projector convert the mass once, in the guard: a float, int,
+    # list or tuple mass gives the bits of its ndarray form, alone and in a batch
+    m, p0, n = _points(11, 3, "real")
+    k = sp.KinematicPoint(m, p0, n)
+    p, s = k.momentum(), np.concatenate([np.zeros((3, 1)), n], axis=1)
+    point = sp.KinematicPoint(2.0, 3.0, n[0])
+    for pp, ss, masses in ((p, s, (m.tolist(), tuple(m.tolist()))),
+                           (p.tolist(), s.tolist(), (m.tolist(),)),
+                           (point.momentum(), s[0], (2, 2.0, np.float64(2.0), [2.0], (2.0,)))):
+        for mass in masses:
+            want = np.array(mass, dtype=float)
+            for sign in (+1, -1):
+                _same_bits(pj.energy_projector(pp, want, sign),
+                           pj.energy_projector(pp, mass, sign))
+            for variant in ("lambda", "neg-lambda"):
+                _same_bits(pj.pi_projector(pp, want, ss, variant),
+                           pj.pi_projector(pp, mass, ss, variant))
+    with pytest.raises(ValueError, match="^mass must satisfy"):
+        pj.energy_projector(p, [1.0, -1.0, 1.0], +1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bispinor import clifford as cl
@@ -94,6 +96,41 @@ def test_energy_projector_moving_entry():
 def test_energy_projector_off_shell_rejected():
     with pytest.raises(ValueError, match="off shell"):
         pj.energy_projector([1.25, 0, 0, 0.5], 1.0, +1)
+
+
+# The guard's rounding: the scaled squares and their sum are each within a few units of
+# 2^-53 of their exact values, at most about 3e-15 in all, which is 3e-5 of the tolerance
+# 1e-10; draws whose exact ratio lies closer to it than that may go either way.
+_GUARD_EDGE = 1e-4
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_m=st.floats(-6.0, 6.0), log_q=st.floats(-3.0, 3.0), nhat=unit_dirs,
+       above=st.booleans(), log_gap=st.floats(-4.0, 1.0))
+def test_guard_accepts_exactly_the_momenta_within_its_tolerance(log_m, log_q, nhat, above,
+                                                                 log_gap):
+    # the guard accepts p, m iff |p.p - m^2| / max(1, m^2, max_i |p_i|^2) <= 1e-10, here
+    # evaluated exactly in fractions, for momenta near the shell on either side of the edge
+    m = 10.0 ** log_m
+    q = m * 10.0 ** log_q
+    on_shell = m * m + q * q
+    ratio = 1e-10 * (1.0 + (1.0 if above else -1.0) * 10.0 ** log_gap)
+    energy2 = on_shell + ratio * max(1.0, on_shell)
+    assume(energy2 > 0.0)
+    p = np.array([np.sqrt(energy2), *(q * np.asarray(nhat))])
+    exact = [Fraction(float(x)) for x in p]
+    mass = Fraction(m)
+    gap = exact[0] ** 2 - sum(x * x for x in exact[1:]) - mass * mass
+    value = abs(gap) / max(1, mass * mass, max(x * x for x in exact))
+    tol = Fraction(pj._ONSHELL_TOL)
+    assume(abs(value - tol) > _GUARD_EDGE * tol)
+    try:
+        pj._check_on_shell(p, m)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc).startswith("momentum is off shell")
+        accepted = False
+    assert accepted == (value <= tol)
 
 
 def test_energy_projector_algebra():

@@ -102,9 +102,20 @@ def test_run_check_rejects_bad_sample_count():
         vf.run_all(samples=0)
     # non-integer run parameters, and bools, are refused by name before any draw
     for seed, samples, bad in ((42, 2.5, "samples"), (1.5, 3, "seed"), (True, 2, "seed"),
-                               (0, False, "samples"), (float("nan"), 1, "seed")):
+                               (0, False, "samples"), (float("nan"), 1, "seed"),
+                               (np.bool_(True), 2, "seed"), (0, np.float64(2.0), "samples")):
         with pytest.raises(ValueError, match=f"^{bad} must be an int, got "):
             vf.run_all(seed, samples)
+    with pytest.raises(ValueError, match="^samples must be >= 1, got 0"):
+        vf.run_all(np.int64(3), np.uint8(0))
+    # any other integer (numbers.Integral, as NumPy ints are) is taken, and the report holds
+    # it as a Python int, so it writes the bits of the int form
+    report = vf.run_all(np.int64(3), np.uint16(5))
+    assert type(report.seed) is int and type(report.samples) is int
+    assert all(type(c.samples) is int for c in report.checks)
+    assert report.to_json() == vf.run_all(3, 5).to_json()
+    assert vf.run_check(vf.registry()[0], np.int32(3), np.int8(5)) == \
+        vf.run_check(vf.registry()[0], 3, 5)
 
 
 def test_run_check_determinism_and_isolation():
@@ -353,30 +364,30 @@ def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
 
 
-def test_columns_copy_a_writeable_array_and_keep_a_read_only_one(monkeypatch):
+def test_columns_copy_every_caller_array_and_keep_the_samplers_draw(monkeypatch):
+    # every array a caller passes is copied, writeable, read-only or a read-only view of a
+    # writeable array: no write to the caller's arrays reaches the columns or a replayed row
     a = np.array([1.0, 2.0])
-    columns = vf.Columns({"p0": a})
-    assert a.flags.writeable
-    got = columns.arrays["p0"]
-    assert not got.flags.writeable and got.tobytes() == a.tobytes()
-    a[0] = 5.0  # the caller's array is its own
-    assert columns.arrays["p0"].tolist() == [1.0, 2.0]
-    # a read-only view of a writeable array is copied too: a write through the array it
-    # views must not reach the columns or a replayed row
-    a = np.array([1.0, 2.0])
+    frozen = np.array([1.0, 2.0])
+    frozen.setflags(write=False)
     view = a.view()
     view.setflags(write=False)
+    for given in (a, frozen, view):
+        columns = vf.Columns({"p0": given})
+        got = columns.arrays["p0"]
+        assert got is not given and not np.shares_memory(got, given)
+        assert not got.flags.writeable and got.base is None
+        assert got.tobytes() == given.tobytes()
+    assert a.flags.writeable  # the caller's array stays its own
     columns = vf.Columns({"p0": view})
     a[0] = 5.0
     assert columns.arrays["p0"].tolist() == [1.0, 2.0]
     assert vf.point(columns, 0) == {"p0": 1.0}
-    # an array that owns its data, or views only read-only arrays, is kept as it is
-    frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
-    frozen.setflags(write=False)
-    for kept in (frozen, frozen[1]):
-        assert vf.Columns({"p0": kept}).arrays["p0"] is kept
-    # the sampler's fresh arrays are handed over read-only, without a copy, also when a
-    # sampler splits one draw into two columns; the draw itself is made read-only
+    # a Columns of another Columns copies its arrays as well
+    again = vf.Columns(columns)
+    assert not np.shares_memory(again.arrays["p0"], columns.arrays["p0"])
+    # sample_points hands over the sampler's own draw, one array per key, uncopied and
+    # read-only: no column views another array
     for name in ("real-band", "matrices", "spinor4"):
         drawn, draw = {}, vf._SAMPLERS[name]
 
@@ -388,10 +399,18 @@ def test_columns_copy_a_writeable_array_and_keep_a_read_only_one(monkeypatch):
         columns = vf.sample_points(_fixture(name), seed=2, samples=5)
         assert all(columns.arrays[key] is array for key, array in drawn.items()), name
         for array in drawn.values():
-            assert not array.flags.writeable, name
-            assert array.base is None or not array.base.flags.writeable, name
-        if name != "real-band":
-            assert all(array.base is not None for array in drawn.values()), name
+            assert not array.flags.writeable and array.base is None, name
+
+
+def test_what_the_builders_keep_in_a_columns_is_read_only():
+    # a builder may hand on a derived array (a polarization sum's side, say), so a write to
+    # what check.lhs returns must not reach the value the Columns keeps for the next call
+    for check in vf.registry():
+        columns = vf.sample_points(check, seed=2, samples=3)
+        check.lhs(columns), check.rhs(columns)
+        for value in columns.derived.values():
+            for a in value if isinstance(value, (tuple, list)) else (value,):
+                assert not isinstance(a, np.ndarray) or not a.flags.writeable, check.name
 
 
 class _ScriptedNormals:
