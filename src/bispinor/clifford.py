@@ -15,47 +15,61 @@ from numbers import Integral
 
 import numpy as np
 
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-_I2 = np.eye(2, dtype=complex)
-_I4 = np.eye(4, dtype=complex)
-_Z2 = np.zeros((2, 2), dtype=complex)
+def _read_only(a):
+    """a, an array the library made itself, marked read-only (a scalar as it is)."""
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
 
-_PAULI = (
+
+METRIC = _read_only(np.diag([1.0, -1.0, -1.0, -1.0]))
+
+_I2 = _read_only(np.eye(2, dtype=complex))
+_I4 = _read_only(np.eye(4, dtype=complex))
+_Z2 = _read_only(np.zeros((2, 2), dtype=complex))
+
+_PAULI = tuple(map(_read_only, (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
-)
+)))
 
-_GAMMA = (
+_GAMMA = tuple(map(_read_only, (
     np.block([[_I2, _Z2], [_Z2, -_I2]]),
     np.block([[_Z2, _PAULI[0]], [-_PAULI[0], _Z2]]),
     np.block([[_Z2, _PAULI[1]], [-_PAULI[1], _Z2]]),
     np.block([[_Z2, _PAULI[2]], [-_PAULI[2], _Z2]]),
-)
-_GAMMA5 = 1j * _GAMMA[0] @ _GAMMA[1] @ _GAMMA[2] @ _GAMMA[3]
-
-for _m in (_I2, _I4, *_GAMMA, _GAMMA5, *_PAULI):
-    _m.setflags(write=False)
+)))
+_GAMMA5 = _read_only(1j * _GAMMA[0] @ _GAMMA[1] @ _GAMMA[2] @ _GAMMA[3])
 
 
 # Matrix stacks for pauli_dot, slash and gamma_dot_spatial: vector component
 # i multiplies matrix i.  Each entry of the sum collects at most two exact
 # products (a component times 0, +-1 or +-i), so one matrix product of the
 # vectors with the flattened stack equals the term-by-term sum exactly.
-_PAULI_DOT = np.stack(_PAULI)
-_SLASH = np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3]))
-_GAMMA_DOT_S = np.stack((0 * _GAMMA[0], *_GAMMA[1:]))
+_PAULI_DOT = _read_only(np.stack(_PAULI))
+_SLASH = _read_only(np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3])))
+_GAMMA_DOT_S = _read_only(np.stack((0 * _GAMMA[0], *_GAMMA[1:])))
 # gamma5 slash(s), gamma5 (gamma.s) and (gamma.s) gamma5 as stacks of the same kind:
 # gamma5 only permutes rows or columns of a stack matrix, so the entries stay 0, +-1, +-i.
-_GAMMA5_SLASH = _GAMMA5 @ _SLASH
-_GAMMA5_GAMMA_DOT_S = _GAMMA5 @ _GAMMA_DOT_S
-_GAMMA_DOT_S_GAMMA5 = _GAMMA_DOT_S @ _GAMMA5
+_GAMMA5_SLASH = _read_only(_GAMMA5 @ _SLASH)
+_GAMMA5_GAMMA_DOT_S = _read_only(_GAMMA5 @ _GAMMA_DOT_S)
+_GAMMA_DOT_S_GAMMA5 = _read_only(_GAMMA_DOT_S @ _GAMMA5)
+
+
+def check_real(x, what: str) -> np.ndarray:
+    """x as a fresh float array.  A complex value is refused, which float conversion would
+    reject as a TypeError (a Python complex) or cut to its real part (a complex array)."""
+    x = np.array(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
-    """x as an array of ``dtype`` with shape (..., n): one n-vector per batch point."""
-    x = np.asarray(x, dtype=dtype)
+    """x as an array of ``dtype`` (float by check_real) with shape (..., n), one per point."""
+    x = check_real(x, what) if dtype is float else np.asarray(x, dtype=dtype)
     if x.shape[-1:] == (n,):
         return x
     raise ValueError(f"{what} must have shape (..., {n}), got shape {x.shape}")
@@ -72,9 +86,8 @@ def check_choice(what: str, value, options: tuple) -> int:
     raise ValueError(f"{what} must be one of {options}, got {value!r}")
 
 
-def _contract(x, stack: np.ndarray, what: str) -> np.ndarray:
-    """sum_i x[..., i] stack[i] for vectors x of shape (..., len(stack))."""
-    x = check_vectors(x, len(stack), what)
+def _contract(x, stack: np.ndarray) -> np.ndarray:
+    """sum_i x[..., i] stack[i] for vectors x of shape (..., len(stack)) the caller checked."""
     return (x @ stack.reshape(len(stack), -1)).reshape(x.shape[:-1] + stack.shape[1:])
 
 
@@ -85,7 +98,7 @@ def pauli(i: int) -> np.ndarray:
 
 def pauli_dot(nvec) -> np.ndarray:
     """sigma . n for real or complex 3-vectors n of shape (..., 3)."""
-    return _contract(nvec, _PAULI_DOT, "3-vector")
+    return _contract(check_vectors(nvec, 3, "3-vector"), _PAULI_DOT)
 
 
 def gamma(mu: int) -> np.ndarray:
@@ -137,12 +150,12 @@ def minkowski_dot(a, b):
 
 def slash(a) -> np.ndarray:
     """Feynman slash a_mu gamma^mu = a^0 g0 - a^1 g1 - a^2 g2 - a^3 g3."""
-    return _contract(a, _SLASH, "4-vector")
+    return _contract(check_vectors(a, 4, "4-vector"), _SLASH)
 
 
 def gamma_dot_spatial(s) -> np.ndarray:
     """gamma.s = sum_i gamma^i s^i (upper-index gammas) for s = (0, svec)."""
-    return _contract(s, _GAMMA_DOT_S, "four-vector")
+    return _contract(check_vectors(s, 4, "four-vector"), _GAMMA_DOT_S)
 
 
 def sigma_munu(mu: int, nu: int) -> np.ndarray:

@@ -9,8 +9,8 @@ Every function broadcasts over leading batch axes of its vector and
 kinematic-point arguments (a matrix comes back as (..., 4, 4)), and every
 validator checks every point of a batch.
 
-The energy projector is one product of the five-vector x = (p0, p1, p2, p3, m) with a
-constant stack, scaled by 1/2m in place, and the spin projector one product of (s, 1),
+The energy projector is one clifford._contract of the five-vector x = (p0, p1, p2, p3, m)
+with a constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1),
 halved; the on-shell guard of the public projectors builds x once and hands it on.
 """
 
@@ -20,8 +20,9 @@ import numpy as np
 
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
-from .clifford import (_GAMMA5_SLASH, _I2, _I4, _SLASH, check_choice, check_vectors, gamma,
-                       gamma5, minkowski_dot, pauli_dot, row_times, slash)
+from .clifford import (_GAMMA5_SLASH, _I2, _I4, _SLASH, _contract, _read_only, check_choice,
+                       check_real, check_vectors, gamma, gamma5, minkowski_dot, pauli_dot,
+                       row_times, slash)
 from .spinors import (_SQRT_MAX, KinematicPoint, _in_scale, _require, _state, breve_u,
                       breve_u_bar, check_bispinor, check_mass, check_spin_vector,
                       check_unit_vector, dirac_u, dirac_u_bar)
@@ -31,16 +32,14 @@ POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completene
 _ONSHELL_TOL = 1e-10
 
 
-# x @ _ENERGY[sign] is sign pslash + m I4, flattened, for x = (p0, p1, p2, p3, m), and
-# (s0, s1, s2, s3, 1) @ _SPIN is 1 + gamma5 slash(s): the slash stacks with I4 appended.
-# Every entry of a stack matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal
-# entries that hold +-p0 or +-s3, so each entry is exact up to one rounding, as in slash.
-# _ENERGY[+1, -1] holds both signs side by side: read as (..., 8, 4), Lambda+ over Lambda-.
-_ENERGY = {sign: np.concatenate([sign * _SLASH, _I4[None]]).reshape(5, 16) for sign in (+1, -1)}
-_ENERGY[+1, -1] = np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1)
-_SPIN = np.concatenate([_GAMMA5_SLASH, _I4[None]]).reshape(5, 16)
-for _stack in (*_ENERGY.values(), _SPIN):
-    _stack.setflags(write=False)
+# _contract(x, _ENERGY[sign]) is sign pslash + m I4 for x = (p0, p1, p2, p3, m), and
+# _contract((s0, s1, s2, s3, 1), _SPIN) is 1 + gamma5 slash(s): the (5, 4, 4) slash stacks
+# with I4 appended.  Every entry of a stack matrix is 0, +-1 or +-i, and I4 adds m or 1
+# only to diagonal entries that hold +-p0 or +-s3, so each entry is exact up to one
+# rounding, as in slash.  _ENERGY[+1, -1], of shape (5, 8, 4), holds Lambda+ over Lambda-.
+_ENERGY = {sign: _read_only(np.concatenate([sign * _SLASH, _I4[None]])) for sign in (+1, -1)}
+_ENERGY[+1, -1] = _read_only(np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1))
+_SPIN = _read_only(np.concatenate([_GAMMA5_SLASH, _I4[None]]))
 
 
 def _outer(u, v) -> np.ndarray:
@@ -63,7 +62,7 @@ def _check_on_shell(p, m) -> tuple:
     refused without overflow.  x has the batch shape p and m share, one momentum per
     mass."""
     p = check_vectors(p, 4, "momentum")
-    m = np.asarray(m, dtype=float)[()]
+    m = check_real(m, "mass")[()]
     check_mass(m)
     top = abs(p).max(axis=-1)  # nan for a nan component
     _require(top < np.inf, "momentum must be finite, got {}", p)
@@ -97,19 +96,14 @@ def spin_projector(s) -> np.ndarray:
     y = np.empty(s.shape[:-1] + (5,), dtype=complex)
     y[..., :4] = s
     y[..., 4] = 1.0
-    return (y @ _SPIN).reshape(s.shape[:-1] + (4, 4)) * 0.5
-
-
-def _slash_plus_mass(x, sign) -> np.ndarray:
-    """sign pslash + m I4, fresh, for five-vectors x = (p, m) of shape (..., 5), as
-    (..., 4, 4); for sign (+1, -1) both, the + matrix above the - one, as (..., 8, 4)."""
-    return (x @ _ENERGY[sign]).reshape(x.shape[:-1] + (-1, 4))
+    return _contract(y, _SPIN) * 0.5
 
 
 def _energy_projector(x, m, sign) -> np.ndarray:
-    """energy_projector without its checks: _slash_plus_mass(x, sign) / 2m for the
-    five-vectors x and their float masses m (a validated point's, or _check_on_shell's)."""
-    e = _slash_plus_mass(x, sign)
+    """energy_projector without its checks: (sign pslash + m I4) / 2m, fresh, for five-vectors
+    x = (p, m) and float masses m (a validated point's, or _check_on_shell's); for sign
+    (+1, -1) both, Lambda+ above Lambda-, as (..., 8, 4)."""
+    e = _contract(x, _ENERGY[sign])
     # scaled in place by 1 / 2m through the float view, as numpy divides a complex by a
     # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m
     scaled = e.view(float)

@@ -34,7 +34,8 @@ One ownership rule holds wherever the library keeps arrays (a KinematicPoint, a
 verify.Columns): an object that keeps arrays copies every array a caller passes it
 and marks its copy read-only, so no write by the caller can reach a validated
 point; arrays the library makes itself are handed on uncopied and marked read-only
-with one setflags (_read_only).  Nothing inspects which array views which.
+with one setflags (clifford._read_only), where they are built: the constant tables
+and matrices as well.  Nothing inspects which array views which.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from functools import cached_property
 import numpy as np
 
 # pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
-from .clifford import (_GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract, check_choice,
-                       check_vectors, gamma, pauli, pauli_dot, row_times, times_column)
+from .clifford import (_GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract, _read_only,
+                       check_choice, check_real, check_vectors, gamma, pauli, pauli_dot,
+                       row_times, times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
@@ -70,13 +72,6 @@ def _require(ok, message: str, *values, error=ValueError) -> None:
     at = np.unravel_index(np.argmin(ok), ok.shape)
     raise error(message.format(*(np.asarray(v)[at] if np.ndim(v) > ok.ndim
                                  else np.broadcast_to(v, ok.shape)[at] for v in values)))
-
-
-def _read_only(a):
-    """a, an array the library made itself, marked read-only (a scalar as it is)."""
-    if isinstance(a, np.ndarray):
-        a.setflags(write=False)
-    return a
 
 
 def check_mass(m):
@@ -102,7 +97,7 @@ def check_energy(p0):
 
 def check_unit_vector(nhat) -> np.ndarray:
     """nhat as a read-only float array of shape (..., 3), each row of unit length."""
-    n = check_vectors(np.array(nhat, dtype=float), 3, "nhat", float)
+    n = check_vectors(nhat, 3, "nhat", float)
     norm = _norm3(n)
     _require(abs(norm - 1.0) <= _REL_TOL, "nhat must be a unit vector, |n| = {}", norm)
     return _read_only(n)
@@ -149,10 +144,9 @@ def _blocks(up, low) -> np.ndarray:
 # The basis two-spinors phi and, per helicity slot (0 for +1/2, 1 for -1/2), the rows
 # sigma_i phi (i = 1..3), so that (sigma.n) phi = nhat @ _SIGMA_PHI[slot], and the rows
 # phi^+ sigma_i.  The tables below place them in blocks.
-_PHI = np.eye(2, dtype=complex)
-_PHI.setflags(write=False)
-_SIGMA_PHI = np.array([[pauli(i)[:, j] for i in (1, 2, 3)] for j in (0, 1)])
-_PHI_SIGMA = np.conj(_SIGMA_PHI)
+_PHI = _read_only(np.eye(2, dtype=complex))
+_SIGMA_PHI = _read_only(np.array([[pauli(i)[:, j] for i in (1, 2, 3)] for j in (0, 1)]))
+_PHI_SIGMA = _read_only(np.conj(_SIGMA_PHI))
 _SLOT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -184,9 +178,10 @@ def _pair(make) -> tuple:
 
 
 _REAL_BAND, _BREVE_BAND = "|p0| >= m", "|p0| <= m"
-# constructor name -> (its band, {labels: (E, M)}); the labels are helicity slots, a
-# dotted flag or a tetrad slot, or "pair" for the equal-helicity pair of its band
-_TABLES = {
+# constructor name -> (its band, {labels: (E, M)}), each E and M read-only; the labels are
+# helicity slots, a dotted flag or a tetrad slot, or "pair" for the equal-helicity pair
+_TABLES = {name: (band, {labels: tuple(map(_read_only, em)) for labels, em in tables.items()})
+           for name, (band, tables) in {
     "boosted_spinor": (_REAL_BAND, {(j, d): (_PHI[j], -_SIGMA_PHI[j] if d else _SIGMA_PHI[j])
                                     for j in (0, 1) for d in (False, True)}),
     "dirac_u": (_REAL_BAND, {**{j: _dirac(*j) for j in _SLOT_PAIRS}, "pair": _pair(_dirac)}),
@@ -194,7 +189,7 @@ _TABLES = {
     "tetrad_bispinor": (_REAL_BAND, {(i,): _tetrad(i) for i in range(4)}),
     "breve_u": (_BREVE_BAND, {**{j: _breve(*j) for j in _SLOT_PAIRS}, "pair": _pair(_breve)}),
     "breve_u_bar": (_BREVE_BAND, {j: _breve(*j, row=True) for j in _SLOT_PAIRS}),
-}
+}.items()}
 
 
 def _slot(lam) -> int:
@@ -225,7 +220,7 @@ class KinematicPoint:
 
     def __post_init__(self):
         n = check_unit_vector(self.nhat)
-        m, p0 = np.array(self.m, dtype=float), np.array(self.p0, dtype=float)
+        m, p0 = check_real(self.m, "mass"), check_real(self.p0, "p0")
         if m.ndim or p0.ndim or n.ndim > 1:
             shape = np.broadcast_shapes(m.shape, p0.shape, n.shape[:-1])
             m, p0 = np.broadcast_to(m, shape), np.broadcast_to(p0, shape)
@@ -390,7 +385,7 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     u_map = check_choice("variant", variant, ("u", "v")) == 0
     breve = check_bispinor(breve)
     stack = _GAMMA5_GAMMA_DOT_S if u_map else _GAMMA_DOT_S_GAMMA5
-    return times_column(_contract(s, stack, "spin vector"), breve)
+    return times_column(_contract(s, stack), breve)
 
 
 def kappa(p0, m):
@@ -400,7 +395,7 @@ def kappa(p0, m):
     Raises RegionError unless p0 >= m.  Both terms are halved, an exact scaling
     for normal floats, so p0 + m cannot overflow.
     """
-    p0, m = np.asarray(p0, dtype=float), np.asarray(m, dtype=float)
+    p0, m = check_real(p0, "p0"), check_real(m, "mass")
     check_mass(m)
     check_energy(p0)
     check_band("kappa", p0, m, "p0 >= m")

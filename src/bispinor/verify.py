@@ -19,12 +19,13 @@ A check's lhs and rhs builders take a Columns, one column per sampler key,
 and return arrays with a leading sample axis; given the Columns of one point
 they return that point's arrays, so a reported worst_point replays as
 check.lhs(Columns(worst_point)).  A check on the "fixed" sampler has no
-sample axis and is evaluated once; its two sides are constants built at
-import.  Other sides that depend on no sample (the gamma-algebra rows'
-products, daggers and metric terms) are tables built at import and indexed
-by the sampled labels.  Builders read only Columns.arrays: the sampler's
-draw, one array per key, handed over uncopied, or read-only copies of the
-columns a caller passes (the ownership rule of the spinors module).  Columns
+sample axis and is evaluated once.  Every side that depends on no sample (a
+fixed row's, a constant, the gamma-algebra rows' products, daggers and metric
+terms) is made by _fixed from a value built at import and marked read-only:
+the value itself, or a table indexed by the sampled labels.  Builders read
+only Columns.arrays: the sampler's draw, one array per key, handed over
+uncopied, or read-only copies of the columns a caller passes (the ownership
+rule of the spinors module).  Columns
 keeps what both sides derive from them (the KinematicPoint, a row's common
 evaluation), so each is computed once per Columns.  residuals and
 worst_point rows read the arrays as well.
@@ -48,14 +49,13 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import (METRIC, _I2, _I4, check_choice, check_vectors, dot, gamma, gamma5,
-                       gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
-                       pauli_dot, row_times, slash, times_column, trace)
-from .projectors import (_five_vector, _slash_plus_mass, diad, pi_projector, polsum,
-                         spin_projector, spin_projector_rest)
-from .spinors import (HELICITIES, KinematicPoint, _read_only, antisym_bispinor, basis_spinor,
-                      boosted_spinor, breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u,
-                      kappa, parity_components, rest_basis, spinor_from_breve)
+from .clifford import (METRIC, _I2, _I4, _read_only, check_choice, check_vectors, dot, gamma,
+                       gamma5, gamma5_from_epsilon, gamma_dot_spatial, gamma_lower,
+                       generalized_pauli, pauli_dot, row_times, slash, times_column, trace)
+from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
+from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
+                      breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
+                      parity_components, rest_basis, spinor_from_breve)
 
 TOOL_VERSION = "0.4.0"
 DEFAULT_TOLERANCE = 1e-10
@@ -300,8 +300,8 @@ def _anticommutators(stack) -> np.ndarray:
 
 # Tables of the sample-independent sides of the gamma-algebra rows, indexed by the
 # sampled labels: (mu, nu) for the anticommutators, mu for the labels 0..4 (4 for gamma5).
-_GAMMAS = np.stack([gamma(mu) for mu in range(4)])
-_GAMMA_LABELS = np.stack([*_GAMMAS, gamma5()])
+_GAMMAS = _read_only(np.stack([gamma(mu) for mu in range(4)]))
+_GAMMA_LABELS = _read_only(np.stack([*_GAMMAS, gamma5()]))
 _ANTICOMMUTATORS = _anticommutators(_GAMMAS)
 _ANTICOMMUTATORS_LOWER = _anticommutators(np.stack([gamma_lower(mu) for mu in range(4)]))
 _TWO_METRIC_I4 = _times_i4(2.0 * METRIC)
@@ -310,18 +310,11 @@ _LABEL_DAGGERS = np.conj(np.swapaxes(_GAMMA_LABELS, -1, -2))
 _SIGNED_LABELS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])[:, None, None] * _GAMMA_LABELS
 
 
-def _by_pair(table):
-    return lambda pt: table[pt.arrays["mu"], pt.arrays["nu"]]
-
-
-def _by_label(table):
-    return lambda pt: table[pt.arrays["mu"]]
-
-
-def _fixed(value):
-    """The side of a "fixed" row: a value that depends on no sample, built once (read-only)."""
+def _fixed(value, *keys):
+    """A side that depends on no sample: value, built once and read-only, indexed by the
+    sampled labels pt.arrays[key] for each of keys (all of value, read-only, for none)."""
     value = _read_only(np.asarray(value))
-    return lambda pt: value
+    return lambda pt: value[tuple(pt.arrays[key] for key in keys)]
 
 
 def _three_matrices(pt) -> np.ndarray:
@@ -403,7 +396,7 @@ def _breve_norms(pt, pairs):
 
 def _adjoint_dirac_rows(pt):
     k = _kin(pt)
-    op = _slash_plus_mass(_five_vector(k), +1)
+    op = slash(k.momentum()) + _times_i4(k.m)
     return np.stack([row_times(breve_u_bar(k, lam, lam), op) for lam in HELICITIES], axis=-2)
 
 
@@ -458,14 +451,15 @@ def _orientation_projector(pt):
 _REGISTRY = tuple(IdentityCheck(*row) for row in (
     ("anticommutator-minkowski",
      "gamma-matrix anticommutation with the Minkowski metric on the right side",
-     "index-pair", _by_pair(_ANTICOMMUTATORS), _by_pair(_TWO_METRIC_I4), 1e-14, "holds"),
+     "index-pair", _fixed(_ANTICOMMUTATORS, "mu", "nu"),
+     _fixed(_TWO_METRIC_I4, "mu", "nu"), 1e-14, "holds"),
     ("anticommutator-literal-delta",
      "gamma-matrix anticommutation with a literal Kronecker delta, as displayed",
-     "index-pair", _by_pair(_ANTICOMMUTATORS_LOWER), _by_pair(_TWO_DELTA_I4),
-     1e-14, "expected-fail"),
+     "index-pair", _fixed(_ANTICOMMUTATORS_LOWER, "mu", "nu"),
+     _fixed(_TWO_DELTA_I4, "mu", "nu"), 1e-14, "expected-fail"),
     ("gamma-hermiticity",
      "hermiticity pattern: gamma0 and gamma5 Hermitian, spatial gammas anti-Hermitian",
-     "gamma-label", _by_label(_LABEL_DAGGERS), _by_label(_SIGNED_LABELS), 1e-14, "holds"),
+     "gamma-label", _fixed(_LABEL_DAGGERS, "mu"), _fixed(_SIGNED_LABELS, "mu"), 1e-14, "holds"),
     ("gamma5-pseudoscalar",
      "gamma5 from the quadruple product equals the epsilon-contraction form",
      "fixed", _fixed(gamma5()), _fixed(gamma5_from_epsilon()), 1e-14, "holds"),
@@ -479,12 +473,12 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "real-band", _boost_exponential, _boosted_spinors, 1e-12, "holds"),
     ("norm-spinor",
      "normalization of the definite-parity bispinor basis: ubar u = delta",
-     "real-band", _norm_gram, lambda pt: _I2, 1e-12, "holds"),
+     "real-band", _norm_gram, _fixed(_I2), 1e-12, "holds"),
     ("helicity-sum-unity",
      "sum of the two-spinor helicity projectors over +-n gives unity",
      "sphere",
      lambda pt: spin_projector_rest(pt.arrays["nhat"]) + spin_projector_rest(-pt.arrays["nhat"]),
-     lambda pt: _I2, 1e-14, "holds"),
+     _fixed(_I2), 1e-14, "holds"),
     ("polsum-spinor",
      "polarization-sum rule, spinor sector: closed form (pslash + m)/2m",
      "real-band", _polsum_side("spinor", 0), _polsum_side("spinor", 1), 1e-12, "holds"),
@@ -494,7 +488,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-12, "holds"),
     ("unity-decomposition-gamma0",
      "unity decomposition over the antisymmetric-basis gamma0 diads at p0 = -m",
-     "sphere", _unity_gamma0, lambda pt: _I4, 1e-12, "expected-fail"),
+     "sphere", _unity_gamma0, _fixed(_I4), 1e-12, "expected-fail"),
     ("kappa-boundary",
      "spin-eigenvalue ratio: closed form vs the parity-amplitude ratio, zero at threshold",
      "real-band", _kappa_pair, _kappa_reference, 1e-12, "holds"),
@@ -506,29 +500,29 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
     ("breve-norm",
      "norm of the complex bispinor equals 2 for equal helicity labels",
      "breve-band", lambda pt: _breve_norms(pt, ((0.5, 0.5), (-0.5, -0.5))),
-     lambda pt: np.array([2.0, 2.0]), 1e-12, "holds"),
+     _fixed([2.0, 2.0]), 1e-12, "holds"),
     ("breve-norm-cross",
      "complex-bispinor norm with unequal helicity labels (recorded, not asserted)",
      "breve-band", lambda pt: _breve_norms(pt, ((0.5, -0.5), (-0.5, 0.5))),
-     lambda pt: np.array([2.0, 2.0]), 1e-12, "informational"),
+     _fixed([2.0, 2.0]), 1e-12, "informational"),
     ("adjoint-dirac",
      "adjoint momentum-space equation ubar (pslash + m) = 0, as displayed",
-     "breve-band", _adjoint_dirac_rows, lambda pt: _ZERO_ROWS, 1e-12, "expected-fail"),
+     "breve-band", _adjoint_dirac_rows, _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
     ("adjoint-dirac-paper-dagger",
      "conjugated equation with the displayed overall sign of the dagger of pslash",
      "breve-band", lambda pt: _adjoint_dagger_rows(pt, paper_sign=True),
-     lambda pt: _ZERO_ROWS, 1e-12, "expected-fail"),
+     _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
     ("adjoint-dirac-standard-dagger",
      "conjugated equation with the numerical conjugate transpose of pslash",
      "breve-band", lambda pt: _adjoint_dagger_rows(pt, paper_sign=False),
-     lambda pt: _ZERO_ROWS, 1e-12, "informational"),
+     _fixed(_ZERO_ROWS), 1e-12, "informational"),
     ("diad-half-unity",
      "gamma5 diads over the band-center basis sum to half unity, as displayed",
      "fixed", _fixed(sum(diad(rest_basis(tau), "gamma5") for tau in (1, 2, 3, 4))),
      _fixed(_I4 / 2.0), 1e-12, "expected-fail"),
     ("tetrad-projector-sum",
      "tetrad sum of covariant spin projectors: sum_tau P(s_tau)/2 = 1",
-     "sphere", _tetrad_sum, lambda pt: _I4, 1e-12, "holds"),
+     "sphere", _tetrad_sum, _fixed(_I4), 1e-12, "holds"),
     ("polsum-breve-plus",
      "complex-band polarization sum against the closed form (pslash + m)/2m",
      "breve-band", _polsum_side("breve-plus", 0), _polsum_side("breve-plus", 1),
@@ -543,7 +537,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-12, "holds"),
     ("pi-annihilation",
      "annihilation of the constructed complex bispinors by the explicit band projector",
-     "breve-band", _pi_annihilation, lambda pt: _ZERO_ROWS, 1e-12, "informational"),
+     "breve-band", _pi_annihilation, _fixed(_ZERO_ROWS), 1e-12, "informational"),
     ("breve-rest-relation",
      "constructed complex bispinor at band center vs the displayed unit basis",
      "fixed", _fixed([breve_u(KinematicPoint(1.0, 0.0, _ZHAT), lp, lm)

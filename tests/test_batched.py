@@ -328,6 +328,37 @@ def test_projectors_batch():
         _same_as_stack(lhs, [pj.polsum(kind, sp.KinematicPoint(*a))[0] for a in zip(mb, p0b, nb)])
 
 
+def test_an_empty_batch_gives_empty_arrays_everywhere():
+    k = sp.KinematicPoint(np.ones(0), np.zeros(0), np.zeros((0, 3)))
+    p, s, u = np.zeros((0, 4), dtype=complex), np.zeros((0, 4)), np.zeros((0, 4), dtype=complex)
+    out = {
+        "momentum": (k.momentum(), (4,)),
+        "slash": (cl.slash(p), (4, 4)),
+        "pauli_dot": (cl.pauli_dot(s[:, 1:]), (2, 2)),
+        "gamma_dot_spatial": (cl.gamma_dot_spatial(s), (4, 4)),
+        "spin_projector": (pj.spin_projector(s), (4, 4)),
+        "spin_projector_rest": (pj.spin_projector_rest(s[:, 1:]), (2, 2)),
+        "spinor_from_breve": (sp.spinor_from_breve(u, s), (4,)),
+        "diad": (pj.diad(u, "gamma5"), (4, 4)),
+        "boosted_spinor": (sp.boosted_spinor(k, 0.5, True), (2,)),
+        "dirac_u": (sp.dirac_u(k, 0.5, -0.5), (4,)),
+        "dirac_u_bar": (sp.dirac_u_bar(k, 0.5, -0.5), (4,)),
+        "tetrad_bispinor": (sp.tetrad_bispinor(k, 3), (4,)),
+        "antisym_bispinor": (sp.antisym_bispinor(k, 2, -1), (4,)),
+        "breve_u": (sp.breve_u(k, -0.5, 0.5), (4,)),
+        "breve_u_bar": (sp.breve_u_bar(k, -0.5, 0.5), (4,)),
+    }
+    for sign in (+1, -1):
+        out[f"energy_projector {sign}"] = (pj.energy_projector(p, np.ones(0), sign), (4, 4))
+    for variant in ("lambda", "neg-lambda"):
+        out[f"pi_projector {variant}"] = (pj.pi_projector(p, np.ones(0), s, variant), (4, 4))
+    for kind in pj.POLSUM_KINDS:
+        for side, a in zip(("lhs", "rhs"), pj.polsum(kind, k)):
+            out[f"polsum {kind} {side}"] = (a, (4, 4))
+    for name, (a, tail) in out.items():
+        assert a.shape == (0, *tail), name
+
+
 def test_projector_validators_check_every_point():
     m, p0, n = _points(8, N, "real")
     p = sp.KinematicPoint(m, p0, n).momentum()

@@ -40,6 +40,41 @@ def test_entry_points_reject_non_finite_input(entry, value):
         ENTRY_POINTS[entry](value)
 
 
+# every real input, given its valid value v, and the name a refusal gives it; the momentum
+# and the bispinor are complex inputs and stay so
+REAL_INPUTS = {
+    "KinematicPoint-m": ("mass", 1.0, lambda v: sp.KinematicPoint(v, 2.0, ZHAT)),
+    "KinematicPoint-p0": ("p0", 2.0, lambda v: sp.KinematicPoint(1.0, v, ZHAT)),
+    "KinematicPoint-nhat": ("nhat", ZHAT, lambda v: sp.KinematicPoint(1.0, 2.0, v)),
+    "kappa-p0": ("p0", 2.0, lambda v: sp.kappa(v, 1.0)),
+    "kappa-m": ("mass", 1.0, lambda v: sp.kappa(2.0, v)),
+    "spin_projector": ("spin vector", ZS, pj.spin_projector),
+    "spin_projector_rest": ("nhat", ZHAT, pj.spin_projector_rest),
+    "energy_projector-m": ("mass", 1.0, lambda v: pj.energy_projector(REST, v, +1)),
+    "pi_projector-m": ("mass", 1.0, lambda v: pj.pi_projector(REST, v, ZS)),
+    "pi_projector-s": ("spin vector", ZS, lambda v: pj.pi_projector(REST, 1.0, v)),
+    "spinor_from_breve": ("spin vector", ZS, lambda v: sp.spinor_from_breve(np.ones(4), v)),
+}
+
+# the valid value made complex: Python complex numbers, a complex array with a zero
+# imaginary part, and a batch of two with a nonzero one
+COMPLEX_FORMS = {
+    "python-complex": lambda v: complex(v) if np.ndim(v) == 0 else tuple(map(complex, v)),
+    "complex-array": lambda v: np.asarray(v, dtype=complex),
+    "complex-batch": lambda v: np.asarray([v, v]) + 1e-3j,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", sorted(COMPLEX_FORMS))
+@pytest.mark.parametrize("entry", sorted(REAL_INPUTS))
+def test_a_complex_value_is_refused_where_a_real_is_required(entry, form):
+    what, valid, call = REAL_INPUTS[entry]
+    call(valid)
+    with pytest.raises(ValueError, match=rf"^{what} must be real, got complex128$"):
+        call(COMPLEX_FORMS[form](valid))
+
+
 # a discrete choice of each kind (an index, a sign) whose options include 1 or 0
 CHOICES = {
     "gamma": cl.gamma,

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor import clifford as cl
+from bispinor import projectors as pj
+from bispinor import spinors as sp
 from bispinor import verify as vf
 from bispinor.spinors import KinematicPoint, boosted_spinor
 
@@ -411,6 +413,48 @@ def test_what_the_builders_keep_in_a_columns_is_read_only():
         for value in columns.derived.values():
             for a in value if isinstance(value, (tuple, list)) else (value,):
                 assert not isinstance(a, np.ndarray) or not a.flags.writeable, check.name
+
+
+def test_no_side_hands_out_a_writeable_array_that_another_call_shares():
+    # a side that depends on no sample returns its one value read-only, a table row or
+    # any other result is fresh: no caller can write into what the next call returns
+    for check in vf.registry():
+        first, second = (vf.sample_points(check, seed, 3) for seed in (2, 3))
+        for side in (check.lhs, check.rhs):
+            a, b = side(first), side(second)
+            assert not (a.flags.writeable and np.shares_memory(a, b)), check.name
+
+
+def test_writing_into_what_the_sides_return_changes_no_report():
+    before = vf.run_all(1, 5).to_json()
+    for check in vf.registry():
+        columns = vf.sample_points(check, seed=1, samples=5)
+        for side in (check.lhs, check.rhs):
+            out = side(columns)
+            if out.flags.writeable:
+                out[...] = 7.0
+    assert vf.run_all(1, 5).to_json() == before
+
+
+def _arrays_in(value):
+    """Every ndarray in value, searched through tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_in(item)
+
+
+def test_every_array_the_modules_keep_is_read_only():
+    # the search reaches the (E, M) pair of every table entry
+    assert len(list(_arrays_in(sp._TABLES))) == 2 * sum(len(t) for _, t in sp._TABLES.values())
+    for module in (cl, sp, pj, vf):
+        for name, value in vars(module).items():
+            for a in _arrays_in(value):
+                assert not a.flags.writeable, f"{module.__name__}.{name}"
 
 
 class _ScriptedNormals:
