@@ -58,18 +58,21 @@ _GAMMA5_GAMMA_DOT_S = _read_only(_GAMMA5 @ _GAMMA_DOT_S)
 _GAMMA_DOT_S_GAMMA5 = _read_only(_GAMMA_DOT_S @ _GAMMA5)
 
 
-def check_real(x, what: str) -> np.ndarray:
-    """x as a fresh float array.  A complex value is refused, which float conversion would
-    reject as a TypeError (a Python complex) or cut to its real part (a complex array)."""
-    x = np.array(x)
-    if x.dtype.kind == "c":
-        raise ValueError(f"{what} must be real, got {x.dtype}")
-    return x.astype(float, copy=False)
+def check_real(x, what: str, dtype=float) -> np.ndarray:
+    """x as a fresh float array, or for dtype complex a complex128 one (x itself if it is).
+    Only int and float input converts, and complex input to complex; anything else (a
+    complex where a real is required, a str, bytes, a bool, a dict, an object array), which
+    numpy would parse, cut to its real part or count as 0 or 1, is a ValueError."""
+    real = dtype is float
+    x = np.array(x) if real else np.asarray(x)
+    if x.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{what} must be {'real' if real else 'numeric'}, got {x.dtype}")
+    return x.astype(dtype, copy=False)
 
 
 def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
-    """x as an array of ``dtype`` (float by check_real) with shape (..., n), one per point."""
-    x = check_real(x, what) if dtype is float else np.asarray(x, dtype=dtype)
+    """x as an array of ``dtype`` (by check_real) with shape (..., n), one per point."""
+    x = check_real(x, what, dtype)
     if x.shape[-1:] == (n,):
         return x
     raise ValueError(f"{what} must have shape (..., {n}), got shape {x.shape}")

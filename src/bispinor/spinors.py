@@ -113,10 +113,11 @@ def check_spin_vector(s) -> np.ndarray:
     return s
 
 
-def check_bispinor(u) -> np.ndarray:
-    """u as a complex array of shape (..., 4), each component finite."""
-    u = check_vectors(u, 4, "bispinor")
-    _require(np.isfinite(u).all(axis=-1), "bispinor must be finite, got {}", u)
+def check_bispinor(u, n: int = 4, what: str = "bispinor") -> np.ndarray:
+    """u as a complex array of shape (..., n), each component finite: a bispinor, or for
+    n = 2 a two-spinor."""
+    u = check_vectors(u, n, what)
+    _require(np.isfinite(u).all(axis=-1), what + " must be finite, got {}", u)
     return u
 
 
@@ -296,9 +297,9 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
 
 
 def parity_components(xi_undotted, xi_dotted):
-    """Even/odd parity combinations ((xi + xid)/2, (xi - xid)/2)."""
-    xi = np.asarray(xi_undotted, dtype=complex)
-    xid = np.asarray(xi_dotted, dtype=complex)
+    """Even/odd parity combinations ((xi + xid)/2, (xi - xid)/2) of finite two-spinors."""
+    xi = check_bispinor(xi_undotted, 2, "two-spinor")
+    xid = check_bispinor(xi_dotted, 2, "two-spinor")
     return (xi + xid) * 0.5, (xi - xid) * 0.5
 
 

@@ -19,16 +19,18 @@ A check's lhs and rhs builders take a Columns, one column per sampler key,
 and return arrays with a leading sample axis; given the Columns of one point
 they return that point's arrays, so a reported worst_point replays as
 check.lhs(Columns(worst_point)).  A check on the "fixed" sampler has no
-sample axis and is evaluated once.  Every side that depends on no sample (a
-fixed row's, a constant, the gamma-algebra rows' products, daggers and metric
-terms) is made by _fixed from a value built at import and marked read-only:
-the value itself, or a table indexed by the sampled labels.  Builders read
-only Columns.arrays: the sampler's draw, one array per key, handed over
-uncopied, or read-only copies of the columns a caller passes (the ownership
-rule of the spinors module).  Columns
-keeps what both sides derive from them (the KinematicPoint, a row's common
-evaluation), so each is computed once per Columns.  residuals and
-worst_point rows read the arrays as well.
+sample axis and is evaluated once.  A side is made one of three ways: by _fixed
+if it depends on no sample (a fixed row's, a constant, the gamma-algebra rows'
+products, daggers and metric terms), from a value built at import and marked
+read-only, or a table of them indexed by the sampled labels; by _sides, with
+the other side, if both are one evaluation make(pt) -> (lhs, rhs) (a
+polarization sum); else as a builder of its own.  Builders read only
+Columns.arrays: the sampler's draw, one array per key, handed over uncopied,
+or read-only copies of the columns a caller passes (the ownership rule of the
+spinors module).  Columns keeps what the sides derive from them (the
+KinematicPoint, a complex column, a _sides row's evaluation), so each is
+computed once per Columns.  residuals and worst_point rows read the arrays as
+well.
 A Columns is a dict with no items, so it encodes as {} wherever a builder
 argument is JSON-encoded (a traced benchmark run encodes each one).
 
@@ -49,13 +51,13 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import (METRIC, _I2, _I4, _read_only, check_choice, check_vectors, dot, gamma,
-                       gamma5, gamma5_from_epsilon, gamma_dot_spatial, gamma_lower,
-                       generalized_pauli, pauli_dot, row_times, slash, times_column, trace)
+from .clifford import (METRIC, _I2, _I4, _read_only, check_choice, dot, gamma, gamma5,
+                       gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
+                       pauli_dot, row_times, slash, times_column, trace)
 from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
 from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
-                      breve_u, breve_u_bar, check_band, dirac_adjoint, dirac_u, kappa,
-                      parity_components, rest_basis, spinor_from_breve)
+                      breve_u, breve_u_bar, check_band, check_bispinor, dirac_adjoint, dirac_u,
+                      kappa, parity_components, rest_basis, spinor_from_breve)
 
 TOOL_VERSION = "0.4.0"
 DEFAULT_TOLERANCE = 1e-10
@@ -203,10 +205,11 @@ class Columns(dict):
     """A check's sample columns, from any mapping of columns (a reported worst_point, or
     another Columns, whose arrays it reads): ``arrays``, a read-only copy of each column,
     the only thing the builders read, and ``derived``, the values the builders compute
-    from the arrays, each filled on first use, read-only, and only read after.  Every column is
-    copied, so no write to the caller's arrays can change the columns; sample_points
-    alone hands over its fresh draw uncopied.  The dict itself stays empty, so json
-    encodes it as {}."""
+    from the arrays (the KinematicPoint, a complex column, the (lhs, rhs) of a _sides row
+    keyed by its make), each filled on first use, read-only, and only read after.  Every
+    column is copied, so no write to the caller's arrays can change the columns;
+    sample_points alone hands over its fresh draw uncopied.  The dict itself stays empty,
+    so json encodes it as {}."""
 
     __slots__ = ("arrays", "derived")
 
@@ -219,10 +222,10 @@ class Columns(dict):
 
 def _shared(pt: Columns, key, make):
     """make(), computed once per Columns under key; the arrays it holds, alone or in a
-    tuple or list, are made read-only, as builders hand them on."""
+    tuple, are made read-only, as builders hand them on."""
     if key not in pt.derived:
         value = make()
-        for a in value if isinstance(value, (tuple, list)) else (value,):
+        for a in value if isinstance(value, tuple) else (value,):
             _read_only(a)
         pt.derived[key] = value
     return pt.derived[key]
@@ -250,11 +253,12 @@ def _spatial(nhat) -> np.ndarray:
     return np.concatenate([np.zeros(n.shape[:-1] + (1,)), n], axis=-1)
 
 
-# The factors sigma_lam gamma5 and gamma5 conj(sigma_lam) of section4_two_valued, one pair
-# per lam = 1, 2, 3 (sigma_lam the plus-variant generalized Pauli matrix), built once.
-_TWO_VALUED_FACTORS = tuple(
-    (_read_only(sigma @ gamma5()), _read_only(gamma5() @ np.conj(sigma)))
-    for sigma in (generalized_pauli(lam, +1) for lam in (1, 2, 3)))
+# The six factors of section4_two_valued as one (lam, low/up, 4, 4) stack, built once:
+# sigma_lam gamma5 and gamma5 conj(sigma_lam) for lam = 1, 2, 3, with sigma_lam the
+# plus-variant generalized Pauli matrix.
+_TWO_VALUED_FACTORS = _read_only(np.array([
+    (sigma @ gamma5(), gamma5() @ np.conj(sigma))
+    for sigma in (generalized_pauli(lam, +1) for lam in (1, 2, 3))]))
 
 
 def section4_two_valued(xi) -> tuple:
@@ -263,15 +267,14 @@ def section4_two_valued(xi) -> tuple:
     x_lam = xi^+ (sigma_lam gamma5) xi and x^lam = xi^+ (gamma5 conj(sigma_lam)) xi
     with sigma_lam the plus-variant generalized Pauli matrices; both factors
     are real, so the left side is quartic in |xi| and scales as |alpha|^4.
-    Broadcasts over leading batch axes of xi (..., 4).
+    Broadcasts over leading batch axes of xi (..., 4), a finite bispinor; all six
+    bilinears come from one contraction with the stack _TWO_VALUED_FACTORS.
     """
-    xi = check_vectors(xi, 4, "bispinor")
-    bra = np.conj(xi)
-    total = 0.0
-    for low, up in _TWO_VALUED_FACTORS:
-        x_low = dot(row_times(bra, low), xi)
-        x_up = dot(row_times(bra, up), xi)
-        total = total + (x_up.real * x_low.real - x_up.imag * x_low.imag)
+    xi = check_bispinor(xi)
+    ket = xi[..., None, None, :]
+    x = dot(row_times(np.conj(ket), _TWO_VALUED_FACTORS), ket)  # (..., lam, low/up)
+    low, up = x[..., 0], x[..., 1]
+    total = np.sum(up.real * low.real - up.imag * low.imag, axis=-1)
     a = np.abs(xi)
     norm2 = np.sum(a * a, axis=-1)
     return total, norm2 * norm2
@@ -317,38 +320,39 @@ def _fixed(value, *keys):
     return lambda pt: value[tuple(pt.arrays[key] for key in keys)]
 
 
+def _sides(make) -> tuple:
+    """The lhs and rhs of a row whose two sides are one evaluation make(pt) -> (lhs, rhs),
+    computed once per Columns, whichever side runs first, and kept under make itself."""
+    return tuple(lambda pt, i=i: _shared(pt, make, lambda: make(pt))[i] for i in (0, 1))
+
+
 def _three_matrices(pt) -> np.ndarray:
     """A point's three complex 4x4 matrices a, stacked as (3, ..., 4, 4)."""
     a = _complex_of(pt, "a")
     return np.moveaxis(a.reshape(a.shape[:-1] + (3, 4, 4)), -3, 0)
 
 
-def _cycled_trace(pt) -> np.ndarray:
-    """tr(a2 a0 a1) of a point's three matrices a0, a1, a2, read as views."""
+def _trace_cycle(pt) -> tuple:
+    """tr(a0 a1 a2) and tr(a2 a0 a1) of a point's three matrices, read as views."""
     a = _three_matrices(pt)
-    return trace((a[2], a[0], a[1]))[..., None]
+    return trace(a)[..., None], trace((a[2], a[0], a[1]))[..., None]
 
 
-def _boost_exponential(pt):
+def _boost_exponential(pt) -> tuple:
     """exp(+-(chi/2) sigma.n) phi_lam in spectral form, e^{+-chi/2} P(n) phi
-    + e^{-+chi/2} P(-n) phi, with e^{+-chi/2} = sqrt((p0 +- |p|)/m) from the momentum:
-    rows (lam, undotted/dotted), as _boosted_spinors stacks boosted_spinor."""
+    + e^{-+chi/2} P(-n) phi, with e^{+-chi/2} = sqrt((p0 +- |p|)/m) from the momentum,
+    and boosted_spinor: each as rows (lam, undotted/dotted)."""
     k = _kin(pt)
     check_band("boost-exponential", k.p0, k.m, "p0 >= m")
     q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
     up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None] for sign in (+1, -1))
     along, against = spin_projector_rest(k.nhat), spin_projector_rest(-k.nhat)
-    rows = []
+    rows, boosted = [], []
     for lam in HELICITIES:
         pa, pb = times_column(along, basis_spinor(lam)), times_column(against, basis_spinor(lam))
         rows += [up * pa + down * pb, down * pa + up * pb]
-    return np.stack(rows, axis=-2)
-
-
-def _boosted_spinors(pt):
-    k = _kin(pt)
-    return np.stack([boosted_spinor(k, lam, dotted) for lam in HELICITIES
-                     for dotted in (False, True)], axis=-2)
+        boosted += [boosted_spinor(k, lam, dotted) for dotted in (False, True)]
+    return np.stack(rows, axis=-2), np.stack(boosted, axis=-2)
 
 
 def _norm_gram(pt):
@@ -358,26 +362,19 @@ def _norm_gram(pt):
                     axis=-2)
 
 
-def _polsum_side(kind: str, side: int):
-    return lambda pt: _shared(pt, ("polsum", kind), lambda: polsum(kind, _kin(pt)))[side]
-
-
-def _kappa_pair(pt):
-    k = _kin(pt)
-    return np.stack([kappa(k.p0, k.m), kappa(k.m, k.m)], axis=-1)
-
-
 def _norm(x) -> np.ndarray:
     """Euclidean norm over the last axis, summed as numpy's vector norm sums it."""
     return np.sqrt(dot(x.real, x.real) + dot(x.imag, x.imag))
 
 
-def _kappa_reference(pt):
+def _kappa_boundary(pt) -> tuple:
+    """kappa at p0 and at threshold, against the parity-amplitude ratio and zero."""
     k = _kin(pt)
     even, odd = parity_components(boosted_spinor(k, 0.5, dotted=False),
                                   boosted_spinor(k, 0.5, dotted=True))
     ratio = _norm(odd) / _norm(even)
-    return np.stack([ratio, np.zeros_like(ratio)], axis=-1)
+    return (np.stack([kappa(k.p0, k.m), kappa(k.m, k.m)], axis=-1),
+            np.stack([ratio, np.zeros_like(ratio)], axis=-1))
 
 
 def _rest_spin_action():
@@ -418,11 +415,12 @@ def _pi_annihilation(pt):
     return np.stack([times_column(pi, breve_u(k, lam, lam)) for lam in HELICITIES], axis=-2)
 
 
-def _map_roundtrip(pt, expected: bool):
-    us = _shared(pt, "breve_u", lambda: [breve_u(_kin(pt), lam, lam) for lam in HELICITIES])
+def _map_roundtrip(pt) -> tuple:
+    """The two maps composed on the equal-helicity breve bispinors u, against -u."""
+    us = [breve_u(_kin(pt), lam, lam) for lam in HELICITIES]
     s = _spatial(pt.arrays["nhat"])
-    return np.stack([-u if expected else spinor_from_breve(spinor_from_breve(u, s, "u"), s, "v")
-                     for u in us], axis=-2)
+    return (np.stack([spinor_from_breve(spinor_from_breve(u, s, "u"), s, "v") for u in us],
+                     axis=-2), np.stack([-u for u in us], axis=-2))
 
 
 def _unity_gamma0(pt):
@@ -434,10 +432,6 @@ def _tetrad_sum(pt):
     """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n), with P(n) and P(-n) built once."""
     along, against = (spin_projector(_spatial(n)) for n in (pt.arrays["nhat"], -pt.arrays["nhat"]))
     return sum((along, against) * 2) * 0.5
-
-
-def _two_valued(pt, side: int):
-    return _shared(pt, "two-valued", lambda: section4_two_valued(_complex_of(pt, "xi")))[side]
 
 
 def _orientation_projector(pt):
@@ -465,12 +459,10 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "fixed", _fixed(gamma5()), _fixed(gamma5_from_epsilon()), 1e-14, "holds"),
     ("trace-cyclicity",
      "trace of a cyclic permutation of a matrix product (toolkit invariant)",
-     "matrices", lambda pt: trace(_three_matrices(pt))[..., None],
-     _cycled_trace,
-     1e-14, "holds"),
+     "matrices", *_sides(_trace_cycle), 1e-14, "holds"),
     ("boost-exponential",
      "boosted two-spinor as the exponential exp(+-(chi/2) sigma.n) phi, cosh chi = p0/m",
-     "real-band", _boost_exponential, _boosted_spinors, 1e-12, "holds"),
+     "real-band", *_sides(_boost_exponential), 1e-12, "holds"),
     ("norm-spinor",
      "normalization of the definite-parity bispinor basis: ubar u = delta",
      "real-band", _norm_gram, _fixed(_I2), 1e-12, "holds"),
@@ -481,17 +473,16 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      _fixed(_I2), 1e-14, "holds"),
     ("polsum-spinor",
      "polarization-sum rule, spinor sector: closed form (pslash + m)/2m",
-     "real-band", _polsum_side("spinor", 0), _polsum_side("spinor", 1), 1e-12, "holds"),
+     "real-band", *_sides(lambda pt: polsum("spinor", _kin(pt))), 1e-12, "holds"),
     ("polsum-antispinor",
      "polarization-sum rule, antisymmetric sector: closed form (m - pslash)/2m",
-     "real-band", _polsum_side("antispinor", 0), _polsum_side("antispinor", 1),
-     1e-12, "holds"),
+     "real-band", *_sides(lambda pt: polsum("antispinor", _kin(pt))), 1e-12, "holds"),
     ("unity-decomposition-gamma0",
      "unity decomposition over the antisymmetric-basis gamma0 diads at p0 = -m",
      "sphere", _unity_gamma0, _fixed(_I4), 1e-12, "expected-fail"),
     ("kappa-boundary",
      "spin-eigenvalue ratio: closed form vs the parity-amplitude ratio, zero at threshold",
-     "real-band", _kappa_pair, _kappa_reference, 1e-12, "holds"),
+     "real-band", *_sides(_kappa_boundary), 1e-12, "holds"),
     ("rest-eigenvalues",
      "band-center basis eigenvalues of diag(sigma.n, -sigma.n) along z: +1, -1, -1, +1",
      "fixed", _fixed(_rest_spin_action()),
@@ -525,16 +516,13 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "sphere", _tetrad_sum, _fixed(_I4), 1e-12, "holds"),
     ("polsum-breve-plus",
      "complex-band polarization sum against the closed form (pslash + m)/2m",
-     "breve-band", _polsum_side("breve-plus", 0), _polsum_side("breve-plus", 1),
-     1e-12, "informational"),
+     "breve-band", *_sides(lambda pt: polsum("breve-plus", _kin(pt))), 1e-12, "informational"),
     ("polsum-breve-minus",
      "complex-band polarization sum against the closed form (m - pslash)/2m",
-     "breve-band", _polsum_side("breve-minus", 0), _polsum_side("breve-minus", 1),
-     1e-12, "informational"),
+     "breve-band", *_sides(lambda pt: polsum("breve-minus", _kin(pt))), 1e-12, "informational"),
     ("completeness",
      "the two energy projectors form a complete set: their sum is unity",
-     "real-band", _polsum_side("completeness", 0), _polsum_side("completeness", 1),
-     1e-12, "holds"),
+     "real-band", *_sides(lambda pt: polsum("completeness", _kin(pt))), 1e-12, "holds"),
     ("pi-annihilation",
      "annihilation of the constructed complex bispinors by the explicit band projector",
      "breve-band", _pi_annihilation, _fixed(_ZERO_ROWS), 1e-12, "informational"),
@@ -545,16 +533,16 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      _fixed([rest_basis(tau) for tau in (1, 2, 3, 4)]), 1e-12, "informational"),
     ("spinor-breve-maps",
      "the two spinor/bispinor maps through gamma5 gamma.s compose to minus one",
-     "breve-band", lambda pt: _map_roundtrip(pt, expected=False),
-     lambda pt: _map_roundtrip(pt, expected=True), 1e-12, "holds"),
+     "breve-band", *_sides(_map_roundtrip), 1e-12, "holds"),
     ("section4-projector-equivalence",
      "covariant orientation projector (1 + gamma5 s.gamma)/2 matches the spin projector",
      "sphere", _orientation_projector, lambda pt: spin_projector(_spatial(pt.arrays["nhat"])),
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",
-     "spinor4", lambda pt: _two_valued(pt, 0)[..., None],
-     lambda pt: _two_valued(pt, 1)[..., None], 1e-10, "informational"),
+     "spinor4", *_sides(lambda pt: tuple(
+         x[..., None] for x in section4_two_valued(_complex_of(pt, "xi")))),
+     1e-10, "informational"),
 ))
 assert len({c.name for c in _REGISTRY}) == len(_REGISTRY), "registry names must be unique"
 

@@ -9,6 +9,7 @@ import pytest
 from bispinor import clifford as cl
 from bispinor import projectors as pj
 from bispinor import spinors as sp
+from bispinor import verify as vf
 
 ZHAT = (0.0, 0.0, 1.0)
 REST = (1.0, 0.0, 0.0, 0.0)
@@ -30,6 +31,9 @@ ENTRY_POINTS = {
     "spinor_from_breve-bispinor": lambda x: sp.spinor_from_breve((x, 0.0, 0.0, 0.0), ZS),
     "dirac_adjoint": lambda x: sp.dirac_adjoint((x, 0.0, 0.0, 0.0)),
     "diad": lambda x: pj.diad((x, 0.0, 0.0, 0.0), "gamma0"),
+    "section4_two_valued": lambda x: vf.section4_two_valued((x, 0.0, 0.0, 0.0)),
+    "parity_components-undotted": lambda x: sp.parity_components((x, 0.0), (1.0, 0.0)),
+    "parity_components-dotted": lambda x: sp.parity_components((1.0, 0.0), (0.0, x)),
 }
 
 
@@ -73,6 +77,42 @@ def test_a_complex_value_is_refused_where_a_real_is_required(entry, form):
     call(valid)
     with pytest.raises(ValueError, match=rf"^{what} must be real, got complex128$"):
         call(COMPLEX_FORMS[form](valid))
+
+
+def _each(convert):
+    """convert applied to a scalar, or to each component of a vector."""
+    return lambda v: convert(v) if np.ndim(v) == 0 else tuple(map(convert, v))
+
+
+# the valid value in a form that is not numbers, which numpy would parse (str, bytes), count
+# as 0 or 1 (bool), or fail to convert with a TypeError (a dict, an object-array complex)
+NON_NUMERIC_FORMS = {
+    "str": _each(str),
+    "bytes": _each(lambda c: str(c).encode()),
+    "bool": _each(bool),
+    "dict": lambda v: {"value": v},
+    "object-complex": lambda v: np.array(COMPLEX_FORMS["python-complex"](v), dtype=object),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", sorted(NON_NUMERIC_FORMS))
+@pytest.mark.parametrize("entry", sorted(REAL_INPUTS))
+def test_a_value_that_is_not_numbers_is_refused_where_a_real_is_required(entry, form):
+    what, valid, call = REAL_INPUTS[entry]
+    with pytest.raises(ValueError, match=rf"^{what} must be real, got "):
+        call(NON_NUMERIC_FORMS[form](valid))
+
+
+# one component that is not a number makes the whole input an array of strs, bytes or
+# objects; a bool component would be read as the number 0 or 1, so it is not listed here
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1", b"1", {}, np.array(1j, dtype=object)],
+                         ids=["str", "bytes", "dict", "object-complex"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_a_component_that_is_not_a_number(entry, value):
+    with pytest.raises(ValueError, match=r" must be (real|numeric), got "):
+        ENTRY_POINTS[entry](value)
 
 
 # a discrete choice of each kind (an index, a sign) whose options include 1 or 0

@@ -181,6 +181,32 @@ def test_section4_two_valued_frozen_values():
     assert rhs == pytest.approx(4.0)
 
 
+def _two_valued_by_lambda(xi) -> tuple:
+    """section4_two_valued as a loop over lam, two bilinears at a time: the reference."""
+    xi = np.asarray(xi, dtype=complex)
+    bra = np.conj(xi)
+    total = 0.0
+    for low, up in vf._TWO_VALUED_FACTORS:
+        x_low = cl.dot(cl.row_times(bra, low), xi)
+        x_up = cl.dot(cl.row_times(bra, up), xi)
+        total = total + (x_up.real * x_low.real - x_up.imag * x_low.imag)
+    a = np.abs(xi)
+    norm2 = np.sum(a * a, axis=-1)
+    return total, norm2 * norm2
+
+
+def test_section4_two_valued_keeps_the_bits_of_the_loop_over_lambda():
+    check = _by_name()["section4-two-valued"]
+    xis = vf._complex_of(vf.sample_points(check, seed=11, samples=1000), "xi")
+    signed = [0.0, -0.0, 1.0, -1.0, 1j, -1j, complex(-0.0, -0.0)]
+    grid = np.array(np.meshgrid(*[signed] * 4, indexing="ij")).reshape(4, -1).T
+    singles = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (-0.0, 1j, 0, -1), *xis[:5], *grid[::97]]
+    for xi in (xis, grid, *singles):
+        for got, want in zip(vf.section4_two_valued(xi), _two_valued_by_lambda(xi)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     re=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
@@ -513,19 +539,41 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
+# calls per check of each counted function, by one evaluation of both sides; none elsewhere
+SHARED_CALLS = {
+    "polsum": dict.fromkeys(("polsum-spinor", "polsum-antispinor", "polsum-breve-plus",
+                             "polsum-breve-minus", "completeness"), 1),
+    "section4_two_valued": {"section4-two-valued": 1},
+    "trace": {"trace-cyclicity": 2},
+    "boosted_spinor": {"boost-exponential": 4, "kappa-boundary": 2},
+    "breve_u": dict.fromkeys(("breve-norm", "breve-norm-cross", "adjoint-dirac-paper-dagger",
+                              "adjoint-dirac-standard-dagger", "pi-annihilation",
+                              "spinor-breve-maps"), 2),
+    "kappa": {"kappa-boundary": 2},
+}
+
+
 def test_each_check_computes_its_shared_values_once(monkeypatch):
-    counts = {name: _counting(monkeypatch, name)
-              for name in ("polsum", "KinematicPoint", "section4_two_valued")}
+    counts = {name: _counting(monkeypatch, name) for name in ("KinematicPoint", *SHARED_CALLS)}
+
+    def made() -> dict:
+        return {name: len(calls) for name, calls in counts.items()}
+
     for check in vf.registry():
-        for calls in counts.values():
-            calls.clear()
-        vf.run_check(check, seed=9, samples=50)
-        n = {name: len(calls) for name, calls in counts.items()}
-        assert n["polsum"] == (1 if check.name.startswith("polsum-")
-                               or check.name == "completeness" else 0), check.name
-        assert n["section4_two_valued"] == (check.name == "section4-two-valued"), check.name
-        if check.sampler in ("real-band", "breve-band"):
-            assert n["KinematicPoint"] == 1, check.name
+        want = {name: by_check.get(check.name, 0) for name, by_check in SHARED_CALLS.items()}
+        # either side may run first: it makes every counted call, and the other side none
+        for first, second in ((check.lhs, check.rhs), (check.rhs, check.lhs)):
+            columns = vf.sample_points(check, seed=9, samples=50)
+            for calls in counts.values():
+                calls.clear()
+            first(columns)
+            before = made()
+            second(columns)
+            after = made()
+            assert {name: after[name] for name in SHARED_CALLS} == want, check.name
+            assert after == before or not any(before.values()), check.name
+            if check.sampler in ("real-band", "breve-band"):
+                assert after["KinematicPoint"] == 1, check.name
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
