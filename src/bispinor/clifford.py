@@ -44,26 +44,46 @@ _GAMMA = tuple(map(_read_only, (
 _GAMMA5 = _read_only(1j * _GAMMA[0] @ _GAMMA[1] @ _GAMMA[2] @ _GAMMA[3])
 
 
+def _contraction(stack) -> tuple:
+    """A constant (k, r, c) stack as _contract takes it: its read-only (k, r c) form, (r, c)."""
+    stack = np.asarray(stack)
+    return _read_only(stack.reshape(len(stack), -1)), stack.shape[1:]
+
+
 # Matrix stacks for pauli_dot, slash and gamma_dot_spatial: vector component
 # i multiplies matrix i.  Each entry of the sum collects at most two exact
 # products (a component times 0, +-1 or +-i), so one matrix product of the
 # vectors with the flattened stack equals the term-by-term sum exactly.
-_PAULI_DOT = _read_only(np.stack(_PAULI))
+_PAULI_DOT = _contraction(_PAULI)
 _SLASH = _read_only(np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3])))
 _GAMMA_DOT_S = _read_only(np.stack((0 * _GAMMA[0], *_GAMMA[1:])))
+_SLASH_DOT, _GAMMA_DOT_S_DOT = _contraction(_SLASH), _contraction(_GAMMA_DOT_S)
 # gamma5 slash(s), gamma5 (gamma.s) and (gamma.s) gamma5 as stacks of the same kind:
 # gamma5 only permutes rows or columns of a stack matrix, so the entries stay 0, +-1, +-i.
 _GAMMA5_SLASH = _read_only(_GAMMA5 @ _SLASH)
-_GAMMA5_GAMMA_DOT_S = _read_only(_GAMMA5 @ _GAMMA_DOT_S)
-_GAMMA_DOT_S_GAMMA5 = _read_only(_GAMMA_DOT_S @ _GAMMA5)
+_GAMMA5_GAMMA_DOT_S = _contraction(_GAMMA5 @ _GAMMA_DOT_S)
+_GAMMA_DOT_S_GAMMA5 = _contraction(_GAMMA_DOT_S @ _GAMMA5)
+_PLAIN = frozenset((float, int))  # the element types of a sequence of plain numbers
+
+
+def _holds_bool(x) -> bool:
+    """Whether a list or tuple x holds a bool, an np.bool_ or a bool array at any depth."""
+    return not _PLAIN.issuperset(map(type, x)) and any(
+        _holds_bool(v) if isinstance(v, (list, tuple)) else np.asarray(v).dtype == bool
+        for v in x)
 
 
 def check_real(x, what: str, dtype=float) -> np.ndarray:
     """x as a fresh float array, or for dtype complex a complex128 one (x itself if it is).
     Only int and float input converts, and complex input to complex; anything else (a
-    complex where a real is required, a str, bytes, a bool, a dict, an object array), which
-    numpy would parse, cut to its real part or count as 0 or 1, is a ValueError."""
+    complex where a real is required, a str, bytes, a bool, a dict, an object array, a
+    sequence holding a bool), which numpy would parse, cut to real or read as 0 or 1, is a
+    ValueError."""
     real = dtype is float
+    if real and type(x) is float:  # what the steps below give, without them
+        return np.array(x)
+    if isinstance(x, (list, tuple)) and _holds_bool(x):
+        x = True  # refused below as a bool alone is, before numpy reads it as 0 or 1
     x = np.array(x) if real else np.asarray(x)
     if x.dtype.kind not in ("iuf" if real else "iufc"):
         raise ValueError(f"{what} must be {'real' if real else 'numeric'}, got {x.dtype}")
@@ -89,9 +109,10 @@ def check_choice(what: str, value, options: tuple) -> int:
     raise ValueError(f"{what} must be one of {options}, got {value!r}")
 
 
-def _contract(x, stack: np.ndarray) -> np.ndarray:
-    """sum_i x[..., i] stack[i] for vectors x of shape (..., len(stack)) the caller checked."""
-    return (x @ stack.reshape(len(stack), -1)).reshape(x.shape[:-1] + stack.shape[1:])
+def _contract(x, stack: tuple) -> np.ndarray:
+    """sum_i x[..., i] S[i] for checked vectors x (..., k) and a stack S from _contraction."""
+    flat, shape = stack
+    return (x @ flat).reshape(x.shape[:-1] + shape)
 
 
 def pauli(i: int) -> np.ndarray:
@@ -153,12 +174,12 @@ def minkowski_dot(a, b):
 
 def slash(a) -> np.ndarray:
     """Feynman slash a_mu gamma^mu = a^0 g0 - a^1 g1 - a^2 g2 - a^3 g3."""
-    return _contract(check_vectors(a, 4, "4-vector"), _SLASH)
+    return _contract(check_vectors(a, 4, "4-vector"), _SLASH_DOT)
 
 
 def gamma_dot_spatial(s) -> np.ndarray:
     """gamma.s = sum_i gamma^i s^i (upper-index gammas) for s = (0, svec)."""
-    return _contract(check_vectors(s, 4, "four-vector"), _GAMMA_DOT_S)
+    return _contract(check_vectors(s, 4, "four-vector"), _GAMMA_DOT_S_DOT)
 
 
 def sigma_munu(mu: int, nu: int) -> np.ndarray:
@@ -215,4 +236,5 @@ def trace(ms):
     ms = list(ms)
     if not ms:
         raise ValueError("trace of an empty product is undefined")
-    return np.trace(reduce(np.matmul, ms), axis1=-2, axis2=-1)
+    m = reduce(np.matmul, ms)  # its diagonal added in np.trace's order, with no reduction
+    return (m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3])

@@ -20,7 +20,7 @@ import numpy as np
 
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
-from .clifford import (_GAMMA5_SLASH, _I2, _I4, _SLASH, _contract, _read_only, check_choice,
+from .clifford import (_GAMMA5_SLASH, _I2, _I4, _SLASH, _contract, _contraction, check_choice,
                        check_real, check_vectors, gamma, gamma5, minkowski_dot, pauli_dot,
                        row_times, slash)
 from .spinors import (_SQRT_MAX, KinematicPoint, _in_scale, _require, _state, breve_u,
@@ -37,9 +37,10 @@ _ONSHELL_TOL = 1e-10
 # with I4 appended.  Every entry of a stack matrix is 0, +-1 or +-i, and I4 adds m or 1
 # only to diagonal entries that hold +-p0 or +-s3, so each entry is exact up to one
 # rounding, as in slash.  _ENERGY[+1, -1], of shape (5, 8, 4), holds Lambda+ over Lambda-.
-_ENERGY = {sign: _read_only(np.concatenate([sign * _SLASH, _I4[None]])) for sign in (+1, -1)}
-_ENERGY[+1, -1] = _read_only(np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1))
-_SPIN = _read_only(np.concatenate([_GAMMA5_SLASH, _I4[None]]))
+_ENERGY = {sign: np.concatenate([sign * _SLASH, _I4[None]]) for sign in (+1, -1)}
+_ENERGY[+1, -1] = np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1)
+_ENERGY = {sign: _contraction(stack) for sign, stack in _ENERGY.items()}
+_SPIN = _contraction(np.concatenate([_GAMMA5_SLASH, _I4[None]]))
 
 
 def _outer(u, v) -> np.ndarray:
@@ -166,8 +167,7 @@ def polsum(kind: str, k: KinematicPoint):
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
         # the columns u(+1/2), u(-1/2), then the rows ubar(+1/2), ubar(-1/2), in one pass
         name = "breve_u" if kind.startswith("breve") else "dirac_u"
-        pair = _state(k.negated() if kind == "antispinor" else k, name, "pair")
-        u = pair.reshape(pair.shape[:-1] + (4, 4))
+        u = _state(k.negated() if kind == "antispinor" else k, name, "pair")
         lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])
         rhs = _energy_projector(x, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs

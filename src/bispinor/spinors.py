@@ -22,9 +22,9 @@ Every band constructor is one formula, a * E + b * (nhat @ M), evaluated by
 _state from the point's cached a, b and one pair of constant tables (E, M)
 that _TABLES holds per constructor name and labels.  A constructor's signs
 and phases sit in its tables: -M for the dotted two-spinor and for the row
-dirac_u_bar, i M for the breve states, a zero E or M for the tetrad.  One more
-entry of dirac_u and of breve_u holds both equal-helicity states (lam, lam),
-columns then rows, side by side, so that polsum builds all four in one pass.
+dirac_u_bar, i M for the breve states, a zero E or M for the tetrad.  Stacks
+of several labelled states, their tables side by side and built at import, come
+out of _state as (..., L, w) in one pass: polsum and the registry rows read them.
 
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
@@ -171,24 +171,34 @@ def _tetrad(i) -> tuple:
     return (e, np.zeros_like(m)) if i < 2 else (np.zeros_like(e), m)
 
 
-def _pair(make) -> tuple:
-    """(E, M) of both equal-helicity states (lam, lam), lam = +1/2 then -1/2, columns
-    then rows, side by side: a state of width 16, read as the four states' (4, 4)."""
-    parts = [make(j, j, row) for row in (False, True) for j in (0, 1)]
-    return tuple(np.concatenate(tables, axis=-1) for tables in zip(*parts))
+def _stack(tables) -> tuple:
+    """(E, M) of states side by side: E (L, w), a row each; M one (3, L w) for one nhat @ M."""
+    es, ms = zip(*tables)
+    return np.stack(es), np.concatenate(ms, axis=-1)
+
+
+def _with_all(tables: dict) -> dict:
+    """tables beside "all", the stack of their states in order."""
+    return {**tables, "all": _stack(tables.values())}
 
 
 _REAL_BAND, _BREVE_BAND = "|p0| >= m", "|p0| <= m"
 # constructor name -> (its band, {labels: (E, M)}), each E and M read-only; the labels are
-# helicity slots, a dotted flag or a tetrad slot, or "pair" for the equal-helicity pair
+# helicity slots, a dotted flag or a tetrad slot, or a stack's name: "pair" (lam, lam) and
+# "cross" (lam, -lam), columns then rows, or "all" the name's states in order
 _TABLES = {name: (band, {labels: tuple(map(_read_only, em)) for labels, em in tables.items()})
            for name, (band, tables) in {
-    "boosted_spinor": (_REAL_BAND, {(j, d): (_PHI[j], -_SIGMA_PHI[j] if d else _SIGMA_PHI[j])
-                                    for j in (0, 1) for d in (False, True)}),
-    "dirac_u": (_REAL_BAND, {**{j: _dirac(*j) for j in _SLOT_PAIRS}, "pair": _pair(_dirac)}),
+    "boosted_spinor": (_REAL_BAND, _with_all({
+        (j, d): (_PHI[j], -_SIGMA_PHI[j] if d else _SIGMA_PHI[j])
+        for j in (0, 1) for d in (False, True)})),
+    "dirac_u": (_REAL_BAND, {**{j: _dirac(*j) for j in _SLOT_PAIRS},
+                             "pair": _stack(_dirac(j, j, row) for row in (0, 1) for j in (0, 1))}),
     "dirac_u_bar": (_REAL_BAND, {j: _dirac(*j, row=True) for j in _SLOT_PAIRS}),
-    "tetrad_bispinor": (_REAL_BAND, {(i,): _tetrad(i) for i in range(4)}),
-    "breve_u": (_BREVE_BAND, {**{j: _breve(*j) for j in _SLOT_PAIRS}, "pair": _pair(_breve)}),
+    "tetrad_bispinor": (_REAL_BAND, _with_all({(i,): _tetrad(i) for i in range(4)})),
+    "breve_u": (_BREVE_BAND, {
+        **{j: _breve(*j) for j in _SLOT_PAIRS},
+        "pair": _stack(_breve(j, j, row) for row in (0, 1) for j in (0, 1)),
+        "cross": _stack(_breve(j, 1 - j, row) for row in (0, 1) for j in (0, 1))}),
     "breve_u_bar": (_BREVE_BAND, {j: _breve(*j, row=True) for j in _SLOT_PAIRS}),
 }.items()}
 
@@ -276,13 +286,16 @@ class KinematicPoint:
 
 def _state(k: KinematicPoint, name: str, labels) -> np.ndarray:
     """a * E + b * (nhat @ M) at k for the tables (E, M) of constructor ``name`` at
-    ``labels``: one state, or the (..., 16) of a pair.  Raises RegionError naming
-    ``name`` if a point lies outside its band."""
+    ``labels``: one state (..., w), or a stack of L states (..., L, w) in one pass.
+    Raises RegionError naming ``name`` if a point lies outside its band."""
     band, tables = _TABLES[name]
     check_band(name, k.p0, k.m, band)
     e, m = tables[labels]
     a, b = k._half_boosts
-    return a[..., None] * e + b[..., None] * (k.nhat @ m)
+    nm = k.nhat @ m
+    if e.ndim > 1:  # a stack: its states side by side in M
+        a, b, nm = a[..., None], b[..., None], nm.reshape(nm.shape[:-1] + e.shape)
+    return a[..., None] * e + b[..., None] * nm
 
 
 def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:

@@ -18,21 +18,15 @@ bit-identical and checks do not perturb each other.
 A check's lhs and rhs builders take a Columns, one column per sampler key,
 and return arrays with a leading sample axis; given the Columns of one point
 they return that point's arrays, so a reported worst_point replays as
-check.lhs(Columns(worst_point)).  A check on the "fixed" sampler has no
-sample axis and is evaluated once.  A side is made one of three ways: by _fixed
-if it depends on no sample (a fixed row's, a constant, the gamma-algebra rows'
-products, daggers and metric terms), from a value built at import and marked
-read-only, or a table of them indexed by the sampled labels; by _sides, with
-the other side, if both are one evaluation make(pt) -> (lhs, rhs) (a
-polarization sum); else as a builder of its own.  Builders read only
-Columns.arrays: the sampler's draw, one array per key, handed over uncopied,
-or read-only copies of the columns a caller passes (the ownership rule of the
-spinors module).  Columns keeps what the sides derive from them (the
-KinematicPoint, a complex column, a _sides row's evaluation), so each is
-computed once per Columns.  residuals and worst_point rows read the arrays as
-well.
-A Columns is a dict with no items, so it encodes as {} wherever a builder
-argument is JSON-encoded (a traced benchmark run encodes each one).
+residuals(check, Columns(worst_point)), its max_residual.  A check on the
+"fixed" sampler has no sample axis and is evaluated once.  A side is made by
+_fixed if it depends on no sample (a value built at import, read-only, or a
+table of them indexed by the sampled labels); by _sides, with the other side,
+if both are one evaluation make(pt) -> (lhs, rhs); else as a builder of its
+own.  A row that reads several labelled states (helicities, tetrad slots, the
+dotted flag) builds them in one spinors._state pass, as a stack with a label
+axis, and residuals reduces across the sample axis, never along a short one.
+Builders read only Columns.arrays and keep what they derive in Columns.derived.
 
 The JSON report is the report dataclasses field for field, written by the
 stdlib encoder: every float in its shortest round-trip repr, so each value
@@ -55,8 +49,7 @@ from .clifford import (METRIC, _I2, _I4, _read_only, check_choice, dot, gamma, g
                        gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
                        pauli_dot, row_times, slash, times_column, trace)
 from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
-from .spinors import (HELICITIES, KinematicPoint, antisym_bispinor, basis_spinor, boosted_spinor,
-                      breve_u, breve_u_bar, check_band, check_bispinor, dirac_adjoint, dirac_u,
+from .spinors import (KinematicPoint, _state, breve_u, check_band, check_bispinor, dirac_adjoint,
                       kappa, parity_components, rest_basis, spinor_from_breve)
 
 TOOL_VERSION = "0.4.0"
@@ -174,7 +167,8 @@ def _unit_rows(rng, n: int) -> np.ndarray:
     """n unit 3-vectors; rows with |v| <= 1e-6 are redrawn in order until none is left."""
     v = rng.normal(size=(n, 3))
     while True:
-        norm = np.sqrt(np.sum(v * v, axis=1))
+        x, y, z = v.T  # summed in np.sum's order, without a reduction over a 3-wide axis
+        norm = np.sqrt((x * x + y * y) + z * z)
         short = norm <= 1e-6
         if not short.any():
             return v / norm[:, None]
@@ -199,6 +193,8 @@ _SAMPLERS = {
     "spinor4": lambda rng, n: {"xi_re": rng.normal(size=(n, 4)), "xi_im": rng.normal(size=(n, 4))},
     "fixed": lambda rng, n: {},
 }
+# the sampler keys drawn as a vector per point; every other key draws one number per point
+_POINT_NDIM = {"nhat": 1, "a_re": 1, "a_im": 1, "xi_re": 1, "xi_im": 1}
 
 
 class Columns(dict):
@@ -231,7 +227,7 @@ def _shared(pt: Columns, key, make):
     return pt.derived[key]
 
 
-def point(columns: Columns, i: int) -> dict:
+def point(columns: Columns, i) -> dict:
     """Row i of a check's sample columns: plain Python floats, ints and lists."""
     return {key: array[i].tolist() for key, array in columns.arrays.items()}
 
@@ -345,21 +341,17 @@ def _boost_exponential(pt) -> tuple:
     k = _kin(pt)
     check_band("boost-exponential", k.p0, k.m, "p0 >= m")
     q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
-    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None] for sign in (+1, -1))
-    along, against = spin_projector_rest(k.nhat), spin_projector_rest(-k.nhat)
-    rows, boosted = [], []
-    for lam in HELICITIES:
-        pa, pb = times_column(along, basis_spinor(lam)), times_column(against, basis_spinor(lam))
-        rows += [up * pa + down * pb, down * pa + up * pb]
-        boosted += [boosted_spinor(k, lam, dotted) for dotted in (False, True)]
-    return np.stack(rows, axis=-2), np.stack(boosted, axis=-2)
+    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None, None] for sign in (+1, -1))
+    # P(+-n) phi_lam for lam = +1/2, -1/2 (the rows of I2), as (..., lam, 2)
+    pa, pb = (times_column(spin_projector_rest(n)[..., None, :, :], _I2)
+              for n in (k.nhat, -k.nhat))
+    rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)
+    return rows.reshape(rows.shape[:-3] + (4, 2)), _state(k, "boosted_spinor", "all")
 
 
 def _norm_gram(pt):
-    k = _kin(pt)
-    us = [dirac_u(k, lam, lam) for lam in HELICITIES]
-    return np.stack([np.stack([dot(dirac_adjoint(u), v) for v in us], axis=-1) for u in us],
-                    axis=-2)
+    us = _state(_kin(pt), "dirac_u", "pair")[..., :2, :]
+    return dot(dirac_adjoint(us)[..., :, None, :], us[..., None, :, :])
 
 
 def _norm(x) -> np.ndarray:
@@ -370,8 +362,8 @@ def _norm(x) -> np.ndarray:
 def _kappa_boundary(pt) -> tuple:
     """kappa at p0 and at threshold, against the parity-amplitude ratio and zero."""
     k = _kin(pt)
-    even, odd = parity_components(boosted_spinor(k, 0.5, dotted=False),
-                                  boosted_spinor(k, 0.5, dotted=True))
+    s = _state(k, "boosted_spinor", "all")  # (lam, dotted): the first two are lam = +1/2
+    even, odd = parity_components(s[..., 0, :], s[..., 1, :])
     ratio = _norm(odd) / _norm(even)
     return (np.stack([kappa(k.p0, k.m), kappa(k.m, k.m)], axis=-1),
             np.stack([ratio, np.zeros_like(ratio)], axis=-1))
@@ -385,47 +377,45 @@ def _rest_spin_action():
     return np.stack([big_sigma @ rest_basis(tau) for tau in (1, 2, 3, 4)])
 
 
-def _breve_norms(pt, pairs):
+def _breve_norms(pt, labels):
+    """breve_u_bar breve_u for the label pairs of the breve_u stack "pair" or "cross"."""
+    s = _state(_kin(pt), "breve_u", labels)
+    return dot(s[..., 2:, :], s[..., :2, :])
+
+
+def _adjoint_rows(pt, dagger=None):
+    """The rows breve_u_bar (pslash + m), or given a dagger conj(breve_u) (pslash^+ - m),
+    pslash^+ with its displayed overall sign ("paper") or conjugate-transposed ("standard")."""
     k = _kin(pt)
-    return np.stack([dot(breve_u_bar(k, lp, lm), breve_u(k, lp, lm)) for lp, lm in pairs],
-                    axis=-1)
-
-
-def _adjoint_dirac_rows(pt):
-    k = _kin(pt)
-    op = slash(k.momentum()) + _times_i4(k.m)
-    return np.stack([row_times(breve_u_bar(k, lam, lam), op) for lam in HELICITIES], axis=-2)
-
-
-def _adjoint_dagger_rows(pt, paper_sign: bool):
-    k = _kin(pt)
-    p = k.momentum()
-    if paper_sign:
+    p, pair = k.momentum(), _state(k, "breve_u", "pair")
+    if dagger is None:
+        return row_times(pair[..., 2:, :], (slash(p) + _times_i4(k.m))[..., None, :, :])
+    if dagger == "paper":
         dag = -(p[..., :1, None] * gamma(0) + gamma_dot_spatial(p))
     else:
         dag = np.conj(np.swapaxes(slash(p), -1, -2))
-    op = dag - _times_i4(k.m)
-    return np.stack([row_times(np.conj(breve_u(k, lam, lam)), op) for lam in HELICITIES],
-                    axis=-2)
+    return row_times(np.conj(pair[..., :2, :]), (dag - _times_i4(k.m))[..., None, :, :])
 
 
 def _pi_annihilation(pt):
     k = _kin(pt)
     pi = pi_projector(k.momentum(), k.m, _spatial(pt.arrays["nhat"]), "lambda")
-    return np.stack([times_column(pi, breve_u(k, lam, lam)) for lam in HELICITIES], axis=-2)
+    return times_column(pi[..., None, :, :], _state(k, "breve_u", "pair")[..., :2, :])
 
 
 def _map_roundtrip(pt) -> tuple:
     """The two maps composed on the equal-helicity breve bispinors u, against -u."""
-    us = [breve_u(_kin(pt), lam, lam) for lam in HELICITIES]
-    s = _spatial(pt.arrays["nhat"])
-    return (np.stack([spinor_from_breve(spinor_from_breve(u, s, "u"), s, "v") for u in us],
-                     axis=-2), np.stack([-u for u in us], axis=-2))
+    us = _state(_kin(pt), "breve_u", "pair")[..., :2, :]
+    s = _spatial(pt.arrays["nhat"])[..., None, :]
+    return spinor_from_breve(spinor_from_breve(us, s, "u"), s, "v"), -us
 
 
 def _unity_gamma0(pt):
+    """sum_tau of the gamma0 diads of antisym_bispinor(k, tau, +1) at p0 = -m, the
+    tetrad at the negated point, added in tau order."""
     k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
-    return sum(diad(antisym_bispinor(k, tau, +1), "gamma0") for tau in (1, 2, 3, 4))
+    d = diad(_state(k.negated(), "tetrad_bispinor", "all"), "gamma0")
+    return ((d[..., 0, :, :] + d[..., 1, :, :]) + d[..., 2, :, :]) + d[..., 3, :, :]
 
 
 def _tetrad_sum(pt):
@@ -490,22 +480,22 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-14, "holds"),
     ("breve-norm",
      "norm of the complex bispinor equals 2 for equal helicity labels",
-     "breve-band", lambda pt: _breve_norms(pt, ((0.5, 0.5), (-0.5, -0.5))),
+     "breve-band", lambda pt: _breve_norms(pt, "pair"),
      _fixed([2.0, 2.0]), 1e-12, "holds"),
     ("breve-norm-cross",
      "complex-bispinor norm with unequal helicity labels (recorded, not asserted)",
-     "breve-band", lambda pt: _breve_norms(pt, ((0.5, -0.5), (-0.5, 0.5))),
+     "breve-band", lambda pt: _breve_norms(pt, "cross"),
      _fixed([2.0, 2.0]), 1e-12, "informational"),
     ("adjoint-dirac",
      "adjoint momentum-space equation ubar (pslash + m) = 0, as displayed",
-     "breve-band", _adjoint_dirac_rows, _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
+     "breve-band", _adjoint_rows, _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
     ("adjoint-dirac-paper-dagger",
      "conjugated equation with the displayed overall sign of the dagger of pslash",
-     "breve-band", lambda pt: _adjoint_dagger_rows(pt, paper_sign=True),
+     "breve-band", lambda pt: _adjoint_rows(pt, "paper"),
      _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
     ("adjoint-dirac-standard-dagger",
      "conjugated equation with the numerical conjugate transpose of pslash",
-     "breve-band", lambda pt: _adjoint_dagger_rows(pt, paper_sign=False),
+     "breve-band", lambda pt: _adjoint_rows(pt, "standard"),
      _fixed(_ZERO_ROWS), 1e-12, "informational"),
     ("diad-half-unity",
      "gamma5 diads over the band-center basis sum to half unity, as displayed",
@@ -573,25 +563,28 @@ def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
 
 
 def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
-    """max |lhs - rhs| per point from one evaluation of each side on the columns
-    (one residual in all for a "fixed" check, which has no columns).
+    """max |lhs - rhs| per point from one evaluation of each side on the columns (one
+    residual in all for a "fixed" check, which has no columns, or for one point's columns).
     A builder's domain error or a non-finite residual is a ConfigurationError."""
     try:
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
     except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
-    arrays = columns.arrays
-    n = len(next(iter(arrays.values()))) if arrays else 1
-    if arrays and diff.shape[:1] != (n,):
+    # the draw's points: a column's leading axes beyond one point's (none for one point)
+    shape = next((a.shape[:a.ndim - _POINT_NDIM.get(key, 0)]
+                  for key, a in columns.arrays.items()), ())
+    n = math.prod(shape)
+    if diff.shape[:len(shape)] != shape:
         raise ConfigurationError(
             f"check {check.name!r}: sides of shape {diff.shape} have no leading axis "
             f"of {n} samples")
-    out = diff.reshape(n, -1).max(axis=1)
+    # each sample's maximum taken across the sample axis, one pass per residual entry
+    out = np.ascontiguousarray(diff.reshape(n, -1).T).max(axis=0)
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ConfigurationError(
-            f"check {check.name!r}: non-finite residual at sample {i}, point {point(columns, i)}")
+        raise ConfigurationError(f"check {check.name!r}: non-finite residual at sample {i}, "
+                                 f"point {point(columns, np.unravel_index(i, shape))}")
     return out
 
 

@@ -113,6 +113,10 @@ def test_non_finite_residual_fails_closed(every_sample):
     first = vf.sample_points(_nan_fixture(every_sample), 1, 50)
     i = 0 if every_sample else next(i for i in range(50) if first.arrays["nhat"][i, 0] > 0)
     assert f"sample {i}, point {vf.point(first, i)}" in str(err.value)
+    # a replayed point has no sample axis: it is sample 0, named as it was given
+    one = r"sample 0, point \{'nhat': \[1.0, 0.0, 0.0\]\}$"
+    with pytest.raises(vf.ConfigurationError, match=one):
+        vf.residuals(_nan_fixture(every_sample), vf.Columns({"nhat": [1.0, 0.0, 0.0]}))
 
 
 def test_non_finite_residual_exits_2(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,19 @@ def test_trace_values():
     # tr(slash p slash q) = 4 p.q = 8 for p=(1,0,0,0), q=(2,0,0,1)
     p, q = [1, 0, 0, 0], [2, 0, 0, 1]
     assert cl.trace([cl.slash(p), cl.slash(q)]) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (1000,), (3, 5)])
+def test_trace_keeps_the_bits_of_np_trace(batch):
+    # trace adds the diagonal in the order np.trace sums it; a numpy that changes that
+    # order fails here rather than in a report comparison
+    rng = np.random.default_rng(len(batch) + sum(batch))
+    scale = 10.0 ** rng.integers(-8, 8, (3, *batch, 4, 4))
+    ms = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
+    for factors in (ms, ms[:1], (ms[0], ms[1][(0,) * len(batch)])):
+        want = np.trace(reduce(np.matmul, factors), axis1=-2, axis2=-1)
+        got = np.asarray(cl.trace(factors))
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
 def test_trace_empty_list_rejected():

@@ -305,19 +305,39 @@ def _band_points(breve: bool):
     return points if breve else [*points, *(k.negated() for k in points)]
 
 
-@pytest.mark.parametrize("breve", [False, True])
-def test_equal_helicity_pair_equals_the_stacked_public_constructors(breve):
-    # the pair entry of the builder holds both equal-helicity states, columns then rows,
-    # each with its public constructor's bits, after one band check naming the column
-    col, row = (sp.breve_u, sp.breve_u_bar) if breve else (sp.dirac_u, sp.dirac_u_bar)
+# every stack of the builder: its constructor name, and the public constructor calls that
+# give its states in order
+HALVES = sp.HELICITIES
+STACKS = {
+    ("dirac_u", "pair"):
+        lambda k: [f(k, lam, lam) for f in (sp.dirac_u, sp.dirac_u_bar) for lam in HALVES],
+    ("breve_u", "pair"):
+        lambda k: [f(k, lam, lam) for f in (sp.breve_u, sp.breve_u_bar) for lam in HALVES],
+    ("breve_u", "cross"):
+        lambda k: [f(k, lam, -lam) for f in (sp.breve_u, sp.breve_u_bar) for lam in HALVES],
+    ("boosted_spinor", "all"):
+        lambda k: [sp.boosted_spinor(k, lam, d) for lam in HALVES for d in (False, True)],
+    ("tetrad_bispinor", "all"): lambda k: [sp.tetrad_bispinor(k, tau) for tau in (1, 2, 3, 4)],
+}
+
+
+def test_every_stack_of_the_builder_is_listed():
+    assert set(STACKS) == {(name, labels) for name, (_, tables) in sp._TABLES.items()
+                           for labels in tables if isinstance(labels, str)}
+
+
+@pytest.mark.parametrize("name, labels", sorted(STACKS))
+def test_each_stack_equals_its_stacked_public_constructors(name, labels):
+    # a stack holds its states, one per row, each with its public constructor's bits, after
+    # one band check naming the constructor
+    breve = name == "breve_u"
     for k in _band_points(breve):
-        pair = sp._state(k, col.__name__, "pair")
-        want = np.stack([make(k, lam, lam) for make in (col, row) for lam in sp.HELICITIES],
-                        axis=-2)
-        assert pair.shape == np.shape(k.p0) + (16,) and want.shape == np.shape(k.p0) + (4, 4)
-        assert pair.tobytes() == want.tobytes()
-    with pytest.raises(sp.RegionError, match=rf"^{col.__name__} needs "):
-        sp._state(sp.KinematicPoint(1.0, 2.0 if breve else 0.5, ZHAT), col.__name__, "pair")
+        stack = sp._state(k, name, labels)
+        want = np.stack(STACKS[name, labels](k), axis=-2)
+        assert stack.shape == want.shape == np.shape(k.p0) + want.shape[-2:]
+        assert stack.tobytes() == want.tobytes()
+    with pytest.raises(sp.RegionError, match=rf"^{name} needs "):
+        sp._state(sp.KinematicPoint(1.0, 2.0 if breve else 0.5, ZHAT), name, labels)
 
 
 def test_band_constructors_keep_their_written_out_formulas():

@@ -19,6 +19,7 @@ ENTRY_POINTS = {
     "KinematicPoint-m": lambda x: sp.KinematicPoint(x, 1.0, ZHAT),
     "KinematicPoint-p0": lambda x: sp.KinematicPoint(1.0, x, ZHAT),
     "KinematicPoint-nhat": lambda x: sp.KinematicPoint(1.0, 1.0, (x, 0.0, 1.0)),
+    "KinematicPoint-nhat-z": lambda x: sp.KinematicPoint(1.0, 2.0, (0, 0, x)),
     "KinematicPoint-batch-p0": lambda x: sp.KinematicPoint(1.0, [1.0, x], ZHAT),
     "kappa-p0": lambda x: sp.kappa(x, 1.0),
     "kappa-m": lambda x: sp.kappa(2.0, x),
@@ -90,6 +91,8 @@ NON_NUMERIC_FORMS = {
     "str": _each(str),
     "bytes": _each(lambda c: str(c).encode()),
     "bool": _each(bool),
+    # a bool among numbers, which numpy would convert with them: (..., True), [v, True]
+    "bool-in-sequence": lambda v: [v, True] if np.ndim(v) == 0 else (*v[:-1], np.True_),
     "dict": lambda v: {"value": v},
     "object-complex": lambda v: np.array(COMPLEX_FORMS["python-complex"](v), dtype=object),
 }
@@ -105,10 +108,13 @@ def test_a_value_that_is_not_numbers_is_refused_where_a_real_is_required(entry, 
 
 
 # one component that is not a number makes the whole input an array of strs, bytes or
-# objects; a bool component would be read as the number 0 or 1, so it is not listed here
+# objects; a bool component, which numpy would read as the number 0 or 1, is refused
+# before the conversion, alone or inside a list or tuple
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("value", ["1", b"1", {}, np.array(1j, dtype=object)],
-                         ids=["str", "bytes", "dict", "object-complex"])
+@pytest.mark.parametrize("value", ["1", b"1", {}, np.array(1j, dtype=object), True, np.True_,
+                                   np.array([False])],
+                         ids=["str", "bytes", "dict", "object-complex", "True", "np.True_",
+                              "bool-array"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_reject_a_component_that_is_not_a_number(entry, value):
     with pytest.raises(ValueError, match=r" must be (real|numeric), got "):

@@ -316,6 +316,7 @@ def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
     for key, column in columns.items():
         assert type(column) is np.ndarray and not column.flags.writeable, key
         assert column.shape == (n,) + ROW_SHAPES[key], key
+        assert len(ROW_SHAPES[key]) == vf._POINT_NDIM.get(key, 0), key
         assert column.dtype.kind == ("i" if key in ("mu", "nu") else "f"), key
         assert np.isfinite(column).all(), key
     if "nhat" in columns:
@@ -545,10 +546,12 @@ SHARED_CALLS = {
                              "polsum-breve-minus", "completeness"), 1),
     "section4_two_valued": {"section4-two-valued": 1},
     "trace": {"trace-cyclicity": 2},
-    "boosted_spinor": {"boost-exponential": 4, "kappa-boundary": 2},
-    "breve_u": dict.fromkeys(("breve-norm", "breve-norm-cross", "adjoint-dirac-paper-dagger",
-                              "adjoint-dirac-standard-dagger", "pi-annihilation",
-                              "spinor-breve-maps"), 2),
+    # one pass of the stacked states per evaluation, in place of one call per label
+    "_state": dict.fromkeys(("boost-exponential", "norm-spinor", "unity-decomposition-gamma0",
+                             "kappa-boundary", "breve-norm", "breve-norm-cross", "adjoint-dirac",
+                             "adjoint-dirac-paper-dagger", "adjoint-dirac-standard-dagger",
+                             "pi-annihilation", "spinor-breve-maps"), 1),
+    "breve_u": {},
     "kappa": {"kappa-boundary": 2},
 }
 
@@ -653,3 +656,134 @@ def test_cycled_trace_keeps_the_bits_of_the_rolled_copy():
     three = vf._three_matrices(columns)
     want = cl.trace(np.roll(three, 1, axis=0))[..., None]
     assert check.rhs(columns).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacked rows: each row that reads several labelled states builds them in one
+# pass; the per-label loops they replaced are kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _kin_of(pt) -> KinematicPoint:
+    return KinematicPoint(pt.arrays["m"], pt.arrays["p0"], pt.arrays["nhat"])
+
+
+def _loop_boost_exponential(pt) -> tuple:
+    k = _kin_of(pt)
+    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
+    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None] for sign in (+1, -1))
+    along, against = pj.spin_projector_rest(k.nhat), pj.spin_projector_rest(-k.nhat)
+    rows, boosted = [], []
+    for lam in sp.HELICITIES:
+        phi = sp.basis_spinor(lam)
+        pa, pb = cl.times_column(along, phi), cl.times_column(against, phi)
+        rows += [up * pa + down * pb, down * pa + up * pb]
+        boosted += [boosted_spinor(k, lam, dotted) for dotted in (False, True)]
+    return np.stack(rows, axis=-2), np.stack(boosted, axis=-2)
+
+
+def _loop_norm_gram(pt):
+    us = [sp.dirac_u(_kin_of(pt), lam, lam) for lam in sp.HELICITIES]
+    return np.stack([np.stack([cl.dot(sp.dirac_adjoint(u), v) for v in us], axis=-1)
+                     for u in us], axis=-2)
+
+
+def _loop_kappa_boundary(pt) -> tuple:
+    k = _kin_of(pt)
+    even, odd = sp.parity_components(boosted_spinor(k, 0.5, dotted=False),
+                                     boosted_spinor(k, 0.5, dotted=True))
+    ratio = vf._norm(odd) / vf._norm(even)
+    return (np.stack([sp.kappa(k.p0, k.m), sp.kappa(k.m, k.m)], axis=-1),
+            np.stack([ratio, np.zeros_like(ratio)], axis=-1))
+
+
+def _loop_breve_norms(pairs):
+    def norms(pt):
+        k = _kin_of(pt)
+        return np.stack([cl.dot(sp.breve_u_bar(k, lp, lm), sp.breve_u(k, lp, lm))
+                         for lp, lm in pairs], axis=-1)
+    return norms
+
+
+def _loop_adjoint_dirac(pt):
+    k = _kin_of(pt)
+    op = cl.slash(k.momentum()) + vf._times_i4(k.m)
+    return np.stack([cl.row_times(sp.breve_u_bar(k, lam, lam), op) for lam in sp.HELICITIES],
+                    axis=-2)
+
+
+def _loop_adjoint_dagger(paper_sign: bool):
+    def rows(pt):
+        k = _kin_of(pt)
+        p = k.momentum()
+        if paper_sign:
+            dag = -(p[..., :1, None] * cl.gamma(0) + cl.gamma_dot_spatial(p))
+        else:
+            dag = np.conj(np.swapaxes(cl.slash(p), -1, -2))
+        op = dag - vf._times_i4(k.m)
+        return np.stack([cl.row_times(np.conj(sp.breve_u(k, lam, lam)), op)
+                         for lam in sp.HELICITIES], axis=-2)
+    return rows
+
+
+def _loop_pi_annihilation(pt):
+    k = _kin_of(pt)
+    pi = pj.pi_projector(k.momentum(), k.m, vf._spatial(pt.arrays["nhat"]), "lambda")
+    return np.stack([cl.times_column(pi, sp.breve_u(k, lam, lam)) for lam in sp.HELICITIES],
+                    axis=-2)
+
+
+def _loop_map_roundtrip(pt) -> tuple:
+    us = [sp.breve_u(_kin_of(pt), lam, lam) for lam in sp.HELICITIES]
+    s = vf._spatial(pt.arrays["nhat"])
+    return (np.stack([sp.spinor_from_breve(sp.spinor_from_breve(u, s, "u"), s, "v") for u in us],
+                     axis=-2), np.stack([-u for u in us], axis=-2))
+
+
+def _loop_unity_gamma0(pt):
+    k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
+    return sum(pj.diad(sp.antisym_bispinor(k, tau, +1), "gamma0") for tau in (1, 2, 3, 4))
+
+
+# row name -> its per-label loop: (lhs, rhs) where the row evaluates both sides at once,
+# else its lhs (the rhs is a fixed value)
+LOOPS = {
+    "boost-exponential": _loop_boost_exponential,
+    "norm-spinor": _loop_norm_gram,
+    "kappa-boundary": _loop_kappa_boundary,
+    "breve-norm": _loop_breve_norms(((0.5, 0.5), (-0.5, -0.5))),
+    "breve-norm-cross": _loop_breve_norms(((0.5, -0.5), (-0.5, 0.5))),
+    "adjoint-dirac": _loop_adjoint_dirac,
+    "adjoint-dirac-paper-dagger": _loop_adjoint_dagger(paper_sign=True),
+    "adjoint-dirac-standard-dagger": _loop_adjoint_dagger(paper_sign=False),
+    "pi-annihilation": _loop_pi_annihilation,
+    "spinor-breve-maps": _loop_map_roundtrip,
+    "unity-decomposition-gamma0": _loop_unity_gamma0,
+}
+
+
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_each_stacked_row_keeps_the_bits_of_its_loop_over_labels(name, samples):
+    check = _by_name()[name]
+    columns = vf.sample_points(check, seed=8, samples=samples)
+    want = LOOPS[name](vf.Columns(columns))
+    sides = (check.lhs, check.rhs) if isinstance(want, tuple) else (check.lhs,)
+    for side, w in zip(sides, want if isinstance(want, tuple) else (want,)):
+        assert _side_bits(side, columns) == (w.shape, w.dtype, w.tobytes()), name
+
+
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+def test_residuals_are_each_samples_largest_entry(samples):
+    for check in vf.registry():
+        columns = vf.sample_points(check, seed=3, samples=samples)
+        diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
+        want = diff.reshape(samples if columns.arrays else 1, -1).max(axis=1)
+        assert vf.residuals(check, columns).tobytes() == want.tobytes(), check.name
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_a_replayed_worst_point_gives_the_reported_residual(seed):
+    for check in vf.registry():
+        result = vf.run_check(check, seed, samples=100)
+        residual = vf.residuals(check, vf.Columns(result.worst_point))
+        assert residual.tolist() == [result.max_residual], check.name
