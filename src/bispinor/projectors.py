@@ -93,7 +93,11 @@ def spin_projector(s) -> np.ndarray:
     Block-diagonal in the Dirac representation:
     diag((1 + sigma.s)/2, (1 - sigma.s)/2).
     """
-    s = check_spin_vector(s)
+    return _spin_projector(check_spin_vector(s))
+
+
+def _spin_projector(s) -> np.ndarray:
+    """spin_projector without its check, for spin vectors s that check_spin_vector gave."""
     y = np.empty(s.shape[:-1] + (5,), dtype=complex)
     y[..., :4] = s
     y[..., 4] = 1.0
@@ -138,7 +142,7 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
     """
     sign = +1 if check_choice("variant", variant, ("lambda", "neg-lambda")) else -1
     x, m = _check_on_shell(p, m)
-    return _energy_projector(x, m, sign) @ spin_projector(np.negative(s) if sign > 0 else s)
+    return _energy_projector(x, m, sign) @ _spin_projector(-sign * check_spin_vector(s))
 
 
 def polsum(kind: str, k: KinematicPoint):
@@ -165,9 +169,9 @@ def polsum(kind: str, k: KinematicPoint):
     x = _five_vector(k)
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
-        # the columns u(+1/2), u(-1/2), then the rows ubar(+1/2), ubar(-1/2), in one pass
+        # the table's first four states: the columns u(+1/2), u(-1/2), then their rows
         name = "breve_u" if kind.startswith("breve") else "dirac_u"
-        u = _state(k.negated() if kind == "antispinor" else k, name, "pair")
+        u = _state(k.negated() if kind == "antispinor" else k, name)
         lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])
         rhs = _energy_projector(x, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs

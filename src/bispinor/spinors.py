@@ -18,13 +18,13 @@ batch shape, and every validator checks every point of a batch.  A single
 point keeps Python floats, which round ** and math.* differently from numpy
 arrays, so code shared with batches applies neither to a point's values.
 
-Every band constructor is one formula, a * E + b * (nhat @ M), evaluated by
-_state from the point's cached a, b and one pair of constant tables (E, M)
-that _TABLES holds per constructor name and labels.  A constructor's signs
-and phases sit in its tables: -M for the dotted two-spinor and for the row
-dirac_u_bar, i M for the breve states, a zero E or M for the tetrad.  Stacks
-of several labelled states, their tables side by side and built at import, come
-out of _state as (..., L, w) in one pass: polsum and the registry rows read them.
+Every band state is one formula, a * E + b * (nhat @ M), its signs and phases in
+the constants E and M: -M for the dotted two-spinor and the row dirac_u_bar, i M
+for the breve states, a zero E or M for the tetrad.  Each band constructor has one
+table of all its states, the (4, L, w) stack [E; M_1; M_2; M_3] built at import (a
+_bar constructor reads its column constructor's); _state evaluates them all as one
+clifford._contract of the point's cached vector (a, b nhat) with it, (..., L, w).
+A constructor copies out its row; polsum and the registry rows read slices.
 
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 # pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
-from .clifford import (_GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract, _read_only,
-                       check_choice, check_real, check_vectors, gamma, pauli, pauli_dot,
-                       row_times, times_column)
+from .clifford import (_GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract, _contraction,
+                       _read_only, check_choice, check_real, check_vectors, gamma, pauli,
+                       pauli_dot, row_times, times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
@@ -148,7 +147,6 @@ def _blocks(up, low) -> np.ndarray:
 _PHI = _read_only(np.eye(2, dtype=complex))
 _SIGMA_PHI = _read_only(np.array([[pauli(i)[:, j] for i in (1, 2, 3)] for j in (0, 1)]))
 _PHI_SIGMA = _read_only(np.conj(_SIGMA_PHI))
-_SLOT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _dirac(up, low, row=False) -> tuple:
@@ -171,36 +169,26 @@ def _tetrad(i) -> tuple:
     return (e, np.zeros_like(m)) if i < 2 else (np.zeros_like(e), m)
 
 
-def _stack(tables) -> tuple:
-    """(E, M) of states side by side: E (L, w), a row each; M one (3, L w) for one nhat @ M."""
-    es, ms = zip(*tables)
-    return np.stack(es), np.concatenate(ms, axis=-1)
-
-
-def _with_all(tables: dict) -> dict:
-    """tables beside "all", the stack of their states in order."""
-    return {**tables, "all": _stack(tables.values())}
+def _table(states) -> tuple:
+    """The states (E, M) in order as one (4, L, w) stack [E; M_1; M_2; M_3] for _contract."""
+    return _contraction(np.stack([np.concatenate([e[None], m]) for e, m in states], axis=1))
 
 
 _REAL_BAND, _BREVE_BAND = "|p0| >= m", "|p0| <= m"
-# constructor name -> (its band, {labels: (E, M)}), each E and M read-only; the labels are
-# helicity slots, a dotted flag or a tetrad slot, or a stack's name: "pair" (lam, lam) and
-# "cross" (lam, -lam), columns then rows, or "all" the name's states in order
-_TABLES = {name: (band, {labels: tuple(map(_read_only, em)) for labels, em in tables.items()})
-           for name, (band, tables) in {
-    "boosted_spinor": (_REAL_BAND, _with_all({
-        (j, d): (_PHI[j], -_SIGMA_PHI[j] if d else _SIGMA_PHI[j])
-        for j in (0, 1) for d in (False, True)})),
-    "dirac_u": (_REAL_BAND, {**{j: _dirac(*j) for j in _SLOT_PAIRS},
-                             "pair": _stack(_dirac(j, j, row) for row in (0, 1) for j in (0, 1))}),
-    "dirac_u_bar": (_REAL_BAND, {j: _dirac(*j, row=True) for j in _SLOT_PAIRS}),
-    "tetrad_bispinor": (_REAL_BAND, _with_all({(i,): _tetrad(i) for i in range(4)})),
-    "breve_u": (_BREVE_BAND, {
-        **{j: _breve(*j) for j in _SLOT_PAIRS},
-        "pair": _stack(_breve(j, j, row) for row in (0, 1) for j in (0, 1)),
-        "cross": _stack(_breve(j, 1 - j, row) for row in (0, 1) for j in (0, 1))}),
-    "breve_u_bar": (_BREVE_BAND, {j: _breve(*j, row=True) for j in _SLOT_PAIRS}),
-}.items()}
+# the states (lam, lam', row) of dirac_u and breve_u: equal labels, then crossed (see _pair)
+_DIRAC, _BREVE = (_table(state(j, j ^ cross, row) for cross in (0, 1) for row in (0, 1)
+                         for j in (0, 1)) for state in (_dirac, _breve))
+# constructor name -> (its band, the table of all its states: a _bar name's is its column's)
+_TABLES = {
+    "boosted_spinor": (_REAL_BAND, _table(
+        (_PHI[j], -_SIGMA_PHI[j] if dotted else _SIGMA_PHI[j])
+        for j in (0, 1) for dotted in (False, True))),
+    "dirac_u": (_REAL_BAND, _DIRAC),
+    "dirac_u_bar": (_REAL_BAND, _DIRAC),
+    "tetrad_bispinor": (_REAL_BAND, _table(_tetrad(i) for i in range(4))),
+    "breve_u": (_BREVE_BAND, _BREVE),
+    "breve_u_bar": (_BREVE_BAND, _BREVE),
+}
 
 
 def _slot(lam) -> int:
@@ -217,12 +205,12 @@ def basis_spinor(lam) -> np.ndarray:
 class KinematicPoint:
     """Mass, energy parameter and spin axis defining one sample point, or a batch.
 
-    p0 may be negative or smaller than m; which constructors accept the
-    point depends on the band |p0| >= m (real boosts) versus |p0| <= m
-    (complex continuation).  m must satisfy 2.2e-308 <= m < inf, p0 must be finite
-    (|p0| and |p0|/m below 1.3e154, else OverflowError) and nhat a unit 3-vector.
-    A single point keeps m and p0 as floats; a batch broadcasts read-only copies of m, p0
-    and the rows of nhat to one batch shape.  nhat is a read-only array of shape (..., 3).
+    p0 may be negative or smaller than m; which constructors accept the point depends on the
+    band |p0| >= m (real boosts) versus |p0| <= m (complex continuation).  m must satisfy
+    2.2e-308 <= m < inf, p0 must be finite (|p0| and |p0|/m below 1.3e154, else OverflowError)
+    and nhat a unit 3-vector.  A single point keeps m and p0 as floats; a batch broadcasts
+    read-only copies of m, p0 and the rows of nhat to one batch shape.  nhat is a read-only
+    array of shape (..., 3).  Its one cache is _boosts, the (a, b nhat) that _state reads.
     """
 
     m: float
@@ -251,11 +239,16 @@ class KinematicPoint:
         the division, not divided by 2m, which overflows for m > 8.99e307."""
         return np.sqrt((self.p0 + sign * self.m) / self.m * 0.5 + 0j)
 
-    @cached_property
-    def _half_boosts(self) -> tuple:
-        """(a, b) = (boost_factor(+1), boost_factor(-1)), read-only: computed on first use
-        and shared by every constructor called on this point."""
-        return _read_only(self.boost_factor(+1)), _read_only(self.boost_factor(-1))
+    @property
+    def _boosts(self) -> np.ndarray:
+        """(a, b nhat) for a, b = boost_factor(+1), boost_factor(-1): one read-only (..., 4)
+        vector, computed on first use, shared by every constructor called on the point and
+        kept as _vector (a cached_property would build each point a __dict__, ~60 B more)."""
+        if getattr(self, "_vector", None) is None:
+            a, b = self.boost_factor(+1), self.boost_factor(-1)
+            v = np.concatenate([a[..., None], b[..., None] * self.nhat], axis=-1)
+            object.__setattr__(self, "_vector", _read_only(v))
+        return self._vector
 
     def momentum(self) -> np.ndarray:
         """On-shell four-momentum (p0, |p| nhat), |p| = sqrt(p0^2 - m^2).
@@ -284,18 +277,24 @@ class KinematicPoint:
         return k
 
 
-def _state(k: KinematicPoint, name: str, labels) -> np.ndarray:
-    """a * E + b * (nhat @ M) at k for the tables (E, M) of constructor ``name`` at
-    ``labels``: one state (..., w), or a stack of L states (..., L, w) in one pass.
-    Raises RegionError naming ``name`` if a point lies outside its band."""
-    band, tables = _TABLES[name]
+def _state(k: KinematicPoint, name: str) -> np.ndarray:
+    """Every state a E + b (nhat @ M) of constructor ``name``'s table at k, as (..., L, w):
+    one clifford._contract of the point's cached (a, b nhat) with the table.  Raises
+    RegionError naming ``name`` if a point lies outside its band."""
+    band, table = _TABLES[name]
     check_band(name, k.p0, k.m, band)
-    e, m = tables[labels]
-    a, b = k._half_boosts
-    nm = k.nhat @ m
-    if e.ndim > 1:  # a stack: its states side by side in M
-        a, b, nm = a[..., None], b[..., None], nm.reshape(nm.shape[:-1] + e.shape)
-    return a[..., None] * e + b[..., None] * nm
+    return _contract(k._boosts, table)
+
+
+def _one(k: KinematicPoint, name: str, i: int) -> np.ndarray:
+    """State i of _state(k, name) as a fresh array, which keeps no other state alive."""
+    return _state(k, name)[..., i, :].copy()
+
+
+def _pair(lam, lam_other, row: int = 0) -> int:
+    """Position of the column (row 0) or row (row 1) state (lam, lam_other) in _DIRAC or _BREVE."""
+    i, j = _slot(lam), _slot(lam_other)
+    return 4 * (i != j) + 2 * row + i
 
 
 def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
@@ -306,7 +305,7 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
     """
     if not isinstance(dotted, (bool, np.bool_)):
         raise ValueError(f"dotted must be True or False, got {dotted!r}")
-    return _state(k, "boosted_spinor", (_slot(lam), bool(dotted)))
+    return _one(k, "boosted_spinor", 2 * _slot(lam) + bool(dotted))
 
 
 def parity_components(xi_undotted, xi_dotted):
@@ -318,7 +317,7 @@ def parity_components(xi_undotted, xi_dotted):
 
 def dirac_u(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     """Positive-parity-stack bispinor (a phi_up ; b (sigma.n) phi_low)."""
-    return _state(k, "dirac_u", (_slot(lam_up), _slot(lam_low)))
+    return _one(k, "dirac_u", _pair(lam_up, lam_low))
 
 
 def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
@@ -330,13 +329,13 @@ def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
     amplitudes a, b enter unconjugated.  The polarization-sum closed forms
     hold only under this continuation.
     """
-    return _state(k, "dirac_u_bar", (_slot(lam_up), _slot(lam_low)))
+    return _one(k, "dirac_u_bar", _pair(lam_up, lam_low, row=1))
 
 
 def tetrad_bispinor(k: KinematicPoint, tau) -> np.ndarray:
     """Tetrad basis column: tau 1,2 carry a phi in the upper block,
     tau 3,4 carry b (sigma.n) phi in the lower block (phi = +1/2, -1/2)."""
-    return _state(k, "tetrad_bispinor", (check_choice("tetrad index", tau, _TETRAD),))
+    return _one(k, "tetrad_bispinor", check_choice("tetrad index", tau, _TETRAD))
 
 
 def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
@@ -360,7 +359,7 @@ def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     [a - i (sigma.n) b] phi_{lam-}; here b = i sqrt((m - p0)/2m) is
     imaginary, so both block operators are real and Hermitian.
     """
-    return _state(k, "breve_u", (_slot(lam_plus), _slot(lam_minus)))
+    return _one(k, "breve_u", _pair(lam_plus, lam_minus))
 
 
 def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -372,7 +371,7 @@ def breve_u_bar(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
     with lam+ and the - factor with lam-.  Contracting with breve_u gives
     exactly 2 whenever lam+ = lam-.
     """
-    return _state(k, "breve_u_bar", (_slot(lam_plus), _slot(lam_minus)))
+    return _one(k, "breve_u_bar", _pair(lam_plus, lam_minus, row=1))
 
 
 def rest_basis(tau) -> np.ndarray:

@@ -24,9 +24,9 @@ _fixed if it depends on no sample (a value built at import, read-only, or a
 table of them indexed by the sampled labels); by _sides, with the other side,
 if both are one evaluation make(pt) -> (lhs, rhs); else as a builder of its
 own.  A row that reads several labelled states (helicities, tetrad slots, the
-dotted flag) builds them in one spinors._state pass, as a stack with a label
+dotted flag) reads them from one spinors._state pass, a stack with a label
 axis, and residuals reduces across the sample axis, never along a short one.
-Builders read only Columns.arrays and keep what they derive in Columns.derived.
+Builders read only Columns.arrays; Columns.derived keeps the _sides results.
 
 The JSON report is the report dataclasses field for field, written by the
 stdlib encoder: every float in its shortest round-trip repr, so each value
@@ -200,12 +200,10 @@ _POINT_NDIM = {"nhat": 1, "a_re": 1, "a_im": 1, "xi_re": 1, "xi_im": 1}
 class Columns(dict):
     """A check's sample columns, from any mapping of columns (a reported worst_point, or
     another Columns, whose arrays it reads): ``arrays``, a read-only copy of each column,
-    the only thing the builders read, and ``derived``, the values the builders compute
-    from the arrays (the KinematicPoint, a complex column, the (lhs, rhs) of a _sides row
-    keyed by its make), each filled on first use, read-only, and only read after.  Every
-    column is copied, so no write to the caller's arrays can change the columns;
-    sample_points alone hands over its fresh draw uncopied.  The dict itself stays empty,
-    so json encodes it as {}."""
+    the only thing the builders read, and ``derived``, each _sides row's (lhs, rhs) under
+    its make, filled on first use, read-only, and only read after.  Every column is
+    copied, so no write to the caller's arrays can change the columns; sample_points
+    alone hands over its fresh draw uncopied.  The dict stays empty: json encodes it as {}."""
 
     __slots__ = ("arrays", "derived")
 
@@ -216,31 +214,18 @@ class Columns(dict):
         self.derived = {}
 
 
-def _shared(pt: Columns, key, make):
-    """make(), computed once per Columns under key; the arrays it holds, alone or in a
-    tuple, are made read-only, as builders hand them on."""
-    if key not in pt.derived:
-        value = make()
-        for a in value if isinstance(value, tuple) else (value,):
-            _read_only(a)
-        pt.derived[key] = value
-    return pt.derived[key]
-
-
 def point(columns: Columns, i) -> dict:
     """Row i of a check's sample columns: plain Python floats, ints and lists."""
     return {key: array[i].tolist() for key, array in columns.arrays.items()}
 
 
 def _kin(pt: Columns) -> KinematicPoint:
-    a = pt.arrays
-    return _shared(pt, "kin", lambda: KinematicPoint(a["m"], a["p0"], a["nhat"]))
+    return KinematicPoint(pt.arrays["m"], pt.arrays["p0"], pt.arrays["nhat"])
 
 
 def _complex_of(pt: Columns, name: str) -> np.ndarray:
-    """The complex array name_re + i name_im of pt's arrays (read-only)."""
-    a = pt.arrays
-    return _shared(pt, name, lambda: a[name + "_re"] + 1j * a[name + "_im"])
+    """The complex array name_re + i name_im of pt's arrays."""
+    return pt.arrays[name + "_re"] + 1j * pt.arrays[name + "_im"]
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -318,8 +303,13 @@ def _fixed(value, *keys):
 
 def _sides(make) -> tuple:
     """The lhs and rhs of a row whose two sides are one evaluation make(pt) -> (lhs, rhs),
-    computed once per Columns, whichever side runs first, and kept under make itself."""
-    return tuple(lambda pt, i=i: _shared(pt, make, lambda: make(pt))[i] for i in (0, 1))
+    computed once per Columns, whichever side runs first, and kept read-only in
+    pt.derived under make itself, as builders hand them on."""
+    def side(pt: Columns, i: int):
+        if make not in pt.derived:
+            pt.derived[make] = tuple(map(_read_only, make(pt)))
+        return pt.derived[make][i]
+    return tuple(lambda pt, i=i: side(pt, i) for i in (0, 1))
 
 
 def _three_matrices(pt) -> np.ndarray:
@@ -346,11 +336,11 @@ def _boost_exponential(pt) -> tuple:
     pa, pb = (times_column(spin_projector_rest(n)[..., None, :, :], _I2)
               for n in (k.nhat, -k.nhat))
     rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)
-    return rows.reshape(rows.shape[:-3] + (4, 2)), _state(k, "boosted_spinor", "all")
+    return rows.reshape(rows.shape[:-3] + (4, 2)), _state(k, "boosted_spinor")
 
 
 def _norm_gram(pt):
-    us = _state(_kin(pt), "dirac_u", "pair")[..., :2, :]
+    us = _state(_kin(pt), "dirac_u")[..., :2, :]
     return dot(dirac_adjoint(us)[..., :, None, :], us[..., None, :, :])
 
 
@@ -362,7 +352,7 @@ def _norm(x) -> np.ndarray:
 def _kappa_boundary(pt) -> tuple:
     """kappa at p0 and at threshold, against the parity-amplitude ratio and zero."""
     k = _kin(pt)
-    s = _state(k, "boosted_spinor", "all")  # (lam, dotted): the first two are lam = +1/2
+    s = _state(k, "boosted_spinor")  # (lam, dotted): the first two are lam = +1/2
     even, odd = parity_components(s[..., 0, :], s[..., 1, :])
     ratio = _norm(odd) / _norm(even)
     return (np.stack([kappa(k.p0, k.m), kappa(k.m, k.m)], axis=-1),
@@ -377,9 +367,9 @@ def _rest_spin_action():
     return np.stack([big_sigma @ rest_basis(tau) for tau in (1, 2, 3, 4)])
 
 
-def _breve_norms(pt, labels):
-    """breve_u_bar breve_u for the label pairs of the breve_u stack "pair" or "cross"."""
-    s = _state(_kin(pt), "breve_u", labels)
+def _breve_norms(pt, half: int):
+    """breve_u_bar breve_u for the equal (half 0) or crossed (half 1) label pairs."""
+    s = _state(_kin(pt), "breve_u")[..., 4 * half:4 * half + 4, :]
     return dot(s[..., 2:, :], s[..., :2, :])
 
 
@@ -387,9 +377,9 @@ def _adjoint_rows(pt, dagger=None):
     """The rows breve_u_bar (pslash + m), or given a dagger conj(breve_u) (pslash^+ - m),
     pslash^+ with its displayed overall sign ("paper") or conjugate-transposed ("standard")."""
     k = _kin(pt)
-    p, pair = k.momentum(), _state(k, "breve_u", "pair")
+    p, pair = k.momentum(), _state(k, "breve_u")
     if dagger is None:
-        return row_times(pair[..., 2:, :], (slash(p) + _times_i4(k.m))[..., None, :, :])
+        return row_times(pair[..., 2:4, :], (slash(p) + _times_i4(k.m))[..., None, :, :])
     if dagger == "paper":
         dag = -(p[..., :1, None] * gamma(0) + gamma_dot_spatial(p))
     else:
@@ -400,12 +390,12 @@ def _adjoint_rows(pt, dagger=None):
 def _pi_annihilation(pt):
     k = _kin(pt)
     pi = pi_projector(k.momentum(), k.m, _spatial(pt.arrays["nhat"]), "lambda")
-    return times_column(pi[..., None, :, :], _state(k, "breve_u", "pair")[..., :2, :])
+    return times_column(pi[..., None, :, :], _state(k, "breve_u")[..., :2, :])
 
 
 def _map_roundtrip(pt) -> tuple:
     """The two maps composed on the equal-helicity breve bispinors u, against -u."""
-    us = _state(_kin(pt), "breve_u", "pair")[..., :2, :]
+    us = _state(_kin(pt), "breve_u")[..., :2, :]
     s = _spatial(pt.arrays["nhat"])[..., None, :]
     return spinor_from_breve(spinor_from_breve(us, s, "u"), s, "v"), -us
 
@@ -414,7 +404,7 @@ def _unity_gamma0(pt):
     """sum_tau of the gamma0 diads of antisym_bispinor(k, tau, +1) at p0 = -m, the
     tetrad at the negated point, added in tau order."""
     k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
-    d = diad(_state(k.negated(), "tetrad_bispinor", "all"), "gamma0")
+    d = diad(_state(k.negated(), "tetrad_bispinor"), "gamma0")
     return ((d[..., 0, :, :] + d[..., 1, :, :]) + d[..., 2, :, :]) + d[..., 3, :, :]
 
 
@@ -480,11 +470,11 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-14, "holds"),
     ("breve-norm",
      "norm of the complex bispinor equals 2 for equal helicity labels",
-     "breve-band", lambda pt: _breve_norms(pt, "pair"),
+     "breve-band", lambda pt: _breve_norms(pt, 0),
      _fixed([2.0, 2.0]), 1e-12, "holds"),
     ("breve-norm-cross",
      "complex-bispinor norm with unequal helicity labels (recorded, not asserted)",
-     "breve-band", lambda pt: _breve_norms(pt, "cross"),
+     "breve-band", lambda pt: _breve_norms(pt, 1),
      _fixed([2.0, 2.0]), 1e-12, "informational"),
     ("adjoint-dirac",
      "adjoint momentum-space equation ubar (pslash + m) = 0, as displayed",

@@ -274,21 +274,22 @@ def test_mass_homogeneity_at_m_two():
 
 
 def test_cached_amplitudes_are_the_boost_factors():
-    # the half-boost amplitudes are computed once per point and shared by every
-    # constructor; they keep boost_factor's bits for a point, a batch and a negated point
+    # the vector (a, b nhat) is computed once per point and shared by every constructor;
+    # it keeps the bits of boost_factor(+1) and boost_factor(-1) nhat for a point, a batch
+    # and a negated point
     rng = np.random.default_rng(8)
     nhat = rng.normal(size=(6, 3))
     nhat /= np.linalg.norm(nhat, axis=1)[:, None]
     points = (sp.KinematicPoint(1.0, 2.5, ZHAT), sp.KinematicPoint(2.0, 0.5, nhat[0]),
               sp.KinematicPoint(np.ones(6), rng.uniform(-3.0, 3.0, 6), nhat))
     for k in points:
-        for kk in (k, k.negated()):  # k's amplitudes are filled before negated() is called
-            a, b = kk._half_boosts
-            assert a.tobytes() == kk.boost_factor(+1).tobytes()
-            assert b.tobytes() == kk.boost_factor(-1).tobytes()
-            assert np.shape(a) == np.shape(b) == np.shape(kk.p0)
-            assert not a.flags.writeable and not b.flags.writeable
-            assert kk._half_boosts[0] is a
+        for kk in (k, k.negated()):  # k's vector is filled before negated() is called
+            v = kk._boosts
+            assert v.shape == np.shape(kk.p0) + (4,) and v.dtype == complex
+            assert v[..., 0].tobytes() == kk.boost_factor(+1).tobytes()
+            assert v[..., 1:].tobytes() == (kk.boost_factor(-1)[..., None] * kk.nhat).tobytes()
+            assert not v.flags.writeable
+            assert kk._boosts is v
 
 
 def _band_points(breve: bool):
@@ -305,39 +306,51 @@ def _band_points(breve: bool):
     return points if breve else [*points, *(k.negated() for k in points)]
 
 
-# every stack of the builder: its constructor name, and the public constructor calls that
-# give its states in order
 HALVES = sp.HELICITIES
-STACKS = {
-    ("dirac_u", "pair"):
-        lambda k: [f(k, lam, lam) for f in (sp.dirac_u, sp.dirac_u_bar) for lam in HALVES],
-    ("breve_u", "pair"):
-        lambda k: [f(k, lam, lam) for f in (sp.breve_u, sp.breve_u_bar) for lam in HALVES],
-    ("breve_u", "cross"):
-        lambda k: [f(k, lam, -lam) for f in (sp.breve_u, sp.breve_u_bar) for lam in HALVES],
-    ("boosted_spinor", "all"):
-        lambda k: [sp.boosted_spinor(k, lam, d) for lam in HALVES for d in (False, True)],
-    ("tetrad_bispinor", "all"): lambda k: [sp.tetrad_bispinor(k, tau) for tau in (1, 2, 3, 4)],
+
+
+def _paired(column, row) -> list:
+    return [(f, (lam, sign * lam)) for sign in (1, -1) for f in (column, row) for lam in HALVES]
+
+
+# each table, under the constructor that owns it: its states in order, each a public
+# constructor and its labels; the equal labels then the crossed, columns then rows
+TABLE_STATES = {
+    "boosted_spinor": [(sp.boosted_spinor, (lam, d)) for lam in HALVES for d in (False, True)],
+    "dirac_u": _paired(sp.dirac_u, sp.dirac_u_bar),
+    "tetrad_bispinor": [(sp.tetrad_bispinor, (tau,)) for tau in (1, 2, 3, 4)],
+    "breve_u": _paired(sp.breve_u, sp.breve_u_bar),
 }
 
 
-def test_every_stack_of_the_builder_is_listed():
-    assert set(STACKS) == {(name, labels) for name, (_, tables) in sp._TABLES.items()
-                           for labels in tables if isinstance(labels, str)}
-
-
-@pytest.mark.parametrize("name, labels", sorted(STACKS))
-def test_each_stack_equals_its_stacked_public_constructors(name, labels):
-    # a stack holds its states, one per row, each with its public constructor's bits, after
-    # one band check naming the constructor
+@pytest.mark.parametrize("name", sorted(TABLE_STATES))
+def test_each_table_row_is_its_public_constructor(name):
+    # one table per constructor, read by its _bar name too; row i of one _state pass has
+    # the bits of state i's public constructor, each label at a position of its own, after
+    # one band check naming the constructor called
+    names = [n for n, (_, table) in sp._TABLES.items() if table is sp._TABLES[name][1]]
+    assert names == [f.__name__ for f in dict.fromkeys(f for f, _ in TABLE_STATES[name])]
+    states = TABLE_STATES[name]
+    assert len(set(states)) == len(states)
     breve = name == "breve_u"
     for k in _band_points(breve):
-        stack = sp._state(k, name, labels)
-        want = np.stack(STACKS[name, labels](k), axis=-2)
-        assert stack.shape == want.shape == np.shape(k.p0) + want.shape[-2:]
-        assert stack.tobytes() == want.tobytes()
-    with pytest.raises(sp.RegionError, match=rf"^{name} needs "):
-        sp._state(sp.KinematicPoint(1.0, 2.0 if breve else 0.5, ZHAT), name, labels)
+        table = sp._state(k, name)
+        assert table.shape == np.shape(k.p0) + (len(states), 2 if name == "boosted_spinor" else 4)
+        for i, (f, labels) in enumerate(states):
+            assert table[..., i, :].tobytes() == f(k, *labels).tobytes(), (f.__name__, labels)
+    for n in names:
+        with pytest.raises(sp.RegionError, match=rf"^{n} needs "):
+            sp._state(sp.KinematicPoint(1.0, 2.0 if breve else 0.5, ZHAT), n)
+
+
+def test_a_single_state_is_a_fresh_array():
+    # not a view of the whole table's evaluation, which it would keep alive
+    for breve in (False, True):
+        for k in _band_points(breve)[-2:]:
+            for f, labels in (TABLE_STATES["breve_u" if breve else "dirac_u"]
+                              + ([] if breve else TABLE_STATES["boosted_spinor"]
+                                 + TABLE_STATES["tetrad_bispinor"])):
+                assert f(k, *labels).base is None, (f.__name__, labels)
 
 
 def test_band_constructors_keep_their_written_out_formulas():
@@ -357,7 +370,7 @@ def test_band_constructors_keep_their_written_out_formulas():
     lam = sp.HELICITIES
     for breve in (False, True):
         for k in _band_points(breve):
-            a, b = (x[..., None] for x in k._half_boosts)
+            a, b = (k.boost_factor(sign)[..., None] for sign in (+1, -1))
             n = k.nhat
             if breve:
                 for j, l in slots:

@@ -28,6 +28,8 @@ ENTRY_POINTS = {
     "energy_projector-p": lambda x: pj.energy_projector((x, 0.0, 0.0, 0.0), 1.0, +1),
     "energy_projector-m": lambda x: pj.energy_projector(REST, x, +1),
     "pi_projector-s": lambda x: pj.pi_projector(REST, 1.0, (0.0, x, 0.0, 1.0)),
+    "pi_projector-s-neg-lambda":
+        lambda x: pj.pi_projector(REST, 1.0, (0.0, x, 0.0, 1.0), "neg-lambda"),
     "spinor_from_breve": lambda x: sp.spinor_from_breve(np.ones(4), (0.0, x, 0.0, 1.0)),
     "spinor_from_breve-bispinor": lambda x: sp.spinor_from_breve((x, 0.0, 0.0, 0.0), ZS),
     "dirac_adjoint": lambda x: sp.dirac_adjoint((x, 0.0, 0.0, 0.0)),
@@ -58,6 +60,9 @@ REAL_INPUTS = {
     "energy_projector-m": ("mass", 1.0, lambda v: pj.energy_projector(REST, v, +1)),
     "pi_projector-m": ("mass", 1.0, lambda v: pj.pi_projector(REST, v, ZS)),
     "pi_projector-s": ("spin vector", ZS, lambda v: pj.pi_projector(REST, 1.0, v)),
+    # s is checked before "neg-lambda" negates it
+    "pi_projector-s-neg-lambda":
+        ("spin vector", ZS, lambda v: pj.pi_projector(REST, 1.0, v, "neg-lambda")),
     "spinor_from_breve": ("spin vector", ZS, lambda v: sp.spinor_from_breve(np.ones(4), v)),
 }
 
@@ -269,7 +274,8 @@ def test_breve_amplitudes_at_the_largest_masses_equal_the_unit_mass_ones(p0):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200],
                          ids=["nan", "inf", "-inf", "1e200"])
-@pytest.mark.parametrize("entry", ["spin_projector", "pi_projector-s", "spinor_from_breve"])
+@pytest.mark.parametrize("entry", ["spin_projector", "pi_projector-s",
+                                   "pi_projector-s-neg-lambda", "spinor_from_breve"])
 def test_spin_vector_is_rejected_before_s_dot_s_is_formed(entry, value):
     with pytest.raises(ValueError, match=r"^spin vector must be \(0, svec\)"):
         ENTRY_POINTS[entry](value)
