@@ -5,6 +5,10 @@ metric diag(+1, -1, -1, -1).  Matrices are complex128, cached at module
 load, and returned as read-only views; all functions are pure.  Functions
 of vectors broadcast over leading batch axes: a (..., 4) input gives a
 (..., 4, 4) output, and a single vector is the empty batch shape.
+
+gamma0 (the diagonal _GAMMA0_SIGNS) and gamma5 (which swaps the two blocks) are signed
+permutations: a product of an argument with either is a sign flip or an index take along
+the permuted axis (_BLOCK_SWAP), exact entry by entry, never a matmul.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ _GAMMA = tuple(map(_read_only, (
     np.block([[_Z2, _PAULI[2]], [-_PAULI[2], _Z2]]),
 )))
 _GAMMA5 = _read_only(1j * _GAMMA[0] @ _GAMMA[1] @ _GAMMA[2] @ _GAMMA[3])
+_GAMMA0_SIGNS = _read_only(_GAMMA[0].diagonal().copy())
+_BLOCK_SWAP = _read_only(np.array([2, 3, 0, 1]))
 
 
 def _contraction(stack) -> tuple:

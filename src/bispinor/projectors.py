@@ -20,9 +20,9 @@ import numpy as np
 
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
-from .clifford import (_GAMMA5_SLASH, _I2, _I4, _SLASH, _contract, _contraction, check_choice,
-                       check_real, check_vectors, gamma, gamma5, minkowski_dot, pauli_dot,
-                       row_times, slash)
+from .clifford import (_BLOCK_SWAP, _GAMMA0_SIGNS, _GAMMA5_SLASH, _I2, _I4, _SLASH, _contract,
+                       _contraction, check_choice, check_real, check_vectors, minkowski_dot,
+                       pauli_dot, slash)
 from .spinors import (_SQRT_MAX, KinematicPoint, _in_scale, _require, _state, breve_u,
                       breve_u_bar, check_bispinor, check_mass, check_spin_vector,
                       check_unit_vector, dirac_u, dirac_u_bar)
@@ -130,8 +130,9 @@ def diad(phi, insert: str) -> np.ndarray:
     u ubar outer product.
     """
     phi = check_bispinor(phi)
-    use_gamma0 = check_choice("insert", insert, ("gamma0", "gamma5")) == 0
-    return _outer(phi, row_times(np.conj(phi), gamma(0) if use_gamma0 else gamma5()))
+    if check_choice("insert", insert, ("gamma0", "gamma5")) == 0:
+        return _outer(phi, np.conj(phi) * _GAMMA0_SIGNS)
+    return _outer(phi, np.conj(phi).take(_BLOCK_SWAP, axis=-1))
 
 
 def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
@@ -169,7 +170,7 @@ def polsum(kind: str, k: KinematicPoint):
     x = _five_vector(k)
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
-        # the table's first four states: the columns u(+1/2), u(-1/2), then their rows
+        # the equal-label states: the columns u(+1/2), u(-1/2), then their rows
         name = "breve_u" if kind.startswith("breve") else "dirac_u"
         u = _state(k.negated() if kind == "antispinor" else k, name)
         lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])

@@ -21,10 +21,11 @@ arrays, so code shared with batches applies neither to a point's values.
 Every band state is one formula, a * E + b * (nhat @ M), its signs and phases in
 the constants E and M: -M for the dotted two-spinor and the row dirac_u_bar, i M
 for the breve states, a zero E or M for the tetrad.  Each band constructor has one
-table of all its states, the (4, L, w) stack [E; M_1; M_2; M_3] built at import (a
-_bar constructor reads its column constructor's); _state evaluates them all as one
-clifford._contract of the point's cached vector (a, b nhat) with it, (..., L, w).
-A constructor copies out its row; polsum and the registry rows read slices.
+table per label family, a (4, 4, w) stack [E; M_1; M_2; M_3] of four states built at
+import: two for dirac_u and breve_u, the equal labels and the crossed (read by their _bar
+constructors too), one for the others.  _state evaluates one family as one
+clifford._contract of the point's cached vector (a, b nhat) with its table, (..., 4, w),
+so a caller evaluates only the states it reads; a constructor copies out its row.
 
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
-from .clifford import (_GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract, _contraction,
-                       _read_only, check_choice, check_real, check_vectors, gamma, pauli,
-                       pauli_dot, row_times, times_column)
+from .clifford import (_GAMMA0_SIGNS, _GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract,
+                       _contraction, _read_only, check_choice, check_real, check_vectors, pauli,
+                       pauli_dot, times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
@@ -120,20 +121,20 @@ def check_bispinor(u, n: int = 4, what: str = "bispinor") -> np.ndarray:
     return u
 
 
-_BAND_HINTS = {
+# check_band's message per band, filled in only on a refusal: the name, p0 and m
+_BAND_MESSAGES = {band: "{} needs " + band + " (got p0={}, m={})" + hint for band, hint in {
     "|p0| >= m": "; use breve_u / breve_u_bar on the |p0| <= m band",
     "|p0| <= m": "; use the real-band constructors (boosted_spinor, dirac_u, ...)",
     "p0 >= m": "",
-}
+}.items()}
 
 
 def check_band(what: str, p0, m, band: str) -> None:
     """Raise RegionError naming ``what`` unless every point (p0, m) lies in ``band``, one of
-    the keys of _BAND_HINTS, to a relative 1e-12."""
+    the keys of _BAND_MESSAGES, to a relative 1e-12."""
     e = p0 if band == "p0 >= m" else abs(p0)
     ok = e <= m * (1.0 + _REL_TOL) if band == "|p0| <= m" else e >= m * (1.0 - _REL_TOL)
-    message = f"{what} needs {band} (got p0={{}}, m={{}}){_BAND_HINTS[band]}"
-    _require(ok, message, p0, m, error=RegionError)
+    _require(ok, _BAND_MESSAGES[band], what, p0, m, error=RegionError)
 
 
 def _blocks(up, low) -> np.ndarray:
@@ -170,22 +171,22 @@ def _tetrad(i) -> tuple:
 
 
 def _table(states) -> tuple:
-    """The states (E, M) in order as one (4, L, w) stack [E; M_1; M_2; M_3] for _contract."""
+    """Four states (E, M) in order as one (4, 4, w) stack [E; M_1; M_2; M_3] for _contract."""
     return _contraction(np.stack([np.concatenate([e[None], m]) for e, m in states], axis=1))
 
 
 _REAL_BAND, _BREVE_BAND = "|p0| >= m", "|p0| <= m"
-# the states (lam, lam', row) of dirac_u and breve_u: equal labels, then crossed (see _pair)
-_DIRAC, _BREVE = (_table(state(j, j ^ cross, row) for cross in (0, 1) for row in (0, 1)
-                         for j in (0, 1)) for state in (_dirac, _breve))
-# constructor name -> (its band, the table of all its states: a _bar name's is its column's)
+# the states (lam, lam', row) of dirac_u and breve_u: equal labels, crossed labels (_pair)
+_DIRAC, _BREVE = (tuple(_table(state(j, j ^ cross, row) for row in (0, 1) for j in (0, 1))
+                        for cross in (0, 1)) for state in (_dirac, _breve))
+# constructor name -> (its band, its tables by label family: a _bar name's are its column's)
 _TABLES = {
-    "boosted_spinor": (_REAL_BAND, _table(
+    "boosted_spinor": (_REAL_BAND, (_table(
         (_PHI[j], -_SIGMA_PHI[j] if dotted else _SIGMA_PHI[j])
-        for j in (0, 1) for dotted in (False, True))),
+        for j in (0, 1) for dotted in (False, True)),)),
     "dirac_u": (_REAL_BAND, _DIRAC),
     "dirac_u_bar": (_REAL_BAND, _DIRAC),
-    "tetrad_bispinor": (_REAL_BAND, _table(_tetrad(i) for i in range(4))),
+    "tetrad_bispinor": (_REAL_BAND, (_table(_tetrad(i) for i in range(4)),)),
     "breve_u": (_BREVE_BAND, _BREVE),
     "breve_u_bar": (_BREVE_BAND, _BREVE),
 }
@@ -277,22 +278,22 @@ class KinematicPoint:
         return k
 
 
-def _state(k: KinematicPoint, name: str) -> np.ndarray:
-    """Every state a E + b (nhat @ M) of constructor ``name``'s table at k, as (..., L, w):
-    one clifford._contract of the point's cached (a, b nhat) with the table.  Raises
-    RegionError naming ``name`` if a point lies outside its band."""
-    band, table = _TABLES[name]
+def _state(k: KinematicPoint, name: str, crossed: bool = False) -> np.ndarray:
+    """The four states a E + b (nhat @ M) of constructor ``name``'s equal-label (or crossed)
+    family at k, (..., 4, w): one clifford._contract of the point's cached (a, b nhat) with
+    its table.  Raises RegionError naming ``name`` if a point lies outside its band."""
+    band, tables = _TABLES[name]
     check_band(name, k.p0, k.m, band)
-    return _contract(k._boosts, table)
+    return _contract(k._boosts, tables[crossed])
 
 
 def _one(k: KinematicPoint, name: str, i: int) -> np.ndarray:
-    """State i of _state(k, name) as a fresh array, which keeps no other state alive."""
-    return _state(k, name)[..., i, :].copy()
+    """State i (i % 4 of family i // 4) of ``name`` as a fresh array: it keeps no other alive."""
+    return _state(k, name, i > 3)[..., i % 4, :].copy()
 
 
 def _pair(lam, lam_other, row: int = 0) -> int:
-    """Position of the column (row 0) or row (row 1) state (lam, lam_other) in _DIRAC or _BREVE."""
+    """Index i of the column (row 0) or row (row 1) state (lam, lam_other): family i // 4."""
     i, j = _slot(lam), _slot(lam_other)
     return 4 * (i != j) + 2 * row + i
 
@@ -382,8 +383,8 @@ def rest_basis(tau) -> np.ndarray:
 
 
 def dirac_adjoint(u) -> np.ndarray:
-    """u^+ gamma^0 as a row vector."""
-    return row_times(np.conj(check_bispinor(u)), gamma(0))
+    """u^+ gamma^0 as a row vector: conj(u) with its lower block negated."""
+    return np.conj(check_bispinor(u)) * _GAMMA0_SIGNS
 
 
 def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:

@@ -45,10 +45,11 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import (METRIC, _I2, _I4, _read_only, check_choice, dot, gamma, gamma5,
-                       gamma5_from_epsilon, gamma_dot_spatial, gamma_lower, generalized_pauli,
-                       pauli_dot, row_times, slash, times_column, trace)
-from .projectors import diad, pi_projector, polsum, spin_projector, spin_projector_rest
+from .clifford import (METRIC, _BLOCK_SWAP, _I2, _I4, _contract, _contraction, _read_only,
+                       check_choice, dot, gamma, gamma5, gamma5_from_epsilon, gamma_lower,
+                       generalized_pauli, pauli_dot, row_times, times_column, trace)
+from .projectors import (_ENERGY, _five_vector, diad, pi_projector, polsum, spin_projector,
+                         spin_projector_rest)
 from .spinors import (KinematicPoint, _state, breve_u, check_band, check_bispinor, dirac_adjoint,
                       kappa, parity_components, rest_basis, spinor_from_breve)
 
@@ -224,8 +225,10 @@ def _kin(pt: Columns) -> KinematicPoint:
 
 
 def _complex_of(pt: Columns, name: str) -> np.ndarray:
-    """The complex array name_re + i name_im of pt's arrays."""
-    return pt.arrays[name + "_re"] + 1j * pt.arrays[name + "_im"]
+    """The complex array name_re + i name_im of pt's arrays, its parts filled in place."""
+    z = np.empty(pt.arrays[name + "_re"].shape, dtype=complex)
+    z.real, z.imag = pt.arrays[name + "_re"], pt.arrays[name + "_im"]
+    return z
 
 
 def _spatial(nhat) -> np.ndarray:
@@ -271,11 +274,6 @@ _REST_EIGENVALUES = (1.0, -1.0, -1.0, 1.0)
 _ZERO_ROWS = np.zeros((2, 4), dtype=complex)
 
 
-def _times_i4(x) -> np.ndarray:
-    """x I4 for a scalar x per batch point."""
-    return np.asarray(x)[..., None, None] * _I4
-
-
 def _anticommutators(stack) -> np.ndarray:
     """{a, b} for every ordered pair of a stack's matrices, as (mu, nu, 4, 4)."""
     a, b = stack[:, None], stack[None, :]
@@ -288,8 +286,8 @@ _GAMMAS = _read_only(np.stack([gamma(mu) for mu in range(4)]))
 _GAMMA_LABELS = _read_only(np.stack([*_GAMMAS, gamma5()]))
 _ANTICOMMUTATORS = _anticommutators(_GAMMAS)
 _ANTICOMMUTATORS_LOWER = _anticommutators(np.stack([gamma_lower(mu) for mu in range(4)]))
-_TWO_METRIC_I4 = _times_i4(2.0 * METRIC)
-_TWO_DELTA_I4 = _times_i4(2.0 * np.eye(4))
+_TWO_METRIC_I4 = (2.0 * METRIC)[..., None, None] * _I4
+_TWO_DELTA_I4 = (2.0 * np.eye(4))[..., None, None] * _I4
 _LABEL_DAGGERS = np.conj(np.swapaxes(_GAMMA_LABELS, -1, -2))
 _SIGNED_LABELS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])[:, None, None] * _GAMMA_LABELS
 
@@ -332,9 +330,8 @@ def _boost_exponential(pt) -> tuple:
     check_band("boost-exponential", k.p0, k.m, "p0 >= m")
     q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
     up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None, None] for sign in (+1, -1))
-    # P(+-n) phi_lam for lam = +1/2, -1/2 (the rows of I2), as (..., lam, 2)
-    pa, pb = (times_column(spin_projector_rest(n)[..., None, :, :], _I2)
-              for n in (k.nhat, -k.nhat))
+    # P(+-n) phi_lam for lam = +1/2, -1/2 (phi the columns of I2), as (..., lam, 2)
+    pa, pb = (np.swapaxes(spin_projector_rest(n), -1, -2) for n in (k.nhat, -k.nhat))
     rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)
     return rows.reshape(rows.shape[:-3] + (4, 2)), _state(k, "boosted_spinor")
 
@@ -367,24 +364,27 @@ def _rest_spin_action():
     return np.stack([big_sigma @ rest_basis(tau) for tau in (1, 2, 3, 4)])
 
 
-def _breve_norms(pt, half: int):
-    """breve_u_bar breve_u for the equal (half 0) or crossed (half 1) label pairs."""
-    s = _state(_kin(pt), "breve_u")[..., 4 * half:4 * half + 4, :]
+def _breve_norms(pt, crossed: bool):
+    """breve_u_bar breve_u for the equal or the crossed label pairs."""
+    s = _state(_kin(pt), "breve_u", crossed)
     return dot(s[..., 2:, :], s[..., :2, :])
+
+
+# The adjoint rows' matrices, stacks for _contract of x = (p, m), or of conj(x): pslash + m,
+# the displayed -(p0 gamma0 + gamma.p) - m, and pslash^+ - m = conj(p^mu) gamma^mu - m.
+_ADJOINT_MATRICES = {None: _ENERGY[+1],
+                     "paper": _contraction(-np.concatenate([_GAMMAS, _I4[None]])),
+                     "standard": _contraction(np.concatenate([_GAMMAS, -_I4[None]]))}
 
 
 def _adjoint_rows(pt, dagger=None):
     """The rows breve_u_bar (pslash + m), or given a dagger conj(breve_u) (pslash^+ - m),
     pslash^+ with its displayed overall sign ("paper") or conjugate-transposed ("standard")."""
     k = _kin(pt)
-    p, pair = k.momentum(), _state(k, "breve_u")
-    if dagger is None:
-        return row_times(pair[..., 2:4, :], (slash(p) + _times_i4(k.m))[..., None, :, :])
-    if dagger == "paper":
-        dag = -(p[..., :1, None] * gamma(0) + gamma_dot_spatial(p))
-    else:
-        dag = np.conj(np.swapaxes(slash(p), -1, -2))
-    return row_times(np.conj(pair[..., :2, :]), (dag - _times_i4(k.m))[..., None, :, :])
+    x, pair = _five_vector(k), _state(k, "breve_u")
+    rows = pair[..., 2:4, :] if dagger is None else np.conj(pair[..., :2, :])
+    matrix = _contract(np.conj(x) if dagger == "standard" else x, _ADJOINT_MATRICES[dagger])
+    return row_times(rows, matrix[..., None, :, :])
 
 
 def _pi_annihilation(pt):
@@ -414,11 +414,15 @@ def _tetrad_sum(pt):
     return sum((along, against) * 2) * 0.5
 
 
+# 1 + gamma5 s^mu gamma_mu for _contract of (s, 1): gamma5 gamma_mu (row blocks swapped), I4
+_ORIENTATION = _contraction([*(gamma_lower(mu).take(_BLOCK_SWAP, axis=-2) for mu in range(4)),
+                             _I4])
+
+
 def _orientation_projector(pt):
-    # spin four-vector contraction with index-lowered gammas, then gamma5
-    s = _spatial(pt.arrays["nhat"])[..., None, None]
-    contracted = sum(s[..., mu, :, :] * gamma_lower(mu) for mu in range(4))
-    return (_I4 + gamma5() @ contracted) * 0.5
+    """The covariant orientation projector (1 + gamma5 s^mu gamma_mu)/2 at s = (0, nhat)."""
+    s = _spatial(pt.arrays["nhat"])
+    return _contract(np.concatenate([s, np.ones_like(s[..., :1])], axis=-1), _ORIENTATION) * 0.5
 
 
 # Each row: name, paper_ref, sampler, lhs, rhs, tolerance, expected status.
@@ -470,11 +474,11 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      1e-14, "holds"),
     ("breve-norm",
      "norm of the complex bispinor equals 2 for equal helicity labels",
-     "breve-band", lambda pt: _breve_norms(pt, 0),
+     "breve-band", lambda pt: _breve_norms(pt, False),
      _fixed([2.0, 2.0]), 1e-12, "holds"),
     ("breve-norm-cross",
      "complex-bispinor norm with unequal helicity labels (recorded, not asserted)",
-     "breve-band", lambda pt: _breve_norms(pt, 1),
+     "breve-band", lambda pt: _breve_norms(pt, True),
      _fixed([2.0, 2.0]), 1e-12, "informational"),
     ("adjoint-dirac",
      "adjoint momentum-space equation ubar (pslash + m) = 0, as displayed",

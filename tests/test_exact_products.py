@@ -1,0 +1,143 @@
+"""Products with constant signed permutations and label families against their former
+BLAS forms.
+
+Every product below multiplies by 0, +-1 or +-i, so each real or imaginary component
+of an entry sums at most one inexact term: the elementwise and per-family forms must
+give the values of the matmul forms they replaced.  np.array_equal treats -0 and +0 as
+equal, the only freedom the rewrite has.
+"""
+
+import numpy as np
+import pytest
+
+from bispinor import clifford as cl
+from bispinor import projectors as pj
+from bispinor import spinors as sp
+from bispinor import verify as vf
+
+AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
+
+
+def _columns(breve: bool) -> dict:
+    """Band points as sampler columns: p0 = +-m (and p0 = 0 on the breve band) and
+    axis-aligned spin axes first, then random ones."""
+    rng = np.random.default_rng(23)
+    m = rng.uniform(0.5, 2.0, 8)
+    ratio = rng.uniform(-1.0, 1.0, 8) if breve else np.exp(rng.uniform(0.0, 3.0, 8))
+    ratio[:3] = (1.0, -1.0, 0.0) if breve else (1.0, -1.0, -2.5)
+    nhat = rng.normal(size=(8, 3))
+    nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+    nhat[:3] = AXES
+    return {"m": m, "p0": m * ratio, "nhat": nhat}
+
+
+def _points(breve: bool, forward_only: bool = False) -> list:
+    """The single points of _columns(breve), one at a time, then all of them as a batch."""
+    c = _columns(breve)
+    keep = c["p0"] >= c["m"] if forward_only else np.ones(len(c["m"]), bool)
+    c = {key: a[keep] for key, a in c.items()}
+    singles = [{key: a[i] for key, a in c.items()} for i in range(len(c["m"]))]
+    return [*singles, c]
+
+
+def _kin(c) -> sp.KinematicPoint:
+    return sp.KinematicPoint(c["m"], c["p0"], c["nhat"])
+
+
+def _bispinors() -> list:
+    """Random bispinors, then the states of dirac_u, breve_u and the tetrad at every point."""
+    rng = np.random.default_rng(4)
+    out = [rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))]
+    for breve in (False, True):
+        for c in _points(breve):
+            k = _kin(c)
+            out += [sp._state(k, "breve_u" if breve else "dirac_u", crossed) for crossed in (0, 1)]
+            if not breve:
+                out.append(sp._state(k, "tetrad_bispinor"))
+    return out
+
+
+def _former_row(u, matrix):
+    return cl.row_times(np.conj(u), matrix)
+
+
+@pytest.mark.parametrize("insert", ["gamma0", "gamma5"])
+def test_diad_is_its_former_matmul(insert):
+    matrix = cl.gamma(0) if insert == "gamma0" else cl.gamma5()
+    for u in _bispinors():
+        former = pj._outer(u, _former_row(u, matrix))
+        assert np.array_equal(pj.diad(u, insert), former)
+        for one in u.reshape(-1, 4)[:3]:
+            assert np.array_equal(pj.diad(one, insert), pj._outer(one, _former_row(one, matrix)))
+
+
+def test_dirac_adjoint_is_its_former_matmul():
+    for u in _bispinors():
+        assert np.array_equal(sp.dirac_adjoint(u), _former_row(u, cl.gamma(0)))
+        for one in u.reshape(-1, 4)[:3]:
+            assert np.array_equal(sp.dirac_adjoint(one), _former_row(one, cl.gamma(0)))
+
+
+def test_each_label_family_is_its_half_of_the_former_eight_state_table():
+    # the former tables: equal labels then crossed, columns then rows, in one contraction
+    for name, state, breve in (("dirac_u", sp._dirac, False), ("breve_u", sp._breve, True)):
+        former = sp._table(state(j, j ^ cross, row)
+                           for cross in (0, 1) for row in (0, 1) for j in (0, 1))
+        for c in _points(breve):
+            k = _kin(c)
+            whole = cl._contract(k._boosts, former)
+            for crossed in (0, 1):
+                half = whole[..., 4 * crossed:4 * crossed + 4, :]
+                assert np.array_equal(sp._state(k, name, crossed), half)
+                assert np.array_equal(sp._state(k, name + "_bar", crossed), half)
+
+
+def _former_orientation(nhat):
+    s = vf._spatial(nhat)[..., None, None]
+    contracted = sum(s[..., mu, :, :] * cl.gamma_lower(mu) for mu in range(4))
+    return (cl._I4 + cl.gamma5() @ contracted) * 0.5
+
+
+def test_orientation_projector_is_its_former_sum():
+    for breve in (False, True):
+        for c in _points(breve):
+            pt = vf.Columns({"nhat": c["nhat"]})
+            assert np.array_equal(vf._orientation_projector(pt), _former_orientation(c["nhat"]))
+
+
+def _former_adjoint_rows(c, dagger):
+    k = _kin(c)
+    p, m_i4 = k.momentum(), np.asarray(k.m)[..., None, None] * cl._I4
+    pair = np.stack([sp.breve_u_bar(k, lam, lam) if dagger is None else
+                     np.conj(sp.breve_u(k, lam, lam)) for lam in sp.HELICITIES], axis=-2)
+    if dagger is None:
+        op = cl.slash(p) + m_i4
+    elif dagger == "paper":
+        op = -(p[..., :1, None] * cl.gamma(0) + cl.gamma_dot_spatial(p)) - m_i4
+    else:
+        op = np.conj(np.swapaxes(cl.slash(p), -1, -2)) - m_i4
+    return cl.row_times(pair, op[..., None, :, :])
+
+
+@pytest.mark.parametrize("dagger", [None, "paper", "standard"])
+def test_adjoint_rows_are_their_former_products(dagger):
+    for c in _points(breve=True):
+        got = vf._adjoint_rows(vf.Columns(c), dagger)
+        assert np.array_equal(got, _former_adjoint_rows(c, dagger))
+
+
+def _former_boost_exponential(c) -> tuple:
+    k = _kin(c)
+    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
+    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None, None] for sign in (+1, -1))
+    pa, pb = (cl.times_column(pj.spin_projector_rest(n)[..., None, :, :], cl._I2)
+              for n in (k.nhat, -k.nhat))
+    rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)
+    return rows.reshape(rows.shape[:-3] + (4, 2)), sp._state(k, "boosted_spinor")
+
+
+def test_boost_exponential_is_its_former_product():
+    for c in _points(breve=False, forward_only=True):
+        got = vf._boost_exponential(vf.Columns(c))
+        for side, former in zip(got, _former_boost_exponential(c)):
+            assert np.array_equal(side, former)

@@ -313,8 +313,8 @@ def _paired(column, row) -> list:
     return [(f, (lam, sign * lam)) for sign in (1, -1) for f in (column, row) for lam in HALVES]
 
 
-# each table, under the constructor that owns it: its states in order, each a public
-# constructor and its labels; the equal labels then the crossed, columns then rows
+# each constructor's states in order, each a public constructor and its labels: for
+# dirac_u and breve_u the equal-label table then the crossed, columns then rows in each
 TABLE_STATES = {
     "boosted_spinor": [(sp.boosted_spinor, (lam, d)) for lam in HALVES for d in (False, True)],
     "dirac_u": _paired(sp.dirac_u, sp.dirac_u_bar),
@@ -325,19 +325,20 @@ TABLE_STATES = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_STATES))
 def test_each_table_row_is_its_public_constructor(name):
-    # one table per constructor, read by its _bar name too; row i of one _state pass has
-    # the bits of state i's public constructor, each label at a position of its own, after
-    # one band check naming the constructor called
-    names = [n for n, (_, table) in sp._TABLES.items() if table is sp._TABLES[name][1]]
+    # one table per label family of four states, read by a _bar name too; row i % 4 of
+    # one _state pass over family i // 4 has the bits of state i's public constructor,
+    # each label at a position of its own, after one band check naming the constructor
+    names = [n for n, (_, tables) in sp._TABLES.items() if tables is sp._TABLES[name][1]]
     assert names == [f.__name__ for f in dict.fromkeys(f for f, _ in TABLE_STATES[name])]
     states = TABLE_STATES[name]
-    assert len(set(states)) == len(states)
+    assert len(set(states)) == len(states) == 4 * len(sp._TABLES[name][1])
     breve = name == "breve_u"
     for k in _band_points(breve):
-        table = sp._state(k, name)
-        assert table.shape == np.shape(k.p0) + (len(states), 2 if name == "boosted_spinor" else 4)
-        for i, (f, labels) in enumerate(states):
-            assert table[..., i, :].tobytes() == f(k, *labels).tobytes(), (f.__name__, labels)
+        for crossed in range(len(states) // 4):
+            table = sp._state(k, name, crossed)
+            assert table.shape == np.shape(k.p0) + (4, 2 if name == "boosted_spinor" else 4)
+            for i, (f, labels) in enumerate(states[4 * crossed:4 * crossed + 4]):
+                assert table[..., i, :].tobytes() == f(k, *labels).tobytes(), (f.__name__, labels)
     for n in names:
         with pytest.raises(sp.RegionError, match=rf"^{n} needs "):
             sp._state(sp.KinematicPoint(1.0, 2.0 if breve else 0.5, ZHAT), n)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -476,9 +477,10 @@ def _arrays_in(value):
 
 
 def test_every_array_the_modules_keep_is_read_only():
-    # the search reaches every table: four, two of them read by a _bar name as well
+    # the search reaches every table: six, the four of dirac_u and breve_u read by a _bar
+    # name as well
     tables = list(_arrays_in(sp._TABLES))
-    assert len(tables) == len(sp._TABLES) == 6 and len(set(map(id, tables))) == 4
+    assert len(sp._TABLES) == 6 and len(tables) == 10 and len(set(map(id, tables))) == 6
     for module in (cl, sp, pj, vf):
         for name, value in vars(module).items():
             for a in _arrays_in(value):
@@ -706,7 +708,7 @@ def _loop_breve_norms(pairs):
 
 def _loop_adjoint_dirac(pt):
     k = _kin_of(pt)
-    op = cl.slash(k.momentum()) + vf._times_i4(k.m)
+    op = cl.slash(k.momentum()) + np.asarray(k.m)[..., None, None] * cl._I4
     return np.stack([cl.row_times(sp.breve_u_bar(k, lam, lam), op) for lam in sp.HELICITIES],
                     axis=-2)
 
@@ -719,7 +721,7 @@ def _loop_adjoint_dagger(paper_sign: bool):
             dag = -(p[..., :1, None] * cl.gamma(0) + cl.gamma_dot_spatial(p))
         else:
             dag = np.conj(np.swapaxes(cl.slash(p), -1, -2))
-        op = dag - vf._times_i4(k.m)
+        op = dag - np.asarray(k.m)[..., None, None] * cl._I4
         return np.stack([cl.row_times(np.conj(sp.breve_u(k, lam, lam)), op)
                          for lam in sp.HELICITIES], axis=-2)
     return rows
@@ -740,8 +742,11 @@ def _loop_map_roundtrip(pt) -> tuple:
 
 
 def _loop_unity_gamma0(pt):
+    # added in tau order from the first diad, as the row adds them: sum() would start
+    # from 0, and 0 + (-0.0) turns a -0 entry of the first diad into +0
     k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
-    return sum(pj.diad(sp.antisym_bispinor(k, tau, +1), "gamma0") for tau in (1, 2, 3, 4))
+    return reduce(np.add, (pj.diad(sp.antisym_bispinor(k, tau, +1), "gamma0")
+                           for tau in (1, 2, 3, 4)))
 
 
 # row name -> its per-label loop: (lhs, rhs) where the row evaluates both sides at once,
