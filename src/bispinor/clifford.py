@@ -79,20 +79,25 @@ def _holds_bool(x) -> bool:
         for v in x)
 
 
+# the array kinds check_real converts to each dtype, and the word its refusal uses
+_KINDS = {float: ("iuf", "real"), complex: ("iufc", "numeric"), int: ("iu", "integer")}
+
+
 def check_real(x, what: str, dtype=float) -> np.ndarray:
-    """x as a fresh float array, or for dtype complex a complex128 one (x itself if it is).
-    Only int and float input converts, and complex input to complex; anything else (a
-    complex where a real is required, a str, bytes, a bool, a dict, an object array, a
-    sequence holding a bool), which numpy would parse, cut to real or read as 0 or 1, is a
-    ValueError."""
-    real = dtype is float
-    if real and type(x) is float:  # what the steps below give, without them
+    """x as a fresh float array, for dtype int a fresh int64 one (labels), or for dtype
+    complex a complex128 one (x itself if it is).  Only int and float input converts to
+    float, only int input to int, and complex input to complex; anything else (a complex
+    where a real is required, a float where an integer is, a str, bytes, a bool, a dict, an
+    object array, a sequence holding a bool), which numpy would parse, cut to real or read
+    as 0 or 1, is a ValueError."""
+    if dtype is float and type(x) is float:  # what the steps below give, without them
         return np.array(x)
     if isinstance(x, (list, tuple)) and _holds_bool(x):
         x = True  # refused below as a bool alone is, before numpy reads it as 0 or 1
-    x = np.array(x) if real else np.asarray(x)
-    if x.dtype.kind not in ("iuf" if real else "iufc"):
-        raise ValueError(f"{what} must be {'real' if real else 'numeric'}, got {x.dtype}")
+    x = np.asarray(x) if dtype is complex else np.array(x)
+    kinds, kind = _KINDS[dtype]
+    if x.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be {kind}, got {x.dtype}")
     return x.astype(dtype, copy=False)
 
 

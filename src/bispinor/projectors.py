@@ -12,6 +12,8 @@ validator checks every point of a batch.
 The energy projector is one clifford._contract of the five-vector x = (p0, p1, p2, p3, m)
 with a constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1),
 halved; the on-shell guard of the public projectors builds x once and hands it on.
+Each public function is its validators followed by a private core (_spin_projector,
+_pi_projector, ...), which callers holding checked values call directly.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import numpy as np
 
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
-from .clifford import (_BLOCK_SWAP, _GAMMA0_SIGNS, _GAMMA5_SLASH, _I2, _I4, _SLASH, _contract,
+from .clifford import (_BLOCK_SWAP, _GAMMA5_SLASH, _I2, _I4, _PAULI_DOT, _SLASH, _contract,
                        _contraction, check_choice, check_real, check_vectors, minkowski_dot,
-                       pauli_dot, slash)
-from .spinors import (_SQRT_MAX, KinematicPoint, _in_scale, _require, _state, breve_u,
-                      breve_u_bar, check_bispinor, check_mass, check_spin_vector,
+                       slash)
+from .spinors import (_SQRT_MAX, KinematicPoint, _dirac_adjoint, _in_scale, _require, _state,
+                      breve_u, breve_u_bar, check_bispinor, check_mass, check_spin_vector,
                       check_unit_vector, dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
@@ -84,7 +86,12 @@ def _check_on_shell(p, m) -> tuple:
 
 def spin_projector_rest(nhat) -> np.ndarray:
     """Two-spinor helicity projector (1 + sigma.n)/2."""
-    return (_I2 + pauli_dot(check_unit_vector(nhat))) * 0.5
+    return _spin_projector_rest(check_unit_vector(nhat))
+
+
+def _spin_projector_rest(n) -> np.ndarray:
+    """spin_projector_rest without its check, for unit vectors n that check_unit_vector gave."""
+    return (_I2 + _contract(n, _PAULI_DOT)) * 0.5
 
 
 def spin_projector(s) -> np.ndarray:
@@ -130,8 +137,14 @@ def diad(phi, insert: str) -> np.ndarray:
     u ubar outer product.
     """
     phi = check_bispinor(phi)
-    if check_choice("insert", insert, ("gamma0", "gamma5")) == 0:
-        return _outer(phi, np.conj(phi) * _GAMMA0_SIGNS)
+    check_choice("insert", insert, ("gamma0", "gamma5"))
+    return _diad(phi, insert)
+
+
+def _diad(phi, insert: str) -> np.ndarray:
+    """diad without its checks, for finite bispinors phi and insert "gamma0" or "gamma5"."""
+    if insert == "gamma0":
+        return _outer(phi, _dirac_adjoint(phi))
     return _outer(phi, np.conj(phi).take(_BLOCK_SWAP, axis=-1))
 
 
@@ -143,7 +156,14 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
     """
     sign = +1 if check_choice("variant", variant, ("lambda", "neg-lambda")) else -1
     x, m = _check_on_shell(p, m)
-    return _energy_projector(x, m, sign) @ _spin_projector(-sign * check_spin_vector(s))
+    return _pi_projector(x, m, check_spin_vector(s), sign)
+
+
+def _pi_projector(x, m, s, sign: int) -> np.ndarray:
+    """pi_projector without its checks: Lambda_sign P(-sign s) for five-vectors x = (p, m)
+    and float masses m (as _energy_projector takes them) and spin vectors s that
+    check_spin_vector accepts; sign -1 is "lambda", +1 "neg-lambda"."""
+    return _energy_projector(x, m, sign) @ _spin_projector(-sign * s)
 
 
 def polsum(kind: str, k: KinematicPoint):

@@ -29,7 +29,10 @@ so a caller evaluates only the states it reads; a constructor copies out its row
 
 Each input concept has one validator, applied where the input enters: it
 states the set it accepts, so NaN and +-inf fail by construction.  Objects
-built from an already-validated point are not validated again.
+built from an already-validated point are not validated again.  Each public
+function is its validators followed by a private core (_kappa, _dirac_adjoint,
+...), which callers holding checked values (verify's builders) call directly, and
+_point builds a KinematicPoint from checked fields without running its checks.
 
 One ownership rule holds wherever the library keeps arrays (a KinematicPoint, a
 verify.Columns): an object that keeps arrays copies every array a caller passes it
@@ -93,6 +96,12 @@ def _norm3(v):
 def check_energy(p0):
     """Raise ValueError unless every energy parameter is finite."""
     _require(abs(p0) < math.inf, "p0 must be finite, got {}", p0)
+
+
+def check_scale(p0, m):
+    """Raise OverflowError unless |p0| and |p0|/m lie below 1.3e154 at every point."""
+    _require(_in_scale(p0, m), "p0 overflows: p0^2 or p0/m is out of range at p0={}, m={}",
+             p0, m, error=OverflowError)
 
 
 def check_unit_vector(nhat) -> np.ndarray:
@@ -229,8 +238,7 @@ class KinematicPoint:
             m, p0 = float(m), float(p0)
         check_mass(m)
         check_energy(p0)
-        _require(_in_scale(p0, m), "p0 overflows: p0^2 or p0/m is out of range at p0={}, m={}",
-                 p0, m, error=OverflowError)
+        check_scale(p0, m)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "nhat", n)
@@ -271,11 +279,24 @@ class KinematicPoint:
         return p
 
     def negated(self) -> "KinematicPoint":
-        """The same point with p0 -> -p0 (spin axis kept), built from the validated
-        fields without running __post_init__ again."""
-        k = object.__new__(KinematicPoint)
-        k.__dict__.update(m=self.m, p0=_read_only(-self.p0), nhat=self.nhat)
-        return k
+        """The same point with p0 -> -p0 (spin axis kept), built by _point from the
+        validated fields."""
+        return _point(self.m, -self.p0, self.nhat)
+
+
+def _point(m, p0, nhat) -> KinematicPoint:
+    """KinematicPoint(m, p0, nhat) for values its checks accept, built without running
+    them: nhat a read-only float array (..., 3) of unit rows, m and p0 reals of its batch
+    shape.  The fields are the ones __post_init__ gives: m and p0 as floats for a single
+    point, as read-only arrays of the batch shape for a batch."""
+    shape = nhat.shape[:-1]
+    if shape:
+        m, p0 = np.broadcast_to(m, shape), np.broadcast_to(p0, shape)
+    else:
+        m, p0 = float(m), float(p0)
+    k = object.__new__(KinematicPoint)
+    k.__dict__.update(m=m, p0=p0, nhat=nhat)
+    return k
 
 
 def _state(k: KinematicPoint, name: str, crossed: bool = False) -> np.ndarray:
@@ -312,7 +333,11 @@ def boosted_spinor(k: KinematicPoint, lam, dotted: bool = False) -> np.ndarray:
 def parity_components(xi_undotted, xi_dotted):
     """Even/odd parity combinations ((xi + xid)/2, (xi - xid)/2) of finite two-spinors."""
     xi = check_bispinor(xi_undotted, 2, "two-spinor")
-    xid = check_bispinor(xi_dotted, 2, "two-spinor")
+    return _parity_components(xi, check_bispinor(xi_dotted, 2, "two-spinor"))
+
+
+def _parity_components(xi, xid) -> tuple:
+    """parity_components without its checks, for finite two-spinors."""
     return (xi + xid) * 0.5, (xi - xid) * 0.5
 
 
@@ -384,7 +409,12 @@ def rest_basis(tau) -> np.ndarray:
 
 def dirac_adjoint(u) -> np.ndarray:
     """u^+ gamma^0 as a row vector: conj(u) with its lower block negated."""
-    return np.conj(check_bispinor(u)) * _GAMMA0_SIGNS
+    return _dirac_adjoint(check_bispinor(u))
+
+
+def _dirac_adjoint(u) -> np.ndarray:
+    """dirac_adjoint without its check, for finite bispinors u."""
+    return np.conj(u) * _GAMMA0_SIGNS
 
 
 def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
@@ -396,9 +426,14 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     other up to sign.
     """
     s = check_spin_vector(s)
-    u_map = check_choice("variant", variant, ("u", "v")) == 0
-    breve = check_bispinor(breve)
-    stack = _GAMMA5_GAMMA_DOT_S if u_map else _GAMMA_DOT_S_GAMMA5
+    check_choice("variant", variant, ("u", "v"))
+    return _spinor_from_breve(check_bispinor(breve), s, variant)
+
+
+def _spinor_from_breve(breve, s, variant: str) -> np.ndarray:
+    """spinor_from_breve without its checks, for finite bispinors, spin vectors s that
+    check_spin_vector accepts and variant "u" or "v"."""
+    stack = _GAMMA5_GAMMA_DOT_S if variant == "u" else _GAMMA_DOT_S_GAMMA5
     return times_column(_contract(s, stack), breve)
 
 
@@ -413,4 +448,9 @@ def kappa(p0, m):
     check_mass(m)
     check_energy(p0)
     check_band("kappa", p0, m, "p0 >= m")
+    return _kappa(p0, m)
+
+
+def _kappa(p0, m):
+    """kappa without its checks, for masses and energies that pass them, p0 >= m."""
     return np.sqrt(np.maximum(0.5 * (p0 - m), 0.0) / (0.5 * p0 + 0.5 * m))

@@ -18,7 +18,14 @@ bit-identical and checks do not perturb each other.
 A check's lhs and rhs builders take a Columns, one column per sampler key,
 and return arrays with a leading sample axis; given the Columns of one point
 they return that point's arrays, so a reported worst_point replays as
-residuals(check, Columns(worst_point)), its max_residual.  A check on the
+residuals(check, Columns(worst_point)), its max_residual.  Columns is the
+registry's one input boundary: Columns(mapping) checks every column it copies by
+the validator of its key, and residuals checks that the columns are the ones the
+check's sampler draws; the sampler's own draw, valid by construction, is handed
+over unchecked.  The builders then call the unchecked cores of the public
+functions (spinors._point for the KinematicPoint, projectors._spin_projector, ...):
+only band checks (spinors._state's, and two rows' own) and residuals' key, shape and
+finiteness checks run on the draw.  A check on the
 "fixed" sampler has no sample axis and is evaluated once.  A side is made by
 _fixed if it depends on no sample (a value built at import, read-only, or a
 table of them indexed by the sampled labels); by _sides, with the other side,
@@ -46,12 +53,14 @@ from typing import Callable
 import numpy as np
 
 from .clifford import (METRIC, _BLOCK_SWAP, _I2, _I4, _contract, _contraction, _read_only,
-                       check_choice, dot, gamma, gamma5, gamma5_from_epsilon, gamma_lower,
-                       generalized_pauli, pauli_dot, row_times, times_column, trace)
-from .projectors import (_ENERGY, _five_vector, diad, pi_projector, polsum, spin_projector,
-                         spin_projector_rest)
-from .spinors import (KinematicPoint, _state, breve_u, check_band, check_bispinor, dirac_adjoint,
-                      kappa, parity_components, rest_basis, spinor_from_breve)
+                       check_choice, check_real, check_vectors, dot, gamma, gamma5,
+                       gamma5_from_epsilon, gamma_lower, generalized_pauli, pauli_dot, row_times,
+                       times_column, trace)
+from .projectors import (_ENERGY, _diad, _five_vector, _pi_projector, _spin_projector,
+                         _spin_projector_rest, diad, polsum)
+from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components, _point,
+                      _require, _spinor_from_breve, _state, breve_u, check_band, check_bispinor,
+                      check_energy, check_mass, check_scale, check_unit_vector, rest_basis)
 
 TOOL_VERSION = "0.4.0"
 DEFAULT_TOLERANCE = 1e-10
@@ -194,24 +203,70 @@ _SAMPLERS = {
     "spinor4": lambda rng, n: {"xi_re": rng.normal(size=(n, 4)), "xi_im": rng.normal(size=(n, 4))},
     "fixed": lambda rng, n: {},
 }
+# each sampler's keys, in the order it draws them (written out: numpy.random loads on first use)
+_SAMPLER_KEYS = {"real-band": ("m", "p0", "nhat"), "breve-band": ("m", "p0", "nhat"),
+                 "sphere": ("nhat",), "index-pair": ("mu", "nu"), "gamma-label": ("mu",),
+                 "matrices": ("a_re", "a_im"), "spinor4": ("xi_re", "xi_im"), "fixed": ()}
 # the sampler keys drawn as a vector per point; every other key draws one number per point
 _POINT_NDIM = {"nhat": 1, "a_re": 1, "a_im": 1, "xi_re": 1, "xi_im": 1}
+# the width of each column of real rows; the other columns are labels or kinematics
+_ROW_WIDTHS = {"a_re": 48, "a_im": 48, "xi_re": 4, "xi_im": 4}
+
+
+def _checked_column(key: str, column, columns) -> np.ndarray:
+    """A fresh array of ``column`` under the one validator of its key: a unit nhat, a
+    mass m, a finite p0, integer labels mu, nu into the table they index (mu alone the
+    gamma-label table, 0..3 the gammas and 4 gamma5; mu beside nu an index pair, 0..3
+    each), finite real rows a_*, xi_* of their width.  Any other key is a ValueError."""
+    if key == "nhat":
+        return check_unit_vector(column)
+    if key == "m":
+        m = check_real(column, "mass")
+        check_mass(m)
+        return m
+    if key == "p0":
+        p0 = check_real(column, "p0")
+        check_energy(p0)
+        return p0
+    if key in ("mu", "nu"):
+        labels, top = check_real(column, key, int), 3 if "nu" in columns else 4
+        _require((labels >= 0) & (labels <= top), f"{key} must be a label in 0..{top}, got {{}}",
+                 labels)
+        return labels
+    if key in _ROW_WIDTHS:
+        x = check_vectors(column, _ROW_WIDTHS[key], key, float)
+        _require(np.isfinite(x).all(axis=-1), key + " must be finite, got {}", x)
+        return x
+    raise ValueError(f"no sampler draws a column {key!r}")
 
 
 class Columns(dict):
     """A check's sample columns, from any mapping of columns (a reported worst_point, or
     another Columns, whose arrays it reads): ``arrays``, a read-only copy of each column,
     the only thing the builders read, and ``derived``, each _sides row's (lhs, rhs) under
-    its make, filled on first use, read-only, and only read after.  Every column is
-    copied, so no write to the caller's arrays can change the columns; sample_points
-    alone hands over its fresh draw uncopied.  The dict stays empty: json encodes it as {}."""
+    its make, filled on first use, read-only, and only read after.
+
+    Every column is checked as it is copied, by the validator of its key
+    (_checked_column; a ValueError for a key no sampler draws), and all must share one
+    sample shape; p0 must also be in scale against m where both are given (else
+    OverflowError, as for a KinematicPoint).  So no write to the caller's arrays can change
+    the columns, and the builders read only checked values.  sample_points alone hands
+    over its fresh draw uncopied and unchecked.  The dict stays empty: json encodes it
+    as {}."""
 
     __slots__ = ("arrays", "derived")
 
     def __init__(self, columns: dict):
         if isinstance(columns, Columns):
             columns = columns.arrays
-        self.arrays = {key: _read_only(np.array(column)) for key, column in columns.items()}
+        arrays = {key: _read_only(_checked_column(key, column, columns))
+                  for key, column in columns.items()}
+        shapes = {key: a.shape[:a.ndim - _POINT_NDIM.get(key, 0)] for key, a in arrays.items()}
+        if len(set(shapes.values())) > 1:
+            raise ValueError(f"columns must share one sample shape, got {shapes}")
+        if "m" in arrays and "p0" in arrays:
+            check_scale(arrays["p0"], arrays["m"])
+        self.arrays = arrays
         self.derived = {}
 
 
@@ -221,7 +276,8 @@ def point(columns: Columns, i) -> dict:
 
 
 def _kin(pt: Columns) -> KinematicPoint:
-    return KinematicPoint(pt.arrays["m"], pt.arrays["p0"], pt.arrays["nhat"])
+    """The point of pt's checked columns, built without checking them again."""
+    return _point(pt.arrays["m"], pt.arrays["p0"], pt.arrays["nhat"])
 
 
 def _complex_of(pt: Columns, name: str) -> np.ndarray:
@@ -254,7 +310,11 @@ def section4_two_valued(xi) -> tuple:
     Broadcasts over leading batch axes of xi (..., 4), a finite bispinor; all six
     bilinears come from one contraction with the stack _TWO_VALUED_FACTORS.
     """
-    xi = check_bispinor(xi)
+    return _section4_two_valued(check_bispinor(xi))
+
+
+def _section4_two_valued(xi) -> tuple:
+    """section4_two_valued without its check, for finite complex bispinors xi."""
     ket = xi[..., None, None, :]
     x = dot(row_times(np.conj(ket), _TWO_VALUED_FACTORS), ket)  # (..., lam, low/up)
     low, up = x[..., 0], x[..., 1]
@@ -331,14 +391,14 @@ def _boost_exponential(pt) -> tuple:
     q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
     up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None, None] for sign in (+1, -1))
     # P(+-n) phi_lam for lam = +1/2, -1/2 (phi the columns of I2), as (..., lam, 2)
-    pa, pb = (np.swapaxes(spin_projector_rest(n), -1, -2) for n in (k.nhat, -k.nhat))
+    pa, pb = (np.swapaxes(_spin_projector_rest(n), -1, -2) for n in (k.nhat, -k.nhat))
     rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)
     return rows.reshape(rows.shape[:-3] + (4, 2)), _state(k, "boosted_spinor")
 
 
 def _norm_gram(pt):
     us = _state(_kin(pt), "dirac_u")[..., :2, :]
-    return dot(dirac_adjoint(us)[..., :, None, :], us[..., None, :, :])
+    return dot(_dirac_adjoint(us)[..., :, None, :], us[..., None, :, :])
 
 
 def _norm(x) -> np.ndarray:
@@ -350,9 +410,10 @@ def _kappa_boundary(pt) -> tuple:
     """kappa at p0 and at threshold, against the parity-amplitude ratio and zero."""
     k = _kin(pt)
     s = _state(k, "boosted_spinor")  # (lam, dotted): the first two are lam = +1/2
-    even, odd = parity_components(s[..., 0, :], s[..., 1, :])
+    check_band("kappa", k.p0, k.m, "p0 >= m")
+    even, odd = _parity_components(s[..., 0, :], s[..., 1, :])
     ratio = _norm(odd) / _norm(even)
-    return (np.stack([kappa(k.p0, k.m), kappa(k.m, k.m)], axis=-1),
+    return (np.stack([_kappa(k.p0, k.m), _kappa(k.m, k.m)], axis=-1),
             np.stack([ratio, np.zeros_like(ratio)], axis=-1))
 
 
@@ -389,7 +450,7 @@ def _adjoint_rows(pt, dagger=None):
 
 def _pi_annihilation(pt):
     k = _kin(pt)
-    pi = pi_projector(k.momentum(), k.m, _spatial(pt.arrays["nhat"]), "lambda")
+    pi = _pi_projector(_five_vector(k), k.m, _spatial(pt.arrays["nhat"]), -1)  # "lambda"
     return times_column(pi[..., None, :, :], _state(k, "breve_u")[..., :2, :])
 
 
@@ -397,20 +458,19 @@ def _map_roundtrip(pt) -> tuple:
     """The two maps composed on the equal-helicity breve bispinors u, against -u."""
     us = _state(_kin(pt), "breve_u")[..., :2, :]
     s = _spatial(pt.arrays["nhat"])[..., None, :]
-    return spinor_from_breve(spinor_from_breve(us, s, "u"), s, "v"), -us
+    return _spinor_from_breve(_spinor_from_breve(us, s, "u"), s, "v"), -us
 
 
 def _unity_gamma0(pt):
     """sum_tau of the gamma0 diads of antisym_bispinor(k, tau, +1) at p0 = -m, the
-    tetrad at the negated point, added in tau order."""
-    k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
-    d = diad(_state(k.negated(), "tetrad_bispinor"), "gamma0")
+    tetrad at the negated point p0 = m, added in tau order."""
+    d = _diad(_state(_point(1.0, 1.0, pt.arrays["nhat"]), "tetrad_bispinor"), "gamma0")
     return ((d[..., 0, :, :] + d[..., 1, :, :]) + d[..., 2, :, :]) + d[..., 3, :, :]
 
 
 def _tetrad_sum(pt):
     """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n), with P(n) and P(-n) built once."""
-    along, against = (spin_projector(_spatial(n)) for n in (pt.arrays["nhat"], -pt.arrays["nhat"]))
+    along, against = (_spin_projector(_spatial(n)) for n in (pt.arrays["nhat"], -pt.arrays["nhat"]))
     return sum((along, against) * 2) * 0.5
 
 
@@ -453,7 +513,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
     ("helicity-sum-unity",
      "sum of the two-spinor helicity projectors over +-n gives unity",
      "sphere",
-     lambda pt: spin_projector_rest(pt.arrays["nhat"]) + spin_projector_rest(-pt.arrays["nhat"]),
+     lambda pt: _spin_projector_rest(pt.arrays["nhat"]) + _spin_projector_rest(-pt.arrays["nhat"]),
      _fixed(_I2), 1e-14, "holds"),
     ("polsum-spinor",
      "polarization-sum rule, spinor sector: closed form (pslash + m)/2m",
@@ -520,12 +580,12 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "breve-band", *_sides(_map_roundtrip), 1e-12, "holds"),
     ("section4-projector-equivalence",
      "covariant orientation projector (1 + gamma5 s.gamma)/2 matches the spin projector",
-     "sphere", _orientation_projector, lambda pt: spin_projector(_spatial(pt.arrays["nhat"])),
+     "sphere", _orientation_projector, lambda pt: _spin_projector(_spatial(pt.arrays["nhat"])),
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",
      "spinor4", *_sides(lambda pt: tuple(
-         x[..., None] for x in section4_two_valued(_complex_of(pt, "xi")))),
+         x[..., None] for x in _section4_two_valued(_complex_of(pt, "xi")))),
      1e-10, "informational"),
 ))
 assert len({c.name for c in _REGISTRY}) == len(_REGISTRY), "registry names must be unique"
@@ -559,7 +619,12 @@ def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
 def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
     """max |lhs - rhs| per point from one evaluation of each side on the columns (one
     residual in all for a "fixed" check, which has no columns, or for one point's columns).
-    A builder's domain error or a non-finite residual is a ConfigurationError."""
+    Columns other than the keys the check's sampler draws are a ValueError; a builder's
+    domain error or a non-finite residual is a ConfigurationError."""
+    keys = _SAMPLER_KEYS[check.sampler]
+    if columns.arrays.keys() != set(keys):
+        raise ValueError(f"check {check.name!r} reads the columns {list(keys)}, "
+                         f"got {list(columns.arrays)}")
     try:
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
     except ValueError as exc:

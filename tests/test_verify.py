@@ -313,7 +313,7 @@ def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
     drawn = vf.sample_points(_fixture(sampler), seed=5, samples=n)
     assert list(drawn) == [] and drawn.derived == {}
     columns = drawn.arrays
-    assert list(columns) == SAMPLER_KEYS[sampler]
+    assert list(columns) == SAMPLER_KEYS[sampler] == list(vf._SAMPLER_KEYS[sampler])
     for key, column in columns.items():
         assert type(column) is np.ndarray and not column.flags.writeable, key
         assert column.shape == (n,) + ROW_SHAPES[key], key
@@ -508,7 +508,7 @@ def test_unit_rows_redraw_only_the_short_rows_in_order():
 
 # ---------------------------------------------------------------------------
 # shared evaluation: both sides of a check read one conversion, one
-# KinematicPoint and the row's common evaluation from its Columns
+# KinematicPoint (built by spinors._point) and the row's common evaluation from its Columns
 # ---------------------------------------------------------------------------
 
 def _side_bits(side, pt) -> tuple:
@@ -547,7 +547,7 @@ def _counting(monkeypatch, name: str) -> list:
 SHARED_CALLS = {
     "polsum": dict.fromkeys(("polsum-spinor", "polsum-antispinor", "polsum-breve-plus",
                              "polsum-breve-minus", "completeness"), 1),
-    "section4_two_valued": {"section4-two-valued": 1},
+    "_section4_two_valued": {"section4-two-valued": 1},
     "trace": {"trace-cyclicity": 2},
     # one pass of the stacked states per evaluation, in place of one call per label
     "_state": dict.fromkeys(("boost-exponential", "norm-spinor", "unity-decomposition-gamma0",
@@ -555,12 +555,12 @@ SHARED_CALLS = {
                              "adjoint-dirac-paper-dagger", "adjoint-dirac-standard-dagger",
                              "pi-annihilation", "spinor-breve-maps"), 1),
     "breve_u": {},
-    "kappa": {"kappa-boundary": 2},
+    "_kappa": {"kappa-boundary": 2},
 }
 
 
 def test_each_check_computes_its_shared_values_once(monkeypatch):
-    counts = {name: _counting(monkeypatch, name) for name in ("KinematicPoint", *SHARED_CALLS)}
+    counts = {name: _counting(monkeypatch, name) for name in ("_point", *SHARED_CALLS)}
 
     def made() -> dict:
         return {name: len(calls) for name, calls in counts.items()}
@@ -578,8 +578,9 @@ def test_each_check_computes_its_shared_values_once(monkeypatch):
             after = made()
             assert {name: after[name] for name in SHARED_CALLS} == want, check.name
             assert after == before or not any(before.values()), check.name
-            if check.sampler in ("real-band", "breve-band"):
-                assert after["KinematicPoint"] == 1, check.name
+            # one point per evaluation, built by _point from the checked columns
+            kinematic = check.sampler in ("real-band", "breve-band")
+            assert after["_point"] == int(kinematic or check.name == "unity-decomposition-gamma0")
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
@@ -792,3 +793,109 @@ def test_a_replayed_worst_point_gives_the_reported_residual(seed):
         result = vf.run_check(check, seed, samples=100)
         residual = vf.residuals(check, vf.Columns(result.worst_point))
         assert residual.tolist() == [result.max_residual], check.name
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: Columns(mapping) checks every column a caller hands over,
+# residuals checks the columns are the check's; the sampler's draw is not checked
+# again on its way through the builders
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, columns", [
+    ("gamma-hermiticity", {"mu": -1}),  # read gamma5 through a negative index
+    ("gamma-hermiticity", {"mu": 5}),
+    ("gamma-hermiticity", {"mu": [0, True]}),
+    ("anticommutator-minkowski", {"mu": 7}),
+    ("anticommutator-minkowski", {"mu": 1.5}),
+    ("anticommutator-minkowski", {"mu": 7, "nu": 0}),
+    ("anticommutator-minkowski", {"mu": 1.5, "nu": 0}),
+    ("anticommutator-minkowski", {"mu": 4, "nu": 0}),  # gamma5 is no index of a pair
+    ("anticommutator-literal-delta", {"mu": 0, "nu": -2}),
+])
+def test_a_replayed_label_outside_its_table_is_refused_where_it_enters(name, columns):
+    check = _by_name()[name]
+    with pytest.raises(ValueError, match=r"(mu|nu) must be") as err:
+        vf.residuals(check, vf.Columns(columns))
+    assert type(err.value) is ValueError  # not an IndexError, and not wrapped
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("anticommutator-minkowski", {"mu": 1}),
+    ("polsum-spinor", {"m": 1.0, "nhat": [0.0, 0.0, 1.0]}),
+    ("tetrad-projector-sum", {"m": 1.0, "p0": 2.0, "nhat": [0.0, 0.0, 1.0]}),
+    ("trace-cyclicity", {}),
+])
+def test_columns_other_than_the_samplers_are_refused(name, columns):
+    check = _by_name()[name]
+    with pytest.raises(ValueError, match=f"check '{name}' reads the columns") as err:
+        vf.residuals(check, vf.Columns(columns))
+    assert type(err.value) is ValueError  # not a KeyError, and not wrapped
+
+
+def test_columns_refuse_an_unknown_key_mixed_sample_shapes_and_p0_out_of_scale():
+    with pytest.raises(ValueError, match="no sampler draws a column 'mass'"):
+        vf.Columns({"mass": 1.0})
+    with pytest.raises(ValueError, match="one sample shape"):
+        vf.Columns({"m": [1.0, 1.0], "p0": 2.0, "nhat": [[0.0, 0.0, 1.0]] * 2})
+    with pytest.raises(OverflowError, match="p0 overflows"):
+        vf.Columns({"m": 1e-200, "p0": 2.0, "nhat": [0.0, 0.0, 1.0]})
+    with pytest.raises(ValueError, match="nhat must be a unit vector"):
+        vf.Columns({"nhat": [0.0, 0.0, 2.0]})
+    with pytest.raises(ValueError, match="mass must satisfy"):
+        vf.Columns({"m": 0.0})
+    with pytest.raises(ValueError, match="xi_re must have shape"):
+        vf.Columns({"xi_re": [1.0, 2.0, 3.0]})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, key, where", [
+    ("trace-cyclicity", "a_re", 5), ("trace-cyclicity", "a_im", 47),
+    ("section4-two-valued", "xi_re", 0), ("section4-two-valued", "xi_im", 3),
+    ("polsum-spinor", "p0", None), ("polsum-spinor", "nhat", 1),
+])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_replayed_column_is_refused_before_any_arithmetic(name, key, where, bad):
+    check = _by_name()[name]
+    worst = vf.run_check(check, seed=42, samples=20).worst_point
+    if where is None:
+        worst[key] = bad
+    else:
+        worst[key][where] = bad
+    with pytest.raises(ValueError, match=f"{key} must be") as err:
+        vf.residuals(check, vf.Columns(worst))
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("samples", [1, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_the_samplers_draw_passes_the_columns_checks_unchanged(seed, samples):
+    for check in vf.registry():
+        draw = vf.sample_points(check, seed, samples)
+        checked = vf.Columns(draw.arrays)  # the validating path accepts the draw
+        assert list(checked.arrays) == list(draw.arrays), check.name
+        for key, array in draw.arrays.items():
+            got = checked.arrays[key]
+            assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), check.name
+        want = vf.residuals(check, draw)
+        assert vf.residuals(check, checked).tobytes() == want.tobytes(), check.name
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a validator ran on the sampler's draw")
+
+
+def test_the_draw_path_runs_no_validator_again(monkeypatch):
+    before = vf.run_all(42, 50)
+    for module in (sp, pj, vf):
+        for name in ("check_unit_vector", "check_spin_vector", "check_bispinor",
+                     "_check_on_shell"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(sp.KinematicPoint, "__post_init__", _refuse)
+    # the patches hold: a public entry point and the caller's path through Columns refuse
+    with pytest.raises(AssertionError):
+        sp.KinematicPoint(1.0, 2.0, (0.0, 0.0, 1.0))
+    with pytest.raises(AssertionError):
+        vf.Columns({"nhat": [0.0, 0.0, 1.0]})
+    after = vf.run_all(42, 50)
+    assert after.to_json() == before.to_json() and after.to_text() == before.to_text()
