@@ -14,7 +14,7 @@ import numpy as np
 
 from .clifford import check_choice
 from .projectors import POLSUM_KINDS, energy_projector, pi_projector, polsum, spin_projector
-from .spinors import KinematicPoint, breve_u, tetrad_bispinor
+from .spinors import KinematicPoint, _spatial, breve_u, tetrad_bispinor
 from .verify import ConfigurationError, run_all
 
 _PROJECTOR_KINDS = ("spin", "energy-plus", "energy-minus", "pi", "pi-neg")
@@ -49,7 +49,7 @@ def _spin_vector(args) -> np.ndarray:
     svec = _direction(args, "s")
     if svec is None:
         raise ValueError(f"show {args.object} --kind {args.kind} requires --sx/--sy/--sz")
-    return np.concatenate([[0.0], svec])
+    return _spatial(svec)
 
 
 def _require(args, *keys) -> None:

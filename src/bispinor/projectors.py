@@ -25,9 +25,9 @@ import numpy as np
 from .clifford import (_BLOCK_SWAP, _GAMMA5_SLASH, _I2, _I4, _PAULI_DOT, _SLASH, _contract,
                        _contraction, check_choice, check_real, check_vectors, minkowski_dot,
                        slash)
-from .spinors import (_SQRT_MAX, KinematicPoint, _dirac_adjoint, _in_scale, _require, _state,
-                      breve_u, breve_u_bar, check_bispinor, check_mass, check_spin_vector,
-                      check_unit_vector, dirac_u, dirac_u_bar)
+from .spinors import (_SQRT_MAX, KinematicPoint, _dirac_adjoint, _require, _state, breve_u,
+                      breve_u_bar, check_bispinor, check_mass, check_spin_vector, check_unit_vector,
+                      dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 
@@ -67,15 +67,17 @@ def _check_on_shell(p, m) -> tuple:
     p = check_vectors(p, 4, "momentum")
     m = check_real(m, "mass")[()]
     check_mass(m)
-    top = abs(p).max(axis=-1)  # nan for a nan component
+    # max_i |p_i| at p's own batch shape, which the finiteness message indexes; then with m
+    top = abs(p).max(axis=-1)
     _require(top < np.inf, "momentum must be finite, got {}", p)
-    in_scale = _in_scale(top, m) & (m < _SQRT_MAX)  # of the batch shape p and m share
-    x = np.empty(in_scale.shape + (5,), dtype=complex)
+    top = np.maximum(top, m)
+    x = np.empty(top.shape + (5,), dtype=complex)
     x[..., :4] = p
     x[..., 4] = m
-    _require(in_scale, "momentum overflows: p.p - m^2 is out of range at p={}, m={}",
-             x[..., :4], m, error=OverflowError)
-    scale = np.maximum(np.maximum(top, m), 1.0)
+    # top < 1.3e154 and top / 1.3e154 < m iff m, each |p_i| and each |p_i|/m are below 1.3e154
+    _require((top < _SQRT_MAX) & (top / _SQRT_MAX < m), "momentum overflows: p.p - m^2 is "
+             "out of range at p={}, m={}", x[..., :4], m, error=OverflowError)
+    scale = np.maximum(top, 1.0)
     q, mu = p / scale[..., None], m / scale
     gap = minkowski_dot(q, q) - mu * mu
     residual = np.hypot(gap.real, gap.imag)

@@ -82,12 +82,6 @@ def check_mass(m):
     _require((m >= _TINY) & (m < math.inf), "mass must satisfy 2.2e-308 <= m < inf, got {}", m)
 
 
-def _in_scale(x, m):
-    """Whether |x| and |x| / m lie below 1.3e154, so that x * x and x / m are finite."""
-    x = abs(x)
-    return (x < _SQRT_MAX) & (x / _SQRT_MAX < m)
-
-
 def _norm3(v):
     """|v| over the last axis of length 3, by hypot: no square of a component is formed."""
     return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
@@ -99,9 +93,10 @@ def check_energy(p0):
 
 
 def check_scale(p0, m):
-    """Raise OverflowError unless |p0| and |p0|/m lie below 1.3e154 at every point."""
-    _require(_in_scale(p0, m), "p0 overflows: p0^2 or p0/m is out of range at p0={}, m={}",
-             p0, m, error=OverflowError)
+    """Raise OverflowError unless |p0| and |p0|/m lie below 1.3e154, so p0^2 and p0/m are finite."""
+    x = abs(p0)
+    _require((x < _SQRT_MAX) & (x / _SQRT_MAX < m), "p0 overflows: p0^2 or p0/m is out of "
+             "range at p0={}, m={}", p0, m, error=OverflowError)
 
 
 def check_unit_vector(nhat) -> np.ndarray:
@@ -120,6 +115,12 @@ def check_spin_vector(s) -> np.ndarray:
     ok = (abs(s[..., 0]) <= _REL_TOL) & (abs(_norm3(s[..., 1:]) - 1.0) <= _REL_TOL)
     _require(ok, "spin vector must be (0, svec) with s.s = -1, got {}", s)
     return s
+
+
+def _spatial(nhat) -> np.ndarray:
+    """The spatial four-vectors (0, nhat) for nhat of shape (..., 3)."""
+    n = np.asarray(nhat, dtype=float)
+    return np.concatenate([np.zeros(n.shape[:-1] + (1,)), n], axis=-1)
 
 
 def check_bispinor(u, n: int = 4, what: str = "bispinor") -> np.ndarray:

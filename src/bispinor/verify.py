@@ -59,8 +59,9 @@ from .clifford import (METRIC, _BLOCK_SWAP, _I2, _I4, _contract, _contraction, _
 from .projectors import (_ENERGY, _diad, _five_vector, _pi_projector, _spin_projector,
                          _spin_projector_rest, diad, polsum)
 from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components, _point,
-                      _require, _spinor_from_breve, _state, breve_u, check_band, check_bispinor,
-                      check_energy, check_mass, check_scale, check_unit_vector, rest_basis)
+                      _require, _spatial, _spinor_from_breve, _state, breve_u, check_band,
+                      check_bispinor, check_energy, check_mass, check_scale, check_unit_vector,
+                      rest_basis)
 
 TOOL_VERSION = "0.4.0"
 DEFAULT_TOLERANCE = 1e-10
@@ -285,12 +286,6 @@ def _complex_of(pt: Columns, name: str) -> np.ndarray:
     z = np.empty(pt.arrays[name + "_re"].shape, dtype=complex)
     z.real, z.imag = pt.arrays[name + "_re"], pt.arrays[name + "_im"]
     return z
-
-
-def _spatial(nhat) -> np.ndarray:
-    """The spatial four-vectors (0, nhat) for nhat of shape (..., 3)."""
-    n = np.asarray(nhat, dtype=float)
-    return np.concatenate([np.zeros(n.shape[:-1] + (1,)), n], axis=-1)
 
 
 # The six factors of section4_two_valued as one (lam, low/up, 4, 4) stack, built once:

@@ -93,7 +93,7 @@ def test_each_label_family_is_its_half_of_the_former_eight_state_table():
 
 
 def _former_orientation(nhat):
-    s = vf._spatial(nhat)[..., None, None]
+    s = sp._spatial(nhat)[..., None, None]
     contracted = sum(s[..., mu, :, :] * cl.gamma_lower(mu) for mu in range(4))
     return (cl._I4 + cl.gamma5() @ contracted) * 0.5
 

@@ -20,10 +20,6 @@ unit_dirs = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
 ).map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
 
 
-def _spatial(nhat):
-    return np.concatenate([[0.0], np.asarray(nhat)])
-
-
 def _random_points(seed, n, band="real"):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -53,7 +49,7 @@ def test_rest_projector_sum_and_idempotency(nhat):
 
 
 def test_spin_projector_block_value():
-    np.testing.assert_allclose(pj.spin_projector(_spatial(ZHAT)),
+    np.testing.assert_allclose(pj.spin_projector(sp._spatial(ZHAT)),
                                np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-15)
 
 
@@ -66,7 +62,7 @@ def test_spin_projector_rejects_bad_vectors():
 
 def test_spin_projector_complementarity_and_idempotency():
     for k in _random_points(11, 100):
-        s = _spatial(k.nhat)
+        s = sp._spatial(k.nhat)
         plus, minus = pj.spin_projector(s), pj.spin_projector(-s)
         np.testing.assert_allclose(plus + minus, I4, atol=1e-14)
         np.testing.assert_allclose(plus @ plus, plus, atol=1e-12)
@@ -76,7 +72,7 @@ def test_spin_projector_complementarity_and_idempotency():
 def test_tetrad_projector_sum_is_unity():
     for k in _random_points(13, 50):
         n = np.asarray(k.nhat)
-        total = sum(pj.spin_projector(_spatial(s)) for s in (n, -n, n, -n)) / 2.0
+        total = sum(pj.spin_projector(sp._spatial(s)) for s in (n, -n, n, -n)) / 2.0
         np.testing.assert_allclose(total, I4, atol=1e-12)
 
 
@@ -149,7 +145,7 @@ def test_spin_energy_commutation_for_orthogonal_spin():
     rng = np.random.default_rng(19)
     for _ in range(25):
         v = rng.normal(size=3)
-        s = _spatial(v / np.linalg.norm(v))
+        s = sp._spatial(v / np.linalg.norm(v))
         ps = pj.spin_projector(s)
         for sign in (+1, -1):
             lam = pj.energy_projector(p, 1.0, sign)
@@ -183,7 +179,7 @@ def test_diad_gamma5_sum_over_band_center_basis():
 
 def test_pi_projector_rest_values():
     p = np.array([1.0, 0, 0, 0])
-    s = _spatial(ZHAT)
+    s = sp._spatial(ZHAT)
     lam = pj.pi_projector(p, 1.0, s, "lambda")
     np.testing.assert_allclose(lam, np.diag([0.0, 0, 0, 1]), atol=1e-14)
     np.testing.assert_allclose(lam @ lam, lam, atol=1e-12)
@@ -263,7 +259,7 @@ def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):
     # entry is a component times 0, +-1 or +-i, so each equals the explicit product
     g5 = cl.gamma5()
     rng = np.random.default_rng(len(batch))
-    for s in (_spatial(nhat), np.array([_spatial(n) for n in batch])):
+    for s in (sp._spatial(nhat), np.array([sp._spatial(n) for n in batch])):
         assert np.array_equal(pj.spin_projector(s), (I4 + g5 @ cl.slash(s)) / 2.0)
         breve = rng.normal(size=s.shape[:-1] + (4,)) + 1j * rng.normal(size=s.shape[:-1] + (4,))
         gs = cl.gamma_dot_spatial(s)

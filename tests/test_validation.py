@@ -235,6 +235,103 @@ def test_the_guard_refuses_with_one_type_and_prefix_at_a_point_and_in_a_batch(ca
             assert str(caught.value).startswith(prefix)
 
 
+def _reference_guard(p, m):
+    """The on-shell guard as a rule written out with its range tested on max_i |p_i| and
+    on m apart: |p_i| < 1.3e154, |p_i| / 1.3e154 < m and m < 1.3e154, scaled by
+    max(1, m, max_i |p_i|)."""
+    p = cl.check_vectors(p, 4, "momentum")
+    m = cl.check_real(m, "mass")[()]
+    sp.check_mass(m)
+    top = abs(p).max(axis=-1)
+    sp._require(top < np.inf, "momentum must be finite, got {}", p)
+    in_scale = (top < sp._SQRT_MAX) & (top / sp._SQRT_MAX < m) & (m < sp._SQRT_MAX)
+    x = np.empty(in_scale.shape + (5,), dtype=complex)
+    x[..., :4] = p
+    x[..., 4] = m
+    sp._require(in_scale, "momentum overflows: p.p - m^2 is out of range at p={}, m={}",
+                x[..., :4], m, error=OverflowError)
+    scale = np.maximum(np.maximum(top, m), 1.0)
+    q, mu = p / scale[..., None], m / scale
+    gap = cl.minkowski_dot(q, q) - mu * mu
+    residual = np.hypot(gap.real, gap.imag)
+    sp._require(residual <= pj._ONSHELL_TOL, "momentum is off shell: "
+                "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
+    return x, m
+
+
+def _guard_outcome(guard, p, m):
+    """What guard(p, m) does: the bits, dtypes and shapes it returns, or the exact type and
+    message it raises."""
+    try:
+        x, m = guard(p, m)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return "accepted", x.tobytes(), x.dtype, x.shape, np.asarray(m).tobytes(), np.shape(m)
+
+
+def _last_below(limit, m):
+    """The largest float t with t / limit < m."""
+    t = limit * m
+    while t / limit >= m:
+        t = np.nextafter(t, 0.0)
+    while np.nextafter(t, math.inf) / limit < m:
+        t = np.nextafter(t, math.inf)
+    return t
+
+
+def _range_edges():
+    """(name, p, m, the outcome expected) at each edge of the guard's range: m above and
+    below max_i |p_i|, |p_i| and |p_i|/m just inside and just outside 1.3e154, m at it, a
+    tiny m, and non-finite components."""
+    big = sp._SQRT_MAX
+    below, above = np.nextafter(big, 0.0), np.nextafter(big, math.inf)
+    tiny = float(np.finfo(float).tiny)
+
+    def breve(m):  # on shell with every |p_i| below m: p0 = m/2 and an imaginary |p|
+        return (0.5 * m, 0.0, 0.0, 1j * math.sqrt(0.75) * m)
+
+    def light(t):  # (t, 0, 0, t): on shell to 1e-10 for every m <= 1e-6 t
+        return (t, 0.0, 0.0, t)
+
+    cases = [("m above max |p_i|", breve(1.0), 1.0, "accepted"),
+             ("m above max |p_i|, m just below the scale", breve(below), below, "accepted"),
+             ("m above max |p_i|, m at the scale", breve(big), big, OverflowError),
+             ("m above max |p_i|, m just above the scale", breve(above), above, OverflowError),
+             ("m at the scale, at rest", (big, 0.0, 0.0, 0.0), big, OverflowError),
+             ("m below max |p_i|", (1.25, 0.0, 0.0, 0.75), 1.0, "accepted"),
+             ("|p_i| just below the scale", light(below), 1.0, "accepted"),
+             ("|p_i| at the scale", light(big), 1.0, OverflowError),
+             ("|p_i| just above the scale", light(above), 1.0, OverflowError),
+             ("tiny m at rest", (tiny, 0.0, 0.0, 0.0), tiny, "accepted"),
+             ("tiny m, |p_i| of 1", light(1.0), tiny, OverflowError),
+             ("off shell", (2.0, 0.0, 0.0, 0.0), 1.0, ValueError),
+             ("nan component", (math.nan, 0.0, 0.0, 0.0), 1.0, ValueError),
+             ("inf component", (2.0, 0.0, -math.inf, 1.0), 1.0, ValueError),
+             ("component of infinite modulus", (1.5e308 + 1.5e308j, 0.0, 0.0, 0.0), 1.0,
+              ValueError)]
+    for m in (1e-100, tiny, 1e-6):
+        t = _last_below(big, m)
+        cases += [(f"|p_i|/m just below the scale, m={m}", light(t), m, "accepted"),
+                  (f"|p_i|/m just above the scale, m={m}", light(np.nextafter(t, math.inf)), m,
+                   OverflowError)]
+    return cases
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, m, expected", [pytest.param(*case, id=name)
+                                             for name, *case in _range_edges()])
+def test_the_guard_decides_each_range_edge_as_the_written_out_rule(p, m, expected):
+    # the guard tests max(m, max_i |p_i|) against 1.3e154 and 1.3e154 m; the rule that
+    # tests max_i |p_i| and m apart gives the same outcome, bit for bit or error for error,
+    # for a point, a batch beside an accepted point, and one momentum over a batch of masses
+    assert _guard_outcome(_reference_guard, p, m)[0] == expected
+    ok_p, ok_m = (1.25, 0.0, 0.0, 0.75), 1.0
+    for q, mass in ((p, m), ([ok_p, p], [ok_m, m]), ([p, ok_p], [m, ok_m]), (p, [m, m])):
+        got, want = (_guard_outcome(guard, q, mass) for guard in (pj._check_on_shell,
+                                                                  _reference_guard))
+        assert got == want
+
+
 @pytest.mark.filterwarnings("error")
 def test_on_shell_tolerance_scales_with_the_momentum():
     # momenta built from valid points are accepted up to p0/m = 1e9 and over m in 1e-6..1e6

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -299,6 +301,18 @@ SAMPLER_KEYS = {
 }
 ROW_SHAPES = {"m": (), "p0": (), "nhat": (3,), "mu": (), "nu": (), "a_re": (48,), "a_im": (48,),
               "xi_re": (4,), "xi_im": (4,)}
+
+
+def test_building_the_registry_leaves_numpy_random_unloaded():
+    # numpy.random loads on a sampler's first draw, which is why _SAMPLER_KEYS is written
+    # out; a fresh interpreter that imports bispinor and builds the registry has not loaded
+    # it, and one run_all draw then has
+    code = ("import sys, bispinor; bispinor.registry(); loaded = 'numpy.random' in sys.modules; "
+            "bispinor.run_all(0, 1); print(loaded, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
 
 
 def _fixture(sampler: str, name: str = "sampler-contract"):
@@ -730,14 +744,14 @@ def _loop_adjoint_dagger(paper_sign: bool):
 
 def _loop_pi_annihilation(pt):
     k = _kin_of(pt)
-    pi = pj.pi_projector(k.momentum(), k.m, vf._spatial(pt.arrays["nhat"]), "lambda")
+    pi = pj.pi_projector(k.momentum(), k.m, sp._spatial(pt.arrays["nhat"]), "lambda")
     return np.stack([cl.times_column(pi, sp.breve_u(k, lam, lam)) for lam in sp.HELICITIES],
                     axis=-2)
 
 
 def _loop_map_roundtrip(pt) -> tuple:
     us = [sp.breve_u(_kin_of(pt), lam, lam) for lam in sp.HELICITIES]
-    s = vf._spatial(pt.arrays["nhat"])
+    s = sp._spatial(pt.arrays["nhat"])
     return (np.stack([sp.spinor_from_breve(sp.spinor_from_breve(u, s, "u"), s, "v") for u in us],
                      axis=-2), np.stack([-u for u in us], axis=-2))
 
