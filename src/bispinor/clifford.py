@@ -8,7 +8,9 @@ of vectors broadcast over leading batch axes: a (..., 4) input gives a
 
 gamma0 (the diagonal _GAMMA0_SIGNS) and gamma5 (which swaps the two blocks) are signed
 permutations: a product of an argument with either is a sign flip or an index take along
-the permuted axis (_BLOCK_SWAP), exact entry by entry, never a matmul.
+the permuted axis (_BLOCK_SWAP), exact entry by entry, never a matmul.  So gamma5 M is
+M.take(_BLOCK_SWAP, axis=-2) and M gamma5 is M.take(_BLOCK_SWAP, axis=-1), for a constant
+stack M too.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ _PAULI_DOT = _contraction(_PAULI)
 _SLASH = _read_only(np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3])))
 _GAMMA_DOT_S = _read_only(np.stack((0 * _GAMMA[0], *_GAMMA[1:])))
 _SLASH_DOT, _GAMMA_DOT_S_DOT = _contraction(_SLASH), _contraction(_GAMMA_DOT_S)
-# gamma5 slash(s), gamma5 (gamma.s) and (gamma.s) gamma5 as stacks of the same kind:
-# gamma5 only permutes rows or columns of a stack matrix, so the entries stay 0, +-1, +-i.
-_GAMMA5_SLASH = _read_only(_GAMMA5 @ _SLASH)
-_GAMMA5_GAMMA_DOT_S = _contraction(_GAMMA5 @ _GAMMA_DOT_S)
-_GAMMA_DOT_S_GAMMA5 = _contraction(_GAMMA_DOT_S @ _GAMMA5)
 _PLAIN = frozenset((float, int))  # the element types of a sequence of plain numbers
 
 

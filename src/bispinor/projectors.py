@@ -22,9 +22,8 @@ import numpy as np
 
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
-from .clifford import (_BLOCK_SWAP, _GAMMA5_SLASH, _I2, _I4, _PAULI_DOT, _SLASH, _contract,
-                       _contraction, check_choice, check_real, check_vectors, minkowski_dot,
-                       slash)
+from .clifford import (_BLOCK_SWAP, _I2, _I4, _PAULI_DOT, _SLASH, _contract, _contraction,
+                       check_choice, check_real, check_vectors, minkowski_dot, slash)
 from .spinors import (_SQRT_MAX, KinematicPoint, _dirac_adjoint, _require, _state, breve_u,
                       breve_u_bar, check_bispinor, check_mass, check_spin_vector, check_unit_vector,
                       dirac_u, dirac_u_bar)
@@ -36,13 +35,14 @@ _ONSHELL_TOL = 1e-10
 
 # _contract(x, _ENERGY[sign]) is sign pslash + m I4 for x = (p0, p1, p2, p3, m), and
 # _contract((s0, s1, s2, s3, 1), _SPIN) is 1 + gamma5 slash(s): the (5, 4, 4) slash stacks
-# with I4 appended.  Every entry of a stack matrix is 0, +-1 or +-i, and I4 adds m or 1
-# only to diagonal entries that hold +-p0 or +-s3, so each entry is exact up to one
-# rounding, as in slash.  _ENERGY[+1, -1], of shape (5, 8, 4), holds Lambda+ over Lambda-.
+# (for gamma5 slash, with its row blocks swapped) with I4 appended.  Every entry of a stack
+# matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal entries that hold +-p0 or
+# +-s3, so each entry is exact up to one rounding, as in slash.  _ENERGY[+1, -1], of shape
+# (5, 8, 4), holds Lambda+ over Lambda-.
 _ENERGY = {sign: np.concatenate([sign * _SLASH, _I4[None]]) for sign in (+1, -1)}
 _ENERGY[+1, -1] = np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1)
 _ENERGY = {sign: _contraction(stack) for sign, stack in _ENERGY.items()}
-_SPIN = _contraction(np.concatenate([_GAMMA5_SLASH, _I4[None]]))
+_SPIN = _contraction(np.concatenate([_SLASH.take(_BLOCK_SWAP, axis=-2), _I4[None]]))
 
 
 def _outer(u, v) -> np.ndarray:
@@ -60,10 +60,10 @@ def _check_on_shell(p, m) -> tuple:
     """(x, m): the masses m as floats, from any real or sequence of reals, and the complex
     five-vectors x = (p0, p1, p2, p3, m) of finite four-momenta p (|p_i| and |p_i|/m below
     1.3e154, else OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m
-    < 1.3e154: |p.p - m^2| <= 1e-10 max(1, m^2, max_i |p_i|^2).  p and m are divided by
-    max(1, m, max_i |p_i|) before any square is formed, so a far-off-shell momentum is
-    refused without overflow.  x has the batch shape p and m share, one momentum per
-    mass."""
+    < 1.3e154: |p.p - m^2| <= 1e-10 max(m^2, max_i |p_i|^2), relative at every scale.  p and
+    m are divided by max(m, max_i |p_i|) >= m before any square is formed, so a far-off-shell
+    momentum is refused without overflow.  x has the batch shape p and m share, one momentum
+    per mass."""
     p = check_vectors(p, 4, "momentum")
     m = check_real(m, "mass")[()]
     check_mass(m)
@@ -77,12 +77,11 @@ def _check_on_shell(p, m) -> tuple:
     # top < 1.3e154 and top / 1.3e154 < m iff m, each |p_i| and each |p_i|/m are below 1.3e154
     _require((top < _SQRT_MAX) & (top / _SQRT_MAX < m), "momentum overflows: p.p - m^2 is "
              "out of range at p={}, m={}", x[..., :4], m, error=OverflowError)
-    scale = np.maximum(top, 1.0)
-    q, mu = p / scale[..., None], m / scale
+    q, mu = p / top[..., None], m / top
     gap = minkowski_dot(q, q) - mu * mu
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
-             "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
+             "|p.p - m^2| / max(m^2, max_i |p_i|^2) = {:.3e}", residual)
     return x, m
 
 
@@ -155,6 +154,9 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
 
     "lambda":      Lambda_-(p) P(s)  = -(1/4m) (pslash - m) (1 - gamma5 gamma.s)
     "neg-lambda":  Lambda_+(p) P(-s) = +(1/4m) (pslash + m) (1 - gamma.s gamma5)
+
+    A projector (Pi^2 = Pi, rank 1) only where s.p = 0, i.e. svec is orthogonal to pvec,
+    where Lambda(p) and P(s) commute; else, as on the breve band with svec along nhat, not.
     """
     sign = +1 if check_choice("variant", variant, ("lambda", "neg-lambda")) else -1
     x, m = _check_on_shell(p, m)

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
-from .clifford import (_GAMMA0_SIGNS, _GAMMA5_GAMMA_DOT_S, _GAMMA_DOT_S_GAMMA5, _contract,
-                       _contraction, _read_only, check_choice, check_real, check_vectors, pauli,
-                       pauli_dot, times_column)
+from .clifford import (_BLOCK_SWAP, _GAMMA0_SIGNS, _GAMMA_DOT_S_DOT, _contract, _contraction,
+                       _read_only, check_choice, check_real, check_vectors, pauli, pauli_dot,
+                       times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
@@ -433,9 +433,10 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
 
 def _spinor_from_breve(breve, s, variant: str) -> np.ndarray:
     """spinor_from_breve without its checks, for finite bispinors, spin vectors s that
-    check_spin_vector accepts and variant "u" or "v"."""
-    stack = _GAMMA5_GAMMA_DOT_S if variant == "u" else _GAMMA_DOT_S_GAMMA5
-    return times_column(_contract(s, stack), breve)
+    check_spin_vector accepts and variant "u" or "v": gamma.s (gamma_dot_spatial's stack)
+    with its row blocks swapped for "u", its column blocks for "v"."""
+    axis = -2 if variant == "u" else -1
+    return times_column(_contract(s, _GAMMA_DOT_S_DOT).take(_BLOCK_SWAP, axis=axis), breve)
 
 
 def kappa(p0, m):

@@ -290,9 +290,9 @@ def _complex_of(pt: Columns, name: str) -> np.ndarray:
 
 # The six factors of section4_two_valued as one (lam, low/up, 4, 4) stack, built once:
 # sigma_lam gamma5 and gamma5 conj(sigma_lam) for lam = 1, 2, 3, with sigma_lam the
-# plus-variant generalized Pauli matrix.
+# plus-variant generalized Pauli matrix: its column blocks swapped, its conjugate's rows.
 _TWO_VALUED_FACTORS = _read_only(np.array([
-    (sigma @ gamma5(), gamma5() @ np.conj(sigma))
+    (sigma.take(_BLOCK_SWAP, axis=-1), np.conj(sigma).take(_BLOCK_SWAP, axis=-2))
     for sigma in (generalized_pauli(lam, +1) for lam in (1, 2, 3))]))
 
 
@@ -469,15 +469,12 @@ def _tetrad_sum(pt):
     return sum((along, against) * 2) * 0.5
 
 
-# 1 + gamma5 s^mu gamma_mu for _contract of (s, 1): gamma5 gamma_mu (row blocks swapped), I4
-_ORIENTATION = _contraction([*(gamma_lower(mu).take(_BLOCK_SWAP, axis=-2) for mu in range(4)),
-                             _I4])
-
-
-def _orientation_projector(pt):
-    """The covariant orientation projector (1 + gamma5 s^mu gamma_mu)/2 at s = (0, nhat)."""
-    s = _spatial(pt.arrays["nhat"])
-    return _contract(np.concatenate([s, np.ones_like(s[..., :1])], axis=-1), _ORIENTATION) * 0.5
+def _spin_blocks(pt):
+    """The two-spinor block form diag((1 + sigma.n)/2, (1 - sigma.n)/2) of P(s), s = (0, nhat)."""
+    n = pt.arrays["nhat"]
+    out = np.zeros(n.shape[:-1] + (4, 4), dtype=complex)
+    out[..., :2, :2], out[..., 2:, 2:] = _spin_projector_rest(n), _spin_projector_rest(-n)
+    return out
 
 
 # Each row: name, paper_ref, sampler, lhs, rhs, tolerance, expected status.
@@ -575,7 +572,7 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "breve-band", *_sides(_map_roundtrip), 1e-12, "holds"),
     ("section4-projector-equivalence",
      "covariant orientation projector (1 + gamma5 s.gamma)/2 matches the spin projector",
-     "sphere", _orientation_projector, lambda pt: _spin_projector(_spatial(pt.arrays["nhat"])),
+     "sphere", _spin_blocks, lambda pt: _spin_projector(_spatial(pt.arrays["nhat"])),
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",

@@ -391,7 +391,7 @@ def test_projector_validators_check_every_point():
 
 
 def test_guard_refusal_is_the_same_in_a_batch_and_polsum_needs_no_guard():
-    # the on-shell guard's tolerance scales with max(1, m^2, p_i^2): it accepts every
+    # the on-shell guard's tolerance scales with max(m^2, p_i^2): it accepts every
     # momentum built from a valid point at large p0/m, alone and as a batch, refuses
     # an off-shell one alike for a point and a batch, and polsum agrees with it
     rng = np.random.default_rng(9)

@@ -4,7 +4,8 @@ BLAS forms.
 Every product below multiplies by 0, +-1 or +-i, so each real or imaginary component
 of an entry sums at most one inexact term: the elementwise and per-family forms must
 give the values of the matmul forms they replaced.  np.array_equal treats -0 and +0 as
-equal, the only freedom the rewrite has.
+equal, the only freedom the rewrite has; where a test compares tobytes, the sign of every
+zero must match as well.
 """
 
 import numpy as np
@@ -99,10 +100,57 @@ def _former_orientation(nhat):
 
 
 def test_orientation_projector_is_its_former_sum():
+    # both sides of section4-projector-equivalence: spin_projector, the covariant form, and
+    # the two-spinor block form diag((1 + sigma.n)/2, (1 - sigma.n)/2)
     for breve in (False, True):
         for c in _points(breve):
-            pt = vf.Columns({"nhat": c["nhat"]})
-            assert np.array_equal(vf._orientation_projector(pt), _former_orientation(c["nhat"]))
+            former = _former_orientation(c["nhat"])
+            assert np.array_equal(pj.spin_projector(sp._spatial(c["nhat"])), former)
+            assert np.array_equal(vf._spin_blocks(vf.Columns({"nhat": c["nhat"]})), former)
+
+
+def _spin_vectors(n: int) -> np.ndarray:
+    """n spin vectors (0, nhat): axis-aligned ones first (signed zeros included), then random."""
+    rng = np.random.default_rng(31)
+    nhat = rng.normal(size=(n, 3))
+    nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+    axes = np.array([*AXES, (-0.0, -0.0, -1.0), (0.0, -1.0, -0.0)])[:n]
+    nhat[:len(axes)] = axes
+    return sp._spatial(nhat)
+
+
+def _rows_and_singles():
+    """Every bispinor of _bispinors as a batch of rows, then its first three rows alone."""
+    singles = _spin_vectors(3)
+    for u in _bispinors():
+        rows = u.reshape(-1, 4)
+        yield rows, _spin_vectors(len(rows))
+        yield from zip(rows[:3], singles)
+
+
+@pytest.mark.parametrize("variant", ["u", "v"])
+def test_spinor_from_breve_keeps_the_bytes_of_its_former_gamma5_stack(variant):
+    # the former map contracted s with the matmul stack gamma5 (gamma.s) or (gamma.s) gamma5
+    g5, gs = cl.gamma5(), cl._GAMMA_DOT_S
+    former = cl._contraction(g5 @ gs if variant == "u" else gs @ g5)
+    for breve, s in _rows_and_singles():
+        want = cl.times_column(cl._contract(s, former), breve)
+        assert sp.spinor_from_breve(breve, s, variant).tobytes() == want.tobytes()
+
+
+def test_section4_two_valued_keeps_the_bytes_of_its_former_gamma5_products(monkeypatch):
+    # the former factors: sigma_lam @ gamma5 and gamma5 @ conj(sigma_lam)
+    g5 = cl.gamma5()
+    signed = [0.0, -0.0, 1.0, -1.0, 1j, -1j, complex(-0.0, -0.0)]
+    grid = np.array(np.meshgrid(*[signed] * 4, indexing="ij")).reshape(4, -1).T
+    xis = [grid, *grid[::211], *(rows for rows, _ in _rows_and_singles())]
+    got = [vf.section4_two_valued(xi) for xi in xis]
+    monkeypatch.setattr(vf, "_TWO_VALUED_FACTORS", np.array([
+        (sigma @ g5, g5 @ np.conj(sigma))
+        for sigma in (cl.generalized_pauli(lam, +1) for lam in (1, 2, 3))]))
+    for xi, pair in zip(xis, got):
+        for one, want in zip(pair, vf.section4_two_valued(xi)):
+            assert np.asarray(one).tobytes() == np.asarray(want).tobytes()
 
 
 def _former_adjoint_rows(c, dagger):

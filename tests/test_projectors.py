@@ -90,8 +90,21 @@ def test_energy_projector_moving_entry():
 
 
 def test_energy_projector_off_shell_rejected():
-    with pytest.raises(ValueError, match="off shell"):
-        pj.energy_projector([1.25, 0, 0, 0.5], 1.0, +1)
+    # the second is off shell by p.p = 4 m^2 at m = 5e-7: the tolerance has no absolute floor
+    for p, m in (([1.25, 0, 0, 0.5], 1.0), ((1e-6, 0.0, 0.0, 0.0), 0.5e-6)):
+        with pytest.raises(ValueError, match="off shell"):
+            pj.energy_projector(p, m, +1)
+
+
+def test_momenta_whose_squares_underflow_are_refused():
+    # KinematicPoint.momentum forms p0 * p0 - m * m: at p0 = 2m with m = 1e-200 or below the
+    # squares underflow to 0, so |p| comes out 0 and the momentum (2m, 0, 0, 0) is off shell;
+    # at m = 1e-155 they are normal and the momentum is accepted
+    m = 1e-155
+    pj.energy_projector(KinematicPoint(m, 2.0 * m, ZHAT).momentum(), m, +1)
+    for m in (1e-200, 1e-300):
+        with pytest.raises(ValueError, match="^momentum is off shell"):
+            pj.energy_projector(KinematicPoint(m, 2.0 * m, ZHAT).momentum(), m, +1)
 
 
 # The guard's rounding: the scaled squares and their sum are each within a few units of
@@ -101,23 +114,24 @@ _GUARD_EDGE = 1e-4
 
 
 @settings(max_examples=300, deadline=None)
-@given(log_m=st.floats(-6.0, 6.0), log_q=st.floats(-3.0, 3.0), nhat=unit_dirs,
+@given(log_m=st.floats(-100.0, 100.0), log_q=st.floats(-3.0, 3.0), nhat=unit_dirs,
        above=st.booleans(), log_gap=st.floats(-4.0, 1.0))
 def test_guard_accepts_exactly_the_momenta_within_its_tolerance(log_m, log_q, nhat, above,
                                                                  log_gap):
-    # the guard accepts p, m iff |p.p - m^2| / max(1, m^2, max_i |p_i|^2) <= 1e-10, here
-    # evaluated exactly in fractions, for momenta near the shell on either side of the edge
+    # the guard accepts p, m iff |p.p - m^2| / max(m^2, max_i |p_i|^2) <= 1e-10, here
+    # evaluated exactly in fractions, for momenta near the shell on either side of the edge,
+    # at masses far above and far below 1: the rule has no absolute floor
     m = 10.0 ** log_m
     q = m * 10.0 ** log_q
     on_shell = m * m + q * q
     ratio = 1e-10 * (1.0 + (1.0 if above else -1.0) * 10.0 ** log_gap)
-    energy2 = on_shell + ratio * max(1.0, on_shell)
+    energy2 = on_shell + ratio * on_shell
     assume(energy2 > 0.0)
     p = np.array([np.sqrt(energy2), *(q * np.asarray(nhat))])
     exact = [Fraction(float(x)) for x in p]
     mass = Fraction(m)
     gap = exact[0] ** 2 - sum(x * x for x in exact[1:]) - mass * mass
-    value = abs(gap) / max(1, mass * mass, max(x * x for x in exact))
+    value = abs(gap) / max(mass * mass, max(x * x for x in exact))
     tol = Fraction(pj._ONSHELL_TOL)
     assume(abs(value - tol) > _GUARD_EDGE * tol)
     try:
@@ -189,6 +203,21 @@ def test_pi_projector_rest_values():
         pj.pi_projector(p, 1.0, s, "other")
 
 
+@pytest.mark.parametrize("variant", ["lambda", "neg-lambda"])
+def test_pi_projector_is_a_projector_only_where_s_is_orthogonal_to_p(variant):
+    # Lambda(p) and P(s) commute only where s.p = 0: at p0 = 3m along z, s along x or y gives
+    # a rank-1 projector, s along z a rank-2 matrix with max |Pi^2 - Pi| = 2 sqrt 2
+    p = KinematicPoint(1.0, 3.0, ZHAT).momentum()
+    for s in ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)):
+        pi = pj.pi_projector(p, 1.0, s, variant)
+        assert np.max(np.abs(pi @ pi - pi)) <= 2.3e-16
+        assert np.linalg.matrix_rank(pi) == 1
+    for s in (ZS4, (0.0, 0.0, 0.0, -1.0)):
+        pi = pj.pi_projector(p, 1.0, s, variant)
+        assert np.max(np.abs(pi @ pi - pi)) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
+        assert np.linalg.matrix_rank(pi) == 2
+
+
 def test_polsum_rest_spinor():
     k = KinematicPoint(1.0, 1.0, ZHAT)
     lhs, rhs = pj.polsum("spinor", k)
@@ -255,8 +284,9 @@ def test_polsum_mass_homogeneity_at_m_two():
 @settings(max_examples=50, deadline=None)
 @given(unit_dirs, st.lists(unit_dirs, min_size=1, max_size=8))
 def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):
-    # spin_projector and spinor_from_breve contract s against gamma5-gamma stacks; every
-    # entry is a component times 0, +-1 or +-i, so each equals the explicit product
+    # spin_projector and spinor_from_breve contract s against stacks with their blocks
+    # swapped; every entry is a component times 0, +-1 or +-i, so each equals the explicit
+    # product
     g5 = cl.gamma5()
     rng = np.random.default_rng(len(batch))
     for s in (sp._spatial(nhat), np.array([sp._spatial(n) for n in batch])):
@@ -312,9 +342,10 @@ def _written_out_energy(p, m, sign):
 
 
 def _written_out_spin(s):
-    """(I4 + s @ the gamma5 slash stack) / 2, the stack product taken over complex s."""
+    """(I4 + s @ the gamma5 slash stack) / 2, the stack product taken over complex s and the
+    stack built as the matmul gamma5 @ slash stack."""
     s = np.asarray(s, dtype=complex)
-    g5s = (s @ cl._GAMMA5_SLASH.reshape(4, 16)).reshape(s.shape[:-1] + (4, 4))
+    g5s = (s @ (cl.gamma5() @ cl._SLASH).reshape(4, 16)).reshape(s.shape[:-1] + (4, 4))
     return (cl._I4 + g5s) * 0.5
 
 

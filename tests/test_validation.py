@@ -211,7 +211,7 @@ GUARD_REFUSALS = {
     "overflow": ((1e200, 0.0, 0.0, 1e200), OverflowError,
                  "momentum overflows: p.p - m^2 is out of range at p="),
     "off-shell": ((1.25, 0.0, 0.0, 0.5), ValueError,
-                  "momentum is off shell: |p.p - m^2| / max(1, m^2, max_i |p_i|^2) = "),
+                  "momentum is off shell: |p.p - m^2| / max(m^2, max_i |p_i|^2) = "),
 }
 
 
@@ -238,7 +238,7 @@ def test_the_guard_refuses_with_one_type_and_prefix_at_a_point_and_in_a_batch(ca
 def _reference_guard(p, m):
     """The on-shell guard as a rule written out with its range tested on max_i |p_i| and
     on m apart: |p_i| < 1.3e154, |p_i| / 1.3e154 < m and m < 1.3e154, scaled by
-    max(1, m, max_i |p_i|)."""
+    max(m, max_i |p_i|)."""
     p = cl.check_vectors(p, 4, "momentum")
     m = cl.check_real(m, "mass")[()]
     sp.check_mass(m)
@@ -250,12 +250,12 @@ def _reference_guard(p, m):
     x[..., 4] = m
     sp._require(in_scale, "momentum overflows: p.p - m^2 is out of range at p={}, m={}",
                 x[..., :4], m, error=OverflowError)
-    scale = np.maximum(np.maximum(top, m), 1.0)
+    scale = np.maximum(top, m)
     q, mu = p / scale[..., None], m / scale
     gap = cl.minkowski_dot(q, q) - mu * mu
     residual = np.hypot(gap.real, gap.imag)
     sp._require(residual <= pj._ONSHELL_TOL, "momentum is off shell: "
-                "|p.p - m^2| / max(1, m^2, max_i |p_i|^2) = {:.3e}", residual)
+                "|p.p - m^2| / max(m^2, max_i |p_i|^2) = {:.3e}", residual)
     return x, m
 
 
@@ -282,7 +282,7 @@ def _last_below(limit, m):
 def _range_edges():
     """(name, p, m, the outcome expected) at each edge of the guard's range: m above and
     below max_i |p_i|, |p_i| and |p_i|/m just inside and just outside 1.3e154, m at it, a
-    tiny m, and non-finite components."""
+    tiny m, and non-finite components; then momenta on and off shell far below unit scale."""
     big = sp._SQRT_MAX
     below, above = np.nextafter(big, 0.0), np.nextafter(big, math.inf)
     tiny = float(np.finfo(float).tiny)
@@ -314,6 +314,12 @@ def _range_edges():
         cases += [(f"|p_i|/m just below the scale, m={m}", light(t), m, "accepted"),
                   (f"|p_i|/m just above the scale, m={m}", light(np.nextafter(t, math.inf)), m,
                    OverflowError)]
+    # the shell test has no absolute floor: far below unit scale p.p = 4 m^2 is refused
+    for m in (1e-6, 1e-300):
+        cases += [(f"m={m} at rest", (m, 0.0, 0.0, 0.0), m, "accepted"),
+                  (f"m={m}, p.p = 4 m^2 at rest", (2.0 * m, 0.0, 0.0, 0.0), m, ValueError),
+                  (f"m={m}, p.p = 4 m^2 moving", (math.sqrt(5.0) * m, 0.0, 0.0, m), m,
+                   ValueError)]
     return cases
 
 
