@@ -37,11 +37,8 @@ _ONSHELL_TOL = 1e-10
 # _contract((s0, s1, s2, s3, 1), _SPIN) is 1 + gamma5 slash(s): the (5, 4, 4) slash stacks
 # (for gamma5 slash, with its row blocks swapped) with I4 appended.  Every entry of a stack
 # matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal entries that hold +-p0 or
-# +-s3, so each entry is exact up to one rounding, as in slash.  _ENERGY[+1, -1], of shape
-# (5, 8, 4), holds Lambda+ over Lambda-.
-_ENERGY = {sign: np.concatenate([sign * _SLASH, _I4[None]]) for sign in (+1, -1)}
-_ENERGY[+1, -1] = np.concatenate([_ENERGY[+1], _ENERGY[-1]], axis=1)
-_ENERGY = {sign: _contraction(stack) for sign, stack in _ENERGY.items()}
+# +-s3, so each entry is exact up to one rounding, as in slash.
+_ENERGY = {sign: _contraction(np.concatenate([sign * _SLASH, _I4[None]])) for sign in (+1, -1)}
 _SPIN = _contraction(np.concatenate([_SLASH.take(_BLOCK_SWAP, axis=-2), _I4[None]]))
 
 
@@ -112,10 +109,9 @@ def _spin_projector(s) -> np.ndarray:
     return _contract(y, _SPIN) * 0.5
 
 
-def _energy_projector(x, m, sign) -> np.ndarray:
+def _energy_projector(x, m, sign: int) -> np.ndarray:
     """energy_projector without its checks: (sign pslash + m I4) / 2m, fresh, for five-vectors
-    x = (p, m) and float masses m (a validated point's, or _check_on_shell's); for sign
-    (+1, -1) both, Lambda+ above Lambda-, as (..., 8, 4)."""
+    x = (p, m) and float masses m (a validated point's, or _check_on_shell's), sign +1 or -1."""
     e = _contract(x, _ENERGY[sign])
     # scaled in place by 1 / 2m through the float view, as numpy divides a complex by a
     # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m
@@ -201,8 +197,7 @@ def polsum(kind: str, k: KinematicPoint):
         rhs = _energy_projector(x, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 
-    both = _energy_projector(x, k.m, (+1, -1))
-    lhs = both[..., :4, :] + both[..., 4:, :]
+    lhs = _energy_projector(x, k.m, +1) + _energy_projector(x, k.m, -1)
     rhs = np.empty_like(lhs)
     rhs[...] = _I4
     return lhs, rhs

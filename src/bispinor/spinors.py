@@ -231,18 +231,13 @@ class KinematicPoint:
     def __post_init__(self):
         n = check_unit_vector(self.nhat)
         m, p0 = check_real(self.m, "mass"), check_real(self.p0, "p0")
-        if m.ndim or p0.ndim or n.ndim > 1:
-            shape = np.broadcast_shapes(m.shape, p0.shape, n.shape[:-1])
-            m, p0 = np.broadcast_to(m, shape), np.broadcast_to(p0, shape)
-            n = np.broadcast_to(n, shape + (3,))
-        else:
-            m, p0 = float(m), float(p0)
-        check_mass(m)
-        check_energy(p0)
-        check_scale(p0, m)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "nhat", n)
+        if m.ndim or p0.ndim:  # nhat takes the batch shape the three share
+            n = np.broadcast_to(n, np.broadcast_shapes(m.shape, p0.shape, n.shape[:-1]) + (3,))
+        # checked as the fields are kept: a single point's floats are cheaper to compare
+        _fill(self, m, p0, n)
+        check_mass(self.m)
+        check_energy(self.p0)
+        check_scale(self.p0, self.m)
 
     def boost_factor(self, sign: int):
         """a for sign=+1, b for sign=-1; principal branch below threshold.  Halved after
@@ -285,19 +280,22 @@ class KinematicPoint:
         return _point(self.m, -self.p0, self.nhat)
 
 
-def _point(m, p0, nhat) -> KinematicPoint:
-    """KinematicPoint(m, p0, nhat) for values its checks accept, built without running
-    them: nhat a read-only float array (..., 3) of unit rows, m and p0 reals of its batch
-    shape.  The fields are the ones __post_init__ gives: m and p0 as floats for a single
-    point, as read-only arrays of the batch shape for a batch."""
+def _fill(k: KinematicPoint, m, p0, nhat) -> KinematicPoint:
+    """k with the fields of checked values: nhat a read-only float array (..., 3) of unit
+    rows, m and p0 reals that broadcast to its batch shape.  m and p0 are kept as floats
+    for a single point, as read-only arrays of the batch shape for a batch."""
     shape = nhat.shape[:-1]
     if shape:
         m, p0 = np.broadcast_to(m, shape), np.broadcast_to(p0, shape)
     else:
         m, p0 = float(m), float(p0)
-    k = object.__new__(KinematicPoint)
     k.__dict__.update(m=m, p0=p0, nhat=nhat)
     return k
+
+
+def _point(m, p0, nhat) -> KinematicPoint:
+    """KinematicPoint(m, p0, nhat) for values its checks accept, built without running them."""
+    return _fill(object.__new__(KinematicPoint), m, p0, nhat)
 
 
 def _state(k: KinematicPoint, name: str, crossed: bool = False) -> np.ndarray:

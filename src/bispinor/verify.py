@@ -187,31 +187,26 @@ def _unit_rows(rng, n: int) -> np.ndarray:
 
 
 _LOG_10 = np.log(10.0)
+# the label draws, one per top label: 0..3 the gammas, 0..4 with 4 standing for gamma5
+_LABELS = {top: lambda rng, n, top=top: rng.integers(0, top + 1, n) for top in (3, 4)}
+_ONES = lambda rng, n: np.ones(n)
 
+# each sampler's columns in the order it draws them, {key: draw(rng, n)}
 _SAMPLERS = {
     # p0/m log-uniform in [1, 10], m fixed to 1 (identities are homogeneous in m)
-    "real-band": lambda rng, n: {"m": np.ones(n), "p0": np.exp(rng.uniform(0.0, _LOG_10, n)),
-                                 "nhat": _unit_rows(rng, n)},
-    "breve-band": lambda rng, n: {"m": np.ones(n), "p0": rng.uniform(-1.0, 1.0, n),
-                                  "nhat": _unit_rows(rng, n)},
-    "sphere": lambda rng, n: {"nhat": _unit_rows(rng, n)},
-    "index-pair": lambda rng, n: {"mu": rng.integers(0, 4, n), "nu": rng.integers(0, 4, n)},
-    # 0..3 the gammas, 4 stands for gamma5
-    "gamma-label": lambda rng, n: {"mu": rng.integers(0, 5, n)},
+    "real-band": {"m": _ONES, "p0": lambda rng, n: np.exp(rng.uniform(0.0, _LOG_10, n)),
+                  "nhat": _unit_rows},
+    "breve-band": {"m": _ONES, "p0": lambda rng, n: rng.uniform(-1.0, 1.0, n), "nhat": _unit_rows},
+    "sphere": {"nhat": _unit_rows},
+    "index-pair": {"mu": _LABELS[3], "nu": _LABELS[3]},
+    "gamma-label": {"mu": _LABELS[4]},
     # three complex 4x4 matrices per point, 48 real and 48 imaginary parts in row-major order
-    "matrices": lambda rng, n: {"a_re": rng.uniform(-0.5, 0.5, (n, 48)),
-                                "a_im": rng.uniform(-0.5, 0.5, (n, 48))},
-    "spinor4": lambda rng, n: {"xi_re": rng.normal(size=(n, 4)), "xi_im": rng.normal(size=(n, 4))},
-    "fixed": lambda rng, n: {},
+    "matrices": dict.fromkeys(("a_re", "a_im"), lambda rng, n: rng.uniform(-0.5, 0.5, (n, 48))),
+    "spinor4": dict.fromkeys(("xi_re", "xi_im"), lambda rng, n: rng.normal(size=(n, 4))),
+    "fixed": {},
 }
-# each sampler's keys, in the order it draws them (written out: numpy.random loads on first use)
-_SAMPLER_KEYS = {"real-band": ("m", "p0", "nhat"), "breve-band": ("m", "p0", "nhat"),
-                 "sphere": ("nhat",), "index-pair": ("mu", "nu"), "gamma-label": ("mu",),
-                 "matrices": ("a_re", "a_im"), "spinor4": ("xi_re", "xi_im"), "fixed": ()}
-# the sampler keys drawn as a vector per point; every other key draws one number per point
-_POINT_NDIM = {"nhat": 1, "a_re": 1, "a_im": 1, "xi_re": 1, "xi_im": 1}
-# the width of each column of real rows; the other columns are labels or kinematics
-_ROW_WIDTHS = {"a_re": 48, "a_im": 48, "xi_re": 4, "xi_im": 4}
+# the width of each column drawn as a vector per point; every other key draws one number
+_WIDTHS = {"nhat": 3, "a_re": 48, "a_im": 48, "xi_re": 4, "xi_im": 4}
 
 
 def _checked_column(key: str, column, columns) -> np.ndarray:
@@ -234,8 +229,8 @@ def _checked_column(key: str, column, columns) -> np.ndarray:
         _require((labels >= 0) & (labels <= top), f"{key} must be a label in 0..{top}, got {{}}",
                  labels)
         return labels
-    if key in _ROW_WIDTHS:
-        x = check_vectors(column, _ROW_WIDTHS[key], key, float)
+    if key in _WIDTHS:
+        x = check_vectors(column, _WIDTHS[key], key, float)
         _require(np.isfinite(x).all(axis=-1), key + " must be finite, got {}", x)
         return x
     raise ValueError(f"no sampler draws a column {key!r}")
@@ -252,23 +247,25 @@ class Columns(dict):
     sample shape; p0 must also be in scale against m where both are given (else
     OverflowError, as for a KinematicPoint).  So no write to the caller's arrays can change
     the columns, and the builders read only checked values.  sample_points alone hands
-    over its fresh draw uncopied and unchecked.  The dict stays empty: json encodes it
-    as {}."""
+    over its fresh draw uncopied and unchecked, with its shape (n,).  ``shape`` is that
+    one sample shape: () for one point or for no columns.  The dict stays empty: json
+    encodes it as {}."""
 
-    __slots__ = ("arrays", "derived")
+    __slots__ = ("arrays", "derived", "shape")
 
     def __init__(self, columns: dict):
         if isinstance(columns, Columns):
             columns = columns.arrays
         arrays = {key: _read_only(_checked_column(key, column, columns))
                   for key, column in columns.items()}
-        shapes = {key: a.shape[:a.ndim - _POINT_NDIM.get(key, 0)] for key, a in arrays.items()}
+        shapes = {key: a.shape[:-1] if key in _WIDTHS else a.shape for key, a in arrays.items()}
         if len(set(shapes.values())) > 1:
             raise ValueError(f"columns must share one sample shape, got {shapes}")
         if "m" in arrays and "p0" in arrays:
             check_scale(arrays["p0"], arrays["m"])
         self.arrays = arrays
         self.derived = {}
+        self.shape = next(iter(shapes.values()), ())
 
 
 def point(columns: Columns, i) -> dict:
@@ -602,9 +599,11 @@ def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _per_check_seed(check.name)]))
-    drawn = _SAMPLERS[check.sampler](rng, int(samples))
+    draws = _SAMPLERS[check.sampler]
     columns = Columns({})
-    columns.arrays = {key: _read_only(a) for key, a in drawn.items()}
+    if draws:
+        columns.arrays = {key: _read_only(draw(rng, int(samples))) for key, draw in draws.items()}
+        columns.shape = (int(samples),)
     return columns
 
 
@@ -613,17 +612,15 @@ def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
     residual in all for a "fixed" check, which has no columns, or for one point's columns).
     Columns other than the keys the check's sampler draws are a ValueError; a builder's
     domain error or a non-finite residual is a ConfigurationError."""
-    keys = _SAMPLER_KEYS[check.sampler]
-    if columns.arrays.keys() != set(keys):
+    keys = _SAMPLERS[check.sampler].keys()
+    if columns.arrays.keys() != keys:
         raise ValueError(f"check {check.name!r} reads the columns {list(keys)}, "
                          f"got {list(columns.arrays)}")
     try:
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
     except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
-    # the draw's points: a column's leading axes beyond one point's (none for one point)
-    shape = next((a.shape[:a.ndim - _POINT_NDIM.get(key, 0)]
-                  for key, a in columns.arrays.items()), ())
+    shape = columns.shape
     n = math.prod(shape)
     if diff.shape[:len(shape)] != shape:
         raise ConfigurationError(

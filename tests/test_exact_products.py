@@ -189,3 +189,38 @@ def test_boost_exponential_is_its_former_product():
         got = vf._boost_exponential(vf.Columns(c))
         for side, former in zip(got, _former_boost_exponential(c)):
             assert np.array_equal(side, former)
+
+
+def _former_energy_pair(x, m) -> tuple:
+    """Lambda+ and Lambda- as the halves of one contraction with the former (5, 8, 4) stack,
+    flattened to (5, 32), scaled in place by 1 / 2m as _energy_projector scales."""
+    stack = np.concatenate([np.concatenate([sign * cl._SLASH, cl._I4[None]])
+                            for sign in (+1, -1)], axis=1)
+    assert cl._contraction(stack)[0].shape == (5, 32)
+    both = cl._contract(x, cl._contraction(stack))
+    scaled = both.view(float)
+    scaled *= np.asarray(1.0 / (2.0 * m))[..., None, None]
+    return both[..., :4, :], both[..., 4:, :]
+
+
+def _real_band_points() -> list:
+    """The real-band points of _points, then batches of 1, 7, 1 000 and 10 000 points."""
+    rng = np.random.default_rng(31)
+    out = [_kin(c) for c in _points(breve=False)]
+    for n in (1, 7, 1000, 10000):
+        nhat = rng.normal(size=(n, 3))
+        nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+        m = np.exp(rng.uniform(-3.0, 3.0, n))
+        out.append(sp.KinematicPoint(m, m * np.exp(rng.uniform(0.0, 5.0, n)), nhat))
+    return out
+
+
+def test_energy_projectors_and_completeness_keep_the_bytes_of_the_former_pair_stack():
+    for k in _real_band_points():
+        x = pj._five_vector(k)
+        plus, minus = _former_energy_pair(x, k.m)
+        assert pj._energy_projector(x, k.m, +1).tobytes() == plus.tobytes()
+        assert pj._energy_projector(x, k.m, -1).tobytes() == minus.tobytes()
+        lhs, rhs = pj.polsum("completeness", k)
+        assert lhs.tobytes() == (plus + minus).tobytes()
+        assert rhs.tobytes() == np.broadcast_to(cl._I4, lhs.shape).astype(complex).tobytes()

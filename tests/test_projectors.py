@@ -281,6 +281,19 @@ def test_polsum_mass_homogeneity_at_m_two():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="p0 * p0 - m * m underflows to 0 at m = 1e-200, so the rhs is "
+                          "built from |p| = 0; a scale-aware |p| is ROADMAP item 3")
+@pytest.mark.filterwarnings("error")
+def test_polsum_spinor_holds_where_the_squares_of_p0_and_m_underflow():
+    # polsum builds its momentum from the point without the on-shell guard, so nothing
+    # refuses it: max |lhs - rhs| is 2.2e-16 at m = 1e-150, 4.8e-6 at 1e-160 and 0.866 at
+    # 1e-200, with no warning raised
+    m = 1e-200
+    lhs, rhs = pj.polsum("spinor", KinematicPoint(m, 2.0 * m, ZHAT))
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
 @settings(max_examples=50, deadline=None)
 @given(unit_dirs, st.lists(unit_dirs, min_size=1, max_size=8))
 def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):

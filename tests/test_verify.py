@@ -315,9 +315,9 @@ ROW_SHAPES = {"m": (), "p0": (), "nhat": (3,), "mu": (), "nu": (), "a_re": (48,)
 
 
 def test_building_the_registry_leaves_numpy_random_unloaded():
-    # numpy.random loads on a sampler's first draw, which is why _SAMPLER_KEYS is written
-    # out; a fresh interpreter that imports bispinor and builds the registry has not loaded
-    # it, and one run_all draw then has
+    # numpy.random loads on a sampler's first draw, and each sampler's keys are its table's,
+    # known without a draw; a fresh interpreter that imports bispinor and builds the
+    # registry has not loaded it, and one run_all draw then has
     code = ("import sys, bispinor; bispinor.registry(); loaded = 'numpy.random' in sys.modules; "
             "bispinor.run_all(0, 1); print(loaded, 'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -338,11 +338,11 @@ def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
     drawn = vf.sample_points(_fixture(sampler), seed=5, samples=n)
     assert list(drawn) == [] and drawn.derived == {}
     columns = drawn.arrays
-    assert list(columns) == SAMPLER_KEYS[sampler] == list(vf._SAMPLER_KEYS[sampler])
+    assert list(columns) == SAMPLER_KEYS[sampler] == list(vf._SAMPLERS[sampler])
     for key, column in columns.items():
         assert type(column) is np.ndarray and not column.flags.writeable, key
         assert column.shape == (n,) + ROW_SHAPES[key], key
-        assert len(ROW_SHAPES[key]) == vf._POINT_NDIM.get(key, 0), key
+        assert ROW_SHAPES[key] == ((vf._WIDTHS[key],) if key in vf._WIDTHS else ()), key
         assert column.dtype.kind == ("i" if key in ("mu", "nu") else "f"), key
         assert np.isfinite(column).all(), key
     if "nhat" in columns:
@@ -403,7 +403,7 @@ def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
     check = _fixture(sampler)
     columns = vf.sample_points(check, seed=6, samples=50)
     rng = np.random.default_rng(np.random.SeedSequence([6, vf._per_check_seed(check.name)]))
-    drawn = vf._SAMPLERS[sampler](rng, 50)
+    drawn = {key: draw(rng, 50) for key, draw in vf._SAMPLERS[sampler].items()}
     assert list(columns.arrays) == list(drawn) and list(columns) == []
     lists = {key: array.tolist() for key, array in columns.arrays.items()}
     for key, array in columns.arrays.items():
@@ -444,14 +444,15 @@ def test_columns_copy_every_caller_array_and_keep_the_samplers_draw(monkeypatch)
     # sample_points hands over the sampler's own draw, one array per key, uncopied and
     # read-only: no column views another array
     for name in ("real-band", "matrices", "spinor4"):
-        drawn, draw = {}, vf._SAMPLERS[name]
+        drawn = {}
+        for key, draw in vf._SAMPLERS[name].items():
+            def recorded(rng, n, key=key, draw=draw, drawn=drawn):
+                drawn[key] = draw(rng, n)
+                return drawn[key]
 
-        def sampler(rng, n, draw=draw, drawn=drawn):
-            drawn.update(draw(rng, n))
-            return drawn
-
-        monkeypatch.setitem(vf._SAMPLERS, name, sampler)
+            monkeypatch.setitem(vf._SAMPLERS[name], key, recorded)
         columns = vf.sample_points(_fixture(name), seed=2, samples=5)
+        assert list(drawn) == list(columns.arrays), name
         assert all(columns.arrays[key] is array for key, array in drawn.items()), name
         for array in drawn.values():
             assert not array.flags.writeable and array.base is None, name
@@ -818,6 +819,19 @@ def test_a_replayed_worst_point_gives_the_reported_residual(seed):
         result = vf.run_check(check, seed, samples=100)
         residual = vf.residuals(check, vf.Columns(result.worst_point))
         assert residual.tolist() == [result.max_residual], check.name
+
+
+@pytest.mark.parametrize("samples", [1, 7])
+def test_columns_shape_is_the_sample_shape_of_their_columns(samples):
+    # (n,) for a draw and for the Columns of its arrays or lists, () for one replayed
+    # worst point, and () for a "fixed" check, which has no columns
+    for check in vf.registry():
+        draw = vf.sample_points(check, seed=5, samples=samples)
+        assert draw.shape == (() if check.sampler == "fixed" else (samples,)), check.name
+        lists = {key: array.tolist() for key, array in draw.arrays.items()}
+        assert vf.Columns(draw).shape == vf.Columns(lists).shape == draw.shape, check.name
+        worst = vf.run_check(check, seed=5, samples=samples).worst_point
+        assert vf.Columns(worst).shape == (), check.name
 
 
 # ---------------------------------------------------------------------------
