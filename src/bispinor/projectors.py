@@ -11,9 +11,10 @@ validator checks every point of a batch.
 
 The energy projector is one clifford._contract of the five-vector x = (p0, p1, p2, p3, m)
 with a constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1),
-halved; the on-shell guard of the public projectors builds x once and hands it on.
-Each public function is its validators followed by a private core (_spin_projector,
-_pi_projector, ...), which callers holding checked values call directly.
+halved.  x is the one carrier of (p, m): KinematicPoint._five_vector builds it for a point,
+the on-shell guard of the public projectors for a caller's momentum, and the cores read the
+mass from its slot 4.  Each public function is its validators followed by a private core
+(_spin_projector, _pi_projector, ...), which callers holding checked values call directly.
 """
 
 from __future__ import annotations
@@ -46,17 +47,10 @@ def _outer(u, v) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-def _five_vector(k: KinematicPoint) -> np.ndarray:
-    """x = (p0, p1, p2, p3, m) of a validated point k: its momentum beside its mass."""
-    x = k._momentum_in(5)
-    x[..., 4] = k.m
-    return x
-
-
-def _check_on_shell(p, m) -> tuple:
-    """(x, m): the masses m as floats, from any real or sequence of reals, and the complex
-    five-vectors x = (p0, p1, p2, p3, m) of finite four-momenta p (|p_i| and |p_i|/m below
-    1.3e154, else OverflowError), each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m
+def _check_on_shell(p, m) -> np.ndarray:
+    """The complex five-vectors x = (p0, p1, p2, p3, m) that the cores read m from, of finite
+    four-momenta p (|p_i| and |p_i|/m below 1.3e154, else OverflowError) and masses m given as
+    any real or sequence of reals, each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m
     < 1.3e154: |p.p - m^2| <= 1e-10 max(m^2, max_i |p_i|^2), relative at every scale.  p and
     m are divided by max(m, max_i |p_i|) >= m before any square is formed, so a far-off-shell
     momentum is refused without overflow.  x has the batch shape p and m share, one momentum
@@ -79,7 +73,7 @@ def _check_on_shell(p, m) -> tuple:
     residual = np.hypot(gap.real, gap.imag)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
              "|p.p - m^2| / max(m^2, max_i |p_i|^2) = {:.3e}", residual)
-    return x, m
+    return x
 
 
 def spin_projector_rest(nhat) -> np.ndarray:
@@ -109,22 +103,22 @@ def _spin_projector(s) -> np.ndarray:
     return _contract(y, _SPIN) * 0.5
 
 
-def _energy_projector(x, m, sign: int) -> np.ndarray:
-    """energy_projector without its checks: (sign pslash + m I4) / 2m, fresh, for five-vectors
-    x = (p, m) and float masses m (a validated point's, or _check_on_shell's), sign +1 or -1."""
+def _energy_projector(x, sign: int) -> np.ndarray:
+    """energy_projector without its checks, for x = (p0, p1, p2, p3, m) with real m < 1.3e154."""
     e = _contract(x, _ENERGY[sign])
-    # scaled in place by 1 / 2m through the float view, as numpy divides a complex by a
-    # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m
+    # scaled in place by 0.5 / m through the float view, as numpy divides a complex by a
+    # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m;
+    # 2m is exact, so 0.5 / m rounds the same quotient as 1 / 2m
     scaled = e.view(float)
-    scaled *= np.asarray(1.0 / (2.0 * m))[..., None, None]
+    scaled *= 0.5 / x[..., 4:, None].real
     return e
 
 
 def energy_projector(p, m, sign: int) -> np.ndarray:
     """(pslash + m)/2m for sign=+1, (m - pslash)/2m for sign=-1."""
-    x, m = _check_on_shell(p, m)
+    x = _check_on_shell(p, m)
     check_choice("sign", sign, (+1, -1))
-    return _energy_projector(x, m, sign)
+    return _energy_projector(x, sign)
 
 
 def diad(phi, insert: str) -> np.ndarray:
@@ -155,15 +149,12 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
     where Lambda(p) and P(s) commute; else, as on the breve band with svec along nhat, not.
     """
     sign = +1 if check_choice("variant", variant, ("lambda", "neg-lambda")) else -1
-    x, m = _check_on_shell(p, m)
-    return _pi_projector(x, m, check_spin_vector(s), sign)
+    return _pi_projector(_check_on_shell(p, m), check_spin_vector(s), sign)
 
 
-def _pi_projector(x, m, s, sign: int) -> np.ndarray:
-    """pi_projector without its checks: Lambda_sign P(-sign s) for five-vectors x = (p, m)
-    and float masses m (as _energy_projector takes them) and spin vectors s that
-    check_spin_vector accepts; sign -1 is "lambda", +1 "neg-lambda"."""
-    return _energy_projector(x, m, sign) @ _spin_projector(-sign * s)
+def _pi_projector(x, s, sign: int) -> np.ndarray:
+    """pi_projector without its checks, for x as _energy_projector's and s check_spin_vector's."""
+    return _energy_projector(x, sign) @ _spin_projector(-sign * s)
 
 
 def polsum(kind: str, k: KinematicPoint):
@@ -187,17 +178,17 @@ def polsum(kind: str, k: KinematicPoint):
     is not applied to it.
     """
     check_choice("kind", kind, POLSUM_KINDS)
-    x = _five_vector(k)
+    x = k._five_vector()
 
     if kind in ("spinor", "antispinor", "breve-plus", "breve-minus"):
         # the equal-label states: the columns u(+1/2), u(-1/2), then their rows
         name = "breve_u" if kind.startswith("breve") else "dirac_u"
         u = _state(k.negated() if kind == "antispinor" else k, name)
         lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])
-        rhs = _energy_projector(x, k.m, +1 if kind in ("spinor", "breve-plus") else -1)
+        rhs = _energy_projector(x, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 
-    lhs = _energy_projector(x, k.m, +1) + _energy_projector(x, k.m, -1)
+    lhs = _energy_projector(x, +1) + _energy_projector(x, -1)
     rhs = np.empty_like(lhs)
     rhs[...] = _I4
     return lhs, rhs

@@ -123,10 +123,10 @@ def _spatial(nhat) -> np.ndarray:
     return np.concatenate([np.zeros(n.shape[:-1] + (1,)), n], axis=-1)
 
 
-def check_bispinor(u, n: int = 4, what: str = "bispinor") -> np.ndarray:
-    """u as a complex array of shape (..., n), each component finite: a bispinor, or for
-    n = 2 a two-spinor."""
-    u = check_vectors(u, n, what)
+def check_bispinor(u, n: int = 4, what: str = "bispinor", dtype=complex) -> np.ndarray:
+    """u as an array of ``dtype`` (by check_vectors) of shape (..., n), each component finite:
+    a bispinor, or for n = 2 a two-spinor."""
+    u = check_vectors(u, n, what, dtype)
     _require(np.isfinite(u).all(axis=-1), what + " must be finite, got {}", u)
     return u
 
@@ -262,17 +262,17 @@ class KinematicPoint:
         branch), which is the mechanical form of the n -> i n continuation.
         Raises OverflowError where m^2 overflows (p0^2 is finite by construction).
         """
-        return self._momentum_in(4)
+        return self._five_vector()[..., :4].copy()
 
-    def _momentum_in(self, width: int) -> np.ndarray:
-        """The momentum in the first four slots of a fresh complex array (..., width)."""
+    def _five_vector(self) -> np.ndarray:
+        """x = (p0, p1, p2, p3, m), the momentum beside the mass, a fresh complex (..., 5)."""
         _require(self.m < _SQRT_MAX, "momentum overflows: "
                  "p0^2 - m^2 is out of range at p0={}, m={}", self.p0, self.m, error=OverflowError)
         q = np.sqrt(self.p0 * self.p0 - self.m * self.m + 0j)
-        p = np.empty(self.nhat.shape[:-1] + (width,), dtype=complex)
-        p[..., 0] = self.p0
-        np.multiply(q[..., None], self.nhat, out=p[..., 1:4])
-        return p
+        x = np.empty(self.nhat.shape[:-1] + (5,), dtype=complex)
+        x[..., 0], x[..., 4] = self.p0, self.m
+        np.multiply(q[..., None], self.nhat, out=x[..., 1:4])
+        return x
 
     def negated(self) -> "KinematicPoint":
         """The same point with p0 -> -p0 (spin axis kept), built by _point from the
@@ -430,9 +430,7 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
 
 
 def _spinor_from_breve(breve, s, variant: str) -> np.ndarray:
-    """spinor_from_breve without its checks, for finite bispinors, spin vectors s that
-    check_spin_vector accepts and variant "u" or "v": gamma.s (gamma_dot_spatial's stack)
-    with its row blocks swapped for "u", its column blocks for "v"."""
+    """spinor_from_breve without its checks, for finite bispinors and s as check_spin_vector's."""
     axis = -2 if variant == "u" else -1
     return times_column(_contract(s, _GAMMA_DOT_S_DOT).take(_BLOCK_SWAP, axis=axis), breve)
 

@@ -53,11 +53,10 @@ from typing import Callable
 import numpy as np
 
 from .clifford import (METRIC, _BLOCK_SWAP, _I2, _I4, _contract, _contraction, _read_only,
-                       check_choice, check_real, check_vectors, dot, gamma, gamma5,
-                       gamma5_from_epsilon, gamma_lower, generalized_pauli, pauli_dot, row_times,
-                       times_column, trace)
-from .projectors import (_ENERGY, _diad, _five_vector, _pi_projector, _spin_projector,
-                         _spin_projector_rest, diad, polsum)
+                       check_choice, check_real, dot, gamma, gamma5, gamma5_from_epsilon,
+                       gamma_lower, generalized_pauli, pauli_dot, row_times, times_column, trace)
+from .projectors import (_ENERGY, _diad, _pi_projector, _spin_projector, _spin_projector_rest,
+                         diad, polsum)
 from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components, _point,
                       _require, _spatial, _spinor_from_breve, _state, breve_u, check_band,
                       check_bispinor, check_energy, check_mass, check_scale, check_unit_vector,
@@ -230,9 +229,7 @@ def _checked_column(key: str, column, columns) -> np.ndarray:
                  labels)
         return labels
     if key in _WIDTHS:
-        x = check_vectors(column, _WIDTHS[key], key, float)
-        _require(np.isfinite(x).all(axis=-1), key + " must be finite, got {}", x)
-        return x
+        return check_bispinor(column, _WIDTHS[key], key, float)
     raise ValueError(f"no sampler draws a column {key!r}")
 
 
@@ -434,7 +431,7 @@ def _adjoint_rows(pt, dagger=None):
     """The rows breve_u_bar (pslash + m), or given a dagger conj(breve_u) (pslash^+ - m),
     pslash^+ with its displayed overall sign ("paper") or conjugate-transposed ("standard")."""
     k = _kin(pt)
-    x, pair = _five_vector(k), _state(k, "breve_u")
+    x, pair = k._five_vector(), _state(k, "breve_u")
     rows = pair[..., 2:4, :] if dagger is None else np.conj(pair[..., :2, :])
     matrix = _contract(np.conj(x) if dagger == "standard" else x, _ADJOINT_MATRICES[dagger])
     return row_times(rows, matrix[..., None, :, :])
@@ -442,7 +439,7 @@ def _adjoint_rows(pt, dagger=None):
 
 def _pi_annihilation(pt):
     k = _kin(pt)
-    pi = _pi_projector(_five_vector(k), k.m, _spatial(pt.arrays["nhat"]), -1)  # "lambda"
+    pi = _pi_projector(k._five_vector(), _spatial(pt.arrays["nhat"]), -1)  # "lambda"
     return times_column(pi[..., None, :, :], _state(k, "breve_u")[..., :2, :])
 
 

@@ -193,7 +193,7 @@ def test_boost_exponential_is_its_former_product():
 
 def _former_energy_pair(x, m) -> tuple:
     """Lambda+ and Lambda- as the halves of one contraction with the former (5, 8, 4) stack,
-    flattened to (5, 32), scaled in place by 1 / 2m as _energy_projector scales."""
+    flattened to (5, 32), scaled in place by 1 / 2m: the bits of _energy_projector's 0.5 / m."""
     stack = np.concatenate([np.concatenate([sign * cl._SLASH, cl._I4[None]])
                             for sign in (+1, -1)], axis=1)
     assert cl._contraction(stack)[0].shape == (5, 32)
@@ -217,10 +217,10 @@ def _real_band_points() -> list:
 
 def test_energy_projectors_and_completeness_keep_the_bytes_of_the_former_pair_stack():
     for k in _real_band_points():
-        x = pj._five_vector(k)
+        x = k._five_vector()
         plus, minus = _former_energy_pair(x, k.m)
-        assert pj._energy_projector(x, k.m, +1).tobytes() == plus.tobytes()
-        assert pj._energy_projector(x, k.m, -1).tobytes() == minus.tobytes()
+        assert pj._energy_projector(x, +1).tobytes() == plus.tobytes()
+        assert pj._energy_projector(x, -1).tobytes() == minus.tobytes()
         lhs, rhs = pj.polsum("completeness", k)
         assert lhs.tobytes() == (plus + minus).tobytes()
         assert rhs.tobytes() == np.broadcast_to(cl._I4, lhs.shape).astype(complex).tobytes()

@@ -328,7 +328,7 @@ def test_energy_projector_equals_the_closed_form_entry_for_entry():
     for k in (*singles, batch):
         p = k.momentum()
         for sign in (+1, -1):
-            got = pj._energy_projector(pj._five_vector(k), k.m, sign)
+            got = pj._energy_projector(k._five_vector(), sign)
             assert np.array_equal(got, closed_form(p, k.m, sign))
             assert got.shape == np.shape(k.p0) + (4, 4)
 

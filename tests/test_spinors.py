@@ -55,6 +55,28 @@ def test_momentum_on_shell_in_both_bands():
         assert abs(cl.minkowski_dot(p, p) - 1.0) < 1e-12
 
 
+def test_five_vector_holds_the_momentum_beside_the_mass():
+    # slot 4 is the mass bit for bit and slots 0-3 are momentum(), for one point and for
+    # each row of a batch; momentum() is a fresh, writable, C-contiguous (..., 4) array
+    rng = np.random.default_rng(28)
+    m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 6))
+    p0 = m * np.array([1.0, 1.25, 40.0, -3.0, 0.5, -0.9])
+    nhat = np.array(list(_directions(28, 6)))
+    batch = sp.KinematicPoint(m, p0, nhat)
+    singles = [sp.KinematicPoint(*point) for point in zip(m, p0, nhat)]
+    for k in (*singles, batch):
+        x, p = k._five_vector(), k.momentum()
+        assert x.dtype == complex and x.shape == np.shape(k.p0) + (5,)
+        assert x[..., 4].real.tobytes() == np.asarray(k.m, dtype=float).tobytes()
+        assert not x[..., 4].imag.any()
+        assert p.tobytes() == x[..., :4].tobytes()
+        assert p.shape == np.shape(k.p0) + (4,) and p.dtype == complex
+        assert p.base is None and p.flags.writeable and p.flags.c_contiguous
+    for i, k in enumerate(singles):
+        assert k._five_vector().tobytes() == batch._five_vector()[i].tobytes()
+        assert k.momentum().tobytes() == batch.momentum()[i].tobytes()
+
+
 def test_boosted_spinor_frozen_values():
     k = sp.KinematicPoint(1.0, 1.25, ZHAT)
     # sqrt(1.125) + sqrt(0.125) = sqrt(2), sqrt(1.125) - sqrt(0.125) = 1/sqrt(2)

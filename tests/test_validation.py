@@ -256,17 +256,17 @@ def _reference_guard(p, m):
     residual = np.hypot(gap.real, gap.imag)
     sp._require(residual <= pj._ONSHELL_TOL, "momentum is off shell: "
                 "|p.p - m^2| / max(m^2, max_i |p_i|^2) = {:.3e}", residual)
-    return x, m
+    return x
 
 
 def _guard_outcome(guard, p, m):
-    """What guard(p, m) does: the bits, dtypes and shapes it returns, or the exact type and
-    message it raises."""
+    """What guard(p, m) does: the bits, dtype and shape of the five-vectors x it returns, or
+    the exact type and message it raises."""
     try:
-        x, m = guard(p, m)
+        x = guard(p, m)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return "accepted", x.tobytes(), x.dtype, x.shape, np.asarray(m).tobytes(), np.shape(m)
+    return "accepted", x.tobytes(), x.dtype, x.shape
 
 
 def _last_below(limit, m):
