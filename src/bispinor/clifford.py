@@ -77,25 +77,27 @@ def _holds_bool(x) -> bool:
 
 
 # the array kinds check_real converts to each dtype, and the word its refusal uses
-_KINDS = {float: ("iuf", "real"), complex: ("iufc", "numeric"), int: ("iu", "integer")}
+_KINDS = {float: ("iuf", "real"), complex: ("iufc", "numeric"), int: ("iu", "integer"),
+          None: ("iufc", "numeric")}
 
 
 def check_real(x, what: str, dtype=float) -> np.ndarray:
-    """x as a fresh float array, for dtype int a fresh int64 one (labels), or for dtype
-    complex a complex128 one (x itself if it is).  Only int and float input converts to
-    float, only int input to int, and complex input to complex; anything else (a complex
-    where a real is required, a float where an integer is, a str, bytes, a bool, a dict, an
-    object array, a sequence holding a bool), which numpy would parse, cut to real or read
-    as 0 or 1, is a ValueError."""
+    """x as a fresh float array, for dtype int a fresh int64 one (labels), for dtype
+    complex a complex128 one (x itself if it is), or for dtype None an int, float or
+    complex array of x's own type (x itself if it is an array).  Only int and float input
+    converts to float, only int input to int, and complex input to complex; anything else
+    (a complex where a real is required, a float where an integer is, a str, bytes, a bool,
+    a dict, an object array, a sequence holding a bool), which numpy would parse, cut to
+    real or read as 0 or 1, is a ValueError."""
     if dtype is float and type(x) is float:  # what the steps below give, without them
         return np.array(x)
     if isinstance(x, (list, tuple)) and _holds_bool(x):
         x = True  # refused below as a bool alone is, before numpy reads it as 0 or 1
-    x = np.asarray(x) if dtype is complex else np.array(x)
+    x = np.array(x) if dtype is float or dtype is int else np.asarray(x)
     kinds, kind = _KINDS[dtype]
     if x.dtype.kind not in kinds:
         raise ValueError(f"{what} must be {kind}, got {x.dtype}")
-    return x.astype(dtype, copy=False)
+    return x if dtype is None else x.astype(dtype, copy=False)
 
 
 def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
@@ -240,9 +242,28 @@ def dot(u, v):
 
 
 def trace(ms):
-    """Trace of the ordered product of 4x4 matrices (each may carry batch axes)."""
-    ms = list(ms)
+    """Trace of the ordered product M_1 ... M_k of k >= 1 int, float or complex matrices
+    (arrays or nested lists) of shape (..., 4, 4) whose batch axes broadcast; any other
+    factor is a ValueError (check_real's rule, then the shape).  Real factors give a real
+    trace.  M = M_1 ... M_{k-1} takes k - 2 matmuls; with L = M_k, tr(M L) adds 16
+    elementwise products over the batch as r_i = (M_i0 L_0i + M_i1 L_1i) + (M_i2 L_2i +
+    M_i3 L_3i), then (r_0 + r_1) + (r_2 + r_3); one factor gives (M_00 + M_11) + (M_22 +
+    M_33).  No sum runs along a point's own axis, so a point gives its batch row's bits."""
+    ms = [_check_factor(m) for m in ms]
     if not ms:
         raise ValueError("trace of an empty product is undefined")
-    m = reduce(np.matmul, ms)  # its diagonal added in np.trace's order, with no reduction
-    return (m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3])
+    if len(ms) == 1:
+        m = ms[0]
+        return (m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3])
+    m, last = reduce(np.matmul, ms[:-1]), ms[-1]
+    r = [(m[..., i, 0] * last[..., 0, i] + m[..., i, 1] * last[..., 1, i])
+         + (m[..., i, 2] * last[..., 2, i] + m[..., i, 3] * last[..., 3, i]) for i in range(4)]
+    return (r[0] + r[1]) + (r[2] + r[3])
+
+
+def _check_factor(m) -> np.ndarray:
+    """m as a numeric array (by check_real, keeping its type) of shape (..., 4, 4)."""
+    m = check_real(m, "trace factor", None)
+    if m.shape[-2:] == (4, 4):
+        return m
+    raise ValueError(f"trace factor must have shape (..., 4, 4), got shape {m.shape}")

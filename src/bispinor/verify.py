@@ -62,7 +62,7 @@ from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components
                       check_bispinor, check_energy, check_mass, check_scale, check_unit_vector,
                       rest_basis)
 
-TOOL_VERSION = "0.4.0"
+TOOL_VERSION = "0.4.1"
 DEFAULT_TOLERANCE = 1e-10
 
 EXPECTED_STATUSES = ("holds", "informational", "expected-fail")
@@ -285,9 +285,12 @@ def _complex_of(pt: Columns, name: str) -> np.ndarray:
 # The six factors of section4_two_valued as one (lam, low/up, 4, 4) stack, built once:
 # sigma_lam gamma5 and gamma5 conj(sigma_lam) for lam = 1, 2, 3, with sigma_lam the
 # plus-variant generalized Pauli matrix: its column blocks swapped, its conjugate's rows.
+# Each column holds one nonzero entry (+-2 or +-2i), so each entry of a row vector times
+# the stack, taken as _contract's (4, lam low/up col) stack, is one exact product.
 _TWO_VALUED_FACTORS = _read_only(np.array([
     (sigma.take(_BLOCK_SWAP, axis=-1), np.conj(sigma).take(_BLOCK_SWAP, axis=-2))
     for sigma in (generalized_pauli(lam, +1) for lam in (1, 2, 3))]))
+_TWO_VALUED_ROWS = _contraction(np.moveaxis(_TWO_VALUED_FACTORS, -2, 0))
 
 
 def section4_two_valued(xi) -> tuple:
@@ -297,15 +300,15 @@ def section4_two_valued(xi) -> tuple:
     with sigma_lam the plus-variant generalized Pauli matrices; both factors
     are real, so the left side is quartic in |xi| and scales as |alpha|^4.
     Broadcasts over leading batch axes of xi (..., 4), a finite bispinor; all six
-    bilinears come from one contraction with the stack _TWO_VALUED_FACTORS.
+    bilinears come from one _contract of conj(xi) with the stack _TWO_VALUED_FACTORS.
     """
     return _section4_two_valued(check_bispinor(xi))
 
 
 def _section4_two_valued(xi) -> tuple:
     """section4_two_valued without its check, for finite complex bispinors xi."""
-    ket = xi[..., None, None, :]
-    x = dot(row_times(np.conj(ket), _TWO_VALUED_FACTORS), ket)  # (..., lam, low/up)
+    bra = _contract(np.conj(xi), _TWO_VALUED_ROWS)  # (..., lam, low/up, 4)
+    x = dot(bra, xi[..., None, None, :])
     low, up = x[..., 0], x[..., 1]
     total = np.sum(up.real * low.real - up.imag * low.imag, axis=-1)
     a = np.abs(xi)

@@ -1,4 +1,6 @@
+import re
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -154,22 +156,126 @@ def test_trace_values():
     assert cl.trace([cl.slash(p), cl.slash(q)]) == pytest.approx(8.0)
 
 
-@pytest.mark.parametrize("batch", [(), (1,), (7,), (1000,), (3, 5)])
-def test_trace_keeps_the_bits_of_np_trace(batch):
-    # trace adds the diagonal in the order np.trace sums it; a numpy that changes that
-    # order fails here rather than in a report comparison
+def _trace_factor_sets(batch):
+    """Factor lists at mixed scales: 3, 2 and 1 batched factors, and a batch beside a single."""
     rng = np.random.default_rng(len(batch) + sum(batch))
     scale = 10.0 ** rng.integers(-8, 8, (3, *batch, 4, 4))
     ms = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
-    for factors in (ms, ms[:1], (ms[0], ms[1][(0,) * len(batch)])):
-        want = np.trace(reduce(np.matmul, factors), axis1=-2, axis2=-1)
+    return ms, ms[:2], ms[:1], (ms[0], ms[1][(0,) * len(batch)])
+
+
+def _trace_in_stated_order(factors):
+    """trace's documented order written out over numpy scalars, one sample at a time.
+
+    M = M_1 ... M_{k-1} is the batch's matmul, as trace forms it.  Each product is
+    np.multiply of two numpy scalars, which runs the array loop; `*` on two numpy complex
+    scalars runs numpy's scalar math instead, which can give other bits than that loop.
+    """
+    if len(factors) == 1:
+        m = np.asarray(factors[0])
+        diag = np.empty(m.shape[:-2], m.dtype)
+        for idx in np.ndindex(diag.shape):
+            d = m[idx]
+            diag[idx] = (d[0, 0] + d[1, 1]) + (d[2, 2] + d[3, 3])
+        return diag[()]
+    m, last = reduce(np.matmul, factors[:-1]), factors[-1]
+    shape = np.broadcast_shapes(m.shape, last.shape)
+    m, last = np.broadcast_to(m, shape), np.broadcast_to(last, shape)
+    out = np.empty(shape[:-2], np.result_type(m, last))
+    for idx in np.ndindex(out.shape):
+        a, b = m[idx], last[idx]
+        r = [(np.multiply(a[i, 0], b[0, i]) + np.multiply(a[i, 1], b[1, i]))
+             + (np.multiply(a[i, 2], b[2, i]) + np.multiply(a[i, 3], b[3, i]))
+             for i in range(4)]
+        out[idx] = (r[0] + r[1]) + (r[2] + r[3])
+    return out[()]
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (1000,), (3, 5)])
+def test_trace_keeps_the_bits_of_its_stated_order(batch):
+    # trace adds its 16 products (its diagonal, for one factor) in the order its docstring
+    # states; a change of that order, or of the products, fails here
+    for factors in _trace_factor_sets(batch):
+        want = np.asarray(_trace_in_stated_order(factors))
         got = np.asarray(cl.trace(factors))
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (1000,), (3, 5)])
+def test_trace_is_within_a_few_ulps_of_np_trace(batch):
+    # both read the same M = M_1 ... M_{k-1}; they round tr(M L) differently, each to within
+    # a few ulps of the sum of the magnitudes of its 16 products
+    sets = _trace_factor_sets(batch)
+    for factors in sets[:2] + sets[3:]:
+        m, last = reduce(np.matmul, factors[:-1]), factors[-1]
+        bound = 8 * np.finfo(float).eps * np.abs(m * np.swapaxes(last, -1, -2)).sum(axis=(-2, -1))
+        want = np.trace(reduce(np.matmul, factors), axis1=-2, axis2=-1)
+        assert np.all(np.abs(cl.trace(factors) - want) <= bound)
+
+
+def test_trace_forms_k_minus_2_matrix_products(monkeypatch):
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(cl.np, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+    factors = _trace_factor_sets((7,))[0]
+    for k in range(1, 6):
+        calls.clear()
+        cl.trace([factors[i % 3] for i in range(k)])
+        assert len(calls) == max(k - 2, 0)
+
+
+def test_trace_of_two_gammas_is_four_times_the_metric():
+    for mu in range(4):
+        for nu in range(4):
+            assert cl.trace([cl.gamma(mu), cl.gamma(nu)]) == 4 * cl.METRIC[mu, nu]
+
+
+def test_trace_of_four_gammas_is_the_metric_pair_sum():
+    # tr(g^mu g^nu g^rho g^sigma) = 4 (g^mu nu g^rho sigma - g^mu rho g^nu sigma
+    # + g^mu sigma g^nu rho), exact over all 256 index sets, one at a time and as a batch
+    g, idx = cl.METRIC, list(product(range(4), repeat=4))
+    want = [4 * (g[m, n] * g[r, s] - g[m, r] * g[n, s] + g[m, s] * g[n, r]) for m, n, r, s in idx]
+    got = [cl.trace([cl.gamma(mu) for mu in mus]) for mus in idx]
+    assert got == want
+    stacked = np.array([[cl.gamma(mu) for mu in mus] for mus in idx])  # (256, 4, 4, 4)
+    assert list(cl.trace(np.moveaxis(stacked, 1, 0))) == want
+
+
+def test_traces_with_gamma5_vanish():
+    assert cl.trace([cl.gamma5()]) == 0
+    for mu in range(4):
+        for nu in range(4):
+            assert cl.trace([cl.gamma5(), cl.gamma(mu), cl.gamma(nu)]) == 0
+
+
+@pytest.mark.parametrize("factors, message", [
+    ([np.eye(5)], "have shape (..., 4, 4), got shape (5, 5)"),
+    ([np.eye(2)], "have shape (..., 4, 4), got shape (2, 2)"),
+    (np.eye(4).tolist(), "have shape (..., 4, 4), got shape (4,)"),
+    ([np.eye(4), np.ones((3, 4))], "have shape (..., 4, 4), got shape (3, 4)"),
+    ([np.eye(4, dtype=bool)], "be numeric, got bool"),
+    ([np.full((4, 4), "1")], "be numeric, got <U1"),
+    ([np.full((4, 4), b"1")], "be numeric, got |S1"),
+    ([np.eye(4).astype(object)], "be numeric, got object"),
+    ([[[1.0, True, 0.0, 0.0]] * 4], "be numeric, got bool"),
+])
+def test_trace_refuses_a_factor_that_is_not_a_numeric_4x4_stack(factors, message):
+    with pytest.raises(ValueError, match=re.escape("trace factor must " + message)):
+        cl.trace(factors)
 
 
 def test_trace_empty_list_rejected():
     with pytest.raises(ValueError):
         cl.trace([])
+
+
+def test_trace_accepts_nested_lists_and_keeps_a_real_product_real():
+    rows = (np.arange(16.0).reshape(4, 4) / 7).tolist()
+    one = cl.trace([rows])
+    assert (type(one), one) == (np.float64, cl.trace([np.array(rows)]))
+    two = cl.trace([rows, rows])
+    assert (type(two), two) == (np.float64, cl.trace([np.array(rows)] * 2))
+    assert cl.trace([np.eye(4, dtype=int)] * 3) == 4
 
 
 @settings(max_examples=30, deadline=None)

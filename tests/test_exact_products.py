@@ -138,19 +138,37 @@ def test_spinor_from_breve_keeps_the_bytes_of_its_former_gamma5_stack(variant):
         assert sp.spinor_from_breve(breve, s, variant).tobytes() == want.tobytes()
 
 
-def test_section4_two_valued_keeps_the_bytes_of_its_former_gamma5_products(monkeypatch):
-    # the former factors: sigma_lam @ gamma5 and gamma5 @ conj(sigma_lam)
+def _two_valued_through(factors, xi) -> tuple:
+    """section4_two_valued's former body: conj(xi) times each (lam, low/up) factor by
+    row_times, one product per factor, then each bilinear's dot with xi."""
+    xi = np.asarray(xi, dtype=complex)
+    ket = xi[..., None, None, :]
+    x = cl.dot(cl.row_times(np.conj(ket), factors), ket)
+    low, up = x[..., 0], x[..., 1]
+    total = np.sum(up.real * low.real - up.imag * low.imag, axis=-1)
+    a = np.abs(xi)
+    norm2 = np.sum(a * a, axis=-1)
+    return total, norm2 * norm2
+
+
+def test_section4_two_valued_keeps_the_bytes_of_its_former_factor_products():
+    # the former factors: sigma_lam @ gamma5 and gamma5 @ conj(sigma_lam), and the block
+    # swaps of _TWO_VALUED_FACTORS, each taken by row_times rather than by one _contract
     g5 = cl.gamma5()
+    former = np.array([(sigma @ g5, g5 @ np.conj(sigma))
+                       for sigma in (cl.generalized_pauli(lam, +1) for lam in (1, 2, 3))])
     signed = [0.0, -0.0, 1.0, -1.0, 1j, -1j, complex(-0.0, -0.0)]
     grid = np.array(np.meshgrid(*[signed] * 4, indexing="ij")).reshape(4, -1).T
     xis = [grid, *grid[::211], *(rows for rows, _ in _rows_and_singles())]
-    got = [vf.section4_two_valued(xi) for xi in xis]
-    monkeypatch.setattr(vf, "_TWO_VALUED_FACTORS", np.array([
-        (sigma @ g5, g5 @ np.conj(sigma))
-        for sigma in (cl.generalized_pauli(lam, +1) for lam in (1, 2, 3))]))
-    for xi, pair in zip(xis, got):
-        for one, want in zip(pair, vf.section4_two_valued(xi)):
-            assert np.asarray(one).tobytes() == np.asarray(want).tobytes()
+    rows = _bispinors()[0]
+    xis += [scale * xi for scale in (1e-150, 1e150) for xi in (rows, rows[0])]
+    # at 1e+-150 the quartic terms leave the float range: compared as inf, nan and 0 bits
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for xi in xis:
+            got = vf.section4_two_valued(xi)
+            for factors in (former, vf._TWO_VALUED_FACTORS):
+                for one, want in zip(got, _two_valued_through(factors, xi)):
+                    assert np.asarray(one).tobytes() == np.asarray(want).tobytes()
 
 
 def _former_adjoint_rows(c, dagger):
