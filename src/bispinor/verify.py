@@ -25,8 +25,8 @@ check's sampler draws; the sampler's own draw, valid by construction, is handed
 over unchecked.  The builders then call the unchecked cores of the public
 functions (spinors._point for the KinematicPoint, projectors._spin_projector, ...):
 only band checks (spinors._state's, and two rows' own) and residuals' key, shape and
-finiteness checks run on the draw.  A check on the
-"fixed" sampler has no sample axis and is evaluated once.  A side is made by
+finiteness checks run on the draw.  A "fixed" check draws nothing and is evaluated once,
+a label row once on its grid of label tuples.  A side is made by
 _fixed if it depends on no sample (a value built at import, read-only, or a
 table of them indexed by the sampled labels); by _sides, with the other side,
 if both are one evaluation make(pt) -> (lhs, rhs); else as a builder of its
@@ -35,9 +35,9 @@ dotted flag) reads them from one spinors._state pass, a stack with a label
 axis, and residuals reduces across the sample axis, never along a short one.
 Builders read only Columns.arrays; Columns.derived keeps the _sides results.
 
-The JSON report is the report dataclasses field for field, written by the
-stdlib encoder: every float in its shortest round-trip repr, so each value
-comes back from json.loads with its type, sign and bits.
+The JSON report is the report dataclasses field for field (each its __dict__, the
+fields in field order), written by the stdlib encoder: every float in its shortest
+round-trip repr, so each value comes back from json.loads with its type, sign and bits.
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ class CheckResult:
     tolerance: float
 
 
-def _fields(o) -> dict:
-    """A report dataclass as its fields, for json.dumps (a TypeError for anything else)."""
-    return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     version: str
@@ -140,7 +135,7 @@ class VerificationReport:
         return tuple(c for c in self.checks if c.status == "fail")
 
     def to_json(self) -> str:
-        return json.dumps(self, default=_fields, indent=2, allow_nan=False) + "\n"
+        return json.dumps(self, default=vars, indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = [
@@ -186,33 +181,37 @@ def _unit_rows(rng, n: int) -> np.ndarray:
 
 
 _LOG_10 = np.log(10.0)
-# the label draws, one per top label: 0..3 the gammas, 0..4 with 4 standing for gamma5
-_LABELS = {top: lambda rng, n, top=top: rng.integers(0, top + 1, n) for top in (3, 4)}
+# the label samplers' keys and top labels: 0..3 the gammas, 0..4 with 4 standing for gamma5
+_LABEL_TOPS = {"index-pair": {"mu": 3, "nu": 3}, "gamma-label": {"mu": 4}}
 _ONES = lambda rng, n: np.ones(n)
 
-# each sampler's columns in the order it draws them, {key: draw(rng, n)}
+# each sampler's columns in the order it draws them, {key: draw(rng, n)}; a uniform draw
+# takes rng.uniform(low, high)'s low + (high - low) u from rng.random()'s u, bit for bit
 _SAMPLERS = {
     # p0/m log-uniform in [1, 10], m fixed to 1 (identities are homogeneous in m)
-    "real-band": {"m": _ONES, "p0": lambda rng, n: np.exp(rng.uniform(0.0, _LOG_10, n)),
+    "real-band": {"m": _ONES, "p0": lambda rng, n: np.exp(rng.random(n) * _LOG_10),
                   "nhat": _unit_rows},
-    "breve-band": {"m": _ONES, "p0": lambda rng, n: rng.uniform(-1.0, 1.0, n), "nhat": _unit_rows},
+    "breve-band": {"m": _ONES, "p0": lambda rng, n: rng.random(n) * 2.0 - 1.0, "nhat": _unit_rows},
     "sphere": {"nhat": _unit_rows},
-    "index-pair": {"mu": _LABELS[3], "nu": _LABELS[3]},
-    "gamma-label": {"mu": _LABELS[4]},
+    **{name: {key: lambda rng, n, top=top: rng.integers(0, top + 1, n) for key, top in tops.items()}
+       for name, tops in _LABEL_TOPS.items()},
     # three complex 4x4 matrices per point, 48 real and 48 imaginary parts in row-major order
-    "matrices": dict.fromkeys(("a_re", "a_im"), lambda rng, n: rng.uniform(-0.5, 0.5, (n, 48))),
+    "matrices": dict.fromkeys(("a_re", "a_im"),
+                              lambda rng, n: np.subtract(u := rng.random((n, 48)), 0.5, out=u)),
     "spinor4": dict.fromkeys(("xi_re", "xi_im"), lambda rng, n: rng.normal(size=(n, 4))),
     "fixed": {},
 }
 # the width of each column drawn as a vector per point; every other key draws one number
 _WIDTHS = {"nhat": 3, "a_re": 48, "a_im": 48, "xi_re": 4, "xi_im": 4}
+# each label sampler's grid, every label tuple once as read-only columns, and its shape
+_GRIDS = {name: (dict(zip(tops, grid)), grid.shape[1:]) for name, tops in _LABEL_TOPS.items()
+          for grid in [_read_only(np.indices([top + 1 for top in tops.values()]))]}
 
 
 def _checked_column(key: str, column, columns) -> np.ndarray:
-    """A fresh array of ``column`` under the one validator of its key: a unit nhat, a
-    mass m, a finite p0, integer labels mu, nu into the table they index (mu alone the
-    gamma-label table, 0..3 the gammas and 4 gamma5; mu beside nu an index pair, 0..3
-    each), finite real rows a_*, xi_* of their width.  Any other key is a ValueError."""
+    """A fresh array of ``column`` under the one validator of its key: a unit nhat, a mass m,
+    a finite p0, int labels mu, nu in their sampler's range (_LABEL_TOPS; mu beside nu an index
+    pair's), finite real rows a_*, xi_* of their width.  Any other key is a ValueError."""
     if key == "nhat":
         return check_unit_vector(column)
     if key == "m":
@@ -224,7 +223,8 @@ def _checked_column(key: str, column, columns) -> np.ndarray:
         check_energy(p0)
         return p0
     if key in ("mu", "nu"):
-        labels, top = check_real(column, key, int), 3 if "nu" in columns else 4
+        labels = check_real(column, key, int)
+        top = _LABEL_TOPS["index-pair" if "nu" in columns else "gamma-label"][key]
         _require((labels >= 0) & (labels <= top), f"{key} must be a label in 0..{top}, got {{}}",
                  labels)
         return labels
@@ -243,10 +243,10 @@ class Columns(dict):
     (_checked_column; a ValueError for a key no sampler draws), and all must share one
     sample shape; p0 must also be in scale against m where both are given (else
     OverflowError, as for a KinematicPoint).  So no write to the caller's arrays can change
-    the columns, and the builders read only checked values.  sample_points alone hands
-    over its fresh draw uncopied and unchecked, with its shape (n,).  ``shape`` is that
-    one sample shape: () for one point or for no columns.  The dict stays empty: json
-    encodes it as {}."""
+    the columns, and the builders read only checked values.  Only _unchecked hands over
+    arrays the library made uncopied and unchecked: sample_points' fresh draw, shape (n,),
+    and a label sampler's grid.  ``shape`` is that one sample shape: () for one point or for
+    no columns.  The dict stays empty: json encodes it as {}."""
 
     __slots__ = ("arrays", "derived", "shape")
 
@@ -263,6 +263,13 @@ class Columns(dict):
         self.arrays = arrays
         self.derived = {}
         self.shape = next(iter(shapes.values()), ())
+
+
+def _unchecked(arrays: dict, shape: tuple) -> Columns:
+    """A Columns of arrays the library made, valid by construction, handed over unchecked."""
+    columns = Columns({})
+    columns.arrays, columns.shape = arrays, shape
+    return columns
 
 
 def point(columns: Columns, i) -> dict:
@@ -591,36 +598,37 @@ def _per_check_seed(name: str) -> int:
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
     """The check's sample points for integers (numbers.Integral, not bools) seed >= 0 and
-    samples >= 1 as a Columns: one array of samples rows per sampler key (no columns for a
-    "fixed" check), the sampler's own draw, made read-only and not copied."""
+    samples >= 1 as a Columns: one array of samples rows per sampler key (no columns, and
+    no generator, for a "fixed" check), the sampler's own draw, read-only and not copied."""
     for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _per_check_seed(check.name)]))
     draws = _SAMPLERS[check.sampler]
-    columns = Columns({})
-    if draws:
-        columns.arrays = {key: _read_only(draw(rng, int(samples))) for key, draw in draws.items()}
-        columns.shape = (int(samples),)
-    return columns
+    if not draws:
+        return Columns({})
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _per_check_seed(check.name)]))
+    return _unchecked({key: _read_only(draw(rng, int(samples))) for key, draw in draws.items()},
+                      (int(samples),))
 
 
 def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
-    """max |lhs - rhs| per point from one evaluation of each side on the columns (one
-    residual in all for a "fixed" check, which has no columns, or for one point's columns).
+    """max |lhs - rhs| per point from one evaluation of each side on the columns, or on the
+    label grid for a label row (one residual for a "fixed" check, or one point's columns).
     Columns other than the keys the check's sampler draws are a ValueError; a builder's
     domain error or a non-finite residual is a ConfigurationError."""
     keys = _SAMPLERS[check.sampler].keys()
     if columns.arrays.keys() != keys:
         raise ValueError(f"check {check.name!r} reads the columns {list(keys)}, "
                          f"got {list(columns.arrays)}")
+    grid = _GRIDS.get(check.sampler)  # a label row: both sides once, on each label tuple once
+    evaluated = columns if grid is None else _unchecked(*grid)
     try:
-        diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
+        diff = np.abs(np.asarray(check.lhs(evaluated)) - np.asarray(check.rhs(evaluated)))
     except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
-    shape = columns.shape
+    shape = evaluated.shape
     n = math.prod(shape)
     if diff.shape[:len(shape)] != shape:
         raise ConfigurationError(
@@ -628,11 +636,13 @@ def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
             f"of {n} samples")
     # each sample's maximum taken across the sample axis, one pass per residual entry
     out = np.ascontiguousarray(diff.reshape(n, -1).T).max(axis=0)
+    if grid is not None:  # each sample's is its label tuple's: the maximum of the same entries
+        out = out[np.ravel_multi_index([columns.arrays[k] for k in keys], shape)].reshape(-1)
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ConfigurationError(f"check {check.name!r}: non-finite residual at sample {i}, "
-                                 f"point {point(columns, np.unravel_index(i, shape))}")
+                                 f"point {point(columns, np.unravel_index(i, columns.shape))}")
     return out
 
 

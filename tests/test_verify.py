@@ -931,6 +931,8 @@ def test_the_draw_path_runs_no_validator_again(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
     monkeypatch.setattr(sp.KinematicPoint, "__post_init__", _refuse)
+    # nor does the column validator: the draw and the label rows' grids are handed over
+    monkeypatch.setattr(vf, "_checked_column", _refuse)
     # the patches hold: a public entry point and the caller's path through Columns refuse
     with pytest.raises(AssertionError):
         sp.KinematicPoint(1.0, 2.0, (0.0, 0.0, 1.0))
@@ -938,3 +940,112 @@ def test_the_draw_path_runs_no_validator_again(monkeypatch):
         vf.Columns({"nhat": [0.0, 0.0, 1.0]})
     after = vf.run_all(42, 50)
     assert after.to_json() == before.to_json() and after.to_text() == before.to_text()
+
+
+# ---------------------------------------------------------------------------
+# sample-independent work is done once: the label rows evaluate their sides on
+# the grid of their label tuples, a "fixed" check builds no generator, and the
+# uniform draws keep rng.uniform's bits
+# ---------------------------------------------------------------------------
+
+# each uniform draw as rng.uniform gave it
+UNIFORM_DRAWS = {
+    ("real-band", "p0"): lambda rng, n: np.exp(rng.uniform(0.0, np.log(10.0), n)),
+    ("breve-band", "p0"): lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    ("matrices", "a_re"): lambda rng, n: rng.uniform(-0.5, 0.5, (n, 48)),
+    ("matrices", "a_im"): lambda rng, n: rng.uniform(-0.5, 0.5, (n, 48)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("sampler, key", sorted(UNIFORM_DRAWS))
+def test_each_uniform_draw_keeps_the_bits_of_rng_uniform(sampler, key, n):
+    for seed in range(50):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = vf._SAMPLERS[sampler][key](got_rng, n)
+        want = UNIFORM_DRAWS[sampler, key](want_rng, n)
+        assert got.dtype == want.dtype and got.shape == want.shape, seed
+        assert got.tobytes() == want.tobytes(), seed
+        # and it reads as many doubles from the stream: the next draw is the same
+        assert got_rng.random() == want_rng.random(), seed
+
+
+LABEL_ROWS = {"anticommutator-minkowski": 16, "anticommutator-literal-delta": 16,
+              "gamma-hermiticity": 5}
+
+
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+@pytest.mark.parametrize("name", sorted(LABEL_ROWS))
+def test_a_label_rows_residuals_are_its_per_sample_maxima(name, samples):
+    check = _by_name()[name]
+    columns = vf.sample_points(check, seed=11, samples=samples)
+    # the per-sample evaluation, written out: each sample's max |lhs - rhs| over its entries
+    lhs, rhs = check.lhs(vf.Columns(columns)), check.rhs(vf.Columns(columns))
+    want = np.array([np.max(np.abs(lhs[i] - rhs[i])) for i in range(samples)])
+    got = vf.residuals(check, columns)
+    assert got.shape == (samples,) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), name
+    for i in sorted({0, samples // 2, samples - 1}):  # one replayed point: one residual
+        one = vf.residuals(check, vf.Columns(vf.point(columns, i)))
+        assert one.shape == (1,) and one.tobytes() == want[i:i + 1].tobytes(), (name, i)
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_ROWS))
+def test_a_label_row_evaluates_its_sides_once_on_every_label_tuple(name):
+    seen = []
+
+    def recorded(side):
+        def on(pt):
+            seen.append((pt, {key: array.copy() for key, array in pt.arrays.items()}))
+            return side(pt)
+        return on
+
+    check = _by_name()[name]
+    check = dataclasses.replace(check, lhs=recorded(check.lhs), rhs=recorded(check.rhs))
+    for columns in (vf.sample_points(check, seed=2, samples=1000),
+                    vf.Columns(vf.run_check(check, seed=2, samples=30).worst_point)):
+        seen.clear()
+        vf.residuals(check, columns)
+        (lhs_pt, grid), (rhs_pt, again) = seen
+        assert lhs_pt is rhs_pt and lhs_pt is not columns and lhs_pt.derived == {}
+        assert list(grid) == list(vf._SAMPLERS[check.sampler])
+        tuples = list(zip(*(labels.ravel().tolist() for labels in grid.values())))
+        assert len(tuples) == len(set(tuples)) == LABEL_ROWS[name], name
+        tops = [max(labels) for labels in zip(*tuples)]
+        assert tops == list(vf._LABEL_TOPS[check.sampler].values()), name
+        assert all(a.tobytes() == again[key].tobytes() for key, a in grid.items())
+    # each evaluation has a fresh Columns: no derived value outlives it
+    vf.residuals(check, columns)
+    assert seen[-1][0] is not lhs_pt
+
+
+def test_a_non_finite_label_residual_names_the_first_failing_sample_and_its_point():
+    table = np.zeros((5, 4, 4))
+    table[0, 1, 3] = np.nan
+    check = vf.IdentityCheck("label-fixture", "label fixture", "gamma-label",
+                             vf._fixed(table, "mu"), vf._fixed(np.zeros((4, 4))), 1e-12, "holds")
+    columns = vf.sample_points(check, seed=4, samples=50)
+    first = int(np.argmax(columns.arrays["mu"] == 0))
+    assert (columns.arrays["mu"] == 0).any() and first > 0
+    with pytest.raises(vf.ConfigurationError,
+                       match=rf"non-finite residual at sample {first}, point \{{'mu': 0\}}$"):
+        vf.residuals(check, columns)
+    with pytest.raises(vf.ConfigurationError, match=r"at sample 0, point \{'mu': 0\}$"):
+        vf.residuals(check, vf.Columns({"mu": 0}))
+
+
+def test_only_a_check_that_draws_builds_a_generator(monkeypatch):
+    calls, default_rng = [], np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    samplers = set()
+    for check in vf.registry():
+        calls.clear()
+        vf.sample_points(check, seed=1, samples=10)
+        assert len(calls) == (0 if check.sampler == "fixed" else 1), check.name
+        samplers.add(check.sampler)
+    assert samplers == set(vf._SAMPLERS)
