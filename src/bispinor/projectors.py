@@ -9,10 +9,12 @@ Every function broadcasts over leading batch axes of its vector and
 kinematic-point arguments (a matrix comes back as (..., 4, 4)), and every
 validator checks every point of a batch.
 
-The energy projector is one clifford._contract of the five-vector x = (p0, p1, p2, p3, m)
-with a constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1),
-halved.  x is the one carrier of (p, m): KinematicPoint._five_vector builds it for a point,
-the on-shell guard of the public projectors for a caller's momentum, and the cores read the
+The energy projector is one contraction of the five-vector x = (p0, p1, p2, p3, m) with a
+constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1), halved; each
+stack comes in both signs, so the completeness sum Lambda+ + Lambda- is one contraction
+with the two-sign stack, scaled once, and Pi reads P(-s) from the spin stack of sign -1.
+x is the one carrier of (p, m): KinematicPoint._five_vector builds it for a point, the
+on-shell guard of the public projectors for a caller's momentum, and the cores read the
 mass from its slot 4.  Each public function is its validators followed by a private core
 (_spin_projector, _pi_projector, ...), which callers holding checked values call directly.
 """
@@ -24,7 +26,7 @@ import numpy as np
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
 from .clifford import (_BLOCK_SWAP, _I2, _I4, _PAULI_DOT, _SLASH, _contract, _contraction,
-                       check_choice, check_real, check_vectors, minkowski_dot, slash)
+                       _read_only, check_choice, check_real, check_vectors, slash)
 from .spinors import (_SQRT_MAX, KinematicPoint, _dirac_adjoint, _require, _state, breve_u,
                       breve_u_bar, check_bispinor, check_mass, check_spin_vector, check_unit_vector,
                       dirac_u, dirac_u_bar)
@@ -35,12 +37,19 @@ _ONSHELL_TOL = 1e-10
 
 
 # _contract(x, _ENERGY[sign]) is sign pslash + m I4 for x = (p0, p1, p2, p3, m), and
-# _contract((s0, s1, s2, s3, 1), _SPIN) is 1 + gamma5 slash(s): the (5, 4, 4) slash stacks
-# (for gamma5 slash, with its row blocks swapped) with I4 appended.  Every entry of a stack
-# matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal entries that hold +-p0 or
-# +-s3, so each entry is exact up to one rounding, as in slash.
+# _contract((s0, s1, s2, s3, 1), _SPIN[sign]) is 1 + sign gamma5 slash(s): the (5, 4, 4)
+# slash stacks (for gamma5 slash, with its row blocks swapped) with I4 appended.
+# _ENERGY_PAIR is the two flat energy stacks as one (2, 5, 16) stack: the product of points
+# x (n, 5) with it is Lambda+ and Lambda- as two contiguous (n, 16) blocks.  Every entry of
+# a stack matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal entries that hold
+# +-p0 or +-s3, so each entry is exact up to one rounding, as in slash; a sign carried by
+# the stack gives the bits of negating the vector.
 _ENERGY = {sign: _contraction(np.concatenate([sign * _SLASH, _I4[None]])) for sign in (+1, -1)}
-_SPIN = _contraction(np.concatenate([_SLASH.take(_BLOCK_SWAP, axis=-2), _I4[None]]))
+_ENERGY_PAIR = _read_only(np.stack([_ENERGY[sign][0] for sign in (+1, -1)]))
+_SPIN = {sign: _contraction(np.concatenate([sign * _SLASH.take(_BLOCK_SWAP, axis=-2), _I4[None]]))
+         for sign in (+1, -1)}
+# the metric's signs over x = (p0, p1, p2, p3, m): y.y with this weight is p.p - m^2
+_SHELL = _read_only(np.array([1, -1, -1, -1, -1], dtype=complex))
 
 
 def _outer(u, v) -> np.ndarray:
@@ -51,10 +60,13 @@ def _check_on_shell(p, m) -> np.ndarray:
     """The complex five-vectors x = (p0, p1, p2, p3, m) that the cores read m from, of finite
     four-momenta p (|p_i| and |p_i|/m below 1.3e154, else OverflowError) and masses m given as
     any real or sequence of reals, each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m
-    < 1.3e154: |p.p - m^2| <= 1e-10 max(m^2, max_i |p_i|^2), relative at every scale.  p and
-    m are divided by max(m, max_i |p_i|) >= m before any square is formed, so a far-off-shell
-    momentum is refused without overflow.  x has the batch shape p and m share, one momentum
-    per mass."""
+    < 1.3e154: |p.p - m^2| <= 1e-10 max(m^2, max_i |p_i|^2), relative at every scale.  x is
+    divided by top = max(m, max_i |p_i|) >= m before any square is formed, so a far-off-shell
+    momentum is refused without overflow, and the residual is one contraction of y = x / top:
+    |sum_i w_i y_i^2| with w = (1, -1, -1, -1, -1).  Each |y_i| <= 1, so the quotients, the
+    squares and their sum each round by a few units of 2^-53 on terms of at most 1, about
+    6e-15 in all over the five terms: only a momentum whose exact residual lies that close to
+    1e-10 may go either way.  x has the batch shape p and m share, one momentum per mass."""
     p = check_vectors(p, 4, "momentum")
     m = check_real(m, "mass")[()]
     check_mass(m)
@@ -68,9 +80,8 @@ def _check_on_shell(p, m) -> np.ndarray:
     # top < 1.3e154 and top / 1.3e154 < m iff m, each |p_i| and each |p_i|/m are below 1.3e154
     _require((top < _SQRT_MAX) & (top / _SQRT_MAX < m), "momentum overflows: p.p - m^2 is "
              "out of range at p={}, m={}", x[..., :4], m, error=OverflowError)
-    q, mu = p / top[..., None], m / top
-    gap = minkowski_dot(q, q) - mu * mu
-    residual = np.hypot(gap.real, gap.imag)
+    y = x / top[..., None]
+    residual = abs((y * y) @ _SHELL)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
              "|p.p - m^2| / max(m^2, max_i |p_i|^2) = {:.3e}", residual)
     return x
@@ -95,23 +106,31 @@ def spin_projector(s) -> np.ndarray:
     return _spin_projector(check_spin_vector(s))
 
 
-def _spin_projector(s) -> np.ndarray:
-    """spin_projector without its check, for spin vectors s that check_spin_vector gave."""
+def _spin_projector(s, sign: int = +1) -> np.ndarray:
+    """spin_projector without its check, for spin vectors s that check_spin_vector gave; with
+    sign -1, P(-s), in the bits of negating s."""
     y = np.empty(s.shape[:-1] + (5,), dtype=complex)
     y[..., :4] = s
     y[..., 4] = 1.0
-    return _contract(y, _SPIN) * 0.5
+    return _contract(y, _SPIN[sign]) * 0.5
 
 
-def _energy_projector(x, sign: int) -> np.ndarray:
-    """energy_projector without its checks, for x = (p0, p1, p2, p3, m) with real m < 1.3e154."""
-    e = _contract(x, _ENERGY[sign])
+def _over_2m(x, flat) -> np.ndarray:
+    """x @ flat for x = (p0, p1, p2, p3, m) with real m < 1.3e154, scaled by 1/2m: a flat energy
+    stack's product, its matrices not yet shaped."""
+    e = x @ flat
     # scaled in place by 0.5 / m through the float view, as numpy divides a complex by a
     # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m;
     # 2m is exact, so 0.5 / m rounds the same quotient as 1 / 2m
     scaled = e.view(float)
-    scaled *= 0.5 / x[..., 4:, None].real
+    scaled *= 0.5 / x[..., 4:].real
     return e
+
+
+def _energy_projector(x, sign: int) -> np.ndarray:
+    """energy_projector without its checks, for x = (p0, p1, p2, p3, m) with real m < 1.3e154."""
+    flat, shape = _ENERGY[sign]
+    return _over_2m(x, flat).reshape(x.shape[:-1] + shape)
 
 
 def energy_projector(p, m, sign: int) -> np.ndarray:
@@ -154,7 +173,7 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
 
 def _pi_projector(x, s, sign: int) -> np.ndarray:
     """pi_projector without its checks, for x as _energy_projector's and s check_spin_vector's."""
-    return _energy_projector(x, sign) @ _spin_projector(-sign * s)
+    return _energy_projector(x, sign) @ _spin_projector(s, -sign)
 
 
 def polsum(kind: str, k: KinematicPoint):
@@ -184,11 +203,13 @@ def polsum(kind: str, k: KinematicPoint):
         # the equal-label states: the columns u(+1/2), u(-1/2), then their rows
         name = "breve_u" if kind.startswith("breve") else "dirac_u"
         u = _state(k.negated() if kind == "antispinor" else k, name)
-        lhs = _outer(u[..., 0, :], u[..., 2, :]) + _outer(u[..., 1, :], u[..., 3, :])
+        lhs = u[..., 0, :, None] * u[..., 2, None, :] + u[..., 1, :, None] * u[..., 3, None, :]
         rhs = _energy_projector(x, +1 if kind in ("spinor", "breve-plus") else -1)
         return lhs, rhs
 
-    lhs = _energy_projector(x, +1) + _energy_projector(x, -1)
+    # Lambda+ and Lambda- of every point, the sign axis first: (2, n, 16)
+    both = _over_2m(x.reshape(-1, 5), _ENERGY_PAIR)
+    lhs = (both[0] + both[1]).reshape(x.shape[:-1] + (4, 4))
     rhs = np.empty_like(lhs)
     rhs[...] = _I4
     return lhs, rhs

@@ -242,3 +242,61 @@ def test_energy_projectors_and_completeness_keep_the_bytes_of_the_former_pair_st
         lhs, rhs = pj.polsum("completeness", k)
         assert lhs.tobytes() == (plus + minus).tobytes()
         assert rhs.tobytes() == np.broadcast_to(cl._I4, lhs.shape).astype(complex).tobytes()
+
+
+BAND_KINDS = {False: ("spinor", "antispinor", "completeness"),
+              True: ("breve-plus", "breve-minus", "completeness")}
+
+
+def _band_batches(breve: bool) -> list:
+    """The points of _points(breve) with _spin_vectors beside them, then one batch of 1 000
+    band points of batch shape (40, 25) with random spin vectors."""
+    *singles, batch = _points(breve)
+    s = _spin_vectors(len(batch["m"]))
+    out = [*zip(map(_kin, singles), s), (_kin(batch), s)]
+    rng = np.random.default_rng(37)
+    m = np.exp(rng.uniform(-3.0, 3.0, (40, 25)))
+    ratio = rng.uniform(-1.0, 1.0, m.shape) if breve else np.exp(rng.uniform(0.0, 3.0, m.shape))
+    nhat = rng.normal(size=(40, 25, 3))
+    nhat /= np.linalg.norm(nhat, axis=-1)[..., None]
+    return [*out, (sp.KinematicPoint(m, m * ratio, nhat), _spin_vectors(1000).reshape(40, 25, 4))]
+
+
+def _former_polsum_lhs(kind, k):
+    """polsum's former lhs: Lambda+ + Lambda- as two _energy_projector calls, or the two
+    equal-label outer products, each by _outer."""
+    if kind == "completeness":
+        x = k._five_vector()
+        return pj._energy_projector(x, +1) + pj._energy_projector(x, -1)
+    name = "breve_u" if kind.startswith("breve") else "dirac_u"
+    u = sp._state(k.negated() if kind == "antispinor" else k, name)
+    return pj._outer(u[..., 0, :], u[..., 2, :]) + pj._outer(u[..., 1, :], u[..., 3, :])
+
+
+@pytest.mark.parametrize("breve", [False, True])
+def test_polsum_and_pi_keep_the_bytes_of_their_former_forms(breve):
+    # the sign of P(-s) now sits in a stack of its own rather than on s: the former Pi is
+    # Lambda(-+) @ _spin_projector(-+s); the axis-aligned spin vectors carry signed zeros
+    for k, s in _band_batches(breve):
+        x = k._five_vector()
+        for kind in BAND_KINDS[breve]:
+            assert pj.polsum(kind, k)[0].tobytes() == _former_polsum_lhs(kind, k).tobytes()
+        for sign in (+1, -1):
+            assert pj._spin_projector(s, sign).tobytes() == pj._spin_projector(sign * s).tobytes()
+            former = pj._energy_projector(x, sign) @ pj._spin_projector(-sign * s)
+            assert pj._pi_projector(x, s, sign).tobytes() == former.tobytes()
+
+
+@pytest.mark.parametrize("breve", [False, True])
+def test_each_point_of_polsum_and_pi_is_its_batch_row(breve):
+    *singles, (k, s) = _band_batches(breve)[:-1]
+    x = k._five_vector()
+    for i, (one, s_one) in enumerate(singles):
+        for kind in BAND_KINDS[breve]:
+            for side, row in zip(pj.polsum(kind, one), pj.polsum(kind, k)):
+                assert side.tobytes() == row[i].tobytes(), kind
+        for sign in (+1, -1):
+            row = pj._pi_projector(x, s, sign)[i]
+            assert pj._pi_projector(one._five_vector(), s_one, sign).tobytes() == row.tobytes()
+            row = pj._spin_projector(s, sign)[i]
+            assert pj._spin_projector(s_one, sign).tobytes() == row.tobytes()

@@ -107,9 +107,11 @@ def test_momenta_whose_squares_underflow_are_refused():
             pj.energy_projector(KinematicPoint(m, 2.0 * m, ZHAT).momentum(), m, +1)
 
 
-# The guard's rounding: the scaled squares and their sum are each within a few units of
-# 2^-53 of their exact values, at most about 3e-15 in all, which is 3e-5 of the tolerance
-# 1e-10; draws whose exact ratio lies closer to it than that may go either way.
+# The guard's rounding: it divides x = (p, m) by top = max(m, max_i |p_i|), so each |y_i| <= 1,
+# and contracts y * y with (1, -1, -1, -1, -1).  The quotients, the squares and their sum each
+# round by a few units of 2^-53 on terms of at most 1, at most about 6e-15 in all over the five
+# terms, which is 6e-5 of the tolerance 1e-10; draws whose exact ratio lies closer to it than
+# that may go either way.
 _GUARD_EDGE = 1e-4
 
 

@@ -149,11 +149,11 @@ def test_worst_point_reproduces_reported_residual():
 
 def test_a_scaled_spin_stack_fails_the_projector_equivalence_row(monkeypatch):
     # the row's sides share no stack: the block form is built from two-spinor projectors, so
-    # scaling the covariant side's stack by 1 + 1e-3 shows as a failure
+    # scaling the covariant side's stack, P(+s)'s, by 1 + 1e-3 shows as a failure
     check = _by_name()["section4-projector-equivalence"]
     assert vf.run_check(check, 42, 200).status == "pass"
-    flat, shape = pj._SPIN
-    monkeypatch.setattr(pj, "_SPIN", (flat * (1.0 + 1e-3), shape))
+    flat, shape = pj._SPIN[+1]
+    monkeypatch.setitem(pj._SPIN, +1, (flat * (1.0 + 1e-3), shape))
     result = vf.run_check(check, 42, 200)
     assert result.status == "fail" and result.max_residual > 1e-4
 
