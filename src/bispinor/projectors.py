@@ -116,19 +116,19 @@ def _spin_projector(s, sign: int = +1) -> np.ndarray:
 
 
 def _over_2m(x, flat) -> np.ndarray:
-    """x @ flat for x = (p0, p1, p2, p3, m) with real m < 1.3e154, scaled by 1/2m: a flat energy
-    stack's product, its matrices not yet shaped."""
+    """x @ flat for x = (p0, p1, p2, p3, m) with real m, scaled by 1/2m: a flat energy stack's
+    product, its matrices not yet shaped."""
     e = x @ flat
     # scaled in place by 0.5 / m through the float view, as numpy divides a complex by a
     # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m;
-    # 2m is exact, so 0.5 / m rounds the same quotient as 1 / 2m
+    # 0.5 / m rounds 1 / 2m once and forms no 2m, which overflows for m > 8.99e307
     scaled = e.view(float)
     scaled *= 0.5 / x[..., 4:].real
     return e
 
 
 def _energy_projector(x, sign: int) -> np.ndarray:
-    """energy_projector without its checks, for x = (p0, p1, p2, p3, m) with real m < 1.3e154."""
+    """energy_projector without its checks, for x = (p0, p1, p2, p3, m) with real m."""
     flat, shape = _ENERGY[sign]
     return _over_2m(x, flat).reshape(x.shape[:-1] + shape)
 

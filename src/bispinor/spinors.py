@@ -220,8 +220,8 @@ class KinematicPoint:
     band |p0| >= m (real boosts) versus |p0| <= m (complex continuation).  m must satisfy
     2.2e-308 <= m < inf, p0 must be finite (|p0| and |p0|/m below 1.3e154, else OverflowError)
     and nhat a unit 3-vector.  A single point keeps m and p0 as floats; a batch broadcasts
-    read-only copies of m, p0 and the rows of nhat to one batch shape.  nhat is a read-only
-    array of shape (..., 3).  Its one cache is _boosts, the (a, b nhat) that _state reads.
+    read-only copies of m, p0 and the rows of nhat to one batch shape; nhat is read-only, (..., 3).
+    Its one cache is _boosts, the (a, b nhat) that _state and the momentum read.
     """
 
     m: float
@@ -256,22 +256,19 @@ class KinematicPoint:
         return self._vector
 
     def momentum(self) -> np.ndarray:
-        """On-shell four-momentum (p0, |p| nhat), |p| = sqrt(p0^2 - m^2).
-
-        Inside the |p0| < m band the spatial part is imaginary (principal
-        branch), which is the mechanical form of the n -> i n continuation.
-        Raises OverflowError where m^2 overflows (p0^2 is finite by construction).
-        """
+        """On-shell four-momentum (p0, |p| nhat), |p| = 2 m a b from the principal-branch a, b
+        the constructors read: sqrt(p0^2 - m^2) for p0 >= m, imaginary for |p0| < m (the n -> i n
+        continuation), -sqrt(p0^2 - m^2) for p0 <= -m, so on |p0| >= m, p(-p0) = -p(p0)."""
         return self._five_vector()[..., :4].copy()
 
     def _five_vector(self) -> np.ndarray:
-        """x = (p0, p1, p2, p3, m), the momentum beside the mass, a fresh complex (..., 5)."""
-        _require(self.m < _SQRT_MAX, "momentum overflows: "
-                 "p0^2 - m^2 is out of range at p0={}, m={}", self.p0, self.m, error=OverflowError)
-        q = np.sqrt(self.p0 * self.p0 - self.m * self.m + 0j)
-        x = np.empty(self.nhat.shape[:-1] + (5,), dtype=complex)
+        """x = (p0, p1, p2, p3, m), the momentum beside the mass, a fresh complex (..., 5), its
+        spatial part (a m)(2 b nhat) from _boosts: no square, so no step under- or overflows."""
+        v = self._boosts
+        x = np.empty(v.shape[:-1] + (5,), dtype=complex)
         x[..., 0], x[..., 4] = self.p0, self.m
-        np.multiply(q[..., None], self.nhat, out=x[..., 1:4])
+        bn = v[..., 1:]
+        np.multiply(v[..., :1] * x[..., 4:], bn + bn, out=x[..., 1:4])
         return x
 
     def negated(self) -> "KinematicPoint":

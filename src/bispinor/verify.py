@@ -62,7 +62,7 @@ from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components
                       check_bispinor, check_energy, check_mass, check_scale, check_unit_vector,
                       rest_basis)
 
-TOOL_VERSION = "0.4.1"
+TOOL_VERSION = "0.4.2"
 DEFAULT_TOLERANCE = 1e-10
 
 EXPECTED_STATUSES = ("holds", "informational", "expected-fail")
@@ -387,7 +387,7 @@ def _boost_exponential(pt) -> tuple:
     and boosted_spinor: each as rows (lam, undotted/dotted)."""
     k = _kin(pt)
     check_band("boost-exponential", k.p0, k.m, "p0 >= m")
-    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
+    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))  # not momentum()'s 2 m a b: the row's own reference
     up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None, None] for sign in (+1, -1))
     # P(+-n) phi_lam for lam = +1/2, -1/2 (phi the columns of I2), as (..., lam, 2)
     pa, pb = (np.swapaxes(_spin_projector_rest(n), -1, -2) for n in (k.nhat, -k.nhat))

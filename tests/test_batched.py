@@ -497,8 +497,19 @@ def test_momentum_overflow_fails_closed_alike_for_a_point_and_a_batch():
                  lambda: sp.KinematicPoint(1.0, [2.0, 1e200], ZHAT).momentum())
     with pytest.raises(OverflowError, match=r"p0=1e\+200"):
         sp.KinematicPoint(1.0, 1e200, ZHAT).momentum()
-    _raises_like(lambda: sp.KinematicPoint(1e200, 0.5, ZHAT).momentum(),
-                 lambda: sp.KinematicPoint([1.0, 1e200], 0.5, ZHAT).momentum())
+    # a huge mass is no overflow: |p| = 2 m a b forms no m * m, so at m = 1e200 and 1.7e308
+    # the momentum is the unit-mass one at p0 / m scaled by m, and the breve band's polsum
+    # sides are the unit mass's, for each point alone and for the batch
+    rng = np.random.default_rng(32)
+    for m in (1e200, 1.7e308):
+        p0, nhat = np.array([0.0, 1e150, -1e153]), _unit_rows(rng, 3)
+        batch, unit = sp.KinematicPoint(m, p0, nhat), sp.KinematicPoint(1.0, p0 / m, nhat)
+        singles = [sp.KinematicPoint(m, *point) for point in zip(p0, nhat)]
+        for row, k in [*enumerate(singles), (..., batch)]:
+            np.testing.assert_allclose(k.momentum(), m * unit.momentum()[row], rtol=1e-15, atol=0)
+            for kind in ("breve-plus", "breve-minus", "completeness"):
+                for side, want in zip(pj.polsum(kind, k), pj.polsum(kind, unit)):
+                    np.testing.assert_allclose(side, want[row], rtol=0, atol=1e-15)
 
 
 def _pi_expanded(p, m, s, variant):

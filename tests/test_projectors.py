@@ -96,15 +96,16 @@ def test_energy_projector_off_shell_rejected():
             pj.energy_projector(p, m, +1)
 
 
-def test_momenta_whose_squares_underflow_are_refused():
-    # KinematicPoint.momentum forms p0 * p0 - m * m: at p0 = 2m with m = 1e-200 or below the
-    # squares underflow to 0, so |p| comes out 0 and the momentum (2m, 0, 0, 0) is off shell;
-    # at m = 1e-155 they are normal and the momentum is accepted
-    m = 1e-155
-    pj.energy_projector(KinematicPoint(m, 2.0 * m, ZHAT).momentum(), m, +1)
-    for m in (1e-200, 1e-300):
-        with pytest.raises(ValueError, match="^momentum is off shell"):
-            pj.energy_projector(KinematicPoint(m, 2.0 * m, ZHAT).momentum(), m, +1)
+def test_momenta_whose_squares_underflow_are_accepted_on_shell():
+    # |p| = 2 m a b forms no square, so at p0 = 2m it is sqrt(3) m where p0 * p0 and m * m
+    # underflow (m = 1e-200, 1e-300) as where they do not (1e-155): the momentum is the
+    # unit-mass one scaled, on shell, and the guard accepts it
+    unit = KinematicPoint(1.0, 2.0, ZHAT).momentum()
+    for m in (1e-155, 1e-200, 1e-300):
+        p = KinematicPoint(m, 2.0 * m, ZHAT).momentum()
+        np.testing.assert_allclose(p, m * unit, rtol=1e-15, atol=0)
+        assert abs(cl.minkowski_dot(p / m, p / m) - 1.0) < 1e-15
+        pj.energy_projector(p, m, +1)
 
 
 # The guard's rounding: it divides x = (p, m) by top = max(m, max_i |p_i|), so each |y_i| <= 1,
@@ -227,16 +228,23 @@ def test_polsum_rest_spinor():
     np.testing.assert_allclose(rhs, np.diag([1.0, 1, 0, 0]), atol=1e-14)
 
 
-def test_polsum_spinor_closed_form():
-    for k in _random_points(23, 100):
-        lhs, rhs = pj.polsum("spinor", k)
+def _closed_form_holds_on_the_real_band(kind, seed):
+    # at 100 points with p0 >= m, at their negations p0 <= -m, where a and b are both imaginary
+    # and the rhs's |p| = 2 m a b is negative, and at the negations as one batch
+    points = list(_random_points(seed, 100))
+    below = [k.negated() for k in points]
+    batch = KinematicPoint(1.0, [k.p0 for k in below], [k.nhat for k in below])
+    for k in (*points, *below, batch):
+        lhs, rhs = pj.polsum(kind, k)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_polsum_spinor_closed_form():
+    _closed_form_holds_on_the_real_band("spinor", 23)
 
 
 def test_polsum_antispinor_closed_form():
-    for k in _random_points(27, 100):
-        lhs, rhs = pj.polsum("antispinor", k)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    _closed_form_holds_on_the_real_band("antispinor", 27)
 
 
 def test_polsum_completeness():
@@ -283,17 +291,14 @@ def test_polsum_mass_homogeneity_at_m_two():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="p0 * p0 - m * m underflows to 0 at m = 1e-200, so the rhs is "
-                          "built from |p| = 0; a scale-aware |p| is ROADMAP item 3")
 @pytest.mark.filterwarnings("error")
 def test_polsum_spinor_holds_where_the_squares_of_p0_and_m_underflow():
     # polsum builds its momentum from the point without the on-shell guard, so nothing
-    # refuses it: max |lhs - rhs| is 2.2e-16 at m = 1e-150, 4.8e-6 at 1e-160 and 0.866 at
-    # 1e-200, with no warning raised
-    m = 1e-200
-    lhs, rhs = pj.polsum("spinor", KinematicPoint(m, 2.0 * m, ZHAT))
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    # refuses it; |p| = 2 m a b forms no square of p0 or m, so the closed form holds at
+    # m = 1e-200 and 1e-300, with no warning raised
+    for m in (1e-200, 1e-300):
+        lhs, rhs = pj.polsum("spinor", KinematicPoint(m, 2.0 * m, ZHAT))
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

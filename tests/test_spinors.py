@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -75,6 +76,45 @@ def test_five_vector_holds_the_momentum_beside_the_mass():
     for i, k in enumerate(singles):
         assert k._five_vector().tobytes() == batch._five_vector()[i].tobytes()
         assert k.momentum().tobytes() == batch.momentum()[i].tobytes()
+
+
+def test_momentum_is_odd_in_p0_on_the_real_band():
+    # for p0 <= -m both half-boost amplitudes are imaginary, so |p| = 2 m a b is negative and
+    # the momentum at -p0 is minus the momentum at p0: the same factors, rounded in another
+    # order, so to rounding rather than bit for bit
+    rng = np.random.default_rng(32)
+    m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000))
+    p0 = m * np.exp(rng.uniform(0.0, np.log(1e3), 2000))
+    nhat = np.array(list(_directions(32, 2000)))
+    up, down = (sp.KinematicPoint(m, sign * p0, nhat).momentum() for sign in (+1, -1))
+    np.testing.assert_allclose(down, -up, rtol=1e-15, atol=0)
+
+
+def _decimal_error(m, p0):
+    """Max relative error of the momentum's |p| at the points (m, p0) along z, against
+    sqrt(|p0 - m| |p0 + m|) at 60 digits from the same floats: imaginary on the breve band,
+    real off it, and negative below -m."""
+    got = sp.KinematicPoint(m, p0, ZHAT).momentum()[..., 3]
+    with decimal.localcontext(decimal.Context(prec=60)):
+        worst = decimal.Decimal(0)
+        for mi, p0i, q in zip(m, p0, got):
+            m_d, p0_d = decimal.Decimal(mi), decimal.Decimal(p0i)
+            want = (abs(p0_d - m_d) * abs(p0_d + m_d)).sqrt()
+            side = q.imag if abs(p0i) < mi else q.real if p0i > 0 else -q.real
+            worst = max(worst, abs(decimal.Decimal(side) - want) / want)
+    return float(worst)
+
+
+def test_momentum_is_accurate_at_threshold_far_above_it_and_on_the_breve_band():
+    # |p| = 2 m a b from differences p0 -+ m that Sterbenz's lemma makes exact near threshold:
+    # within a few roundings of the exact value, against a 60-digit decimal reference
+    rng = np.random.default_rng(32)
+    m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 400))
+    for p0 in (m * (1.0 + np.exp(rng.uniform(np.log(1e-12), np.log(1e-2), 400))),
+               m * np.exp(rng.uniform(0.0, np.log(1e8), 400)),
+               m * (1.0 - np.exp(rng.uniform(np.log(1e-12), 0.0, 400))) * rng.choice((1, -1), 400)):
+        assert _decimal_error(m, p0) <= 1e-15
+        assert _decimal_error(m, -p0) <= 1e-15
 
 
 def test_boosted_spinor_frozen_values():
