@@ -27,9 +27,9 @@ import numpy as np
 # projectors.slash, projectors.dirac_u and so on
 from .clifford import (_BLOCK_SWAP, _I2, _I4, _PAULI_DOT, _SLASH, _contract, _contraction,
                        _read_only, check_choice, check_real, check_vectors, slash)
-from .spinors import (_SQRT_MAX, KinematicPoint, _dirac_adjoint, _require, _state, breve_u,
-                      breve_u_bar, check_bispinor, check_mass, check_spin_vector, check_unit_vector,
-                      dirac_u, dirac_u_bar)
+from .spinors import (KinematicPoint, _dirac_adjoint, _require, _state, breve_u, breve_u_bar,
+                      check_bispinor, check_mass, check_scale, check_spin_vector,
+                      check_unit_vector, dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 
@@ -58,9 +58,9 @@ def _outer(u, v) -> np.ndarray:
 
 def _check_on_shell(p, m) -> np.ndarray:
     """The complex five-vectors x = (p0, p1, p2, p3, m) that the cores read m from, of finite
-    four-momenta p (|p_i| and |p_i|/m below 1.3e154, else OverflowError) and masses m given as
-    any real or sequence of reals, each on the mass shell p.p = m^2 of a mass 2.2e-308 <= m
-    < 1.3e154: |p.p - m^2| <= 1e-10 max(m^2, max_i |p_i|^2), relative at every scale.  x is
+    four-momenta p and masses m >= 2.2e-308 given as any real or sequence of reals, in scale by
+    spinors.check_scale (else OverflowError) and each on the mass shell p.p = m^2:
+    |p.p - m^2| <= 1e-10 max(m^2, max_i |p_i|^2), relative at every scale.  x is
     divided by top = max(m, max_i |p_i|) >= m before any square is formed, so a far-off-shell
     momentum is refused without overflow, and the residual is one contraction of y = x / top:
     |sum_i w_i y_i^2| with w = (1, -1, -1, -1, -1).  Each |y_i| <= 1, so the quotients, the
@@ -73,13 +73,11 @@ def _check_on_shell(p, m) -> np.ndarray:
     # max_i |p_i| at p's own batch shape, which the finiteness message indexes; then with m
     top = abs(p).max(axis=-1)
     _require(top < np.inf, "momentum must be finite, got {}", p)
+    check_scale(top, m, "max_i |p_i|")
     top = np.maximum(top, m)
     x = np.empty(top.shape + (5,), dtype=complex)
     x[..., :4] = p
     x[..., 4] = m
-    # top < 1.3e154 and top / 1.3e154 < m iff m, each |p_i| and each |p_i|/m are below 1.3e154
-    _require((top < _SQRT_MAX) & (top / _SQRT_MAX < m), "momentum overflows: p.p - m^2 is "
-             "out of range at p={}, m={}", x[..., :4], m, error=OverflowError)
     y = x / top[..., None]
     residual = abs((y * y) @ _SHELL)
     _require(residual <= _ONSHELL_TOL, "momentum is off shell: "
@@ -119,9 +117,8 @@ def _over_2m(x, flat) -> np.ndarray:
     """x @ flat for x = (p0, p1, p2, p3, m) with real m, scaled by 1/2m: a flat energy stack's
     product, its matrices not yet shaped."""
     e = x @ flat
-    # scaled in place by 0.5 / m through the float view, as numpy divides a complex by a
-    # real: (re, im) * (1 / d), so only the sign of a zero entry may differ from e / 2m;
-    # 0.5 / m rounds 1 / 2m once and forms no 2m, which overflows for m > 8.99e307
+    # scaled in place by 0.5 / m, 1 / 2m rounded once, through the float view, as numpy divides
+    # a complex by a real: (re, im) * (1 / d), so only a zero's sign may differ from e / 2m
     scaled = e.view(float)
     scaled *= 0.5 / x[..., 4:].real
     return e

@@ -58,7 +58,7 @@ HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
 
 _REL_TOL = 1e-12
-_SQRT_MAX = math.sqrt(np.finfo(float).max)  # x * x is finite for |x| < _SQRT_MAX
+_MAX = 2.0 ** 1023  # the one range bound: a sum of two magnitudes below it is finite
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float; 1 / (2 m) is finite above it
 
 
@@ -92,11 +92,13 @@ def check_energy(p0):
     _require(abs(p0) < math.inf, "p0 must be finite, got {}", p0)
 
 
-def check_scale(p0, m):
-    """Raise OverflowError unless |p0| and |p0|/m lie below 1.3e154, so p0^2 and p0/m are finite."""
-    x = abs(p0)
-    _require((x < _SQRT_MAX) & (x / _SQRT_MAX < m), "p0 overflows: p0^2 or p0/m is out of "
-             "range at p0={}, m={}", p0, m, error=OverflowError)
+def check_scale(x, m, what: str = "|p0|"):
+    """Raise OverflowError unless |x|, m and |x|/m lie below 2^1023, x the p0 of a point or the
+    max_i |p_i| of a momentum, named by ``what``.  Then a sum of two such magnitudes (p0 +- m,
+    p1 +- i p2), such a sum over m and |p| <= max(|p0|, m), all that either forms, are finite."""
+    x = abs(x)
+    _require((x < _MAX) & (m < _MAX) & (x / _MAX < m), "{0}, m and {0}/m must lie below 2^1023, "
+             "got {0}={1}, m={2}", what, x, m, error=OverflowError)
 
 
 def check_unit_vector(nhat) -> np.ndarray:
@@ -218,7 +220,7 @@ class KinematicPoint:
 
     p0 may be negative or smaller than m; which constructors accept the point depends on the
     band |p0| >= m (real boosts) versus |p0| <= m (complex continuation).  m must satisfy
-    2.2e-308 <= m < inf, p0 must be finite (|p0| and |p0|/m below 1.3e154, else OverflowError)
+    2.2e-308 <= m < inf, p0 must be finite (m, |p0| and |p0|/m below 2^1023, else OverflowError)
     and nhat a unit 3-vector.  A single point keeps m and p0 as floats; a batch broadcasts
     read-only copies of m, p0 and the rows of nhat to one batch shape; nhat is read-only, (..., 3).
     Its one cache is _boosts, the (a, b nhat) that _state and the momentum read.
@@ -240,8 +242,7 @@ class KinematicPoint:
         check_scale(self.p0, self.m)
 
     def boost_factor(self, sign: int):
-        """a for sign=+1, b for sign=-1; principal branch below threshold.  Halved after
-        the division, not divided by 2m, which overflows for m > 8.99e307."""
+        """a for sign=+1, b for sign=-1; principal branch below threshold."""
         return np.sqrt((self.p0 + sign * self.m) / self.m * 0.5 + 0j)
 
     @property
@@ -258,7 +259,9 @@ class KinematicPoint:
     def momentum(self) -> np.ndarray:
         """On-shell four-momentum (p0, |p| nhat), |p| = 2 m a b from the principal-branch a, b
         the constructors read: sqrt(p0^2 - m^2) for p0 >= m, imaginary for |p0| < m (the n -> i n
-        continuation), -sqrt(p0^2 - m^2) for p0 <= -m, so on |p0| >= m, p(-p0) = -p(p0)."""
+        continuation), -sqrt(p0^2 - m^2) for p0 <= -m, so on |p0| >= m, p(-p0) = -p(p0).  |p| may
+        round a few ulp above max(|p0|, m) to 2^1023, which energy_projector's guard refuses: at
+        p0 = 0 along z, for the two largest masses below 2^1023."""
         return self._five_vector()[..., :4].copy()
 
     def _five_vector(self) -> np.ndarray:

@@ -382,13 +382,13 @@ def _trace_cycle(pt) -> tuple:
 
 
 def _boost_exponential(pt) -> tuple:
-    """exp(+-(chi/2) sigma.n) phi_lam in spectral form, e^{+-chi/2} P(n) phi
-    + e^{-+chi/2} P(-n) phi, with e^{+-chi/2} = sqrt((p0 +- |p|)/m) from the momentum,
-    and boosted_spinor: each as rows (lam, undotted/dotted)."""
+    """exp(+-(chi/2) sigma.n) phi_lam in spectral form, e^{+-chi/2} P(n) phi + e^{-+chi/2} P(-n)
+    phi, e^{+-chi/2} = sqrt(r +- |p|/m), r = p0/m, and boosted_spinor: rows (lam, dotted)."""
     k = _kin(pt)
     check_band("boost-exponential", k.p0, k.m, "p0 >= m")
-    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))  # not momentum()'s 2 m a b: the row's own reference
-    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None, None] for sign in (+1, -1))
+    r = k.p0 / k.m
+    q = np.sqrt((r - 1.0) * (r + 1.0))  # not momentum()'s 2 m a b: the row's own reference
+    up, down = (np.sqrt(r + sign * q)[..., None, None] for sign in (+1, -1))
     # P(+-n) phi_lam for lam = +1/2, -1/2 (phi the columns of I2), as (..., lam, 2)
     pa, pb = (np.swapaxes(_spin_projector_rest(n), -1, -2) for n in (k.nhat, -k.nhat))
     rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)

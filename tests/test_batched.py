@@ -493,15 +493,17 @@ def test_section4_two_valued_agrees_alone_and_in_a_batch():
 
 @pytest.mark.filterwarnings("error")
 def test_momentum_overflow_fails_closed_alike_for_a_point_and_a_batch():
-    _raises_like(lambda: sp.KinematicPoint(1.0, 1e200, ZHAT).momentum(),
-                 lambda: sp.KinematicPoint(1.0, [2.0, 1e200], ZHAT).momentum())
-    with pytest.raises(OverflowError, match=r"p0=1e\+200"):
-        sp.KinematicPoint(1.0, 1e200, ZHAT).momentum()
-    # a huge mass is no overflow: |p| = 2 m a b forms no m * m, so at m = 1e200 and 1.7e308
-    # the momentum is the unit-mass one at p0 / m scaled by m, and the breve band's polsum
-    # sides are the unit mass's, for each point alone and for the batch
+    # |p0| and m at 2^1023 and above are refused alike, a point and a batch
+    for m, p0 in ((1.0, 2.0 ** 1023), (1.0, 1e308), (2.0 ** 1023, 0.0), (1.7e308, 0.0)):
+        _raises_like(lambda: sp.KinematicPoint(m, p0, ZHAT).momentum(),
+                     lambda: sp.KinematicPoint([1.0, m], [2.0, p0], ZHAT).momentum())
+    with pytest.raises(OverflowError, match=r"\|p0\|=1e\+308"):
+        sp.KinematicPoint(1.0, 1e308, ZHAT).momentum()
+    # a huge mass is no overflow: |p| = 2 m a b forms no m * m, so at m = 1e200 and at the
+    # largest float below 2^1023 the momentum is the unit-mass one at p0 / m scaled by m, and
+    # the breve band's polsum sides are the unit mass's, for each point alone and the batch
     rng = np.random.default_rng(32)
-    for m in (1e200, 1.7e308):
+    for m in (1e200, float(np.nextafter(2.0 ** 1023, 0.0))):
         p0, nhat = np.array([0.0, 1e150, -1e153]), _unit_rows(rng, 3)
         batch, unit = sp.KinematicPoint(m, p0, nhat), sp.KinematicPoint(1.0, p0 / m, nhat)
         singles = [sp.KinematicPoint(m, *point) for point in zip(p0, nhat)]

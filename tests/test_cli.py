@@ -176,12 +176,15 @@ def test_show_projector_far_above_threshold(kind, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["show", "polsum", "--kind", "spinor", "--p0", "1e200", "--m", "1"],
+    ["show", "polsum", "--kind", "spinor", "--p0", "1e308", "--m", "1"],
     ["show", "projector", "--kind", "pi", "--p0", "2", "--m", "1", "--sx", "nan"],
     ["show", "basis", "--tau", "1", "--p0", "inf", "--m", "1"],
     ["show", "breve", "--p0", "0", "--m", "inf"],
     ["verify", "--samples", "2", "--tolerance", "nan"],
-    ["show", "basis", "--tau", "1", "--p0", "1e200", "--m", "1.2697076285132332e-146"],
+    ["show", "basis", "--tau", "1", "--p0", "1e200", "--m", "1.1125369292536007e-108"],
+    # the largest float as a mass: its momentum at p0 = 0 would be inf i, its rhs NaN
+    ["show", "polsum", "--kind", "breve-plus", "--p0", "0", "--m", "1.7976931348623157e308"],
+    ["show", "breve", "--p0", "0", "--m", "8.98846567431158e307"],
     ["show", "polsum", "--kind", "completeness", "--p0", "0", "--m", "5e-324"],
     # the first row's draw asks for 8 PB, beyond any address space, so it fails at once
     ["verify", "--samples", "1000000000000000"],
@@ -191,8 +194,23 @@ def test_rejected_input_exits_2_with_a_message(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["show", "polsum", "--kind", "spinor", "--p0", "8.988465674311579e307", "--m", "1"],
+    ["show", "basis", "--tau", "1", "--p0", "1e200", "--m", "1.1125369292536008e-108"],
+    ["show", "polsum", "--kind", "breve-plus", "--p0", "0", "--m", "8.988465674311579e307"],
+])
+def test_input_just_inside_the_range_exits_0_with_finite_output(argv, capsys):
+    # the accepted side of each range edge that test_rejected_input_exits_2_with_a_message
+    # refuses: p0 and m just below 2^1023, and p0 / m just below it
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+
+
 SHOW_FLAGS = ("p0", "m", "nx", "ny", "nz", "sx", "sy", "sz", "lp", "lm")
-FLOATS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -0.0]),
+FLOATS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e200, 1e308,
+                                               1.7976931348623157e308, -0.0]),
                    st.floats(-3.0, 3.0))
 
 
@@ -201,8 +219,9 @@ FLOATS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e
        kind=st.sampled_from(["spin", "energy-plus", "energy-minus", "pi", "pi-neg", "spinor",
                              "antispinor", "breve-plus", "breve-minus", "completeness"]),
        values=st.lists(FLOATS, min_size=len(SHOW_FLAGS), max_size=len(SHOW_FLAGS)))
-@example(obj="polsum", kind="spinor", values=[1e200, 1.0] + [None] * 8)
-@example(obj="basis", kind="spin", values=[1e200, 2.4123403520774395e-288] + [None] * 8)
+@example(obj="polsum", kind="spinor", values=[1e308, 1.0] + [None] * 8)
+@example(obj="basis", kind="spin", values=[1e200, 1.1125369292536007e-108] + [None] * 8)
+@example(obj="polsum", kind="breve-plus", values=[0.0, 1.7976931348623157e308] + [None] * 8)
 @example(obj="projector", kind="energy-minus", values=[3.0, 5e-324] + [None] * 8)
 def test_show_exits_0_or_2_on_any_float_input(obj, kind, values):
     argv = ["show", obj, "--kind", kind, "--tau", "1"]

@@ -107,14 +107,18 @@ def _decimal_error(m, p0):
 
 def test_momentum_is_accurate_at_threshold_far_above_it_and_on_the_breve_band():
     # |p| = 2 m a b from differences p0 -+ m that Sterbenz's lemma makes exact near threshold:
-    # within a few roundings of the exact value, against a 60-digit decimal reference
+    # within a few roundings of the exact value, against a 60-digit decimal reference, for m
+    # near unit scale and log-uniform over [1e-300, 1e300], where p0 = m p0/m is kept below
+    # 1e300 (so below 2^1023)
     rng = np.random.default_rng(32)
-    m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 400))
-    for p0 in (m * (1.0 + np.exp(rng.uniform(np.log(1e-12), np.log(1e-2), 400))),
-               m * np.exp(rng.uniform(0.0, np.log(1e8), 400)),
-               m * (1.0 - np.exp(rng.uniform(np.log(1e-12), 0.0, 400))) * rng.choice((1, -1), 400)):
-        assert _decimal_error(m, p0) <= 1e-15
-        assert _decimal_error(m, -p0) <= 1e-15
+    for low, high in ((1e-3, 1e3), (1e-300, 1e300)):
+        m = np.exp(rng.uniform(np.log(low), np.log(high), 400))
+        for p0 in (m * (1.0 + np.exp(rng.uniform(np.log(1e-12), np.log(1e-2), 400))),
+                   np.minimum(m * np.exp(rng.uniform(0.0, np.log(1e8), 400)), 1e300),
+                   m * (1.0 - np.exp(rng.uniform(np.log(1e-12), 0.0, 400)))
+                   * rng.choice((1, -1), 400)):
+            assert _decimal_error(m, p0) <= 1e-15
+            assert _decimal_error(m, -p0) <= 1e-15
 
 
 def test_boosted_spinor_frozen_values():
@@ -172,6 +176,21 @@ def test_boost_equivalence(p0, nhat, lam, dotted):
     rhs = _boost_row("rhs", p0, nhat, lam, dotted)
     np.testing.assert_array_equal(rhs, sp.boosted_spinor(k, lam, dotted=dotted))
     np.testing.assert_allclose(_boost_row("lhs", p0, nhat, lam, dotted), rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_boost_exponential_holds_at_every_mass():
+    # the row's reference forms sqrt((r - 1)(r + 1)) in units of m, r = p0/m: no square of
+    # p0 or m, so it neither underflows at m = 1e-200 (a residual near 3 from p0 and m) nor
+    # overflows at m = 1e300, and the replay at p0 = 10 m reads the unit mass's residual
+    check = next(c for c in vf.registry() if c.name == "boost-exponential")
+    nhat = [*_directions(5, 3), ZHAT]
+    for n in nhat:
+        want = vf.residuals(check, vf.Columns({"m": 1.0, "p0": 10.0, "nhat": list(n)}))
+        assert want[0] <= 1e-15
+        for m in np.logspace(-300.0, 300.0, 25):
+            got = vf.residuals(check, vf.Columns({"m": m, "p0": 10.0 * m, "nhat": list(n)}))
+            assert got[0] <= 1e-15
 
 
 def test_boost_exponential_at_zero_rapidity_is_the_basis_spinor():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bispinor import clifford as cl
 from bispinor import projectors as pj
@@ -14,6 +16,8 @@ from bispinor import verify as vf
 ZHAT = (0.0, 0.0, 1.0)
 REST = (1.0, 0.0, 0.0, 0.0)
 ZS = (0.0, 0.0, 0.0, 1.0)
+SCALE = 2.0 ** 1023  # the range bound: m, |p0| (max_i |p_i|) and their ratio lie below it
+BELOW = float(np.nextafter(SCALE, 0.0))
 
 ENTRY_POINTS = {
     "KinematicPoint-m": lambda x: sp.KinematicPoint(x, 1.0, ZHAT),
@@ -208,8 +212,8 @@ def test_finite_off_shell_momentum_is_off_shell():
 GUARD_REFUSALS = {
     "nan": ((math.nan, 0.0, 0.0, 0.0), ValueError, "momentum must be finite, got "),
     "inf": ((2.0, 0.0, -math.inf, 1.0), ValueError, "momentum must be finite, got "),
-    "overflow": ((1e200, 0.0, 0.0, 1e200), OverflowError,
-                 "momentum overflows: p.p - m^2 is out of range at p="),
+    "overflow": ((SCALE, 0.0, 0.0, SCALE), OverflowError,
+                 "max_i |p_i|, m and max_i |p_i|/m must lie below 2^1023, got max_i |p_i|="),
     "off-shell": ((1.25, 0.0, 0.0, 0.5), ValueError,
                   "momentum is off shell: |p.p - m^2| / max(m^2, max_i |p_i|^2) = "),
 }
@@ -218,9 +222,9 @@ GUARD_REFUSALS = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(GUARD_REFUSALS))
 def test_the_guard_refuses_with_one_type_and_prefix_at_a_point_and_in_a_batch(case):
-    # the guard that builds the five-vector (p, m) refuses exactly as before it did: the
-    # same exception type (not a subclass) and the same message prefix, for a point, a
-    # batch of momenta, and one momentum over a batch of masses
+    # the guard that builds the five-vector (p, m) refuses with one exception type (not a
+    # subclass) and one message prefix per case, for a point, a batch of momenta, and one
+    # momentum over a batch of masses
     p, error, prefix = GUARD_REFUSALS[case]
     on_shell = (1.25, 0.0, 0.0, 0.75)
     calls = [lambda q, m: pj.energy_projector(q, m, +1), lambda q, m: pj.energy_projector(q, m, -1),
@@ -236,21 +240,20 @@ def test_the_guard_refuses_with_one_type_and_prefix_at_a_point_and_in_a_batch(ca
 
 
 def _reference_guard(p, m):
-    """The on-shell guard as a rule written out with its range tested on max_i |p_i| and
-    on m apart: |p_i| < 1.3e154, |p_i| / 1.3e154 < m and m < 1.3e154, scaled by
-    max(m, max_i |p_i|)."""
+    """The on-shell guard as a rule written out with its range tested on the one scale
+    top = max(m, max_i |p_i|): top < 2^1023 and top / 2^1023 < m, which holds iff m,
+    max_i |p_i| and max_i |p_i| / m lie below 2^1023; then scaled by top."""
     p = cl.check_vectors(p, 4, "momentum")
     m = cl.check_real(m, "mass")[()]
     sp.check_mass(m)
-    top = abs(p).max(axis=-1)
-    sp._require(top < np.inf, "momentum must be finite, got {}", p)
-    in_scale = (top < sp._SQRT_MAX) & (top / sp._SQRT_MAX < m) & (m < sp._SQRT_MAX)
-    x = np.empty(in_scale.shape + (5,), dtype=complex)
+    big = abs(p).max(axis=-1)
+    sp._require(big < np.inf, "momentum must be finite, got {}", p)
+    scale = np.maximum(big, m)
+    sp._require((scale < SCALE) & (scale / SCALE < m), "max_i |p_i|, m and max_i |p_i|/m must "
+                "lie below 2^1023, got max_i |p_i|={}, m={}", big, m, error=OverflowError)
+    x = np.empty(scale.shape + (5,), dtype=complex)
     x[..., :4] = p
     x[..., 4] = m
-    sp._require(in_scale, "momentum overflows: p.p - m^2 is out of range at p={}, m={}",
-                x[..., :4], m, error=OverflowError)
-    scale = np.maximum(top, m)
     q, mu = p / scale[..., None], m / scale
     gap = cl.minkowski_dot(q, q) - mu * mu
     residual = np.hypot(gap.real, gap.imag)
@@ -281,10 +284,9 @@ def _last_below(limit, m):
 
 def _range_edges():
     """(name, p, m, the outcome expected) at each edge of the guard's range: m above and
-    below max_i |p_i|, |p_i| and |p_i|/m just inside and just outside 1.3e154, m at it, a
+    below max_i |p_i|, |p_i| and |p_i|/m just inside and just outside 2^1023, m at it, a
     tiny m, and non-finite components; then momenta on and off shell far below unit scale."""
-    big = sp._SQRT_MAX
-    below, above = np.nextafter(big, 0.0), np.nextafter(big, math.inf)
+    big, below, above = SCALE, BELOW, np.nextafter(SCALE, math.inf)
     tiny = float(np.finfo(float).tiny)
 
     def breve(m):  # on shell with every |p_i| below m: p0 = m/2 and an imaginary |p|
@@ -303,13 +305,14 @@ def _range_edges():
              ("|p_i| at the scale", light(big), 1.0, OverflowError),
              ("|p_i| just above the scale", light(above), 1.0, OverflowError),
              ("tiny m at rest", (tiny, 0.0, 0.0, 0.0), tiny, "accepted"),
-             ("tiny m, |p_i| of 1", light(1.0), tiny, OverflowError),
+             ("tiny m, |p_i| of 1", light(1.0), tiny, "accepted"),
+             ("tiny m, |p_i| of 4", light(4.0), tiny, OverflowError),
              ("off shell", (2.0, 0.0, 0.0, 0.0), 1.0, ValueError),
              ("nan component", (math.nan, 0.0, 0.0, 0.0), 1.0, ValueError),
              ("inf component", (2.0, 0.0, -math.inf, 1.0), 1.0, ValueError),
              ("component of infinite modulus", (1.5e308 + 1.5e308j, 0.0, 0.0, 0.0), 1.0,
               ValueError)]
-    for m in (1e-100, tiny, 1e-6):
+    for m in (1e-300, 1e-100, tiny, 1e-6):
         t = _last_below(big, m)
         cases += [(f"|p_i|/m just below the scale, m={m}", light(t), m, "accepted"),
                   (f"|p_i|/m just above the scale, m={m}", light(np.nextafter(t, math.inf)), m,
@@ -327,8 +330,8 @@ def _range_edges():
 @pytest.mark.parametrize("p, m, expected", [pytest.param(*case, id=name)
                                              for name, *case in _range_edges()])
 def test_the_guard_decides_each_range_edge_as_the_written_out_rule(p, m, expected):
-    # the guard tests max(m, max_i |p_i|) against 1.3e154 and 1.3e154 m; the rule that
-    # tests max_i |p_i| and m apart gives the same outcome, bit for bit or error for error,
+    # the guard tests max_i |p_i| and m apart against 2^1023 (spinors.check_scale); the
+    # rule that tests max(m, max_i |p_i|) gives the same outcome, bit for bit or error for error,
     # for a point, a batch beside an accepted point, and one momentum over a batch of masses
     assert _guard_outcome(_reference_guard, p, m)[0] == expected
     ok_p, ok_m = (1.25, 0.0, 0.0, 0.75), 1.0
@@ -364,14 +367,22 @@ def test_kappa_does_not_overflow_near_the_largest_float():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p0", [0.0, 2.0 ** 150, -2.0 ** 150])
 def test_breve_amplitudes_at_the_largest_masses_equal_the_unit_mass_ones(p0):
-    # the amplitudes depend on p0/m only, so m = 2**1023 gives the m = 1 bits; 2m overflows
-    m = 2.0 ** 1023
+    # the amplitudes depend on p0/m only, so m = 2**1022, the largest power of two below the
+    # range bound, gives the m = 1 bits, and the largest float below it their values;
+    # m = 2**1023 is refused, alone and in a batch
+    m = 2.0 ** 1022
     for breve in (sp.breve_u, sp.breve_u_bar):
         want = breve(sp.KinematicPoint(1.0, p0 / m, ZHAT), 0.5, 0.5)
         assert np.any(want != 0)
         assert breve(sp.KinematicPoint(m, p0, ZHAT), 0.5, 0.5).tobytes() == want.tobytes()
         batch = breve(sp.KinematicPoint([m, 1.0], [p0, p0 / m], ZHAT), 0.5, 0.5)
         assert batch[0].tobytes() == batch[1].tobytes() == want.tobytes()
+        got = breve(sp.KinematicPoint(BELOW, p0, ZHAT), 0.5, 0.5)
+        np.testing.assert_allclose(got, breve(sp.KinematicPoint(1.0, p0 / BELOW, ZHAT), 0.5, 0.5),
+                                   rtol=0, atol=1e-15)
+    for m in (SCALE, [1.0, SCALE]):
+        with pytest.raises(OverflowError, match=r"^\|p0\|, m and \|p0\|/m must lie below 2\^1023"):
+            sp.KinematicPoint(m, p0, ZHAT)
 
 
 @pytest.mark.filterwarnings("error")
@@ -386,17 +397,23 @@ def test_spin_vector_is_rejected_before_s_dot_s_is_formed(entry, value):
 
 @pytest.mark.filterwarnings("error")
 def test_caller_momentum_beyond_the_scale_overflows_for_a_point_and_a_batch():
-    p = (1e200, 0.0, 0.0, 1e200)
+    refused = r"^max_i \|p_i\|, m and max_i \|p_i\|/m must lie below 2\^1023, got max_i \|p_i\|="
+    p = (1e308, 0.0, 0.0, 1e308)
     for call in (lambda q: pj.energy_projector(q, 1.0, +1), lambda q: pj.pi_projector(q, 1.0, ZS)):
-        with pytest.raises(OverflowError, match=r"^momentum overflows: .* at p=\[1\.e\+200"):
+        with pytest.raises(OverflowError, match=refused + r"1e\+308, m=1\.0$"):
             call(p)
-        with pytest.raises(OverflowError, match=r"^momentum overflows: .* at p=\[1\.e\+200"):
+        with pytest.raises(OverflowError, match=refused + r"1e\+308, m=1\.0$"):
             call([(2.0, 0.0, 0.0, math.sqrt(3.0)), p])
-    # |p_i| / m at or above the scale, and a mass whose square overflows
-    with pytest.raises(OverflowError, match="^momentum overflows"):
-        pj.energy_projector((1e-140, 0.0, 0.0, 0.0), 1e-300, +1)
-    with pytest.raises(OverflowError, match="^momentum overflows"):
-        pj.energy_projector(REST, 1e200, +1)
+        # just inside: 1e307 is below 2^1023, and p is light-like, on shell for m = 1
+        assert np.isfinite(call((1e307, 0.0, 0.0, 1e307))).all()
+    # |p_i| / m above the scale (1e8 / 1e-300 > 2^1023), and below it
+    with pytest.raises(OverflowError, match=refused):
+        pj.energy_projector((1e8, 0.0, 0.0, 1e8), 1e-300, +1)
+    assert np.isfinite(pj.energy_projector((1e7, 0.0, 0.0, 1e7), 1e-300, +1)).all()
+    # a mass at the scale, and the largest mass below it
+    with pytest.raises(OverflowError, match=refused):
+        pj.energy_projector((SCALE, 0.0, 0.0, 0.0), SCALE, +1)
+    assert np.isfinite(pj.energy_projector((BELOW, 0.0, 0.0, 0.0), BELOW, +1)).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -412,10 +429,103 @@ def test_a_mass_must_be_a_normal_float():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m, p0", [(1.0, 1e200), (1.2697076285132332e-146, 1e200), (1e-300, 3.0)])
+@pytest.mark.parametrize("m, p0", [(1.0, SCALE), (1.0, -1e308), (1.2697076285132332e-146, 1e200),
+                                   (1e-300, 1e8), (SCALE, 0.0), (1.7976931348623157e308, 0.0)])
 def test_p0_beyond_the_scale_of_m_overflows_at_construction(m, p0):
     for batch in (False, True):
-        with pytest.raises(OverflowError, match=r"^p0 overflows: .* at p0="):
-            sp.KinematicPoint([2.0 * m, m] if batch else m, [m, p0] if batch else p0, ZHAT)
-    k = sp.KinematicPoint(m, 0.99 * m * 1.3e154, ZHAT)
+        with pytest.raises(OverflowError, match=r"^\|p0\|, m and \|p0\|/m must lie below "
+                                                r"2\^1023, got \|p0\|="):
+            sp.KinematicPoint([1.0, m] if batch else m, [1.0, p0] if batch else p0, ZHAT)
+    # just inside the edge: the largest mass below 2^1023, |p0| just below 2^1023 m
+    m = min(m, BELOW)
+    k = sp.KinematicPoint(m, math.copysign(0.99 * m * SCALE if m < 1.0 else BELOW, p0), ZHAT)
     assert np.isfinite(sp.dirac_u(k, 0.5, 0.5)).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_range_rule_admits_what_the_arithmetic_forms_and_refuses_what_overflows():
+    # accepted, each output finite: a mass near the top of the range beside a p0 below it,
+    # the momentum of a mass of 1e200 in the guard, a p0 of 1e200 at unit mass
+    k = sp.KinematicPoint(1e300, 2e299, ZHAT)
+    assert np.isfinite(k.momentum()).all()
+    for kind in ("breve-plus", "breve-minus", "completeness"):
+        assert all(np.isfinite(side).all() for side in pj.polsum(kind, k))
+    k = sp.KinematicPoint(1e200, 0.0, ZHAT)
+    assert np.isfinite(pj.energy_projector(k.momentum(), 1e200, +1)).all()
+    k = sp.KinematicPoint(1.0, 1e200, ZHAT)
+    for kind in ("spinor", "antispinor", "completeness"):
+        assert all(np.isfinite(side).all() for side in pj.polsum(kind, k))
+    # refused: the largest float as a mass, whose momentum at p0 = 0 would be inf i
+    with pytest.raises(OverflowError, match=r"^\|p0\|, m and \|p0\|/m must lie below 2\^1023"):
+        sp.KinematicPoint(1.7976931348623157e308, 0.0, ZHAT)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_guard_takes_the_momenta_of_the_largest_masses_but_the_two_named():
+    # at p0 = 0 along z, |p| = 2 m a b rounds to m (1 + 2^-52): for the two largest masses
+    # below 2^1023 that is 2^1023, which the guard refuses, as momentum()'s docstring says;
+    # the six below them it accepts, alone and as a batch
+    masses = [SCALE - i * 2.0 ** 970 for i in range(1, 9)]  # 2^970: their unit in the last place
+    batch = sp.KinematicPoint(masses, 0.0, ZHAT)
+    for i, m in enumerate(masses):
+        p = sp.KinematicPoint(m, 0.0, ZHAT).momentum()
+        assert p.tobytes() == batch.momentum()[i].tobytes()
+        assert np.isfinite(p).all()
+        if i < 2:
+            assert abs(p[3]) == SCALE
+            with pytest.raises(OverflowError, match=r"^max_i \|p_i\|, m and max_i \|p_i\|/m"):
+                pj.energy_projector(p, m, +1)
+        else:
+            assert abs(p[3]) < SCALE
+            assert np.isfinite(pj.energy_projector(p, m, +1)).all()
+    assert np.isfinite(pj.energy_projector(batch.momentum()[2:], masses[2:], -1)).all()
+
+
+_REAL_BAND_STATES = [(sp.boosted_spinor, lam, dotted) for lam in sp.HELICITIES
+                     for dotted in (False, True)]
+_REAL_BAND_STATES += [(f, lam, lam_other) for f in (sp.dirac_u, sp.dirac_u_bar)
+                      for lam in sp.HELICITIES for lam_other in sp.HELICITIES]
+_REAL_BAND_STATES += [(f, tau) for f in (sp.tetrad_bispinor, sp.antisym_bispinor)
+                      for tau in (1, 2, 3, 4)]
+_BREVE_BAND_STATES = [(f, lam, lam_other) for f in (sp.breve_u, sp.breve_u_bar)
+                      for lam in sp.HELICITIES for lam_other in sp.HELICITIES]
+_DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.2).map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(m=st.floats(), p0=st.floats(), nhat=_DIRECTIONS)
+@example(m=1e300, p0=2e299, nhat=ZHAT)
+@example(m=1.0, p0=1e200, nhat=ZHAT)
+@example(m=1.7976931348623157e308, p0=0.0, nhat=ZHAT)
+@example(m=BELOW, p0=0.0, nhat=ZHAT)
+@example(m=2.0, p0=-BELOW, nhat=ZHAT)
+@example(m=float(np.finfo(float).tiny), p0=1.0, nhat=ZHAT)
+def test_every_accepted_point_gives_finite_outputs_over_the_whole_float_range(m, p0, nhat):
+    # a point is refused only by a ValueError or an OverflowError, never by a warning (each
+    # is an error here); an accepted point gives a finite momentum that the guard takes,
+    # finite band constructors and finite polsum sides of each kind on its band.  The
+    # guard may refuse the momentum only where max(|p0|, m) lies within a few units in the
+    # last place of 2^1023, as momentum()'s docstring names
+    try:
+        k = sp.KinematicPoint(m, p0, nhat)
+    except (ValueError, OverflowError):
+        return
+    p = k.momentum()
+    assert np.isfinite(p).all()
+    for sign in (+1, -1):
+        try:
+            assert np.isfinite(pj.energy_projector(p, k.m, sign)).all()
+        except OverflowError:
+            assert max(abs(p0), m) >= SCALE * (1.0 - 2.0 ** -50)
+    bands = []
+    if abs(p0) >= m * (1.0 - 1e-12):
+        bands.append((_REAL_BAND_STATES, ("spinor", "antispinor", "completeness")))
+    if abs(p0) <= m * (1.0 + 1e-12):
+        bands.append((_BREVE_BAND_STATES, ("breve-plus", "breve-minus", "completeness")))
+    for states, kinds in bands:
+        for f, *labels in states:
+            assert np.isfinite(f(k, *labels)).all()
+        for kind in kinds:
+            assert all(np.isfinite(side).all() for side in pj.polsum(kind, k))

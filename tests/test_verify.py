@@ -698,8 +698,9 @@ def _kin_of(pt) -> KinematicPoint:
 
 def _loop_boost_exponential(pt) -> tuple:
     k = _kin_of(pt)
-    q = np.sqrt((k.p0 - k.m) * (k.p0 + k.m))
-    up, down = (np.sqrt((k.p0 + sign * q) / k.m)[..., None] for sign in (+1, -1))
+    r = k.p0 / k.m
+    q = np.sqrt((r - 1.0) * (r + 1.0))
+    up, down = (np.sqrt(r + sign * q)[..., None] for sign in (+1, -1))
     along, against = pj.spin_projector_rest(k.nhat), pj.spin_projector_rest(-k.nhat)
     rows, boosted = [], []
     for lam in sp.HELICITIES:
@@ -876,8 +877,11 @@ def test_columns_refuse_an_unknown_key_mixed_sample_shapes_and_p0_out_of_scale()
         vf.Columns({"mass": 1.0})
     with pytest.raises(ValueError, match="one sample shape"):
         vf.Columns({"m": [1.0, 1.0], "p0": 2.0, "nhat": [[0.0, 0.0, 1.0]] * 2})
-    with pytest.raises(OverflowError, match="p0 overflows"):
-        vf.Columns({"m": 1e-200, "p0": 2.0, "nhat": [0.0, 0.0, 1.0]})
+    with pytest.raises(OverflowError, match=r"\|p0\|, m and \|p0\|/m must lie below 2\^1023"):
+        vf.Columns({"m": 1e-300, "p0": 1e8, "nhat": [0.0, 0.0, 1.0]})
+    assert vf.Columns({"m": 1e-300, "p0": 1e7, "nhat": [0.0, 0.0, 1.0]}).shape == ()
+    with pytest.raises(OverflowError, match=r"got \|p0\|=0\.0, m=8\.98846567431158e\+307"):
+        vf.Columns({"m": 2.0 ** 1023, "p0": 0.0, "nhat": [0.0, 0.0, 1.0]})
     with pytest.raises(ValueError, match="nhat must be a unit vector"):
         vf.Columns({"nhat": [0.0, 0.0, 2.0]})
     with pytest.raises(ValueError, match="mass must satisfy"):
