@@ -13,10 +13,11 @@ The energy projector is one contraction of the five-vector x = (p0, p1, p2, p3, 
 constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1), halved; each
 stack comes in both signs, so the completeness sum Lambda+ + Lambda- is one contraction
 with the two-sign stack, scaled once, and Pi reads P(-s) from the spin stack of sign -1.
-x is the one carrier of (p, m): KinematicPoint._five_vector builds it for a point, the
-on-shell guard of the public projectors for a caller's momentum, and the cores read the
-mass from its slot 4.  Each public function is its validators followed by a private core
-(_spin_projector, _pi_projector, ...), which callers holding checked values call directly.
+x is the one carrier of (p, m): KinematicPoint._five_vector builds it once per point and keeps
+it read-only, the on-shell guard of the public projectors builds it for a caller's momentum,
+and the cores only read it, the mass from its slot 4.  Each public function is its validators
+followed by a private core (_spin_projector, _pi_projector, ...), which callers holding checked
+values call directly.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _spin_projector(s, sign: int = +1) -> np.ndarray:
 
 def _over_2m(x, flat) -> np.ndarray:
     """x @ flat for x = (p0, p1, p2, p3, m) with real m, scaled by 1/2m: a flat energy stack's
-    product, its matrices not yet shaped."""
+    product, its matrices not yet shaped.  x is only read; the fresh product is scaled."""
     e = x @ flat
     # scaled in place by 0.5 / m, 1 / 2m rounded once, through the float view, as numpy divides
     # a complex by a real: (re, im) * (1 / d), so only a zero's sign may differ from e / 2m
@@ -189,8 +190,8 @@ def polsum(kind: str, k: KinematicPoint):
     energy point, where the closed form holds through the principal-branch
     continuation of both the column and the adjoint row.  Both sides have
     shape (..., 4, 4) for a batch of points k.  The band constructors raise
-    RegionError for a point outside their band.  The momentum is built here
-    from the validated point k, so the on-shell guard of energy_projector
+    RegionError for a point outside their band.  The momentum is the
+    validated point k's kept x, so the on-shell guard of energy_projector
     is not applied to it.
     """
     check_choice("kind", kind, POLSUM_KINDS)

@@ -84,7 +84,7 @@ def check_mass(m):
 
 def _norm3(v):
     """|v| over the last axis of length 3, by hypot: no square of a component is formed."""
-    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    return np.hypot.reduce(v, axis=-1)
 
 
 def check_energy(p0):
@@ -223,7 +223,8 @@ class KinematicPoint:
     2.2e-308 <= m < inf, p0 must be finite (m, |p0| and |p0|/m below 2^1023, else OverflowError)
     and nhat a unit 3-vector.  A single point keeps m and p0 as floats; a batch broadcasts
     read-only copies of m, p0 and the rows of nhat to one batch shape; nhat is read-only, (..., 3).
-    Its one cache is _boosts, the (a, b nhat) that _state and the momentum read.
+    It keeps two read-only vectors, each built on first use: _boosts, the (a, b nhat) that _state
+    reads, and _five_vector, the x = (p0, p1, p2, p3, m) built from it that the projectors read.
     """
 
     m: float
@@ -248,8 +249,8 @@ class KinematicPoint:
     @property
     def _boosts(self) -> np.ndarray:
         """(a, b nhat) for a, b = boost_factor(+1), boost_factor(-1): one read-only (..., 4)
-        vector, computed on first use, shared by every constructor called on the point and
-        kept as _vector (a cached_property would build each point a __dict__, ~60 B more)."""
+        vector, computed on first use, shared by every constructor called on the point and by
+        _five_vector, and kept as _vector (a cached_property would cost each point ~60 B more)."""
         if getattr(self, "_vector", None) is None:
             a, b = self.boost_factor(+1), self.boost_factor(-1)
             v = np.concatenate([a[..., None], b[..., None] * self.nhat], axis=-1)
@@ -261,18 +262,22 @@ class KinematicPoint:
         the constructors read: sqrt(p0^2 - m^2) for p0 >= m, imaginary for |p0| < m (the n -> i n
         continuation), -sqrt(p0^2 - m^2) for p0 <= -m, so on |p0| >= m, p(-p0) = -p(p0).  |p| may
         round a few ulp above max(|p0|, m) to 2^1023, which energy_projector's guard refuses: at
-        p0 = 0 along z, for the two largest masses below 2^1023."""
+        p0 = 0 along z, for the two largest masses below 2^1023.  A fresh, writable copy of the
+        point's kept x."""
         return self._five_vector()[..., :4].copy()
 
     def _five_vector(self) -> np.ndarray:
-        """x = (p0, p1, p2, p3, m), the momentum beside the mass, a fresh complex (..., 5), its
-        spatial part (a m)(2 b nhat) from _boosts: no square, so no step under- or overflows."""
-        v = self._boosts
-        x = np.empty(v.shape[:-1] + (5,), dtype=complex)
-        x[..., 0], x[..., 4] = self.p0, self.m
-        bn = v[..., 1:]
-        np.multiply(v[..., :1] * x[..., 4:], bn + bn, out=x[..., 1:4])
-        return x
+        """x = (p0, p1, p2, p3, m), the momentum beside the mass: one read-only complex (..., 5),
+        built once per point on first use and kept as _x beside _vector, its spatial part
+        (a m)(2 b nhat) from _boosts: no square, so no step under- or overflows."""
+        if getattr(self, "_x", None) is None:
+            v = self._boosts
+            x = np.empty(v.shape[:-1] + (5,), dtype=complex)
+            x[..., 0], x[..., 4] = self.p0, self.m
+            bn = v[..., 1:]
+            np.multiply(v[..., :1] * x[..., 4:], bn + bn, out=x[..., 1:4])
+            object.__setattr__(self, "_x", _read_only(x))
+        return self._x
 
     def negated(self) -> "KinematicPoint":
         """The same point with p0 -> -p0 (spin axis kept), built by _point from the

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor import clifford as cl
+from bispinor import projectors as pj
 from bispinor import spinors as sp
 from bispinor import verify as vf
 
@@ -77,6 +78,73 @@ def test_five_vector_holds_the_momentum_beside_the_mass():
         assert k._five_vector().tobytes() == batch._five_vector()[i].tobytes()
         assert k.momentum().tobytes() == batch.momentum()[i].tobytes()
 
+
+
+def _kept_x_points():
+    """Single points and one batch of them, on the real band and on the breve band: the
+    polsum kinds that read each band, then the points."""
+    rng = np.random.default_rng(34)
+    m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 5))
+    nhat = np.array(list(_directions(34, 5)))
+    bands = {("spinor", "antispinor", "completeness"): [1.0, 1.25, 40.0, -3.0, -1.0],
+             ("breve-plus", "breve-minus", "completeness"): [0.5, -0.9, 0.0, 1.0, -1.0]}
+    for kinds, ratio in bands.items():
+        p0 = m * np.array(ratio)
+        singles = [sp.KinematicPoint(*point) for point in zip(m, p0, nhat)]
+        yield kinds, singles, sp.KinematicPoint(m, p0, nhat)
+
+
+def test_five_vector_is_kept_read_only():
+    # _five_vector() builds x once and returns that same read-only array on every later call
+    for _, singles, batch in _kept_x_points():
+        for k in (*singles, batch):
+            x = k._five_vector()
+            assert k._five_vector() is x and not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[..., 0] = 0.0
+
+
+def test_momentum_is_a_writable_copy_of_the_kept_x():
+    # momentum() shares no memory with x; writing to it reaches neither x nor the next copy
+    for _, singles, batch in _kept_x_points():
+        for k in (*singles, batch):
+            x = k._five_vector()
+            before = x.tobytes()
+            p = k.momentum()
+            assert p.flags.writeable and not np.shares_memory(p, x)
+            p[...] = 7.0
+            assert k._five_vector() is x and x.tobytes() == before
+            assert k.momentum().tobytes() == x[..., :4].tobytes()
+
+
+def test_negated_and_unchecked_points_build_their_own_x():
+    # a point made from another's fields starts with no x and builds its own, with p0 negated,
+    # bit for bit that of a fresh KinematicPoint with the same fields
+    for _, singles, batch in _kept_x_points():
+        for k in (*singles, batch):
+            x = k._five_vector()
+            for other in (k.negated(), sp._point(k.m, -k.p0, k.nhat)):
+                assert vars(other).get("_x") is None
+                y = other._five_vector()
+                assert not np.shares_memory(y, x)
+                fresh = sp.KinematicPoint(k.m, -k.p0, k.nhat)._five_vector()
+                assert y.tobytes() == fresh.tobytes()
+                assert y[..., 0].real.tobytes() == (-x[..., 0].real).tobytes()
+
+
+def test_polsum_and_momentum_leave_the_kept_x_in_place():
+    # polsum of every kind and then momentum() read the point's x and keep it; each single
+    # point's kept x is its batch row, bit for bit
+    for kinds, singles, batch in _kept_x_points():
+        for k in (*singles, batch):
+            x = k._five_vector()
+            before = x.tobytes()
+            for kind in kinds:
+                pj.polsum(kind, k)
+            k.momentum()
+            assert k._five_vector() is x and x.tobytes() == before
+        for i, k in enumerate(singles):
+            assert k._five_vector().tobytes() == batch._five_vector()[i].tobytes()
 
 def test_momentum_is_odd_in_p0_on_the_real_band():
     # for p0 <= -m both half-boost amplitudes are imaginary, so |p| = 2 m a b is negative and
