@@ -814,6 +814,7 @@ def test_residuals_are_each_samples_largest_entry(samples):
         assert vf.residuals(check, columns).tobytes() == want.tobytes(), check.name
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", [0, 42])
 def test_a_replayed_worst_point_gives_the_reported_residual(seed):
     for check in vf.registry():
