@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the identity registry and report residuals")
     ver.add_argument("--seed", type=int, default=42, help="sampling seed (default 42)")
     ver.add_argument("--samples", type=int, default=100,
-                     help="samples per check (default 100)")
+                     help="samples per sampled check; label and fixed checks evaluate "
+                          "every label tuple once (default 100)")
     ver.add_argument("--tolerance", type=float, default=None,
                      help="override every check's tolerance (default: per-check values)")
     ver.add_argument("--format", choices=("text", "json"), default="text",

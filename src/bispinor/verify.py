@@ -11,9 +11,10 @@ runs during development:
   informational  a recorded relation with no asserted equality.
 
 Reports are pure functions of (seed, samples, tolerance_override): each
-check draws all its samples as columns, one numpy call per key, from a
+sampled check draws all its samples as columns, one numpy call per key, from a
 generator seeded per check by (seed, sha256(name)), so repeated runs are
-bit-identical and checks do not perturb each other.
+bit-identical and checks do not perturb each other; a label row evaluates every
+label tuple once and a "fixed" check its one point, whatever the seed and samples.
 
 A check's lhs and rhs builders take a Columns, one column per sampler key,
 and return arrays with a leading sample axis; given the Columns of one point
@@ -21,14 +22,13 @@ they return that point's arrays, so a reported worst_point replays as
 residuals(check, Columns(worst_point)), its max_residual.  Columns is the
 registry's one input boundary: Columns(mapping) checks every column it copies by
 the validator of its key, and residuals checks that the columns are the ones the
-check's sampler draws; the sampler's own draw, valid by construction, is handed
-over unchecked.  The builders then call the unchecked cores of the public
+check's sampler makes; the sampler's own draw or grid, valid by construction, is
+handed over unchecked.  The builders then call the unchecked cores of the public
 functions (spinors._point for the KinematicPoint, projectors._spin_projector, ...):
 only band checks (spinors._state's, and two rows' own) and residuals' key, shape and
-finiteness checks run on the draw.  A "fixed" check draws nothing and is evaluated once,
-a label row once on its grid of label tuples.  A side is made by
+finiteness checks run on the draw.  A side is made by
 _fixed if it depends on no sample (a value built at import, read-only, or a
-table of them indexed by the sampled labels); by _sides, with the other side,
+table of them indexed by the labels); by _sides, with the other side,
 if both are one evaluation make(pt) -> (lhs, rhs); else as a builder of its
 own.  A row that reads several labelled states (helicities, tetrad slots, the
 dotted flag) reads them from one spinors._state pass, a stack with a label
@@ -47,6 +47,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral, Real
 from typing import Callable
 
@@ -62,7 +63,7 @@ from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components
                       check_bispinor, check_energy, check_mass, check_scale, check_unit_vector,
                       rest_basis)
 
-TOOL_VERSION = "0.4.2"
+TOOL_VERSION = "0.4.3"
 DEFAULT_TOLERANCE = 1e-10
 
 EXPECTED_STATUSES = ("holds", "informational", "expected-fail")
@@ -164,8 +165,8 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # samplers: each draws all n points of a check as numpy columns, one call per
-# key; sample_points hands them on in a Columns, as the read-only arrays the
-# builders read
+# key, or holds its finite grid; sample_points hands them on in a Columns, as
+# the read-only arrays the builders read
 # ---------------------------------------------------------------------------
 
 def _unit_rows(rng, n: int) -> np.ndarray:
@@ -185,27 +186,28 @@ _LOG_10 = np.log(10.0)
 _LABEL_TOPS = {"index-pair": {"mu": 3, "nu": 3}, "gamma-label": {"mu": 4}}
 _ONES = lambda rng, n: np.ones(n)
 
-# each sampler's columns in the order it draws them, {key: draw(rng, n)}; a uniform draw
+# each drawn sampler's columns in the order it draws them, {key: draw(rng, n)}; a uniform draw
 # takes rng.uniform(low, high)'s low + (high - low) u from rng.random()'s u, bit for bit
-_SAMPLERS = {
+_DRAWS = {
     # p0/m log-uniform in [1, 10], m fixed to 1 (identities are homogeneous in m)
     "real-band": {"m": _ONES, "p0": lambda rng, n: np.exp(rng.random(n) * _LOG_10),
                   "nhat": _unit_rows},
     "breve-band": {"m": _ONES, "p0": lambda rng, n: rng.random(n) * 2.0 - 1.0, "nhat": _unit_rows},
     "sphere": {"nhat": _unit_rows},
-    **{name: {key: lambda rng, n, top=top: rng.integers(0, top + 1, n) for key, top in tops.items()}
-       for name, tops in _LABEL_TOPS.items()},
     # three complex 4x4 matrices per point, 48 real and 48 imaginary parts in row-major order
     "matrices": dict.fromkeys(("a_re", "a_im"),
                               lambda rng, n: np.subtract(u := rng.random((n, 48)), 0.5, out=u)),
     "spinor4": dict.fromkeys(("xi_re", "xi_im"), lambda rng, n: rng.normal(size=(n, 4))),
-    "fixed": {},
 }
+# each finite sampler's columns, drawn by none: every label tuple once, flattened in row-major
+# order, read-only; "fixed" has no columns and is one point
+_GRIDS = {**{name: dict(zip(tops, _read_only(
+    np.indices([top + 1 for top in tops.values()]).reshape(len(tops), -1))))
+    for name, tops in _LABEL_TOPS.items()}, "fixed": {}}
+# every sampler's keys in column order: the one table of them
+_SAMPLERS = {name: tuple(columns) for name, columns in {**_DRAWS, **_GRIDS}.items()}
 # the width of each column drawn as a vector per point; every other key draws one number
 _WIDTHS = {"nhat": 3, "a_re": 48, "a_im": 48, "xi_re": 4, "xi_im": 4}
-# each label sampler's grid, every label tuple once as read-only columns, and its shape
-_GRIDS = {name: (dict(zip(tops, grid)), grid.shape[1:]) for name, tops in _LABEL_TOPS.items()
-          for grid in [_read_only(np.indices([top + 1 for top in tops.values()]))]}
 
 
 def _checked_column(key: str, column, columns) -> np.ndarray:
@@ -245,7 +247,7 @@ class Columns(dict):
     OverflowError, as for a KinematicPoint).  So no write to the caller's arrays can change
     the columns, and the builders read only checked values.  Only _unchecked hands over
     arrays the library made uncopied and unchecked: sample_points' fresh draw, shape (n,),
-    and a label sampler's grid.  ``shape`` is that one sample shape: () for one point or for
+    and a finite sampler's grid.  ``shape`` is that one sample shape: () for one point or for
     no columns.  The dict stays empty: json encodes it as {}."""
 
     __slots__ = ("arrays", "derived", "shape")
@@ -340,7 +342,7 @@ def _anticommutators(stack) -> np.ndarray:
 
 
 # Tables of the sample-independent sides of the gamma-algebra rows, indexed by the
-# sampled labels: (mu, nu) for the anticommutators, mu for the labels 0..4 (4 for gamma5).
+# labels: (mu, nu) for the anticommutators, mu for the labels 0..4 (4 for gamma5).
 _GAMMAS = _read_only(np.stack([gamma(mu) for mu in range(4)]))
 _GAMMA_LABELS = _read_only(np.stack([*_GAMMAS, gamma5()]))
 _ANTICOMMUTATORS = _anticommutators(_GAMMAS)
@@ -353,7 +355,7 @@ _SIGNED_LABELS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])[:, None, None] * _GAMMA_
 
 def _fixed(value, *keys):
     """A side that depends on no sample: value, built once and read-only, indexed by the
-    sampled labels pt.arrays[key] for each of keys (all of value, read-only, for none)."""
+    labels pt.arrays[key] for each of keys (all of value, read-only, for none)."""
     value = _read_only(np.asarray(value))
     return lambda pt: value[tuple(pt.arrays[key] for key in keys)]
 
@@ -383,12 +385,14 @@ def _trace_cycle(pt) -> tuple:
 
 def _boost_exponential(pt) -> tuple:
     """exp(+-(chi/2) sigma.n) phi_lam in spectral form, e^{+-chi/2} P(n) phi + e^{-+chi/2} P(-n)
-    phi, e^{+-chi/2} = sqrt(r +- |p|/m), r = p0/m, and boosted_spinor: rows (lam, dotted)."""
+    phi, e^{chi/2} = sqrt(r + |p|/m), r = p0/m, e^{-chi/2} = 1/e^{chi/2} = sqrt(m/(p0 + |p|)),
+    no difference, so it does not cancel at large r; and boosted_spinor: rows (lam, dotted)."""
     k = _kin(pt)
     check_band("boost-exponential", k.p0, k.m, "p0 >= m")
     r = k.p0 / k.m
-    q = np.sqrt((r - 1.0) * (r + 1.0))  # not momentum()'s 2 m a b: the row's own reference
-    up, down = (np.sqrt(r + sign * q)[..., None, None] for sign in (+1, -1))
+    # |p|/m = sqrt(r - 1) sqrt(r + 1), not momentum()'s 2 m a b: the row's own reference
+    up = np.sqrt(r + np.sqrt(r - 1.0) * np.sqrt(r + 1.0))[..., None, None]
+    down = 1.0 / up
     # P(+-n) phi_lam for lam = +1/2, -1/2 (phi the columns of I2), as (..., lam, 2)
     pa, pb = (np.swapaxes(_spin_projector_rest(n), -1, -2) for n in (k.nhat, -k.nhat))
     rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)
@@ -460,13 +464,6 @@ def _map_roundtrip(pt) -> tuple:
     return _spinor_from_breve(_spinor_from_breve(us, s, "u"), s, "v"), -us
 
 
-def _unity_gamma0(pt):
-    """sum_tau of the gamma0 diads of antisym_bispinor(k, tau, +1) at p0 = -m, the
-    tetrad at the negated point p0 = m, added in tau order."""
-    d = _diad(_state(_point(1.0, 1.0, pt.arrays["nhat"]), "tetrad_bispinor"), "gamma0")
-    return ((d[..., 0, :, :] + d[..., 1, :, :]) + d[..., 2, :, :]) + d[..., 3, :, :]
-
-
 def _tetrad_sum(pt):
     """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n), with P(n) and P(-n) built once."""
     along, against = (_spin_projector(_spatial(n)) for n in (pt.arrays["nhat"], -pt.arrays["nhat"]))
@@ -519,7 +516,11 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "real-band", *_sides(lambda pt: polsum("antispinor", _kin(pt))), 1e-12, "holds"),
     ("unity-decomposition-gamma0",
      "unity decomposition over the antisymmetric-basis gamma0 diads at p0 = -m",
-     "sphere", _unity_gamma0, _fixed(_I4), 1e-12, "expected-fail"),
+     # antisym_bispinor(k, tau, +1) at p0 = -m is the tetrad at p0 = m, where b = 0: no nhat;
+     # its diads added in tau order from the first, so a -0 entry keeps its sign
+     "fixed", _fixed(reduce(np.add, _diad(_state(_point(1.0, 1.0, np.array(_ZHAT)),
+                                                 "tetrad_bispinor"), "gamma0"))),
+     _fixed(_I4), 1e-12, "expected-fail"),
     ("kappa-boundary",
      "spin-eigenvalue ratio: closed form vs the parity-amplitude ratio, zero at threshold",
      "real-band", *_sides(_kappa_boundary), 1e-12, "holds"),
@@ -598,37 +599,36 @@ def _per_check_seed(name: str) -> int:
 
 def sample_points(check: IdentityCheck, seed: int, samples: int) -> Columns:
     """The check's sample points for integers (numbers.Integral, not bools) seed >= 0 and
-    samples >= 1 as a Columns: one array of samples rows per sampler key (no columns, and
-    no generator, for a "fixed" check), the sampler's own draw, read-only and not copied."""
+    samples >= 1 as a Columns, read-only and not copied: a drawn sampler's own draw, one array
+    of samples rows per key; a finite sampler's grid, every label tuple once, built by no
+    generator (no columns and shape () for a "fixed" check)."""
     for name, value, low in (("seed", seed, 0), ("samples", samples, 1)):
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    draws = _SAMPLERS[check.sampler]
-    if not draws:
-        return Columns({})
+    if check.sampler in _GRIDS:
+        grid = _GRIDS[check.sampler]
+        return _unchecked(dict(grid), next((a.shape for a in grid.values()), ()))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _per_check_seed(check.name)]))
-    return _unchecked({key: _read_only(draw(rng, int(samples))) for key, draw in draws.items()},
-                      (int(samples),))
+    return _unchecked({key: _read_only(draw(rng, int(samples)))
+                       for key, draw in _DRAWS[check.sampler].items()}, (int(samples),))
 
 
 def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
-    """max |lhs - rhs| per point from one evaluation of each side on the columns, or on the
-    label grid for a label row (one residual for a "fixed" check, or one point's columns).
-    Columns other than the keys the check's sampler draws are a ValueError; a builder's
-    domain error or a non-finite residual is a ConfigurationError."""
-    keys = _SAMPLERS[check.sampler].keys()
-    if columns.arrays.keys() != keys:
+    """max |lhs - rhs| per point from one evaluation of each side on the columns (one
+    residual for a "fixed" check, or one point's columns).  Columns other than the keys of
+    the check's sampler are a ValueError; a builder's domain error or a non-finite residual
+    is a ConfigurationError."""
+    keys = _SAMPLERS[check.sampler]
+    if columns.arrays.keys() != set(keys):
         raise ValueError(f"check {check.name!r} reads the columns {list(keys)}, "
                          f"got {list(columns.arrays)}")
-    grid = _GRIDS.get(check.sampler)  # a label row: both sides once, on each label tuple once
-    evaluated = columns if grid is None else _unchecked(*grid)
     try:
-        diff = np.abs(np.asarray(check.lhs(evaluated)) - np.asarray(check.rhs(evaluated)))
+        diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
     except ValueError as exc:
         raise ConfigurationError(f"check {check.name!r}: {exc}") from exc
-    shape = evaluated.shape
+    shape = columns.shape
     n = math.prod(shape)
     if diff.shape[:len(shape)] != shape:
         raise ConfigurationError(
@@ -636,8 +636,6 @@ def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
             f"of {n} samples")
     # each sample's maximum taken across the sample axis, one pass per residual entry
     out = np.ascontiguousarray(diff.reshape(n, -1).T).max(axis=0)
-    if grid is not None:  # each sample's is its label tuple's: the maximum of the same entries
-        out = out[np.ravel_multi_index([columns.arrays[k] for k in keys], shape)].reshape(-1)
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -647,8 +645,8 @@ def residuals(check: IdentityCheck, columns: Columns) -> np.ndarray:
 
 
 def run_check(check: IdentityCheck, seed: int, samples: int) -> CheckResult:
-    """Evaluate one check over deterministic samples drawn for (seed, name); the
-    worst sample is the first one with the largest residual."""
+    """Evaluate one check over its points, drawn for (seed, name) or its sampler's grid;
+    the worst point is the first one with the largest residual, and samples their number."""
     columns = sample_points(check, seed, samples)
     res = residuals(check, columns)
     worst = int(np.argmax(res))
@@ -659,7 +657,7 @@ def run_check(check: IdentityCheck, seed: int, samples: int) -> CheckResult:
     return CheckResult(
         name=check.name,
         paper_ref=check.paper_ref,
-        samples=int(samples),  # an integer, as sample_points checked
+        samples=res.size,
         max_residual=float(res[worst]),
         worst_point=point(columns, worst),
         status=status,

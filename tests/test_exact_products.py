@@ -195,8 +195,8 @@ def test_adjoint_rows_are_their_former_products(dagger):
 def _former_boost_exponential(c) -> tuple:
     k = _kin(c)
     r = k.p0 / k.m
-    q = np.sqrt((r - 1.0) * (r + 1.0))
-    up, down = (np.sqrt(r + sign * q)[..., None, None] for sign in (+1, -1))
+    up = np.sqrt(r + np.sqrt(r - 1.0) * np.sqrt(r + 1.0))[..., None, None]
+    down = 1.0 / up
     pa, pb = (cl.times_column(pj.spin_projector_rest(n)[..., None, :, :], cl._I2)
               for n in (k.nhat, -k.nhat))
     rows = np.stack([up * pa + down * pb, down * pa + up * pb], axis=-2)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import subprocess
 import sys
@@ -297,7 +298,7 @@ def test_report_json_round_trips_doubles():
 
 # ---------------------------------------------------------------------------
 # the sampler contract: columns of n rows in the sampler's domain, one stream
-# per (seed, check name), rows readable as plain JSON values
+# per (seed, check name), or a finite sampler's grid; rows readable as plain JSON values
 # ---------------------------------------------------------------------------
 
 SAMPLER_KEYS = {
@@ -312,6 +313,9 @@ SAMPLER_KEYS = {
 }
 ROW_SHAPES = {"m": (), "p0": (), "nhat": (3,), "mu": (), "nu": (), "a_re": (48,), "a_im": (48,),
               "xi_re": (4,), "xi_im": (4,)}
+# each finite sampler's grid, every label tuple once in row-major order: its points
+GRID_TUPLES = {"index-pair": list(itertools.product(range(4), range(4))),
+               "gamma-label": [(mu,) for mu in range(5)], "fixed": [()]}
 
 
 def test_building_the_registry_leaves_numpy_random_unloaded():
@@ -334,14 +338,17 @@ def _fixture(sampler: str, name: str = "sampler-contract"):
 @pytest.mark.parametrize("n", [1, 7, 2000])
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
 def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
-    assert set(SAMPLER_KEYS) == set(vf._SAMPLERS)
+    # a drawn sampler gives n rows, a finite one its grid whatever n is
+    assert set(SAMPLER_KEYS) == set(vf._SAMPLERS) == set(vf._DRAWS) | set(GRID_TUPLES)
+    assert set(GRID_TUPLES) == set(vf._GRIDS) and not set(vf._DRAWS) & set(vf._GRIDS)
     drawn = vf.sample_points(_fixture(sampler), seed=5, samples=n)
     assert list(drawn) == [] and drawn.derived == {}
     columns = drawn.arrays
     assert list(columns) == SAMPLER_KEYS[sampler] == list(vf._SAMPLERS[sampler])
+    rows = len(GRID_TUPLES[sampler]) if sampler in GRID_TUPLES else n
     for key, column in columns.items():
         assert type(column) is np.ndarray and not column.flags.writeable, key
-        assert column.shape == (n,) + ROW_SHAPES[key], key
+        assert column.shape == (rows,) + ROW_SHAPES[key], key
         assert ROW_SHAPES[key] == ((vf._WIDTHS[key],) if key in vf._WIDTHS else ()), key
         assert column.dtype.kind == ("i" if key in ("mu", "nu") else "f"), key
         assert np.isfinite(column).all(), key
@@ -352,13 +359,9 @@ def test_samplers_draw_columns_of_n_rows_in_their_domain(sampler, n):
         assert np.all(columns["m"] == 1.0)
         low, high = (1.0, 10.0) if sampler == "real-band" else (-1.0, 1.0)
         assert np.all((columns["p0"] >= low) & (columns["p0"] <= high))
-    for key in ("mu", "nu"):
-        if key in columns:
-            high = 4 if sampler == "gamma-label" else 3
-            assert columns[key].dtype.kind == "i"
-            assert np.all((columns[key] >= 0) & (columns[key] <= high))
-            if n == 2000:
-                assert set(columns[key].tolist()) == set(range(high + 1))
+    if sampler in GRID_TUPLES and columns:
+        assert list(zip(*(column.tolist() for column in columns.values()))) == \
+            GRID_TUPLES[sampler]
     for key in ("a_re", "a_im"):
         if key in columns:
             assert np.all((columns[key] >= -0.5) & (columns[key] < 0.5))
@@ -376,16 +379,17 @@ def test_sample_points_are_a_function_of_seed_samples_and_name(sampler):
     # drawing another check in between perturbs nothing
     vf.sample_points(_fixture("real-band", "another-check"), seed=11, samples=500)
     assert _bits(vf.sample_points(check, seed=11, samples=300)) == first
-    if sampler != "fixed":
-        assert _bits(vf.sample_points(check, seed=12, samples=300)) != first
-        assert _bits(vf.sample_points(check, seed=11 + 2 ** 63, samples=300)) != first
-        assert _bits(vf.sample_points(_fixture(sampler, "renamed"), 11, 300)) != first
+    others = (vf.sample_points(check, seed=12, samples=300),
+              vf.sample_points(check, seed=11 + 2 ** 63, samples=300),
+              vf.sample_points(_fixture(sampler, "renamed"), 11, 300))
+    # a finite sampler's grid depends on none of them
+    assert all((_bits(other) != first) == (sampler in vf._DRAWS) for other in others)
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
 def test_point_rows_survive_a_json_round_trip_exactly(sampler):
     columns = vf.sample_points(_fixture(sampler), seed=3, samples=40)
-    for i in range(40):
+    for i in range(columns.shape[0] if columns.shape else 1):
         pt = vf.point(columns, i)
         assert json.loads(json.dumps(pt)) == pt
         # cut from the arrays, the row equals the row of the whole columns' plain lists
@@ -403,7 +407,8 @@ def test_columns_keep_the_samplers_arrays_read_only_beside_their_lists(sampler):
     check = _fixture(sampler)
     columns = vf.sample_points(check, seed=6, samples=50)
     rng = np.random.default_rng(np.random.SeedSequence([6, vf._per_check_seed(check.name)]))
-    drawn = {key: draw(rng, 50) for key, draw in vf._SAMPLERS[sampler].items()}
+    drawn = vf._GRIDS.get(sampler) or {key: draw(rng, 50)
+                                       for key, draw in vf._DRAWS.get(sampler, {}).items()}
     assert list(columns.arrays) == list(drawn) and list(columns) == []
     lists = {key: array.tolist() for key, array in columns.arrays.items()}
     for key, array in columns.arrays.items():
@@ -445,12 +450,12 @@ def test_columns_copy_every_caller_array_and_keep_the_samplers_draw(monkeypatch)
     # read-only: no column views another array
     for name in ("real-band", "matrices", "spinor4"):
         drawn = {}
-        for key, draw in vf._SAMPLERS[name].items():
+        for key, draw in vf._DRAWS[name].items():
             def recorded(rng, n, key=key, draw=draw, drawn=drawn):
                 drawn[key] = draw(rng, n)
                 return drawn[key]
 
-            monkeypatch.setitem(vf._SAMPLERS[name], key, recorded)
+            monkeypatch.setitem(vf._DRAWS[name], key, recorded)
         columns = vf.sample_points(_fixture(name), seed=2, samples=5)
         assert list(drawn) == list(columns.arrays), name
         assert all(columns.arrays[key] is array for key, array in drawn.items()), name
@@ -576,7 +581,7 @@ SHARED_CALLS = {
     "_section4_two_valued": {"section4-two-valued": 1},
     "trace": {"trace-cyclicity": 2},
     # one pass of the stacked states per evaluation, in place of one call per label
-    "_state": dict.fromkeys(("boost-exponential", "norm-spinor", "unity-decomposition-gamma0",
+    "_state": dict.fromkeys(("boost-exponential", "norm-spinor",
                              "kappa-boundary", "breve-norm", "breve-norm-cross", "adjoint-dirac",
                              "adjoint-dirac-paper-dagger", "adjoint-dirac-standard-dagger",
                              "pi-annihilation", "spinor-breve-maps"), 1),
@@ -606,7 +611,7 @@ def test_each_check_computes_its_shared_values_once(monkeypatch):
             assert after == before or not any(before.values()), check.name
             # one point per evaluation, built by _point from the checked columns
             kinematic = check.sampler in ("real-band", "breve-band")
-            assert after["_point"] == int(kinematic or check.name == "unity-decomposition-gamma0")
+            assert after["_point"] == int(kinematic)
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
@@ -699,8 +704,8 @@ def _kin_of(pt) -> KinematicPoint:
 def _loop_boost_exponential(pt) -> tuple:
     k = _kin_of(pt)
     r = k.p0 / k.m
-    q = np.sqrt((r - 1.0) * (r + 1.0))
-    up, down = (np.sqrt(r + sign * q)[..., None] for sign in (+1, -1))
+    up = np.sqrt(r + np.sqrt(r - 1.0) * np.sqrt(r + 1.0))[..., None]
+    down = 1.0 / up
     along, against = pj.spin_projector_rest(k.nhat), pj.spin_projector_rest(-k.nhat)
     rows, boosted = [], []
     for lam in sp.HELICITIES:
@@ -769,14 +774,6 @@ def _loop_map_roundtrip(pt) -> tuple:
                      axis=-2), np.stack([-u for u in us], axis=-2))
 
 
-def _loop_unity_gamma0(pt):
-    # added in tau order from the first diad, as the row adds them: sum() would start
-    # from 0, and 0 + (-0.0) turns a -0 entry of the first diad into +0
-    k = KinematicPoint(1.0, -1.0, pt.arrays["nhat"])
-    return reduce(np.add, (pj.diad(sp.antisym_bispinor(k, tau, +1), "gamma0")
-                           for tau in (1, 2, 3, 4)))
-
-
 # row name -> its per-label loop: (lhs, rhs) where the row evaluates both sides at once,
 # else its lhs (the rhs is a fixed value)
 LOOPS = {
@@ -790,7 +787,6 @@ LOOPS = {
     "adjoint-dirac-standard-dagger": _loop_adjoint_dagger(paper_sign=False),
     "pi-annihilation": _loop_pi_annihilation,
     "spinor-breve-maps": _loop_map_roundtrip,
-    "unity-decomposition-gamma0": _loop_unity_gamma0,
 }
 
 
@@ -810,7 +806,7 @@ def test_residuals_are_each_samples_largest_entry(samples):
     for check in vf.registry():
         columns = vf.sample_points(check, seed=3, samples=samples)
         diff = np.abs(np.asarray(check.lhs(columns)) - np.asarray(check.rhs(columns)))
-        want = diff.reshape(samples if columns.arrays else 1, -1).max(axis=1)
+        want = diff.reshape(columns.shape[0] if columns.shape else 1, -1).max(axis=1)
         assert vf.residuals(check, columns).tobytes() == want.tobytes(), check.name
 
 
@@ -826,10 +822,12 @@ def test_a_replayed_worst_point_gives_the_reported_residual(seed):
 @pytest.mark.parametrize("samples", [1, 7])
 def test_columns_shape_is_the_sample_shape_of_their_columns(samples):
     # (n,) for a draw and for the Columns of its arrays or lists, () for one replayed
-    # worst point, and () for a "fixed" check, which has no columns
+    # worst point, a label grid's size for a label row, and () for a "fixed" check, which
+    # has no columns
+    shapes = {"index-pair": (16,), "gamma-label": (5,), "fixed": ()}
     for check in vf.registry():
         draw = vf.sample_points(check, seed=5, samples=samples)
-        assert draw.shape == (() if check.sampler == "fixed" else (samples,)), check.name
+        assert draw.shape == shapes.get(check.sampler, (samples,)), check.name
         lists = {key: array.tolist() for key, array in draw.arrays.items()}
         assert vf.Columns(draw).shape == vf.Columns(lists).shape == draw.shape, check.name
         worst = vf.run_check(check, seed=5, samples=samples).worst_point
@@ -948,8 +946,8 @@ def test_the_draw_path_runs_no_validator_again(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sample-independent work is done once: the label rows evaluate their sides on
-# the grid of their label tuples, a "fixed" check builds no generator, and the
+# a finite domain is enumerated, not sampled: a label row evaluates every label
+# tuple once, a "fixed" row its one point, neither builds a generator; and the
 # uniform draws keep rng.uniform's bits
 # ---------------------------------------------------------------------------
 
@@ -967,7 +965,7 @@ UNIFORM_DRAWS = {
 def test_each_uniform_draw_keeps_the_bits_of_rng_uniform(sampler, key, n):
     for seed in range(50):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = vf._SAMPLERS[sampler][key](got_rng, n)
+        got = vf._DRAWS[sampler][key](got_rng, n)
         want = UNIFORM_DRAWS[sampler, key](want_rng, n)
         assert got.dtype == want.dtype and got.shape == want.shape, seed
         assert got.tobytes() == want.tobytes(), seed
@@ -975,33 +973,63 @@ def test_each_uniform_draw_keeps_the_bits_of_rng_uniform(sampler, key, n):
         assert got_rng.random() == want_rng.random(), seed
 
 
-LABEL_ROWS = {"anticommutator-minkowski": 16, "anticommutator-literal-delta": 16,
-              "gamma-hermiticity": 5}
+# the rows on a finite domain: each label row's grid, each "fixed" row's one point
+FINITE_ROWS = {c.name: GRID_TUPLES[c.sampler] for c in vf.registry() if c.sampler in GRID_TUPLES}
 
 
-@pytest.mark.parametrize("samples", [1, 7, 1000])
-@pytest.mark.parametrize("name", sorted(LABEL_ROWS))
-def test_a_label_rows_residuals_are_its_per_sample_maxima(name, samples):
+def test_the_finite_rows_are_the_label_and_fixed_rows():
+    assert {name: len(tuples) for name, tuples in FINITE_ROWS.items()} == {
+        "anticommutator-minkowski": 16, "anticommutator-literal-delta": 16,
+        "gamma-hermiticity": 5, "gamma5-pseudoscalar": 1, "unity-decomposition-gamma0": 1,
+        "rest-eigenvalues": 1, "diad-half-unity": 1, "breve-rest-relation": 1}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_ROWS))
+def test_a_finite_rows_residuals_are_its_per_tuple_maxima_in_grid_order(name):
+    # the per-tuple evaluation, written out: each label tuple's max |lhs - rhs| over its
+    # entries, one tuple at a time through the validating path, in row-major order
     check = _by_name()[name]
-    columns = vf.sample_points(check, seed=11, samples=samples)
-    # the per-sample evaluation, written out: each sample's max |lhs - rhs| over its entries
-    lhs, rhs = check.lhs(vf.Columns(columns)), check.rhs(vf.Columns(columns))
-    want = np.array([np.max(np.abs(lhs[i] - rhs[i])) for i in range(samples)])
-    got = vf.residuals(check, columns)
-    assert got.shape == (samples,) and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes(), name
-    for i in sorted({0, samples // 2, samples - 1}):  # one replayed point: one residual
-        one = vf.residuals(check, vf.Columns(vf.point(columns, i)))
-        assert one.shape == (1,) and one.tobytes() == want[i:i + 1].tobytes(), (name, i)
+    keys = vf._SAMPLERS[check.sampler]
+    want = []
+    for labels in FINITE_ROWS[name]:
+        one = vf.Columns(dict(zip(keys, labels)))
+        want.append(np.max(np.abs(check.lhs(one) - check.rhs(one))))
+        assert vf.residuals(check, one).tolist() == [want[-1]], (name, labels)
+    want = np.array(want)
+    for seed, samples in ((0, 1), (42, 1000)):
+        got = vf.residuals(check, vf.sample_points(check, seed, samples))
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
 
 
-@pytest.mark.parametrize("name", sorted(LABEL_ROWS))
-def test_a_label_row_evaluates_its_sides_once_on_every_label_tuple(name):
+@pytest.mark.parametrize("name", sorted(FINITE_ROWS))
+def test_a_finite_rows_report_row_depends_on_no_seed_and_no_sample_count(name):
+    check = _by_name()[name]
+    rows = {json.dumps(vars(vf.run_check(check, seed, samples)))
+            for seed in (0, 7, 42) for samples in (1, 100, 1000)}
+    assert len(rows) == 1, name
+    row = json.loads(rows.pop())
+    assert row["samples"] == len(FINITE_ROWS[name]), name
+    assert list(row["worst_point"]) == list(vf._SAMPLERS[check.sampler]), name
+
+
+def test_the_literal_delta_row_reports_its_spatial_diagonal_in_every_cell():
+    # {gamma_mu, gamma_nu} for lowered gammas is -2 at mu = nu = 1 against the displayed +2:
+    # the first worst tuple of the grid, also at n = 1, where one drawn pair could miss it
+    check = _by_name()["anticommutator-literal-delta"]
+    for seed, samples in itertools.product((0, 1, 7, 42), (1, 10, 100, 1000)):
+        result = vf.run_check(check, seed, samples)
+        assert (result.max_residual, result.worst_point, result.samples) == \
+            (4.0, {"mu": 1, "nu": 1}, 16), (seed, samples)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, tuples in FINITE_ROWS.items() if tuples != [()]))
+def test_a_label_row_evaluates_its_sides_once_on_the_columns_it_is_given(name):
     seen = []
 
     def recorded(side):
         def on(pt):
-            seen.append((pt, {key: array.copy() for key, array in pt.arrays.items()}))
+            seen.append(pt)
             return side(pt)
         return on
 
@@ -1011,32 +1039,20 @@ def test_a_label_row_evaluates_its_sides_once_on_every_label_tuple(name):
                     vf.Columns(vf.run_check(check, seed=2, samples=30).worst_point)):
         seen.clear()
         vf.residuals(check, columns)
-        (lhs_pt, grid), (rhs_pt, again) = seen
-        assert lhs_pt is rhs_pt and lhs_pt is not columns and lhs_pt.derived == {}
-        assert list(grid) == list(vf._SAMPLERS[check.sampler])
-        tuples = list(zip(*(labels.ravel().tolist() for labels in grid.values())))
-        assert len(tuples) == len(set(tuples)) == LABEL_ROWS[name], name
-        tops = [max(labels) for labels in zip(*tuples)]
-        assert tops == list(vf._LABEL_TOPS[check.sampler].values()), name
-        assert all(a.tobytes() == again[key].tobytes() for key, a in grid.items())
-    # each evaluation has a fresh Columns: no derived value outlives it
-    vf.residuals(check, columns)
-    assert seen[-1][0] is not lhs_pt
+        assert len(seen) == 2 and all(pt is columns for pt in seen), name
 
 
 def test_a_non_finite_label_residual_names_the_first_failing_sample_and_its_point():
     table = np.zeros((5, 4, 4))
-    table[0, 1, 3] = np.nan
+    table[2:4, 1, 3] = np.nan
     check = vf.IdentityCheck("label-fixture", "label fixture", "gamma-label",
                              vf._fixed(table, "mu"), vf._fixed(np.zeros((4, 4))), 1e-12, "holds")
-    columns = vf.sample_points(check, seed=4, samples=50)
-    first = int(np.argmax(columns.arrays["mu"] == 0))
-    assert (columns.arrays["mu"] == 0).any() and first > 0
-    with pytest.raises(vf.ConfigurationError,
-                       match=rf"non-finite residual at sample {first}, point \{{'mu': 0\}}$"):
-        vf.residuals(check, columns)
-    with pytest.raises(vf.ConfigurationError, match=r"at sample 0, point \{'mu': 0\}$"):
-        vf.residuals(check, vf.Columns({"mu": 0}))
+    for seed, samples in ((4, 1), (4, 50)):
+        with pytest.raises(vf.ConfigurationError,
+                           match=r"non-finite residual at sample 2, point \{'mu': 2\}$"):
+            vf.residuals(check, vf.sample_points(check, seed, samples))
+    with pytest.raises(vf.ConfigurationError, match=r"at sample 0, point \{'mu': 3\}$"):
+        vf.residuals(check, vf.Columns({"mu": 3}))
 
 
 def test_only_a_check_that_draws_builds_a_generator(monkeypatch):
@@ -1051,6 +1067,35 @@ def test_only_a_check_that_draws_builds_a_generator(monkeypatch):
     for check in vf.registry():
         calls.clear()
         vf.sample_points(check, seed=1, samples=10)
-        assert len(calls) == (0 if check.sampler == "fixed" else 1), check.name
+        assert len(calls) == (0 if check.sampler in vf._GRIDS else 1), check.name
         samplers.add(check.sampler)
     assert samplers == set(vf._SAMPLERS)
+
+
+def _unity_gamma0_at(nhat):
+    """The sum over tau of the gamma0 diads of antisym_bispinor at p0 = -m along nhat, added
+    in tau order from the first diad, as the row adds them: sum() would start from 0, and
+    0 + (-0.0) turns a -0 entry of the first diad into +0."""
+    k = KinematicPoint(1.0, -1.0, nhat)
+    return reduce(np.add, (pj.diad(sp.antisym_bispinor(k, tau, +1), "gamma0")
+                           for tau in (1, 2, 3, 4)))
+
+
+# directions for the threshold tetrad: the six +-axes, then random ones
+_TETRAD_DIRECTIONS = np.concatenate([np.concatenate([np.eye(3), -np.eye(3)]),
+                                     vf._unit_rows(np.random.default_rng(37), 2000)])
+
+
+def test_the_threshold_tetrad_sum_depends_on_no_direction():
+    # at p0 = m the half-boost amplitude b is 0, so no nhat enters the tetrad: the row's one
+    # constant, built at nhat = z, is the per-direction sum of the former sphere row at
+    # every direction, bit for bit, one point at a time and as one batch
+    check = _by_name()["unity-decomposition-gamma0"]
+    constant = check.lhs(vf.sample_points(check, seed=0, samples=1))
+    assert check.sampler == "fixed" and constant.shape == (4, 4) and constant.dtype == complex
+    batch = _unity_gamma0_at(_TETRAD_DIRECTIONS)
+    assert batch.shape == (len(_TETRAD_DIRECTIONS), 4, 4)
+    for i, nhat in enumerate(_TETRAD_DIRECTIONS):
+        assert batch[i].tobytes() == constant.tobytes(), nhat
+        if i < 50:
+            assert _unity_gamma0_at(nhat).tobytes() == constant.tobytes(), nhat
