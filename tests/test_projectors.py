@@ -14,6 +14,7 @@ I2 = np.eye(2)
 I4 = np.eye(4)
 ZHAT = (0.0, 0.0, 1.0)
 ZS4 = (0.0, 0.0, 0.0, 1.0)
+AXES = [(0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, -0.0)]
 
 unit_dirs = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
     lambda v: np.linalg.norm(v) > 0.2
@@ -301,52 +302,26 @@ def test_polsum_spinor_holds_where_the_squares_of_p0_and_m_underflow():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-@settings(max_examples=50, deadline=None)
-@given(unit_dirs, st.lists(unit_dirs, min_size=1, max_size=8))
-def test_gamma5_stacks_equal_the_explicit_products(nhat, batch):
-    # spin_projector and spinor_from_breve contract s against stacks with their blocks
-    # swapped; every entry is a component times 0, +-1 or +-i, so each equals the explicit
-    # product
-    g5 = cl.gamma5()
-    rng = np.random.default_rng(len(batch))
-    for s in (sp._spatial(nhat), np.array([sp._spatial(n) for n in batch])):
-        assert np.array_equal(pj.spin_projector(s), (I4 + g5 @ cl.slash(s)) / 2.0)
-        breve = rng.normal(size=s.shape[:-1] + (4,)) + 1j * rng.normal(size=s.shape[:-1] + (4,))
-        gs = cl.gamma_dot_spatial(s)
-        assert np.array_equal(sp.spinor_from_breve(breve, s, "u"),
-                              cl.times_column(g5 @ gs, breve))
-        assert np.array_equal(sp.spinor_from_breve(breve, s, "v"),
-                              cl.times_column(gs @ g5, breve))
-
-
-def test_energy_projector_equals_the_closed_form_entry_for_entry():
-    # one product of (p, m) with a constant stack, scaled by 1/2m, equals the closed form
-    # (+-pslash + m I4)/2m entry for entry (a zero entry may differ in sign)
-    def closed_form(p, m, sign):
-        m = np.asarray(m)[..., None, None]
-        if sign > 0:
-            return (cl.slash(p) + m * cl._I4) / (2.0 * m)
-        return (m * cl._I4 - cl.slash(p)) / (2.0 * m)
-
-    singles = [*_random_points(21, 5), *_random_points(22, 5, band="breve"),
-               KinematicPoint(3.0, -7.5, ZHAT)]
-    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
-                           np.array([k.nhat for k in singles]))
-    for k in (*singles, batch):
-        p = k.momentum()
-        for sign in (+1, -1):
-            got = pj._energy_projector(k._five_vector(), sign)
-            assert np.array_equal(got, closed_form(p, k.m, sign))
-            assert got.shape == np.shape(k.p0) + (4, 4)
-
-
-def test_energy_projector_broadcasts_one_momentum_over_a_batch_of_masses():
-    # the mass is added in place, so the momentum is broadcast to the shared batch first
-    p = np.array([1.25, 0, 0, 0.75])
-    for sign in (+1, -1):
-        got = pj.energy_projector(p, np.array([1.0, 1.0]), sign)
-        assert got.shape == (2, 4, 4)
-        assert np.array_equal(got, np.stack([pj.energy_projector(p, 1.0, sign)] * 2))
+def test_spinor_from_breve_keeps_the_bytes_of_the_explicit_products():
+    # the maps contract s against stacks with their blocks swapped; every entry is a component
+    # times 0, +-1 or +-i, so each has the bits of the explicit product gamma5 (gamma.s) or
+    # (gamma.s) gamma5 times the column, signed zeros included: for a (40, 25) batch whose
+    # first spin vectors lie along signed-zero axes and whose first bispinors have signed-zero
+    # components, and for those points alone
+    rng = np.random.default_rng(29)
+    n = rng.normal(size=(40, 25, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    n[0, :4] = AXES
+    s = sp._spatial(n)
+    breve = rng.normal(size=(40, 25, 4)) + 1j * rng.normal(size=(40, 25, 4))
+    breve[0, :2] = [(0.0, -0.0, 1j, -1.0), (complex(-0.0, -0.0), 1.0, -1j, 0.0)]
+    g5, gs = cl.gamma5(), cl.gamma_dot_spatial(s)
+    for variant, stack in (("u", g5 @ gs), ("v", gs @ g5)):
+        want = cl.times_column(stack, breve)
+        assert sp.spinor_from_breve(breve, s, variant).tobytes() == want.tobytes()
+        for i in range(4):
+            got = sp.spinor_from_breve(breve[0, i], s[0, i], variant)
+            assert got.tobytes() == want[0, i].tobytes()
 
 
 def _written_out_energy(p, m, sign):
@@ -369,36 +344,66 @@ def _written_out_spin(s):
     return (cl._I4 + g5s) * 0.5
 
 
-def _written_out_polsum_rhs(kind, k):
+def _written_out_polsum(kind, k) -> tuple:
+    """polsum's sides written out: Lambda+ + Lambda- against the identity, or the two
+    equal-label outer products of the public column and row constructors (at the negated
+    point for the antispinor) against the closed form."""
+    p = k.momentum()
     if kind == "completeness":
-        return np.broadcast_to(cl._I4, np.shape(k.p0) + (4, 4))
-    return _written_out_energy(k.momentum(), k.m, +1 if kind in ("spinor", "breve-plus") else -1)
+        both = _written_out_energy(p, k.m, +1) + _written_out_energy(p, k.m, -1)
+        return both, np.broadcast_to(cl._I4, np.shape(k.p0) + (4, 4))
+    breve = kind.startswith("breve")
+    column, row = (sp.breve_u, sp.breve_u_bar) if breve else (sp.dirac_u, sp.dirac_u_bar)
+    q = k.negated() if kind == "antispinor" else k
+    plus, minus = (column(q, lam, lam)[..., :, None] * row(q, lam, lam)[..., None, :]
+                   for lam in HELICITIES)
+    sign = +1 if kind in ("spinor", "breve-plus") else -1
+    return plus + minus, _written_out_energy(p, k.m, sign)
 
 
-def _projector_points():
-    """Points of both bands over masses 1e-3..1e3, the band edges p0 = +-m, p0 = 0, and
-    axis-aligned nhat (signed zeros included)."""
+def _band_batch(rng, shape, breve: bool) -> KinematicPoint:
+    """Points of one band at masses e^-3..e^3, with p0/m up to e^5 on the real band."""
+    m = np.exp(rng.uniform(-3.0, 3.0, shape))
+    ratio = rng.uniform(-1.0, 1.0, shape) if breve else np.exp(rng.uniform(0.0, 5.0, shape))
+    n = rng.normal(size=shape + (3,))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    return KinematicPoint(m, m * ratio, n)
+
+
+def _projector_points() -> tuple:
+    """Points of both bands over masses 1e-3..1e3, the band edges p0 = +-m, p0 = 0 and
+    p0 = -2.5m along signed-zero axes, each alone; then batches: all of them, a (40, 25) batch
+    of each band and 10 000 real-band points."""
     rng = np.random.default_rng(43)
     m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 16))
     p0 = m * np.concatenate([np.exp(rng.uniform(0.0, np.log(1e2), 8)), rng.uniform(-1, 1, 8)])
     n = rng.normal(size=(16, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    axes = [(0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, -0.0)]
     edges = [KinematicPoint(mi, p0 * mi, a) for mi in (0.5, 3.0, float(m[0]))
-             for p0 in (1.0, -1.0, 0.0) for a in axes]
-    return [*(KinematicPoint(float(m[i]), float(p0[i]), n[i]) for i in range(16)), *edges,
-            KinematicPoint(2.0, -7.5, (0.6, 0.0, -0.8))]
+             for p0 in (1.0, -1.0, 0.0, -2.5) for a in AXES]
+    singles = [*(KinematicPoint(float(m[i]), float(p0[i]), n[i]) for i in range(16)), *edges,
+               KinematicPoint(2.0, -7.5, (0.6, 0.0, -0.8))]
+    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
+                           np.array([k.nhat for k in singles]))
+    return singles, [batch, _band_batch(rng, (40, 25), False), _band_batch(rng, (40, 25), True),
+                     _band_batch(rng, (10000,), False)]
+
+
+def _kinds(k) -> list:
+    """The polsum kinds whose band holds every point of k."""
+    real = np.abs(k.p0) >= k.m
+    return ["completeness", *(["spinor", "antispinor"] if np.all(real) else []),
+            *(["breve-plus", "breve-minus"] if not np.any(real & (np.abs(k.p0) > k.m)) else [])]
 
 
 def test_projectors_keep_the_bytes_of_their_written_out_forms():
     # each projector is one product of (p, m) or (s, 1) with a constant stack; its bytes
     # (tobytes, so the signs of zero entries count) are those of slash, the in-place
-    # diagonal add and the scale, for points, a batch, and one momentum over many masses
-    singles = _projector_points()
-    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
-                           np.array([k.nhat for k in singles]))
-    for k in (*singles, batch):
-        p, s = k.momentum(), np.concatenate([np.zeros(np.shape(k.p0) + (1,)), k.nhat], axis=-1)
+    # diagonal add and the scale, and polsum's lhs those of the outer products of the public
+    # constructors: for points, batches, and one momentum over many masses
+    singles, batches = _projector_points()
+    for k in (*singles, *batches):
+        p, s = k.momentum(), sp._spatial(k.nhat)
         for sign in (+1, -1):
             assert pj.energy_projector(p, k.m, sign).tobytes() == \
                 _written_out_energy(p, k.m, sign).tobytes()
@@ -407,48 +412,34 @@ def test_projectors_keep_the_bytes_of_their_written_out_forms():
             (_written_out_energy(p, k.m, -1) @ _written_out_spin(s)).tobytes()
         assert pj.pi_projector(p, k.m, s, "neg-lambda").tobytes() == \
             (_written_out_energy(p, k.m, +1) @ _written_out_spin(np.negative(s))).tobytes()
-        real = np.abs(k.p0) >= k.m
-        kinds = ["completeness", *(["spinor", "antispinor"] if np.all(real) else []),
-                 *(["breve-plus", "breve-minus"] if not np.any(real & (np.abs(k.p0) > k.m))
-                   else [])]
-        for kind in kinds:
-            assert pj.polsum(kind, k)[1].tobytes() == _written_out_polsum_rhs(kind, k).tobytes()
-        both = _written_out_energy(p, k.m, +1) + _written_out_energy(p, k.m, -1)
-        assert pj.polsum("completeness", k)[0].tobytes() == both.tobytes()
-    # every point equals its batch row
-    p, s = batch.momentum(), np.concatenate([np.zeros((len(singles), 1)), batch.nhat], axis=-1)
-    rows = [pj.energy_projector(p, batch.m, +1), pj.energy_projector(p, batch.m, -1),
-            pj.spin_projector(s), pj.pi_projector(p, batch.m, s, "lambda"),
-            pj.pi_projector(p, batch.m, s, "neg-lambda"), *pj.polsum("completeness", batch)]
-    for i, k in enumerate(singles):
-        q, t = k.momentum(), s[i]
-        alone = [pj.energy_projector(q, k.m, +1), pj.energy_projector(q, k.m, -1),
-                 pj.spin_projector(t), pj.pi_projector(q, k.m, t, "lambda"),
-                 pj.pi_projector(q, k.m, t, "neg-lambda"), *pj.polsum("completeness", k)]
-        for one, stacked in zip(alone, rows):
-            assert one.tobytes() == stacked[i].tobytes()
+        for kind in _kinds(k):
+            for side, want in zip(pj.polsum(kind, k), _written_out_polsum(kind, k)):
+                assert side.tobytes() == want.tobytes(), kind
     # one momentum over a batch of masses, for the guard's broadcast
     q, masses = np.array([1.25, 0.0, 0.0, 0.75]), np.array([1.0, 1.0, 1.0])
     for sign in (+1, -1):
-        assert pj.energy_projector(q, masses, sign).tobytes() == \
-            _written_out_energy(q, masses, sign).tobytes()
+        got = pj.energy_projector(q, masses, sign)
+        assert got.shape == (3, 4, 4)
+        assert got.tobytes() == _written_out_energy(q, masses, sign).tobytes()
     assert pj.pi_projector(q, masses, ZS4, "lambda").tobytes() == \
         (_written_out_energy(q, masses, -1) @ _written_out_spin(ZS4)).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["spinor", "antispinor", "breve-plus", "breve-minus"])
-def test_polsum_of_a_point_equals_its_batch_row_bit_for_bit(kind):
-    # points and batches take one path, the band edges included
-    band = "breve" if kind.startswith("breve") else "real"
-    singles = [*_random_points(31, 6, band=band),
-               *((KinematicPoint(2.0, p0, ZHAT) for p0 in (-2.0, 0.0, 2.0)) if band == "breve"
-                 else (KinematicPoint(2.0, 2.0, ZHAT), KinematicPoint(0.5, -0.75, ZHAT)))]
-    batch = KinematicPoint(np.array([k.m for k in singles]), np.array([k.p0 for k in singles]),
-                           np.array([k.nhat for k in singles]))
-    lhs, rhs = pj.polsum(kind, batch)
-    assert lhs.shape == rhs.shape == (len(singles), 4, 4)
-    for i, k in enumerate(singles):
-        one_lhs, one_rhs = pj.polsum(kind, k)
-        assert one_lhs.tobytes() == lhs[i].tobytes()
-        assert one_rhs.tobytes() == rhs[i].tobytes()
-
+def test_diad_keeps_the_bytes_of_its_written_out_form():
+    # |phi><phi| Gamma is the outer product of phi with the matmul row conj(phi) Gamma, entry
+    # for entry (array_equal: where a product meets a zero, the zero's sign is free), for
+    # random bispinors and the band states at the points, alone and in a batch
+    rng = np.random.default_rng(4)
+    phis = [rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))]
+    singles, batches = _projector_points()
+    for k in (*singles, *batches[1:3]):
+        kinds = _kinds(k)
+        names = ["dirac_u", "tetrad_bispinor"] if "spinor" in kinds else []
+        names += ["breve_u"] if "breve-plus" in kinds else []
+        phis += [sp._state(k, name, crossed) for name in names
+                 for crossed in range(len(sp._TABLES[name][1]))]
+    for insert, matrix in (("gamma0", cl.gamma(0)), ("gamma5", cl.gamma5())):
+        for phi in phis:
+            for u in (phi, phi.reshape(-1, 4)[0]):
+                want = u[..., :, None] * cl.row_times(np.conj(u), matrix)[..., None, :]
+                assert np.array_equal(pj.diad(u, insert), want), insert

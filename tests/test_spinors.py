@@ -389,6 +389,21 @@ def test_dirac_adjoint_rows():
     assert sp.dirac_adjoint(u) @ u == pytest.approx(1.0, abs=1e-13)
 
 
+def test_dirac_adjoint_keeps_the_bytes_of_the_matmul_row():
+    # conj(u) with its lower block negated is the row conj(u) gamma0 entry for entry
+    # (array_equal: where a product meets a zero, the zero's sign is free), for random
+    # bispinors and every bispinor state of both bands at the band points, alone and batched
+    rng = np.random.default_rng(4)
+    us = [rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))]
+    for breve in (False, True):
+        names = ("breve_u",) if breve else ("dirac_u", "tetrad_bispinor")
+        for k in _band_points(breve):
+            us += [f(k, *labels) for name in names for f, labels in TABLE_STATES[name]]
+    for u in us:
+        for one in (u, u.reshape(-1, 4)[0]):
+            assert np.array_equal(sp.dirac_adjoint(one), cl.row_times(np.conj(one), cl.gamma(0)))
+
+
 def test_dirac_u_bar_matches_numeric_adjoint_on_real_band():
     for i, nhat in enumerate(_directions(31, 20)):
         k = sp.KinematicPoint(1.0, 1.0 + 0.45 * i, nhat)
@@ -467,13 +482,15 @@ def test_cached_amplitudes_are_the_boost_factors():
 
 def _band_points(breve: bool):
     """Single points and one batch of them on a band, the band edges included: p0 = +-m
-    and p0 = 0 on the breve band; p0 = m and the negated() points on the real band."""
+    and p0 = 0 on the breve band; p0 = m, p0 = 2.5m and the negated() points on the real
+    band; the first three along signed-zero axes."""
     rng = np.random.default_rng(12)
     m = np.exp(rng.uniform(-2.0, 2.0, 8))
     ratio = rng.uniform(-1.0, 1.0, 8) if breve else np.exp(rng.uniform(0.0, 3.0, 8))
-    ratio[:3] = (1.0, -1.0, 0.0) if breve else (1.0, 1.0, 1.0)
+    ratio[:4] = (1.0, -1.0, 0.0, 0.5) if breve else (1.0, 1.0, 1.0, 2.5)
     nhat = rng.normal(size=(8, 3))
     nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+    nhat[:3] = ((-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, -0.0))
     singles = [sp.KinematicPoint(float(mi), float(mi * r), n) for mi, r, n in zip(m, ratio, nhat)]
     points = [*singles, sp.KinematicPoint(m, m * ratio, nhat)]
     return points if breve else [*points, *(k.negated() for k in points)]

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import subprocess
@@ -138,16 +139,6 @@ def test_run_check_determinism_and_isolation():
     assert a1.worst_point != b.worst_point
 
 
-def test_worst_point_reproduces_reported_residual():
-    by = _by_name()
-    check = by["polsum-spinor"]
-    res = vf.run_check(check, seed=42, samples=50)
-    worst = vf.Columns(res.worst_point)
-    lhs, rhs = check.lhs(worst), check.rhs(worst)
-    assert float(np.max(np.abs(lhs - rhs))) == pytest.approx(res.max_residual, rel=0,
-                                                             abs=0)
-
-
 def test_a_scaled_spin_stack_fails_the_projector_equivalence_row(monkeypatch):
     # the row's sides share no stack: the block form is built from two-spinor projectors, so
     # scaling the covariant side's stack, P(+s)'s, by 1 + 1e-3 shows as a failure
@@ -216,10 +207,14 @@ def test_section4_two_valued_keeps_the_bits_of_the_loop_over_lambda():
     signed = [0.0, -0.0, 1.0, -1.0, 1j, -1j, complex(-0.0, -0.0)]
     grid = np.array(np.meshgrid(*[signed] * 4, indexing="ij")).reshape(4, -1).T
     singles = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (-0.0, 1j, 0, -1), *xis[:5], *grid[::97]]
-    for xi in (xis, grid, *singles):
-        for got, want in zip(vf.section4_two_valued(xi), _two_valued_by_lambda(xi)):
-            got, want = np.asarray(got), np.asarray(want)
-            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    scaled = [scale * xi for scale in (1e-150, 1e150) for xi in (xis, xis[0])]
+    # at 1e+-150 the quartic terms leave the float range: compared as inf, nan and 0 bits
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for xi in (xis, grid, *singles, *scaled):
+            for got, want in zip(vf.section4_two_valued(xi), _two_valued_by_lambda(xi)):
+                got, want = np.asarray(got), np.asarray(want)
+                assert (got.shape, got.dtype, got.tobytes()) == \
+                    (want.shape, want.dtype, want.tobytes())
 
 
 @settings(max_examples=50, deadline=None)
@@ -287,13 +282,6 @@ def test_package_version_is_tool_version():
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     path = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert pyprojecttoml.read_configuration(path)["project"]["version"] == vf.TOOL_VERSION
-
-
-def test_report_json_round_trips_doubles():
-    report = vf.run_all(seed=int(3), samples=7)
-    doc = json.loads(report.to_json())
-    for row, res in zip(doc["checks"], report.checks):
-        assert row["max_residual"] == res.max_residual  # shortest round-trip repr
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +672,24 @@ def test_gamma_tables_keep_the_per_sample_products():
     assert check.rhs(pt).tobytes() == (signs * gammas).tobytes()
 
 
-def test_cycled_trace_keeps_the_bits_of_the_rolled_copy():
-    check = _by_name()["trace-cyclicity"]
-    columns = vf.sample_points(check, seed=5, samples=64)
-    three = vf._three_matrices(columns)
-    want = cl.trace(np.roll(three, 1, axis=0))[..., None]
-    assert check.rhs(columns).tobytes() == want.tobytes()
-
-
 # ---------------------------------------------------------------------------
-# stacked rows: each row that reads several labelled states builds them in one
-# pass; the per-label loops they replaced are kept here as the reference
+# the per-row references: LOOPS is the one table of them.  Each sampled row has one
+# entry: its reference (for a stacked row, the per-label loop it replaced), or the name of
+# the object test that pins the one public call its sides make.  The label and "fixed"
+# rows are pinned by the finite-row tests (FINITE_ROWS)
 # ---------------------------------------------------------------------------
 
 def _kin_of(pt) -> KinematicPoint:
     return KinematicPoint(pt.arrays["m"], pt.arrays["p0"], pt.arrays["nhat"])
+
+
+def _loop_trace_cycle(pt) -> tuple:
+    """tr(a0 a1 a2) and the trace of the rolled copy (a2, a0, a1), of a = a_re + i a_im filled
+    part by part, so that a zero keeps its sign."""
+    a = np.empty(pt.arrays["a_re"].shape, dtype=complex)
+    a.real, a.imag = pt.arrays["a_re"], pt.arrays["a_im"]
+    three = np.moveaxis(a.reshape(a.shape[:-1] + (3, 4, 4)), -3, 0)
+    return cl.trace(three)[..., None], cl.trace(np.roll(three, 1, axis=0))[..., None]
 
 
 def _loop_boost_exponential(pt) -> tuple:
@@ -774,9 +765,34 @@ def _loop_map_roundtrip(pt) -> tuple:
                      axis=-2), np.stack([-u for u in us], axis=-2))
 
 
-# row name -> its per-label loop: (lhs, rhs) where the row evaluates both sides at once,
-# else its lhs (the rhs is a fixed value)
+def _helicity_sum(pt):
+    n = pt.arrays["nhat"]
+    return pj.spin_projector_rest(n) + pj.spin_projector_rest(-n)
+
+
+def _tetrad_projector_sum(pt):
+    """sum_tau P(s_tau)/2 over the tetrad (n, -n, n, -n)."""
+    along, against = (pj.spin_projector(sp._spatial(n)) for n in (pt.arrays["nhat"],
+                                                                    -pt.arrays["nhat"]))
+    return sum((along, against, along, against)) * 0.5
+
+
+def _spin_block_form(pt) -> tuple:
+    """diag((1 + sigma.n)/2, (1 - sigma.n)/2), zeros off the blocks, against P(s), s = (0, n)."""
+    n = pt.arrays["nhat"]
+    zero = np.zeros(n.shape[:-1] + (2, 2))
+    rows = ((pj.spin_projector_rest(n), zero), (zero, pj.spin_projector_rest(-n)))
+    return (np.concatenate([np.concatenate(row, axis=-1) for row in rows], axis=-2),
+            pj.spin_projector(sp._spatial(n)))
+
+
+_POLSUM = "test_projectors::test_projectors_keep_the_bytes_of_their_written_out_forms"
+_TWO_VALUED = "test_verify::test_section4_two_valued_keeps_the_bits_of_the_loop_over_lambda"
+
+# row name -> its reference: (lhs, rhs) where the row evaluates both sides at once, else its
+# lhs (the rhs is a fixed value); or "module::test", the object test of its one public call
 LOOPS = {
+    "trace-cyclicity": _loop_trace_cycle,
     "boost-exponential": _loop_boost_exponential,
     "norm-spinor": _loop_norm_gram,
     "kappa-boundary": _loop_kappa_boundary,
@@ -787,18 +803,47 @@ LOOPS = {
     "adjoint-dirac-standard-dagger": _loop_adjoint_dagger(paper_sign=False),
     "pi-annihilation": _loop_pi_annihilation,
     "spinor-breve-maps": _loop_map_roundtrip,
+    "helicity-sum-unity": _helicity_sum,
+    "tetrad-projector-sum": _tetrad_projector_sum,
+    "section4-projector-equivalence": _spin_block_form,
+    **dict.fromkeys(("polsum-spinor", "polsum-antispinor", "polsum-breve-plus",
+                     "polsum-breve-minus", "completeness"), _POLSUM),
+    "section4-two-valued": _TWO_VALUED,
+}
+
+AXES = [(0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, -0.0)]
+# each sampler's edges, as a caller's columns: signed-zero axes; at masses other than the
+# sampler's 1, threshold p0 = m on the real band, p0 = +-m and 0 on the breve band; zero and
+# unit entries of the matrices, each zero of either sign
+EDGES = {
+    "real-band": {"m": [0.5, 3.0, 1.0, 2.0], "p0": [0.5, 3.0, 2.5, 2.0], "nhat": AXES},
+    "breve-band": {"m": [0.5, 3.0, 2.0, 1.0], "p0": [0.5, -3.0, 0.0, -1.0], "nhat": AXES},
+    "sphere": {"nhat": AXES},
+    "matrices": {"a_re": [[-0.0] * 48, [1.0, -0.0] * 24], "a_im": [[0.0] * 48, [-0.0, -1.0] * 24]},
 }
 
 
-@pytest.mark.parametrize("samples", [1, 7, 1000])
-@pytest.mark.parametrize("name", sorted(LOOPS))
-def test_each_stacked_row_keeps_the_bits_of_its_loop_over_labels(name, samples):
+@pytest.mark.parametrize("samples", [1, 7, 1000, "edges"])
+@pytest.mark.parametrize("name", sorted(name for name, ref in LOOPS.items() if callable(ref)))
+def test_each_sampled_row_keeps_the_bits_of_its_reference(name, samples):
     check = _by_name()[name]
-    columns = vf.sample_points(check, seed=8, samples=samples)
+    columns = (vf.Columns(EDGES[check.sampler]) if samples == "edges"
+               else vf.sample_points(check, seed=8, samples=samples))
     want = LOOPS[name](vf.Columns(columns))
     sides = (check.lhs, check.rhs) if isinstance(want, tuple) else (check.lhs,)
     for side, w in zip(sides, want if isinstance(want, tuple) else (want,)):
         assert _side_bits(side, columns) == (w.shape, w.dtype, w.tobytes()), name
+
+
+def test_every_registry_row_has_one_reference():
+    # a sampled row is a key of LOOPS, a label or "fixed" row one of FINITE_ROWS, and no row
+    # is both; a named entry names a test that exists.  A new row fails here until it
+    # brings its reference
+    assert sorted(c.name for c in vf.registry()) == sorted([*LOOPS, *FINITE_ROWS])
+    for ref in LOOPS.values():
+        if isinstance(ref, str):
+            module, test = ref.split("::")
+            assert callable(getattr(importlib.import_module(module), test)), ref
 
 
 @pytest.mark.parametrize("samples", [1, 7, 1000])
@@ -811,12 +856,17 @@ def test_residuals_are_each_samples_largest_entry(samples):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("seed", [0, 42])
-def test_a_replayed_worst_point_gives_the_reported_residual(seed):
-    for check in vf.registry():
-        result = vf.run_check(check, seed, samples=100)
-        residual = vf.residuals(check, vf.Columns(result.worst_point))
-        assert residual.tolist() == [result.max_residual], check.name
+@pytest.mark.parametrize("seed, samples", [(0, 100), (42, 100), (37, 3), (42, 1000)])
+def test_every_worst_point_replays_to_its_max_residual(seed, samples):
+    # read back from the JSON report, through the input boundary a caller's columns take:
+    # Columns(worst_point) checks each column, residuals checks they are the row's; every
+    # row's replay gives its reported residual bit for bit
+    rows = json.loads(vf.run_all(seed=seed, samples=samples).to_json())["checks"]
+    checks = _by_name()
+    assert [row["name"] for row in rows] == list(checks)
+    for row in rows:
+        got = vf.residuals(checks[row["name"]], vf.Columns(row["worst_point"]))
+        assert got.tobytes() == np.array([row["max_residual"]]).tobytes(), row["name"]
 
 
 @pytest.mark.parametrize("samples", [1, 7])
