@@ -34,7 +34,6 @@ from .spinors import (
     HELICITIES,
     KinematicPoint,
     RegionError,
-    antisym_bispinor,
     basis_spinor,
     boosted_spinor,
     breve_u,

@@ -198,28 +198,19 @@ def sigma_munu(mu: int, nu: int) -> np.ndarray:
     return 0.5j * (gm @ gn - gn @ gm)
 
 
-def _eps3(i: int, j: int, k: int) -> int:
-    if len({i, j, k}) != 3:
-        return 0
-    return _perm_sign((i, j, k))
+def generalized_pauli(lam: int) -> np.ndarray:
+    """Generalized Pauli matrix sigma^(+)_lam, lam in {1, 2, 3}.
 
-
-def generalized_pauli(lam: int, sign: int = +1) -> np.ndarray:
-    """Generalized Pauli matrix sigma^(+/-)_lam, lam in {1, 2, 3}.
-
-    The plus variant is sum_{ij} eps_{lam i j} sigma_{ij} over all ordered
-    pairs (i, j) in {1,2,3}^2, the minus variant uses eps_{lam j i}.  Both
-    orderings of each pair contribute, so the result carries a factor 2
-    relative to a single-ordering sum: sigma^+_3 = 2 sigma_{12}.
+    sum_{ij} eps_{lam i j} sigma_{ij} over all ordered pairs (i, j) in
+    {1,2,3}^2.  Both orderings of each pair contribute, so the result carries
+    a factor 2 relative to a single-ordering sum: sigma^+_3 = 2 sigma_{12}.
+    The minus matrix sigma^(-)_lam, with eps_{lam j i}, is its negation.
     """
     check_choice("generalized Pauli index", lam, (1, 2, 3))
-    check_choice("sign", sign, (+1, -1))
     acc = np.zeros((4, 4), dtype=complex)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            eps = _eps3(lam, i, j) if sign > 0 else _eps3(lam, j, i)
-            if eps:
-                acc += eps * sigma_munu(i, j)
+    for i, j in permutations((1, 2, 3), 2):
+        if lam not in (i, j):
+            acc += _perm_sign((lam, i, j)) * sigma_munu(i, j)
     return acc
 
 

@@ -10,9 +10,9 @@ kinematic-point arguments (a matrix comes back as (..., 4, 4)), and every
 validator checks every point of a batch.
 
 The energy projector is one contraction of the five-vector x = (p0, p1, p2, p3, m) with a
-constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1), halved; each
-stack comes in both signs, so the completeness sum Lambda+ + Lambda- is one contraction
-with the two-sign stack, scaled once, and Pi reads P(-s) from the spin stack of sign -1.
+constant stack, scaled by 1/2m in place, and the spin projector one of (s, 1), halved; the
+energy stack comes in both signs, so the completeness sum Lambda+ + Lambda- is one
+contraction with the two-sign stack, scaled once, and Pi takes P(-s) at the negated s.
 x is the one carrier of (p, m): KinematicPoint._five_vector builds it once per point and keeps
 it read-only, the on-shell guard of the public projectors builds it for a caller's momentum,
 and the cores only read it, the mass from its slot 4.  Each public function is its validators
@@ -38,8 +38,8 @@ _ONSHELL_TOL = 1e-10
 
 
 # _contract(x, _ENERGY[sign]) is sign pslash + m I4 for x = (p0, p1, p2, p3, m), and
-# _contract((s0, s1, s2, s3, 1), _SPIN[sign]) is 1 + sign gamma5 slash(s): the (5, 4, 4)
-# slash stacks (for gamma5 slash, with its row blocks swapped) with I4 appended.
+# _contract((s0, s1, s2, s3, 1), _SPIN) is 1 + gamma5 slash(s): the (5, 4, 4) slash
+# stacks (for gamma5 slash, with its row blocks swapped) with I4 appended.
 # _ENERGY_PAIR is the two flat energy stacks as one (2, 5, 16) stack: the product of points
 # x (n, 5) with it is Lambda+ and Lambda- as two contiguous (n, 16) blocks.  Every entry of
 # a stack matrix is 0, +-1 or +-i, and I4 adds m or 1 only to diagonal entries that hold
@@ -47,8 +47,7 @@ _ONSHELL_TOL = 1e-10
 # the stack gives the bits of negating the vector.
 _ENERGY = {sign: _contraction(np.concatenate([sign * _SLASH, _I4[None]])) for sign in (+1, -1)}
 _ENERGY_PAIR = _read_only(np.stack([_ENERGY[sign][0] for sign in (+1, -1)]))
-_SPIN = {sign: _contraction(np.concatenate([sign * _SLASH.take(_BLOCK_SWAP, axis=-2), _I4[None]]))
-         for sign in (+1, -1)}
+_SPIN = _contraction(np.concatenate([_SLASH.take(_BLOCK_SWAP, axis=-2), _I4[None]]))
 # the metric's signs over x = (p0, p1, p2, p3, m): y.y with this weight is p.p - m^2
 _SHELL = _read_only(np.array([1, -1, -1, -1, -1], dtype=complex))
 
@@ -105,13 +104,12 @@ def spin_projector(s) -> np.ndarray:
     return _spin_projector(check_spin_vector(s))
 
 
-def _spin_projector(s, sign: int = +1) -> np.ndarray:
-    """spin_projector without its check, for spin vectors s that check_spin_vector gave; with
-    sign -1, P(-s), in the bits of negating s."""
+def _spin_projector(s) -> np.ndarray:
+    """spin_projector without its check, for spin vectors s that check_spin_vector gave."""
     y = np.empty(s.shape[:-1] + (5,), dtype=complex)
     y[..., :4] = s
     y[..., 4] = 1.0
-    return _contract(y, _SPIN[sign]) * 0.5
+    return _contract(y, _SPIN) * 0.5
 
 
 def _over_2m(x, flat) -> np.ndarray:
@@ -171,7 +169,7 @@ def pi_projector(p, m, s, variant: str = "lambda") -> np.ndarray:
 
 def _pi_projector(x, s, sign: int) -> np.ndarray:
     """pi_projector without its checks, for x as _energy_projector's and s check_spin_vector's."""
-    return _energy_projector(x, sign) @ _spin_projector(s, -sign)
+    return _energy_projector(x, sign) @ _spin_projector(-s if sign > 0 else s)
 
 
 def polsum(kind: str, k: KinematicPoint):

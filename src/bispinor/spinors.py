@@ -364,22 +364,13 @@ def dirac_u_bar(k: KinematicPoint, lam_up, lam_low) -> np.ndarray:
 
 def tetrad_bispinor(k: KinematicPoint, tau) -> np.ndarray:
     """Tetrad basis column: tau 1,2 carry a phi in the upper block,
-    tau 3,4 carry b (sigma.n) phi in the lower block (phi = +1/2, -1/2)."""
-    return _one(k, "tetrad_bispinor", check_choice("tetrad index", tau, _TETRAD))
+    tau 3,4 carry b (sigma.n) phi in the lower block (phi = +1/2, -1/2).
 
-
-def antisym_bispinor(k: KinematicPoint, tau, sign: int = +1) -> np.ndarray:
-    """Antisymmetric partner basis, imaginary at threshold: sign * tetrad_bispinor at
-    the negated point.
-
-    On p0 >= m the negated point's amplitudes are i b and i a, so tau 1,2 carry
-    (+-i) b phi in the upper block and tau 3,4 carry (+-i) a (sigma.n) phi in the
-    lower block; the overall +-i is the explicit sign argument.  On p0 <= -m they are
-    real, minus the principal-branch i b and i a.  A point off the band raises
-    tetrad_bispinor's RegionError, which names the negated p0.
+    The antisymmetric partner basis, imaginary at threshold, is tetrad_bispinor(k.negated(),
+    tau): on p0 >= m, i b phi (tau 1,2) and i a (sigma.n) phi (tau 3,4); the phase -i is the
+    plain product -1 * column.  On p0 <= -m it is real, minus the principal-branch i b, i a.
     """
-    check_choice("sign", sign, (+1, -1))
-    return sign * tetrad_bispinor(k.negated(), tau)
+    return _one(k, "tetrad_bispinor", check_choice("tetrad index", tau, _TETRAD))
 
 
 def breve_u(k: KinematicPoint, lam_plus, lam_minus) -> np.ndarray:
@@ -427,7 +418,7 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     variant "u": gamma5 (gamma.s) breve;  variant "v": (gamma.s) gamma5 breve,
     with gamma.s = sum_i gamma^i s^i.  Since (gamma.s)^2 = -1 for unit svec,
     which s must be, the two maps compose to -1 and are inverse to each
-    other up to sign.
+    other up to sign.  The "v" map is the "u" map negated, bit for bit.
     """
     s = check_spin_vector(s)
     check_choice("variant", variant, ("u", "v"))

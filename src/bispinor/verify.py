@@ -293,12 +293,12 @@ def _complex_of(pt: Columns, name: str) -> np.ndarray:
 
 # The six factors of section4_two_valued as one (lam, low/up, 4, 4) stack, built once:
 # sigma_lam gamma5 and gamma5 conj(sigma_lam) for lam = 1, 2, 3, with sigma_lam the
-# plus-variant generalized Pauli matrix: its column blocks swapped, its conjugate's rows.
+# generalized Pauli matrix sigma^(+): its column blocks swapped, its conjugate's rows.
 # Each column holds one nonzero entry (+-2 or +-2i), so each entry of a row vector times
 # the stack, taken as _contract's (4, lam low/up col) stack, is one exact product.
 _TWO_VALUED_FACTORS = _read_only(np.array([
     (sigma.take(_BLOCK_SWAP, axis=-1), np.conj(sigma).take(_BLOCK_SWAP, axis=-2))
-    for sigma in (generalized_pauli(lam, +1) for lam in (1, 2, 3))]))
+    for sigma in (generalized_pauli(lam) for lam in (1, 2, 3))]))
 _TWO_VALUED_ROWS = _contraction(np.moveaxis(_TWO_VALUED_FACTORS, -2, 0))
 
 
@@ -516,8 +516,8 @@ _REGISTRY = tuple(IdentityCheck(*row) for row in (
      "real-band", *_sides(lambda pt: polsum("antispinor", _kin(pt))), 1e-12, "holds"),
     ("unity-decomposition-gamma0",
      "unity decomposition over the antisymmetric-basis gamma0 diads at p0 = -m",
-     # antisym_bispinor(k, tau, +1) at p0 = -m is the tetrad at p0 = m, where b = 0: no nhat;
-     # its diads added in tau order from the first, so a -0 entry keeps its sign
+     # the basis tetrad_bispinor(k.negated(), tau) at p0 = -m is the tetrad at p0 = m, where
+     # b = 0: no nhat; its diads added in tau order from the first, so a -0 entry keeps its sign
      "fixed", _fixed(reduce(np.add, _diad(_state(_point(1.0, 1.0, np.array(_ZHAT)),
                                                  "tetrad_bispinor"), "gamma0"))),
      _fixed(_I4), 1e-12, "expected-fail"),

@@ -295,8 +295,8 @@ def test_real_band_basis_constructors_batch():
     singles = [sp.KinematicPoint(*args) for args in zip(m, p0, n)]
     for tau in (1, 2, 3, 4):
         _same_as_stack(sp.tetrad_bispinor(k, tau), [sp.tetrad_bispinor(s, tau) for s in singles])
-        _same_as_stack(sp.antisym_bispinor(k, tau, -1),
-                       [sp.antisym_bispinor(s, tau, -1) for s in singles])
+        _same_as_stack(sp.tetrad_bispinor(k.negated(), tau),
+                       [sp.tetrad_bispinor(s.negated(), tau) for s in singles])
     for dotted in (False, True):
         _same_as_stack(sp.boosted_spinor(k, -0.5, dotted),
                        [sp.boosted_spinor(s, -0.5, dotted) for s in singles])
@@ -362,7 +362,6 @@ def test_an_empty_batch_gives_empty_arrays_everywhere():
         "dirac_u": (sp.dirac_u(k, 0.5, -0.5), (4,)),
         "dirac_u_bar": (sp.dirac_u_bar(k, 0.5, -0.5), (4,)),
         "tetrad_bispinor": (sp.tetrad_bispinor(k, 3), (4,)),
-        "antisym_bispinor": (sp.antisym_bispinor(k, 2, -1), (4,)),
         "breve_u": (sp.breve_u(k, -0.5, 0.5), (4,)),
         "breve_u_bar": (sp.breve_u_bar(k, -0.5, 0.5), (4,)),
     }

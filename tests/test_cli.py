@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["samples"] == 5
+
+
+def test_readme_library_sketch_runs():
+    # the README's one python block, as written, in a child that turns warnings into errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (sketch,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", sketch],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "(1000, 4)" in proc.stdout and "0 fail" in proc.stdout
 
 
 def test_show_direction_is_normalized(capsys):

@@ -315,28 +315,13 @@ def test_tetrad_bispinor_values():
                                [0, 0, 0, -math.sqrt(0.125)], atol=1e-14)
     with pytest.raises(ValueError):
         sp.tetrad_bispinor(k, 5)
-
-
-def test_antisym_bispinor_values():
-    rest = sp.KinematicPoint(1.0, 1.0, ZHAT)
-    np.testing.assert_allclose(sp.antisym_bispinor(rest, 1, +1), [0, 0, 0, 0],
-                               atol=1e-14)
-    np.testing.assert_allclose(sp.antisym_bispinor(rest, 3, +1), [0, 0, 1j, 0],
-                               atol=1e-14)
-    # threshold columns are purely imaginary (or zero)
+    # the antisymmetric basis at threshold, the tetrad at p0 = -m: i b phi = 0 and
+    # i a (sigma.n) phi, every column imaginary (or zero)
+    anti = rest.negated()
+    np.testing.assert_allclose(sp.tetrad_bispinor(anti, 1), [0, 0, 0, 0], atol=1e-14)
+    np.testing.assert_allclose(sp.tetrad_bispinor(anti, 3), [0, 0, 1j, 0], atol=1e-14)
     for tau in (1, 2, 3, 4):
-        u = sp.antisym_bispinor(rest, tau, -1)
-        np.testing.assert_allclose(u.real, np.zeros(4), atol=1e-14)
-
-
-def test_antisym_bispinor_is_negated_energy_tetrad():
-    # the explicit +-i columns coincide with the same constructor at p0 -> -p0
-    for i, nhat in enumerate(_directions(23, 10)):
-        k = sp.KinematicPoint(1.0, 1.2 + i, nhat)
-        for tau in (1, 2, 3, 4):
-            np.testing.assert_allclose(sp.antisym_bispinor(k, tau, +1),
-                                       sp.tetrad_bispinor(k.negated(), tau),
-                                       atol=1e-12)
+        np.testing.assert_allclose(sp.tetrad_bispinor(anti, tau).real, np.zeros(4), atol=1e-14)
 
 
 def test_breve_u_frozen_values():
@@ -550,7 +535,7 @@ def test_band_constructors_keep_their_written_out_formulas():
     # for two deliberate differences.  The tetrad's zero block now adds a * 0 or b * 0,
     # which turns a -0 of tau 3, 4 into +0.  The antisymmetric basis is the negated-point
     # tetrad, whose amplitudes are real below the band, so there it is minus the written
-    # i b, i a form: the same basis up to the overall sign its sign argument leaves free.
+    # i b, i a form: the same basis up to an overall sign.
     def blocks(up, low):
         return np.concatenate(np.broadcast_arrays(up, low), axis=-1).astype(complex)
 
@@ -585,17 +570,16 @@ def test_band_constructors_keep_their_written_out_formulas():
                 want = a * blocks(phi[i], 0) if upper else b * (n @ blocks(0, sigma_phi[i - 2]))
                 got = sp.tetrad_bispinor(k, i + 1)
                 assert got.tobytes() == want.tobytes() if upper else np.array_equal(got, want)
-                for sign in (+1, -1):
-                    want = (sign * 1j * b * blocks(phi[i], 0) if upper
-                            else sign * 1j * a * (n @ blocks(0, sigma_phi[i - 2])))
-                    assert np.array_equal(sp.antisym_bispinor(k, i + 1, sign), below * want)
-    # off its band each constructor names itself, antisym_bispinor the negated tetrad
+                want = (1j * b * blocks(phi[i], 0) if upper
+                        else 1j * a * (n @ blocks(0, sigma_phi[i - 2])))
+                assert np.array_equal(sp.tetrad_bispinor(k.negated(), i + 1), below * want)
+    # off its band each constructor names itself, the tetrad at a negated point its p0
     real, center = sp.KinematicPoint(1.0, 0.5, ZHAT), sp.KinematicPoint(1.0, 2.0, ZHAT)
     for call, text in ((lambda: sp.boosted_spinor(real, 0.5), "boosted_spinor needs |p0| >= m"),
                        (lambda: sp.dirac_u(real, 0.5, 0.5), "dirac_u needs |p0| >= m"),
                        (lambda: sp.dirac_u_bar(real, 0.5, 0.5), "dirac_u_bar needs |p0| >= m"),
                        (lambda: sp.tetrad_bispinor(real, 1), "tetrad_bispinor needs |p0| >= m"),
-                       (lambda: sp.antisym_bispinor(real, 1),
+                       (lambda: sp.tetrad_bispinor(real.negated(), 1),
                         "tetrad_bispinor needs |p0| >= m (got p0=-0.5, m=1.0)"),
                        (lambda: sp.breve_u(center, 0.5, 0.5), "breve_u needs |p0| <= m"),
                        (lambda: sp.breve_u_bar(center, 0.5, 0.5), "breve_u_bar needs |p0| <= m")):

@@ -136,7 +136,6 @@ CHOICES = {
     "pauli": cl.pauli,
     "generalized_pauli": cl.generalized_pauli,
     "tetrad_bispinor": lambda v: sp.tetrad_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), v),
-    "antisym_bispinor-sign": lambda v: sp.antisym_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), 1, v),
     "energy_projector-sign": lambda v: pj.energy_projector(REST, 1.0, v),
 }
 
@@ -493,7 +492,9 @@ _REAL_BAND_STATES = [(sp.boosted_spinor, lam, dotted) for lam in sp.HELICITIES
                      for dotted in (False, True)]
 _REAL_BAND_STATES += [(f, lam, lam_other) for f in (sp.dirac_u, sp.dirac_u_bar)
                       for lam in sp.HELICITIES for lam_other in sp.HELICITIES]
-_REAL_BAND_STATES += [(f, tau) for f in (sp.tetrad_bispinor, sp.antisym_bispinor)
+# the tetrad, and at the negated point the antisymmetric basis
+_REAL_BAND_STATES += [(f, tau) for f in (sp.tetrad_bispinor,
+                                         lambda k, tau: sp.tetrad_bispinor(k.negated(), tau))
                       for tau in (1, 2, 3, 4)]
 _BREVE_BAND_STATES = [(f, lam, lam_other) for f in (sp.breve_u, sp.breve_u_bar)
                       for lam in sp.HELICITIES for lam_other in sp.HELICITIES]

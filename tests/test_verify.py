@@ -19,15 +19,6 @@ from bispinor import spinors as sp
 from bispinor import verify as vf
 from bispinor.spinors import KinematicPoint, boosted_spinor
 
-SPEC_NAMES = {
-    "norm-spinor", "helicity-sum-unity", "polsum-spinor", "polsum-antispinor",
-    "unity-decomposition-gamma0", "kappa-boundary", "rest-eigenvalues",
-    "breve-norm", "adjoint-dirac", "diad-half-unity", "tetrad-projector-sum",
-    "polsum-breve-plus", "polsum-breve-minus", "completeness", "pi-annihilation",
-    "spinor-breve-maps", "section4-projector-equivalence", "section4-two-valued",
-    "anticommutator-minkowski", "anticommutator-literal-delta",
-}
-
 # statuses frozen from the development oracle runs; the shipped registry
 # must reproduce them exactly
 FROZEN_EXPECTATIONS = {
@@ -66,16 +57,13 @@ def _by_name():
     return {c.name: c for c in vf.registry()}
 
 
-def test_registry_size_and_uniqueness():
+def test_registry_names_are_unique_and_cited():
+    # FROZEN_EXPECTATIONS fixes the set of names, but a repeated name would collapse in a dict,
+    # and python -O strips the registry's own import-time assert
     checks = vf.registry()
     names = [c.name for c in checks]
-    assert len(checks) >= 20
     assert len(names) == len(set(names))
     assert all(c.paper_ref for c in checks)
-
-
-def test_registry_contains_required_checks():
-    assert SPEC_NAMES <= set(_by_name())
 
 
 def test_registry_expectations_are_frozen():
@@ -141,11 +129,11 @@ def test_run_check_determinism_and_isolation():
 
 def test_a_scaled_spin_stack_fails_the_projector_equivalence_row(monkeypatch):
     # the row's sides share no stack: the block form is built from two-spinor projectors, so
-    # scaling the covariant side's stack, P(+s)'s, by 1 + 1e-3 shows as a failure
+    # scaling the covariant side's stack by 1 + 1e-3 shows as a failure
     check = _by_name()["section4-projector-equivalence"]
     assert vf.run_check(check, 42, 200).status == "pass"
-    flat, shape = pj._SPIN[+1]
-    monkeypatch.setitem(pj._SPIN, +1, (flat * (1.0 + 1e-3), shape))
+    flat, shape = pj._SPIN
+    monkeypatch.setattr(pj, "_SPIN", (flat * (1.0 + 1e-3), shape))
     result = vf.run_check(check, 42, 200)
     assert result.status == "fail" and result.max_residual > 1e-4
 
@@ -1123,11 +1111,12 @@ def test_only_a_check_that_draws_builds_a_generator(monkeypatch):
 
 
 def _unity_gamma0_at(nhat):
-    """The sum over tau of the gamma0 diads of antisym_bispinor at p0 = -m along nhat, added
-    in tau order from the first diad, as the row adds them: sum() would start from 0, and
-    0 + (-0.0) turns a -0 entry of the first diad into +0."""
+    """The sum over tau of the gamma0 diads of the antisymmetric basis (the tetrad at the
+    negated point) at p0 = -m along nhat, added in tau order from the first diad, as the row
+    adds them: sum() would start from 0, and 0 + (-0.0) turns a -0 entry of the first diad
+    into +0."""
     k = KinematicPoint(1.0, -1.0, nhat)
-    return reduce(np.add, (pj.diad(sp.antisym_bispinor(k, tau, +1), "gamma0")
+    return reduce(np.add, (pj.diad(sp.tetrad_bispinor(k.negated(), tau), "gamma0")
                            for tau in (1, 2, 3, 4)))
 
 
