@@ -418,7 +418,8 @@ def spinor_from_breve(breve, s, variant: str = "u") -> np.ndarray:
     variant "u": gamma5 (gamma.s) breve;  variant "v": (gamma.s) gamma5 breve,
     with gamma.s = sum_i gamma^i s^i.  Since (gamma.s)^2 = -1 for unit svec,
     which s must be, the two maps compose to -1 and are inverse to each
-    other up to sign.  The "v" map is the "u" map negated, bit for bit.
+    other up to sign.  The "v" map is the "u" map negated: every nonzero entry has the
+    negated bits, but a zero entry may keep its sign.
     """
     s = check_spin_vector(s)
     check_choice("variant", variant, ("u", "v"))

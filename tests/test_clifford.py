@@ -132,6 +132,15 @@ def test_generalized_pauli_double_sum():
     np.testing.assert_allclose(cl.generalized_pauli(2), 2 * cl.sigma_munu(3, 1), atol=1e-15)
 
 
+def test_generalized_pauli_minus_is_negated_plus():
+    # sigma^(-)_lam = sum_ij eps_{lam j i} sigma_ij, written out, is -sigma^(+)_lam
+    eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
+    for lam in (1, 2, 3):
+        minus = sum(eps.get((lam, j, i), 0) * cl.sigma_munu(i, j)
+                    for i, j in product((1, 2, 3), repeat=2))
+        np.testing.assert_allclose(minus, -cl.generalized_pauli(lam), atol=1e-15)
+
+
 def test_generalized_pauli_bad_args():
     for lam in (0, 4):
         with pytest.raises(ValueError):

@@ -324,6 +324,23 @@ def test_spinor_from_breve_keeps_the_bytes_of_the_explicit_products():
             assert got.tobytes() == want[0, i].tobytes()
 
 
+def test_spinor_from_breve_v_is_u_negated():
+    # the "v" map is the "u" map negated, equal in value, so with the negated bits in every
+    # nonzero entry: for a batch whose first spin vectors lie along signed-zero axes and
+    # whose first bispinors have signed zeros, where a zero entry may keep its sign
+    rng = np.random.default_rng(31)
+    n = rng.normal(size=(20, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    n[:4] = AXES
+    s = sp._spatial(n)
+    breve = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    breve[:2] = [(0.0, -0.0, 1j, -1.0), (complex(-0.0, -0.0), 1.0, -1j, 0.0)]
+    for got, x, u in ((sp.spinor_from_breve(breve, s, "v"), breve, s),
+                      *((sp.spinor_from_breve(breve[i], s[i], "v"), breve[i], s[i])
+                        for i in range(4))):
+        assert np.array_equal(got, np.negative(sp.spinor_from_breve(x, u, "u")))
+
+
 def _written_out_energy(p, m, sign):
     """The energy projector as slash, an in-place diagonal add and a scale: slash(+-p),
     m added to its diagonal through a strided view, then the float view times 1/2m."""

@@ -315,9 +315,12 @@ def test_tetrad_bispinor_values():
                                [0, 0, 0, -math.sqrt(0.125)], atol=1e-14)
     with pytest.raises(ValueError):
         sp.tetrad_bispinor(k, 5)
+
+
+def test_antisymmetric_basis_values():
     # the antisymmetric basis at threshold, the tetrad at p0 = -m: i b phi = 0 and
     # i a (sigma.n) phi, every column imaginary (or zero)
-    anti = rest.negated()
+    anti = sp.KinematicPoint(1.0, 1.0, ZHAT).negated()
     np.testing.assert_allclose(sp.tetrad_bispinor(anti, 1), [0, 0, 0, 0], atol=1e-14)
     np.testing.assert_allclose(sp.tetrad_bispinor(anti, 3), [0, 0, 1j, 0], atol=1e-14)
     for tau in (1, 2, 3, 4):

@@ -136,6 +136,7 @@ CHOICES = {
     "pauli": cl.pauli,
     "generalized_pauli": cl.generalized_pauli,
     "tetrad_bispinor": lambda v: sp.tetrad_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), v),
+    "rest_basis": sp.rest_basis,
     "energy_projector-sign": lambda v: pj.energy_projector(REST, 1.0, v),
 }
 
