@@ -108,6 +108,25 @@ def check_vectors(x, n: int, what: str, dtype=complex) -> np.ndarray:
     raise ValueError(f"{what} must have shape (..., {n}), got shape {x.shape}")
 
 
+def _require(ok, message: str, *values, error=ValueError) -> None:
+    """Raise ``error`` unless ``ok`` holds at every point; ``message`` is formatted
+    with the values (per-point scalars or rows) at the first point where it fails."""
+    if (ok.all() if isinstance(ok, np.ndarray) else ok):
+        return
+    ok = np.asarray(ok)
+    at = np.unravel_index(np.argmin(ok), ok.shape)
+    raise error(message.format(*(np.asarray(v)[at] if np.ndim(v) > ok.ndim
+                                 else np.broadcast_to(v, ok.shape)[at] for v in values)))
+
+
+def check_bispinor(u, n: int = 4, what: str = "bispinor", dtype=complex) -> np.ndarray:
+    """u as an array of ``dtype`` (by check_vectors) of shape (..., n), each component finite:
+    a bispinor, a two-spinor (n = 2), or the 3- or 4-vector of a Clifford helper."""
+    u = check_vectors(u, n, what, dtype)
+    _require(np.isfinite(u).all(axis=-1), what + " must be finite, got {}", u)
+    return u
+
+
 def check_choice(what: str, value, options: tuple) -> int:
     """The position of value in options, which must hold it.  A bool is refused: it
     would match 1 or 0 as an equal number.  So is a value that is not an integer
@@ -131,8 +150,8 @@ def pauli(i: int) -> np.ndarray:
 
 
 def pauli_dot(nvec) -> np.ndarray:
-    """sigma . n for real or complex 3-vectors n of shape (..., 3)."""
-    return _contract(check_vectors(nvec, 3, "3-vector"), _PAULI_DOT)
+    """sigma . n for finite real or complex 3-vectors n of shape (..., 3)."""
+    return _contract(check_bispinor(nvec, 3, "3-vector"), _PAULI_DOT)
 
 
 def gamma(mu: int) -> np.ndarray:
@@ -176,20 +195,21 @@ def gamma5_from_epsilon() -> np.ndarray:
 
 
 def minkowski_dot(a, b):
-    """a . b with metric diag(+1,-1,-1,-1) over the last axis; bilinear."""
+    """a . b with metric diag(+1,-1,-1,-1) over the last axis of finite 4-vectors; bilinear."""
     # .T puts the component axis first; the second .T restores the batch axes
-    t0, t1, t2, t3 = np.multiply(a, b, dtype=complex).T
+    t0, t1, t2, t3 = (check_bispinor(a, 4, "4-vector") * check_bispinor(b, 4, "4-vector")).T
     return (t0 - t1 - t2 - t3).T
 
 
 def slash(a) -> np.ndarray:
-    """Feynman slash a_mu gamma^mu = a^0 g0 - a^1 g1 - a^2 g2 - a^3 g3."""
-    return _contract(check_vectors(a, 4, "4-vector"), _SLASH_DOT)
+    """Feynman slash a_mu gamma^mu = a^0 g0 - a^1 g1 - a^2 g2 - a^3 g3 of finite 4-vectors."""
+    return _contract(check_bispinor(a, 4, "4-vector"), _SLASH_DOT)
 
 
 def gamma_dot_spatial(s) -> np.ndarray:
-    """gamma.s = sum_i gamma^i s^i (upper-index gammas) for s = (0, svec)."""
-    return _contract(check_vectors(s, 4, "four-vector"), _GAMMA_DOT_S_DOT)
+    """gamma.s = sum_i gamma^i s^i (upper-index gammas) of finite 4-vectors s = (s0, svec):
+    only s^1..s^3 are read, so (s0, svec) gives the bytes of (0, svec)."""
+    return _contract(check_bispinor(s, 4, "4-vector"), _GAMMA_DOT_S_DOT)
 
 
 def sigma_munu(mu: int, nu: int) -> np.ndarray:
@@ -253,8 +273,10 @@ def trace(ms):
 
 
 def _check_factor(m) -> np.ndarray:
-    """m as a numeric array (by check_real, keeping its type) of shape (..., 4, 4)."""
+    """m as a numeric array (by check_real, keeping its type) of shape (..., 4, 4), each
+    entry finite."""
     m = check_real(m, "trace factor", None)
-    if m.shape[-2:] == (4, 4):
-        return m
-    raise ValueError(f"trace factor must have shape (..., 4, 4), got shape {m.shape}")
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"trace factor must have shape (..., 4, 4), got shape {m.shape}")
+    _require(np.isfinite(m).all(axis=(-2, -1)), "trace factor must be finite, got {}", m)
+    return m

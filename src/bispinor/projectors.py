@@ -27,10 +27,10 @@ import numpy as np
 # slash and the band constructors are not called here, but callers resolve them as
 # projectors.slash, projectors.dirac_u and so on
 from .clifford import (_BLOCK_SWAP, _I2, _I4, _PAULI_DOT, _SLASH, _contract, _contraction,
-                       _read_only, check_choice, check_real, check_vectors, slash)
-from .spinors import (KinematicPoint, _dirac_adjoint, _require, _state, breve_u, breve_u_bar,
-                      check_bispinor, check_mass, check_scale, check_spin_vector,
-                      check_unit_vector, dirac_u, dirac_u_bar)
+                       _read_only, _require, check_bispinor, check_choice, check_real,
+                       check_vectors, slash)
+from .spinors import (KinematicPoint, _dirac_adjoint, _state, breve_u, breve_u_bar, check_mass,
+                      check_scale, check_spin_vector, check_unit_vector, dirac_u, dirac_u_bar)
 
 POLSUM_KINDS = ("spinor", "antispinor", "breve-plus", "breve-minus", "completeness")
 

@@ -51,8 +51,8 @@ import numpy as np
 
 # pauli_dot is not used here, but callers resolve it as spinors.pauli_dot
 from .clifford import (_BLOCK_SWAP, _GAMMA0_SIGNS, _GAMMA_DOT_S_DOT, _contract, _contraction,
-                       _read_only, check_choice, check_real, check_vectors, pauli, pauli_dot,
-                       times_column)
+                       _read_only, _require, check_bispinor, check_choice, check_real,
+                       check_vectors, pauli, pauli_dot, times_column)
 
 HELICITIES = (0.5, -0.5)
 _TETRAD = (1, 2, 3, 4)
@@ -64,17 +64,6 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal float; 1 / (2 m) is f
 
 class RegionError(ValueError):
     """Constructor evaluated outside its energy band."""
-
-
-def _require(ok, message: str, *values, error=ValueError) -> None:
-    """Raise ``error`` unless ``ok`` holds at every point; ``message`` is formatted
-    with the values (per-point scalars or rows) at the first point where it fails."""
-    if (ok.all() if isinstance(ok, np.ndarray) else ok):
-        return
-    ok = np.asarray(ok)
-    at = np.unravel_index(np.argmin(ok), ok.shape)
-    raise error(message.format(*(np.asarray(v)[at] if np.ndim(v) > ok.ndim
-                                 else np.broadcast_to(v, ok.shape)[at] for v in values)))
 
 
 def check_mass(m):
@@ -123,14 +112,6 @@ def _spatial(nhat) -> np.ndarray:
     """The spatial four-vectors (0, nhat) for nhat of shape (..., 3)."""
     n = np.asarray(nhat, dtype=float)
     return np.concatenate([np.zeros(n.shape[:-1] + (1,)), n], axis=-1)
-
-
-def check_bispinor(u, n: int = 4, what: str = "bispinor", dtype=complex) -> np.ndarray:
-    """u as an array of ``dtype`` (by check_vectors) of shape (..., n), each component finite:
-    a bispinor, or for n = 2 a two-spinor."""
-    u = check_vectors(u, n, what, dtype)
-    _require(np.isfinite(u).all(axis=-1), what + " must be finite, got {}", u)
-    return u
 
 
 # check_band's message per band, filled in only on a refusal: the name, p0 and m

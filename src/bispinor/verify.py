@@ -16,24 +16,21 @@ generator seeded per check by (seed, sha256(name)), so repeated runs are
 bit-identical and checks do not perturb each other; a label row evaluates every
 label tuple once and a "fixed" check its one point, whatever the seed and samples.
 
-A check's lhs and rhs builders take a Columns, one column per sampler key,
-and return arrays with a leading sample axis; given the Columns of one point
-they return that point's arrays, so a reported worst_point replays as
-residuals(check, Columns(worst_point)), its max_residual.  Columns is the
-registry's one input boundary: Columns(mapping) checks every column it copies by
-the validator of its key, and residuals checks that the columns are the ones the
-check's sampler makes; the sampler's own draw or grid, valid by construction, is
-handed over unchecked.  The builders then call the unchecked cores of the public
-functions (spinors._point for the KinematicPoint, projectors._spin_projector, ...):
-only band checks (spinors._state's, and two rows' own) and residuals' key, shape and
-finiteness checks run on the draw.  A side is made by
-_fixed if it depends on no sample (a value built at import, read-only, or a
-table of them indexed by the labels); by _sides, with the other side,
-if both are one evaluation make(pt) -> (lhs, rhs); else as a builder of its
-own.  A row that reads several labelled states (helicities, tetrad slots, the
-dotted flag) reads them from one spinors._state pass, a stack with a label
-axis, and residuals reduces across the sample axis, never along a short one.
-Builders read only Columns.arrays; Columns.derived keeps the _sides results.
+Each row is one evaluation make(pt) -> (lhs, rhs) on a Columns (one column per sampler
+key) giving arrays with a leading sample axis, or one point's arrays for the Columns of
+one point, so a reported worst_point replays as residuals(check, Columns(worst_point)),
+its max_residual.  _sides(make) gives the check's lhs and rhs, which share one call of
+make per Columns, kept read-only in Columns.derived; _fixed(lhs, rhs, *keys) is the make
+of a row whose sides depend on no sample (values built at import, read-only, or tables of
+them that the labels index).  Columns is the registry's one input boundary:
+Columns(mapping) checks every column it copies by the validator of its key, and
+residuals checks that the columns are the ones the check's sampler makes; the sampler's
+own draw or grid, valid by construction, is handed over unchecked.  A make reads only
+Columns.arrays and calls the unchecked cores of the public functions (spinors._point,
+projectors._spin_projector, ...): only band checks (spinors._state's, and two rows' own)
+and residuals' key, shape and finiteness checks run on the draw.  Labelled states
+(helicities, tetrad slots, the dotted flag) come from one spinors._state pass, a stack
+with a label axis, and residuals reduces across the sample axis, never a short one.
 
 The JSON report is the report dataclasses field for field (each its __dict__, the
 fields in field order), written by the stdlib encoder: every float in its shortest
@@ -54,14 +51,14 @@ from typing import Callable
 import numpy as np
 
 from .clifford import (METRIC, _BLOCK_SWAP, _I2, _I4, _contract, _contraction, _read_only,
-                       check_choice, check_real, dot, gamma, gamma5, gamma5_from_epsilon,
-                       gamma_lower, generalized_pauli, pauli_dot, row_times, times_column, trace)
+                       _require, check_bispinor, check_choice, check_real, dot, gamma, gamma5,
+                       gamma5_from_epsilon, gamma_lower, generalized_pauli, pauli_dot, row_times,
+                       times_column, trace)
 from .projectors import (_ENERGY, _diad, _pi_projector, _spin_projector, _spin_projector_rest,
                          diad, polsum)
 from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components, _point,
-                      _require, _spatial, _spinor_from_breve, _state, breve_u, check_band,
-                      check_bispinor, check_energy, check_mass, check_scale, check_unit_vector,
-                      rest_basis)
+                      _spatial, _spinor_from_breve, _state, breve_u, check_band, check_energy,
+                      check_mass, check_scale, check_unit_vector, rest_basis)
 
 TOOL_VERSION = "0.4.3"
 DEFAULT_TOLERANCE = 1e-10
@@ -238,8 +235,8 @@ def _checked_column(key: str, column, columns) -> np.ndarray:
 class Columns(dict):
     """A check's sample columns, from any mapping of columns (a reported worst_point, or
     another Columns, whose arrays it reads): ``arrays``, a read-only copy of each column,
-    the only thing the builders read, and ``derived``, each _sides row's (lhs, rhs) under
-    its make, filled on first use, read-only, and only read after.
+    the only thing the builders read, and ``derived``, each row's (lhs, rhs) under its
+    make, filled on first use, read-only, and only read after.
 
     Every column is checked as it is copied, by the validator of its key
     (_checked_column; a ValueError for a key no sampler draws), and all must share one
@@ -332,7 +329,8 @@ def _section4_two_valued(xi) -> tuple:
 _ZHAT = (0.0, 0.0, 1.0)
 _BAND_CENTER_PAIRS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5))
 _REST_EIGENVALUES = (1.0, -1.0, -1.0, 1.0)
-_ZERO_ROWS = np.zeros((2, 4), dtype=complex)
+_ZERO_ROWS = _read_only(np.zeros((2, 4), dtype=complex))
+_TWOS = _read_only(np.array([2.0, 2.0]))
 
 
 def _anticommutators(stack) -> np.ndarray:
@@ -353,20 +351,20 @@ _LABEL_DAGGERS = np.conj(np.swapaxes(_GAMMA_LABELS, -1, -2))
 _SIGNED_LABELS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])[:, None, None] * _GAMMA_LABELS
 
 
-def _fixed(value, *keys):
-    """A side that depends on no sample: value, built once and read-only, indexed by the
-    labels pt.arrays[key] for each of keys (all of value, read-only, for none)."""
-    value = _read_only(np.asarray(value))
-    return lambda pt: value[tuple(pt.arrays[key] for key in keys)]
+def _fixed(lhs, rhs, *keys):
+    """The make of a row whose two sides depend on no sample: lhs and rhs, built once and
+    read-only, each indexed by the labels pt.arrays[key] for each of keys (whole, for none)."""
+    lhs, rhs = (_read_only(np.asarray(side)) for side in (lhs, rhs))
+    return lambda pt: tuple(side[tuple(pt.arrays[key] for key in keys)] for side in (lhs, rhs))
 
 
 def _sides(make) -> tuple:
-    """The lhs and rhs of a row whose two sides are one evaluation make(pt) -> (lhs, rhs),
-    computed once per Columns, whichever side runs first, and kept read-only in
-    pt.derived under make itself, as builders hand them on."""
+    """The lhs and rhs of a row, its one evaluation make(pt) -> (lhs, rhs), computed once per
+    Columns, whichever side runs first, and kept read-only in pt.derived under make itself,
+    as builders hand them on."""
     def side(pt: Columns, i: int):
         if make not in pt.derived:
-            pt.derived[make] = tuple(map(_read_only, make(pt)))
+            pt.derived[make] = tuple(_read_only(np.asarray(x)) for x in make(pt))
         return pt.derived[make][i]
     return tuple(lambda pt, i=i: side(pt, i) for i in (0, 1))
 
@@ -478,111 +476,106 @@ def _spin_blocks(pt):
     return out
 
 
-# Each row: name, paper_ref, sampler, lhs, rhs, tolerance, expected status.
-_REGISTRY = tuple(IdentityCheck(*row) for row in (
+# Each row: name, paper_ref, sampler, make(pt) -> (lhs, rhs), tolerance, expected status.
+_REGISTRY = tuple(IdentityCheck(name, ref, sampler, *_sides(make), tol, status)
+                  for name, ref, sampler, make, tol, status in (
     ("anticommutator-minkowski",
      "gamma-matrix anticommutation with the Minkowski metric on the right side",
-     "index-pair", _fixed(_ANTICOMMUTATORS, "mu", "nu"),
-     _fixed(_TWO_METRIC_I4, "mu", "nu"), 1e-14, "holds"),
+     "index-pair", _fixed(_ANTICOMMUTATORS, _TWO_METRIC_I4, "mu", "nu"), 1e-14, "holds"),
     ("anticommutator-literal-delta",
      "gamma-matrix anticommutation with a literal Kronecker delta, as displayed",
-     "index-pair", _fixed(_ANTICOMMUTATORS_LOWER, "mu", "nu"),
-     _fixed(_TWO_DELTA_I4, "mu", "nu"), 1e-14, "expected-fail"),
+     "index-pair", _fixed(_ANTICOMMUTATORS_LOWER, _TWO_DELTA_I4, "mu", "nu"), 1e-14,
+     "expected-fail"),
     ("gamma-hermiticity",
      "hermiticity pattern: gamma0 and gamma5 Hermitian, spatial gammas anti-Hermitian",
-     "gamma-label", _fixed(_LABEL_DAGGERS, "mu"), _fixed(_SIGNED_LABELS, "mu"), 1e-14, "holds"),
+     "gamma-label", _fixed(_LABEL_DAGGERS, _SIGNED_LABELS, "mu"), 1e-14, "holds"),
     ("gamma5-pseudoscalar",
      "gamma5 from the quadruple product equals the epsilon-contraction form",
-     "fixed", _fixed(gamma5()), _fixed(gamma5_from_epsilon()), 1e-14, "holds"),
+     "fixed", _fixed(gamma5(), gamma5_from_epsilon()), 1e-14, "holds"),
     ("trace-cyclicity",
      "trace of a cyclic permutation of a matrix product (toolkit invariant)",
-     "matrices", *_sides(_trace_cycle), 1e-14, "holds"),
+     "matrices", _trace_cycle, 1e-14, "holds"),
     ("boost-exponential",
      "boosted two-spinor as the exponential exp(+-(chi/2) sigma.n) phi, cosh chi = p0/m",
-     "real-band", *_sides(_boost_exponential), 1e-12, "holds"),
+     "real-band", _boost_exponential, 1e-12, "holds"),
     ("norm-spinor",
      "normalization of the definite-parity bispinor basis: ubar u = delta",
-     "real-band", _norm_gram, _fixed(_I2), 1e-12, "holds"),
+     "real-band", lambda pt: (_norm_gram(pt), _I2), 1e-12, "holds"),
     ("helicity-sum-unity",
      "sum of the two-spinor helicity projectors over +-n gives unity",
-     "sphere",
-     lambda pt: _spin_projector_rest(pt.arrays["nhat"]) + _spin_projector_rest(-pt.arrays["nhat"]),
-     _fixed(_I2), 1e-14, "holds"),
+     "sphere", lambda pt: (_spin_projector_rest(pt.arrays["nhat"])
+                           + _spin_projector_rest(-pt.arrays["nhat"]), _I2), 1e-14, "holds"),
     ("polsum-spinor",
      "polarization-sum rule, spinor sector: closed form (pslash + m)/2m",
-     "real-band", *_sides(lambda pt: polsum("spinor", _kin(pt))), 1e-12, "holds"),
+     "real-band", lambda pt: polsum("spinor", _kin(pt)), 1e-12, "holds"),
     ("polsum-antispinor",
      "polarization-sum rule, antisymmetric sector: closed form (m - pslash)/2m",
-     "real-band", *_sides(lambda pt: polsum("antispinor", _kin(pt))), 1e-12, "holds"),
+     "real-band", lambda pt: polsum("antispinor", _kin(pt)), 1e-12, "holds"),
     ("unity-decomposition-gamma0",
      "unity decomposition over the antisymmetric-basis gamma0 diads at p0 = -m",
      # the basis tetrad_bispinor(k.negated(), tau) at p0 = -m is the tetrad at p0 = m, where
      # b = 0: no nhat; its diads added in tau order from the first, so a -0 entry keeps its sign
      "fixed", _fixed(reduce(np.add, _diad(_state(_point(1.0, 1.0, np.array(_ZHAT)),
-                                                 "tetrad_bispinor"), "gamma0"))),
-     _fixed(_I4), 1e-12, "expected-fail"),
+                                                 "tetrad_bispinor"), "gamma0")), _I4),
+     1e-12, "expected-fail"),
     ("kappa-boundary",
      "spin-eigenvalue ratio: closed form vs the parity-amplitude ratio, zero at threshold",
-     "real-band", *_sides(_kappa_boundary), 1e-12, "holds"),
+     "real-band", _kappa_boundary, 1e-12, "holds"),
     ("rest-eigenvalues",
      "band-center basis eigenvalues of diag(sigma.n, -sigma.n) along z: +1, -1, -1, +1",
-     "fixed", _fixed(_rest_spin_action()),
-     _fixed(np.stack([_REST_EIGENVALUES[tau - 1] * rest_basis(tau) for tau in (1, 2, 3, 4)])),
+     "fixed", _fixed(_rest_spin_action(), np.stack([_REST_EIGENVALUES[tau - 1] * rest_basis(tau)
+                                                    for tau in (1, 2, 3, 4)])),
      1e-14, "holds"),
     ("breve-norm",
      "norm of the complex bispinor equals 2 for equal helicity labels",
-     "breve-band", lambda pt: _breve_norms(pt, False),
-     _fixed([2.0, 2.0]), 1e-12, "holds"),
+     "breve-band", lambda pt: (_breve_norms(pt, False), _TWOS), 1e-12, "holds"),
     ("breve-norm-cross",
      "complex-bispinor norm with unequal helicity labels (recorded, not asserted)",
-     "breve-band", lambda pt: _breve_norms(pt, True),
-     _fixed([2.0, 2.0]), 1e-12, "informational"),
+     "breve-band", lambda pt: (_breve_norms(pt, True), _TWOS), 1e-12, "informational"),
     ("adjoint-dirac",
      "adjoint momentum-space equation ubar (pslash + m) = 0, as displayed",
-     "breve-band", _adjoint_rows, _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
+     "breve-band", lambda pt: (_adjoint_rows(pt), _ZERO_ROWS), 1e-12, "expected-fail"),
     ("adjoint-dirac-paper-dagger",
      "conjugated equation with the displayed overall sign of the dagger of pslash",
-     "breve-band", lambda pt: _adjoint_rows(pt, "paper"),
-     _fixed(_ZERO_ROWS), 1e-12, "expected-fail"),
+     "breve-band", lambda pt: (_adjoint_rows(pt, "paper"), _ZERO_ROWS), 1e-12, "expected-fail"),
     ("adjoint-dirac-standard-dagger",
      "conjugated equation with the numerical conjugate transpose of pslash",
-     "breve-band", lambda pt: _adjoint_rows(pt, "standard"),
-     _fixed(_ZERO_ROWS), 1e-12, "informational"),
+     "breve-band", lambda pt: (_adjoint_rows(pt, "standard"), _ZERO_ROWS), 1e-12,
+     "informational"),
     ("diad-half-unity",
      "gamma5 diads over the band-center basis sum to half unity, as displayed",
-     "fixed", _fixed(sum(diad(rest_basis(tau), "gamma5") for tau in (1, 2, 3, 4))),
-     _fixed(_I4 / 2.0), 1e-12, "expected-fail"),
+     "fixed", _fixed(sum(diad(rest_basis(tau), "gamma5") for tau in (1, 2, 3, 4)), _I4 / 2.0),
+     1e-12, "expected-fail"),
     ("tetrad-projector-sum",
      "tetrad sum of covariant spin projectors: sum_tau P(s_tau)/2 = 1",
-     "sphere", _tetrad_sum, _fixed(_I4), 1e-12, "holds"),
+     "sphere", lambda pt: (_tetrad_sum(pt), _I4), 1e-12, "holds"),
     ("polsum-breve-plus",
      "complex-band polarization sum against the closed form (pslash + m)/2m",
-     "breve-band", *_sides(lambda pt: polsum("breve-plus", _kin(pt))), 1e-12, "informational"),
+     "breve-band", lambda pt: polsum("breve-plus", _kin(pt)), 1e-12, "informational"),
     ("polsum-breve-minus",
      "complex-band polarization sum against the closed form (m - pslash)/2m",
-     "breve-band", *_sides(lambda pt: polsum("breve-minus", _kin(pt))), 1e-12, "informational"),
+     "breve-band", lambda pt: polsum("breve-minus", _kin(pt)), 1e-12, "informational"),
     ("completeness",
      "the two energy projectors form a complete set: their sum is unity",
-     "real-band", *_sides(lambda pt: polsum("completeness", _kin(pt))), 1e-12, "holds"),
+     "real-band", lambda pt: polsum("completeness", _kin(pt)), 1e-12, "holds"),
     ("pi-annihilation",
      "annihilation of the constructed complex bispinors by the explicit band projector",
-     "breve-band", _pi_annihilation, _fixed(_ZERO_ROWS), 1e-12, "informational"),
+     "breve-band", lambda pt: (_pi_annihilation(pt), _ZERO_ROWS), 1e-12, "informational"),
     ("breve-rest-relation",
      "constructed complex bispinor at band center vs the displayed unit basis",
      "fixed", _fixed([breve_u(KinematicPoint(1.0, 0.0, _ZHAT), lp, lm)
-                      for lp, lm in _BAND_CENTER_PAIRS]),
-     _fixed([rest_basis(tau) for tau in (1, 2, 3, 4)]), 1e-12, "informational"),
+                      for lp, lm in _BAND_CENTER_PAIRS], [rest_basis(tau) for tau in (1, 2, 3, 4)]),
+     1e-12, "informational"),
     ("spinor-breve-maps",
      "the two spinor/bispinor maps through gamma5 gamma.s compose to minus one",
-     "breve-band", *_sides(_map_roundtrip), 1e-12, "holds"),
+     "breve-band", _map_roundtrip, 1e-12, "holds"),
     ("section4-projector-equivalence",
      "covariant orientation projector (1 + gamma5 s.gamma)/2 matches the spin projector",
-     "sphere", _spin_blocks, lambda pt: _spin_projector(_spatial(pt.arrays["nhat"])),
+     "sphere", lambda pt: (_spin_blocks(pt), _spin_projector(_spatial(pt.arrays["nhat"]))),
      1e-14, "holds"),
     ("section4-two-valued",
      "two-valuedness contraction: sum_lam x^lam x_lam against |xi|^4 (recorded)",
-     "spinor4", *_sides(lambda pt: tuple(
-         x[..., None] for x in _section4_two_valued(_complex_of(pt, "xi")))),
+     "spinor4", lambda pt: tuple(x[..., None] for x in _section4_two_valued(_complex_of(pt, "xi"))),
      1e-10, "informational"),
 ))
 assert len({c.name for c in _REGISTRY}) == len(_REGISTRY), "registry names must be unique"

@@ -302,3 +302,10 @@ def test_pauli_dot_and_minkowski_dot():
     assert cl.minkowski_dot([1, 0, 0, 0], [2, 0, 0, 1]) == pytest.approx(2.0)
     # spatial unit tetrad squares to -1
     assert cl.minkowski_dot([0, *n], [0, *n]) == pytest.approx(-1.0)
+
+
+def test_gamma_dot_spatial_reads_only_the_spatial_components():
+    # s0 is not read: (s0, svec) gives the bytes of (0, svec), and (1, 0, 0, 0) the zero matrix
+    assert cl.gamma_dot_spatial((7, 1, 2, 3)).tobytes() == \
+        cl.gamma_dot_spatial((0, 1, 2, 3)).tobytes()
+    assert not cl.gamma_dot_spatial((1, 0, 0, 0)).any()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bispinor
 from bispinor import clifford as cl
 from bispinor import projectors as pj
 from bispinor import spinors as sp
@@ -41,7 +42,33 @@ ENTRY_POINTS = {
     "section4_two_valued": lambda x: vf.section4_two_valued((x, 0.0, 0.0, 0.0)),
     "parity_components-undotted": lambda x: sp.parity_components((x, 0.0), (1.0, 0.0)),
     "parity_components-dotted": lambda x: sp.parity_components((1.0, 0.0), (0.0, x)),
+    "slash": lambda x: cl.slash((x, 0.0, 0.0, 0.0)),
+    "pauli_dot": lambda x: cl.pauli_dot((x, 0.0, 0.0)),
+    "gamma_dot_spatial": lambda x: cl.gamma_dot_spatial((0.0, x, 0.0, 1.0)),
+    "minkowski_dot-a": lambda x: cl.minkowski_dot((x, 0.0, 0.0, 0.0), REST),
+    "minkowski_dot-b": lambda x: cl.minkowski_dot(REST, (x, 0.0, 0.0, 0.0)),
+    "trace": lambda x: cl.trace([[[x, 0, 0, 0], *[[0, 0, 0, 0]] * 3]]),
 }
+# the exported functions and classes that take no numeric array: a label, a kind, a point
+# already checked, run parameters, or nothing; or an exception or a result record
+TAKES_NO_ARRAY = {
+    "gamma", "gamma5", "gamma5_from_epsilon", "gamma_lower", "generalized_pauli", "pauli",
+    "sigma_munu", "polsum", "basis_spinor", "boosted_spinor", "breve_u", "breve_u_bar",
+    "dirac_u", "dirac_u_bar", "rest_basis", "tetrad_bispinor", "registry", "run_all",
+    "run_check", "IdentityCheck", "CheckResult", "VerificationReport", "RegionError",
+    "ConfigurationError",
+}
+
+
+def test_every_exported_function_of_a_numeric_array_is_an_entry_point():
+    # an exported callable is either an entry point (by the name before its first "-") or
+    # named as taking no numeric array, never both: a new one fails here until it is listed
+    exported = {name for name, obj in vars(bispinor).items()
+                if callable(obj) and not name.startswith("_")}
+    entries = {entry.split("-")[0] for entry in ENTRY_POINTS}
+    assert entries <= exported and TAKES_NO_ARRAY <= exported
+    assert not entries & TAKES_NO_ARRAY
+    assert exported == entries | TAKES_NO_ARRAY
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -19,56 +19,17 @@ from bispinor import spinors as sp
 from bispinor import verify as vf
 from bispinor.spinors import KinematicPoint, boosted_spinor
 
-# statuses frozen from the development oracle runs; the shipped registry
-# must reproduce them exactly
-FROZEN_EXPECTATIONS = {
-    "anticommutator-minkowski": "holds",
-    "anticommutator-literal-delta": "expected-fail",
-    "gamma-hermiticity": "holds",
-    "gamma5-pseudoscalar": "holds",
-    "trace-cyclicity": "holds",
-    "boost-exponential": "holds",
-    "norm-spinor": "holds",
-    "helicity-sum-unity": "holds",
-    "polsum-spinor": "holds",
-    "polsum-antispinor": "holds",
-    "unity-decomposition-gamma0": "expected-fail",
-    "kappa-boundary": "holds",
-    "rest-eigenvalues": "holds",
-    "breve-norm": "holds",
-    "breve-norm-cross": "informational",
-    "adjoint-dirac": "expected-fail",
-    "adjoint-dirac-paper-dagger": "expected-fail",
-    "adjoint-dirac-standard-dagger": "informational",
-    "diad-half-unity": "expected-fail",
-    "tetrad-projector-sum": "holds",
-    "polsum-breve-plus": "informational",
-    "polsum-breve-minus": "informational",
-    "completeness": "holds",
-    "pi-annihilation": "informational",
-    "breve-rest-relation": "informational",
-    "spinor-breve-maps": "holds",
-    "section4-projector-equivalence": "holds",
-    "section4-two-valued": "informational",
-}
-
-
 def _by_name():
     return {c.name: c for c in vf.registry()}
 
 
 def test_registry_names_are_unique_and_cited():
-    # FROZEN_EXPECTATIONS fixes the set of names, but a repeated name would collapse in a dict,
-    # and python -O strips the registry's own import-time assert
+    # ROWS fixes the set of names, but a repeated name would collapse in a dict, and
+    # python -O strips the registry's own import-time assert
     checks = vf.registry()
     names = [c.name for c in checks]
     assert len(names) == len(set(names))
     assert all(c.paper_ref for c in checks)
-
-
-def test_registry_expectations_are_frozen():
-    got = {c.name: c.expected_status for c in vf.registry()}
-    assert got == FROZEN_EXPECTATIONS
 
 
 def test_run_check_pass_and_info_statuses():
@@ -550,30 +511,19 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
-# calls per check of each counted function, by one evaluation of both sides; none elsewhere
-SHARED_CALLS = {
-    "polsum": dict.fromkeys(("polsum-spinor", "polsum-antispinor", "polsum-breve-plus",
-                             "polsum-breve-minus", "completeness"), 1),
-    "_section4_two_valued": {"section4-two-valued": 1},
-    "trace": {"trace-cyclicity": 2},
-    # one pass of the stacked states per evaluation, in place of one call per label
-    "_state": dict.fromkeys(("boost-exponential", "norm-spinor",
-                             "kappa-boundary", "breve-norm", "breve-norm-cross", "adjoint-dirac",
-                             "adjoint-dirac-paper-dagger", "adjoint-dirac-standard-dagger",
-                             "pi-annihilation", "spinor-breve-maps"), 1),
-    "breve_u": {},
-    "_kappa": {"kappa-boundary": 2},
-}
+# the functions whose calls ROWS (below) counts per evaluation; no row calls breve_u, whose
+# values breve-rest-relation takes at import
+COUNTED = ("_point", "_state", "_kappa", "polsum", "trace", "_section4_two_valued", "breve_u")
 
 
 def test_each_check_computes_its_shared_values_once(monkeypatch):
-    counts = {name: _counting(monkeypatch, name) for name in ("_point", *SHARED_CALLS)}
+    counts = {name: _counting(monkeypatch, name) for name in COUNTED}
 
     def made() -> dict:
         return {name: len(calls) for name, calls in counts.items()}
 
     for check in vf.registry():
-        want = {name: by_check.get(check.name, 0) for name, by_check in SHARED_CALLS.items()}
+        want = {name: ROWS[check.name][2].get(name, 0) for name in COUNTED}
         # either side may run first: it makes every counted call, and the other side none
         for first, second in ((check.lhs, check.rhs), (check.rhs, check.lhs)):
             columns = vf.sample_points(check, seed=9, samples=50)
@@ -582,12 +532,7 @@ def test_each_check_computes_its_shared_values_once(monkeypatch):
             first(columns)
             before = made()
             second(columns)
-            after = made()
-            assert {name: after[name] for name in SHARED_CALLS} == want, check.name
-            assert after == before or not any(before.values()), check.name
-            # one point per evaluation, built by _point from the checked columns
-            kinematic = check.sampler in ("real-band", "breve-band")
-            assert after["_point"] == int(kinematic)
+            assert made() == before == want, check.name
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLER_KEYS))
@@ -599,9 +544,10 @@ def test_columns_encode_as_their_plain_dict_before_and_after_evaluation(sampler)
     assert json.dumps(columns, sort_keys=True) == "{}"
     check.lhs(columns)
     check.rhs(columns)
-    # builders read the sampler's arrays as they are; only a _sides row fills derived,
+    # builders read the sampler's arrays as they are; the row's one (lhs, rhs) fills derived,
     # which json never sees
-    assert bool(columns.derived) == (check.lhs.__code__ is vf._sides(print)[0].__code__)
+    (kept,) = columns.derived.values()
+    assert kept[0] is check.lhs(columns) and kept[1] is check.rhs(columns)
     assert json.dumps(columns, sort_keys=True) == "{}"
     assert dict(columns) == {}
 
@@ -661,10 +607,10 @@ def test_gamma_tables_keep_the_per_sample_products():
 
 
 # ---------------------------------------------------------------------------
-# the per-row references: LOOPS is the one table of them.  Each sampled row has one
-# entry: its reference (for a stacked row, the per-label loop it replaced), or the name of
-# the object test that pins the one public call its sides make.  The label and "fixed"
-# rows are pinned by the finite-row tests (FINITE_ROWS)
+# the registry's rows: ROWS is the one table of them, one entry per row.  A sampled row's
+# reference is its loop (for a stacked row, the per-label loop it replaced), or the name of
+# the object test that pins the one public call its sides make; a label or "fixed" row's is
+# its grid size, the points the finite-row tests enumerate (FINITE_ROWS)
 # ---------------------------------------------------------------------------
 
 def _kin_of(pt) -> KinematicPoint:
@@ -776,28 +722,71 @@ def _spin_block_form(pt) -> tuple:
 
 _POLSUM = "test_projectors::test_projectors_keep_the_bytes_of_their_written_out_forms"
 _TWO_VALUED = "test_verify::test_section4_two_valued_keeps_the_bits_of_the_loop_over_lambda"
+# a kinematic row's calls: one point per evaluation, and the states or the polarization sum
+_STATES, _POLSUM_CALLS = {"_point": 1, "_state": 1}, {"_point": 1, "polsum": 1}
 
-# row name -> its reference: (lhs, rhs) where the row evaluates both sides at once, else its
-# lhs (the rhs is a fixed value); or "module::test", the object test of its one public call
-LOOPS = {
-    "trace-cyclicity": _loop_trace_cycle,
-    "boost-exponential": _loop_boost_exponential,
-    "norm-spinor": _loop_norm_gram,
-    "kappa-boundary": _loop_kappa_boundary,
-    "breve-norm": _loop_breve_norms(((0.5, 0.5), (-0.5, -0.5))),
-    "breve-norm-cross": _loop_breve_norms(((0.5, -0.5), (-0.5, 0.5))),
-    "adjoint-dirac": _loop_adjoint_dirac,
-    "adjoint-dirac-paper-dagger": _loop_adjoint_dagger(paper_sign=True),
-    "adjoint-dirac-standard-dagger": _loop_adjoint_dagger(paper_sign=False),
-    "pi-annihilation": _loop_pi_annihilation,
-    "spinor-breve-maps": _loop_map_roundtrip,
-    "helicity-sum-unity": _helicity_sum,
-    "tetrad-projector-sum": _tetrad_projector_sum,
-    "section4-projector-equivalence": _spin_block_form,
-    **dict.fromkeys(("polsum-spinor", "polsum-antispinor", "polsum-breve-plus",
-                     "polsum-breve-minus", "completeness"), _POLSUM),
-    "section4-two-valued": _TWO_VALUED,
+# row name -> (status frozen from the development oracle runs, reference, the calls one
+# evaluation makes of each counted function, none where unnamed).  A loop gives (lhs, rhs)
+# where the row computes both sides, else its lhs (the rhs a constant); "module::test" names
+# the object test of the row's one public call; an int is a label or "fixed" row's grid size
+ROWS = {
+    "anticommutator-minkowski": ("holds", 16, {}),
+    "anticommutator-literal-delta": ("expected-fail", 16, {}),
+    "gamma-hermiticity": ("holds", 5, {}),
+    "gamma5-pseudoscalar": ("holds", 1, {}),
+    "trace-cyclicity": ("holds", _loop_trace_cycle, {"trace": 2}),
+    "boost-exponential": ("holds", _loop_boost_exponential, _STATES),
+    "norm-spinor": ("holds", _loop_norm_gram, _STATES),
+    "helicity-sum-unity": ("holds", _helicity_sum, {}),
+    "polsum-spinor": ("holds", _POLSUM, _POLSUM_CALLS),
+    "polsum-antispinor": ("holds", _POLSUM, _POLSUM_CALLS),
+    "unity-decomposition-gamma0": ("expected-fail", 1, {}),
+    "kappa-boundary": ("holds", _loop_kappa_boundary, {**_STATES, "_kappa": 2}),
+    "rest-eigenvalues": ("holds", 1, {}),
+    "breve-norm": ("holds", _loop_breve_norms(((0.5, 0.5), (-0.5, -0.5))), _STATES),
+    "breve-norm-cross": ("informational", _loop_breve_norms(((0.5, -0.5), (-0.5, 0.5))),
+                         _STATES),
+    "adjoint-dirac": ("expected-fail", _loop_adjoint_dirac, _STATES),
+    "adjoint-dirac-paper-dagger": ("expected-fail", _loop_adjoint_dagger(paper_sign=True),
+                                   _STATES),
+    "adjoint-dirac-standard-dagger": ("informational", _loop_adjoint_dagger(paper_sign=False),
+                                      _STATES),
+    "diad-half-unity": ("expected-fail", 1, {}),
+    "tetrad-projector-sum": ("holds", _tetrad_projector_sum, {}),
+    "polsum-breve-plus": ("informational", _POLSUM, _POLSUM_CALLS),
+    "polsum-breve-minus": ("informational", _POLSUM, _POLSUM_CALLS),
+    "completeness": ("holds", _POLSUM, _POLSUM_CALLS),
+    "pi-annihilation": ("informational", _loop_pi_annihilation, _STATES),
+    "breve-rest-relation": ("informational", 1, {}),
+    "spinor-breve-maps": ("holds", _loop_map_roundtrip, _STATES),
+    "section4-projector-equivalence": ("holds", _spin_block_form, {}),
+    "section4-two-valued": ("informational", _TWO_VALUED, {"_section4_two_valued": 1}),
 }
+# the rows on a finite domain: each label row and "fixed" row
+FINITE_ROWS = sorted(name for name, (_, ref, _) in ROWS.items() if isinstance(ref, int))
+
+
+def test_registry_expectations_are_frozen():
+    # every row has one entry in ROWS, and no entry is not a row: its frozen status, one
+    # reference (a loop or an object test that exists for a sampled row, its grid size for a
+    # label or "fixed" row) and calls of counted functions only; and its sides are the two
+    # readings of its one evaluation.  A new row fails here until it brings its entry
+    checks = _by_name()
+    assert {name: c.expected_status for name, c in checks.items()} == \
+        {name: status for name, (status, _, _) in ROWS.items()}
+    sides = tuple(side.__code__ for side in vf._sides(print))
+    for name, (_, ref, calls) in ROWS.items():
+        check = checks[name]
+        if check.sampler in GRID_TUPLES:
+            assert type(ref) is int and ref == len(GRID_TUPLES[check.sampler]), name
+        elif isinstance(ref, str):
+            module, test = ref.split("::")
+            assert callable(getattr(importlib.import_module(module), test)), ref
+        else:
+            assert callable(ref), name
+        assert set(calls) <= set(COUNTED), name
+        assert (check.lhs.__code__, check.rhs.__code__) == sides, name
+
 
 AXES = [(0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, -0.0)]
 # each sampler's edges, as a caller's columns: signed-zero axes; at masses other than the
@@ -812,26 +801,16 @@ EDGES = {
 
 
 @pytest.mark.parametrize("samples", [1, 7, 1000, "edges"])
-@pytest.mark.parametrize("name", sorted(name for name, ref in LOOPS.items() if callable(ref)))
+@pytest.mark.parametrize("name", sorted(name for name, (_, ref, _) in ROWS.items()
+                                         if callable(ref)))
 def test_each_sampled_row_keeps_the_bits_of_its_reference(name, samples):
     check = _by_name()[name]
     columns = (vf.Columns(EDGES[check.sampler]) if samples == "edges"
                else vf.sample_points(check, seed=8, samples=samples))
-    want = LOOPS[name](vf.Columns(columns))
+    want = ROWS[name][1](vf.Columns(columns))
     sides = (check.lhs, check.rhs) if isinstance(want, tuple) else (check.lhs,)
     for side, w in zip(sides, want if isinstance(want, tuple) else (want,)):
         assert _side_bits(side, columns) == (w.shape, w.dtype, w.tobytes()), name
-
-
-def test_every_registry_row_has_one_reference():
-    # a sampled row is a key of LOOPS, a label or "fixed" row one of FINITE_ROWS, and no row
-    # is both; a named entry names a test that exists.  A new row fails here until it
-    # brings its reference
-    assert sorted(c.name for c in vf.registry()) == sorted([*LOOPS, *FINITE_ROWS])
-    for ref in LOOPS.values():
-        if isinstance(ref, str):
-            module, test = ref.split("::")
-            assert callable(getattr(importlib.import_module(module), test)), ref
 
 
 @pytest.mark.parametrize("samples", [1, 7, 1000])
@@ -1011,25 +990,14 @@ def test_each_uniform_draw_keeps_the_bits_of_rng_uniform(sampler, key, n):
         assert got_rng.random() == want_rng.random(), seed
 
 
-# the rows on a finite domain: each label row's grid, each "fixed" row's one point
-FINITE_ROWS = {c.name: GRID_TUPLES[c.sampler] for c in vf.registry() if c.sampler in GRID_TUPLES}
-
-
-def test_the_finite_rows_are_the_label_and_fixed_rows():
-    assert {name: len(tuples) for name, tuples in FINITE_ROWS.items()} == {
-        "anticommutator-minkowski": 16, "anticommutator-literal-delta": 16,
-        "gamma-hermiticity": 5, "gamma5-pseudoscalar": 1, "unity-decomposition-gamma0": 1,
-        "rest-eigenvalues": 1, "diad-half-unity": 1, "breve-rest-relation": 1}
-
-
-@pytest.mark.parametrize("name", sorted(FINITE_ROWS))
+@pytest.mark.parametrize("name", FINITE_ROWS)
 def test_a_finite_rows_residuals_are_its_per_tuple_maxima_in_grid_order(name):
     # the per-tuple evaluation, written out: each label tuple's max |lhs - rhs| over its
     # entries, one tuple at a time through the validating path, in row-major order
     check = _by_name()[name]
     keys = vf._SAMPLERS[check.sampler]
     want = []
-    for labels in FINITE_ROWS[name]:
+    for labels in GRID_TUPLES[check.sampler]:
         one = vf.Columns(dict(zip(keys, labels)))
         want.append(np.max(np.abs(check.lhs(one) - check.rhs(one))))
         assert vf.residuals(check, one).tolist() == [want[-1]], (name, labels)
@@ -1040,14 +1008,14 @@ def test_a_finite_rows_residuals_are_its_per_tuple_maxima_in_grid_order(name):
         assert got.tobytes() == want.tobytes(), name
 
 
-@pytest.mark.parametrize("name", sorted(FINITE_ROWS))
+@pytest.mark.parametrize("name", FINITE_ROWS)
 def test_a_finite_rows_report_row_depends_on_no_seed_and_no_sample_count(name):
     check = _by_name()[name]
     rows = {json.dumps(vars(vf.run_check(check, seed, samples)))
             for seed in (0, 7, 42) for samples in (1, 100, 1000)}
     assert len(rows) == 1, name
     row = json.loads(rows.pop())
-    assert row["samples"] == len(FINITE_ROWS[name]), name
+    assert row["samples"] == ROWS[name][1], name
     assert list(row["worst_point"]) == list(vf._SAMPLERS[check.sampler]), name
 
 
@@ -1061,7 +1029,7 @@ def test_the_literal_delta_row_reports_its_spatial_diagonal_in_every_cell():
             (4.0, {"mu": 1, "nu": 1}, 16), (seed, samples)
 
 
-@pytest.mark.parametrize("name", sorted(n for n, tuples in FINITE_ROWS.items() if tuples != [()]))
+@pytest.mark.parametrize("name", [name for name in FINITE_ROWS if ROWS[name][1] > 1])
 def test_a_label_row_evaluates_its_sides_once_on_the_columns_it_is_given(name):
     seen = []
 
@@ -1084,7 +1052,8 @@ def test_a_non_finite_label_residual_names_the_first_failing_sample_and_its_poin
     table = np.zeros((5, 4, 4))
     table[2:4, 1, 3] = np.nan
     check = vf.IdentityCheck("label-fixture", "label fixture", "gamma-label",
-                             vf._fixed(table, "mu"), vf._fixed(np.zeros((4, 4))), 1e-12, "holds")
+                             *vf._sides(vf._fixed(table, np.zeros((5, 4, 4)), "mu")), 1e-12,
+                             "holds")
     for seed, samples in ((4, 1), (4, 50)):
         with pytest.raises(vf.ConfigurationError,
                            match=r"non-finite residual at sample 2, point \{'mu': 2\}$"):
