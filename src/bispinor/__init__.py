@@ -11,7 +11,6 @@ from .clifford import (
     gamma,
     gamma5,
     gamma5_from_epsilon,
-    gamma_dot_spatial,
     gamma_lower,
     generalized_pauli,
     minkowski_dot,
@@ -34,7 +33,6 @@ from .spinors import (
     HELICITIES,
     KinematicPoint,
     RegionError,
-    basis_spinor,
     boosted_spinor,
     breve_u,
     breve_u_bar,

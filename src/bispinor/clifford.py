@@ -58,7 +58,7 @@ def _contraction(stack) -> tuple:
     return _read_only(stack.reshape(len(stack), -1)), stack.shape[1:]
 
 
-# Matrix stacks for pauli_dot, slash and gamma_dot_spatial: vector component
+# Matrix stacks for pauli_dot, slash and spinors.spinor_from_breve's gamma.s: vector component
 # i multiplies matrix i.  Each entry of the sum collects at most two exact
 # products (a component times 0, +-1 or +-i), so one matrix product of the
 # vectors with the flattened stack equals the term-by-term sum exactly.
@@ -67,6 +67,7 @@ _SLASH = _read_only(np.stack((_GAMMA[0], -_GAMMA[1], -_GAMMA[2], -_GAMMA[3])))
 _GAMMA_DOT_S = _read_only(np.stack((0 * _GAMMA[0], *_GAMMA[1:])))
 _SLASH_DOT, _GAMMA_DOT_S_DOT = _contraction(_SLASH), _contraction(_GAMMA_DOT_S)
 _PLAIN = frozenset((float, int))  # the element types of a sequence of plain numbers
+_NOT_A_CHOICE = (bool, np.bool_, complex, np.complexfloating, np.ndarray)  # see check_choice
 
 
 def _holds_bool(x) -> bool:
@@ -128,10 +129,12 @@ def check_bispinor(u, n: int = 4, what: str = "bispinor", dtype=complex) -> np.n
 
 
 def check_choice(what: str, value, options: tuple) -> int:
-    """The position of value in options, which must hold it.  A bool is refused: it
-    would match 1 or 0 as an equal number.  So is a value that is not an integer
-    (numbers.Integral, which NumPy ints are) where it matches an int option: 1.0 == 1."""
-    if not isinstance(value, (bool, np.bool_)) and value in options:
+    """The position of value in options, which must hold it.  Refused although Python
+    finds them equal to an option: a bool (True == 1), a complex (0.5+0j == 0.5, as
+    check_real refuses a complex where a real is required), a value that is not an integer
+    (numbers.Integral, which NumPy ints are) where it matches an int option (1.0 == 1),
+    and an array of any size, whose == is elementwise."""
+    if not isinstance(value, _NOT_A_CHOICE) and value in options:
         i = options.index(value)
         if not isinstance(options[i], int) or isinstance(value, Integral):
             return i
@@ -206,12 +209,6 @@ def slash(a) -> np.ndarray:
     return _contract(check_bispinor(a, 4, "4-vector"), _SLASH_DOT)
 
 
-def gamma_dot_spatial(s) -> np.ndarray:
-    """gamma.s = sum_i gamma^i s^i (upper-index gammas) of finite 4-vectors s = (s0, svec):
-    only s^1..s^3 are read, so (s0, svec) gives the bytes of (0, svec)."""
-    return _contract(check_bispinor(s, 4, "4-vector"), _GAMMA_DOT_S_DOT)
-
-
 def sigma_munu(mu: int, nu: int) -> np.ndarray:
     """sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu] with lowered indices."""
     gm, gn = gamma_lower(mu), gamma_lower(nu)
@@ -263,6 +260,11 @@ def trace(ms):
     ms = [_check_factor(m) for m in ms]
     if not ms:
         raise ValueError("trace of an empty product is undefined")
+    return _trace(ms)
+
+
+def _trace(ms):
+    """trace without its checks, for k >= 1 factors that _check_factor accepts."""
     if len(ms) == 1:
         m = ms[0]
         return (m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3])

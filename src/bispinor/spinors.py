@@ -186,13 +186,8 @@ _TABLES = {
 
 
 def _slot(lam) -> int:
-    """Index of the nonzero entry of basis_spinor(lam)."""
+    """The helicity slot of lam, 0 for +1/2 and 1 for -1/2: its basis two-spinor is _PHI[slot]."""
     return check_choice("helicity", lam, HELICITIES)
-
-
-def basis_spinor(lam) -> np.ndarray:
-    """Rest-frame basis two-spinor: (1,0) for +1/2, (0,1) for -1/2 (read-only)."""
-    return _PHI[_slot(lam)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,17 +218,15 @@ class KinematicPoint:
         check_energy(self.p0)
         check_scale(self.p0, self.m)
 
-    def boost_factor(self, sign: int):
-        """a for sign=+1, b for sign=-1; principal branch below threshold."""
-        return np.sqrt((self.p0 + sign * self.m) / self.m * 0.5 + 0j)
-
     @property
     def _boosts(self) -> np.ndarray:
-        """(a, b nhat) for a, b = boost_factor(+1), boost_factor(-1): one read-only (..., 4)
-        vector, computed on first use, shared by every constructor called on the point and by
-        _five_vector, and kept as _vector (a cached_property would cost each point ~60 B more)."""
+        """(a, b nhat) for the half-boost amplitudes a, b = sqrt((p0 +- m) / 2m), principal
+        branch below threshold: one read-only (..., 4) vector, computed on first use, shared by
+        every constructor called on the point and by _five_vector, and kept as _vector (a
+        cached_property would cost each point ~60 B more)."""
         if getattr(self, "_vector", None) is None:
-            a, b = self.boost_factor(+1), self.boost_factor(-1)
+            p0, m = self.p0, self.m
+            a, b = np.sqrt((p0 + m) / m * 0.5 + 0j), np.sqrt((p0 - m) / m * 0.5 + 0j)
             v = np.concatenate([a[..., None], b[..., None] * self.nhat], axis=-1)
             object.__setattr__(self, "_vector", _read_only(v))
         return self._vector

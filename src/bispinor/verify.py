@@ -51,9 +51,9 @@ from typing import Callable
 import numpy as np
 
 from .clifford import (METRIC, _BLOCK_SWAP, _I2, _I4, _contract, _contraction, _read_only,
-                       _require, check_bispinor, check_choice, check_real, dot, gamma, gamma5,
-                       gamma5_from_epsilon, gamma_lower, generalized_pauli, pauli_dot, row_times,
-                       times_column, trace)
+                       _require, _trace, check_bispinor, check_choice, check_real, dot, gamma,
+                       gamma5, gamma5_from_epsilon, gamma_lower, generalized_pauli, pauli_dot,
+                       row_times, times_column)
 from .projectors import (_ENERGY, _diad, _pi_projector, _spin_projector, _spin_projector_rest,
                          diad, polsum)
 from .spinors import (KinematicPoint, _dirac_adjoint, _kappa, _parity_components, _point,
@@ -378,7 +378,7 @@ def _three_matrices(pt) -> np.ndarray:
 def _trace_cycle(pt) -> tuple:
     """tr(a0 a1 a2) and tr(a2 a0 a1) of a point's three matrices, read as views."""
     a = _three_matrices(pt)
-    return trace(a)[..., None], trace((a[2], a[0], a[1]))[..., None]
+    return _trace(a)[..., None], _trace((a[2], a[0], a[1]))[..., None]
 
 
 def _boost_exponential(pt) -> tuple:

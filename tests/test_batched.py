@@ -236,8 +236,7 @@ def test_kinematic_point_batch():
     _same_as_stack(k.momentum(), [s.momentum() for s in singles])
     _same_as_stack(cl.slash(k.momentum()), [cl.slash(s.momentum()) for s in singles])
     _same_as_stack(k.negated().momentum(), [s.negated().momentum() for s in singles])
-    _same_as_stack(k.boost_factor(+1), [s.boost_factor(+1) for s in singles])
-    _same_as_stack(k.boost_factor(-1), [s.boost_factor(-1) for s in singles])
+    _same_as_stack(k._boosts, [s._boosts for s in singles])
     _same_as_stack(cl.pauli_dot(k.nhat), [cl.pauli_dot(s.nhat) for s in singles])
     shared = sp.KinematicPoint(1.0, -1.0, n)
     assert shared.m.shape == shared.p0.shape == (N,)
@@ -313,7 +312,6 @@ def test_clifford_functions_batch():
     a = rng.normal(size=(N, 4)) + 1j * rng.normal(size=(N, 4))
     b = rng.normal(size=(N, 4)) + 1j * rng.normal(size=(N, 4))
     _same_as_stack(cl.slash(a), [cl.slash(x) for x in a])
-    _same_as_stack(cl.gamma_dot_spatial(a), [cl.gamma_dot_spatial(x) for x in a])
     _same_as_stack(cl.pauli_dot(a[:, 1:]), [cl.pauli_dot(x) for x in a[:, 1:]])
     _same_as_stack(cl.minkowski_dot(a, b), [cl.minkowski_dot(x, y) for x, y in zip(a, b)])
     mats = rng.normal(size=(3, N, 4, 4))
@@ -353,7 +351,6 @@ def test_an_empty_batch_gives_empty_arrays_everywhere():
         "momentum": (k.momentum(), (4,)),
         "slash": (cl.slash(p), (4, 4)),
         "pauli_dot": (cl.pauli_dot(s[:, 1:]), (2, 2)),
-        "gamma_dot_spatial": (cl.gamma_dot_spatial(s), (4, 4)),
         "spin_projector": (pj.spin_projector(s), (4, 4)),
         "spin_projector_rest": (pj.spin_projector_rest(s[:, 1:]), (2, 2)),
         "spinor_from_breve": (sp.spinor_from_breve(u, s), (4,)),
@@ -477,7 +474,7 @@ def test_a_huge_mass_gives_the_unit_mass_momentum_scaled():
 
 def _pi_expanded(p, m, s, variant):
     """The band projectors as first written, expanded by hand (the reference)."""
-    gs = cl.gamma_dot_spatial(s)
+    gs = cl._contract(np.asarray(s, dtype=complex), cl._GAMMA_DOT_S_DOT)
     m = np.asarray(m)[..., None, None]
     i4 = np.eye(4)
     if variant == "lambda":

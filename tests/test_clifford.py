@@ -304,8 +304,15 @@ def test_pauli_dot_and_minkowski_dot():
     assert cl.minkowski_dot([0, *n], [0, *n]) == pytest.approx(-1.0)
 
 
-def test_gamma_dot_spatial_reads_only_the_spatial_components():
-    # s0 is not read: (s0, svec) gives the bytes of (0, svec), and (1, 0, 0, 0) the zero matrix
-    assert cl.gamma_dot_spatial((7, 1, 2, 3)).tobytes() == \
-        cl.gamma_dot_spatial((0, 1, 2, 3)).tobytes()
-    assert not cl.gamma_dot_spatial((1, 0, 0, 0)).any()
+def test_the_spin_map_stack_is_gamma_dot_s_with_upper_indices():
+    # spinor_from_breve's gamma.s = sum_i gamma^i s^i (CONVENTIONS' gamma_dot_s_index), equal
+    # in value to -slash((0, svec)); s0 is not read: (s0, svec) gives the bytes of (0, svec),
+    # and (1, 0, 0, 0) the zero matrix
+    def gamma_dot_s(s):
+        return cl._contract(np.asarray(s, dtype=complex), cl._GAMMA_DOT_S_DOT)
+
+    s = (0.0, 0.6, -0.8, 0.25)
+    np.testing.assert_array_equal(gamma_dot_s(s), sum(s[i] * cl.gamma(i) for i in (1, 2, 3)))
+    np.testing.assert_array_equal(gamma_dot_s(s), -cl.slash(s))
+    assert gamma_dot_s((7, 1, 2, 3)).tobytes() == gamma_dot_s((0, 1, 2, 3)).tobytes()
+    assert not gamma_dot_s((1, 0, 0, 0)).any()

@@ -315,7 +315,7 @@ def test_spinor_from_breve_keeps_the_bytes_of_the_explicit_products():
     s = sp._spatial(n)
     breve = rng.normal(size=(40, 25, 4)) + 1j * rng.normal(size=(40, 25, 4))
     breve[0, :2] = [(0.0, -0.0, 1j, -1.0), (complex(-0.0, -0.0), 1.0, -1j, 0.0)]
-    g5, gs = cl.gamma5(), cl.gamma_dot_spatial(s)
+    g5, gs = cl.gamma5(), cl._contract(s.astype(complex), cl._GAMMA_DOT_S_DOT)
     for variant, stack in (("u", g5 @ gs), ("v", gs @ g5)):
         want = cl.times_column(stack, breve)
         assert sp.spinor_from_breve(breve, s, variant).tobytes() == want.tobytes()

@@ -13,6 +13,12 @@ from bispinor import verify as vf
 
 ZHAT = (0.0, 0.0, 1.0)
 SQ2 = math.sqrt(2.0)
+PHI = np.eye(2, dtype=complex)  # the rest-frame basis two-spinors: column 0 is +1/2, 1 is -1/2
+
+
+def _half_boosts(k) -> tuple:
+    """a, b = sqrt((p0 +- m) / 2m) of a point as written out, principal branch below threshold."""
+    return np.sqrt((k.p0 + k.m) / k.m * 0.5 + 0j), np.sqrt((k.p0 - k.m) / k.m * 0.5 + 0j)
 
 
 def _directions(seed, n):
@@ -27,12 +33,16 @@ unit_dirs = st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
 ).map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
 
 
-def test_basis_spinors():
-    np.testing.assert_allclose(sp.basis_spinor(0.5), [1, 0])
-    np.testing.assert_allclose(sp.basis_spinor(-0.5), [0, 1])
-    assert np.vdot(sp.basis_spinor(0.5), sp.basis_spinor(-0.5)) == 0
-    with pytest.raises(ValueError):
-        sp.basis_spinor(1.0)
+def test_at_threshold_a_boosted_spinor_is_its_rest_basis_spinor():
+    # at p0 = m, a = 1 and b = 0: each label gives its column of I2 bit for bit, for three
+    # masses and three axes, a signed-zero one among them
+    for m in (1e-300, 1.0, 1e300):
+        for nhat in (ZHAT, (-0.0, -1.0, 0.0), (0.6, -0.8, 0.0)):
+            k = sp.KinematicPoint(m, m, nhat)
+            for slot, lam in enumerate(sp.HELICITIES):
+                assert sp.boosted_spinor(k, lam).tobytes() == PHI[:, slot].tobytes()
+    with pytest.raises(ValueError, match=r"^helicity must be one of \(0\.5, -0\.5\), got 1\.0$"):
+        sp.boosted_spinor(k, 1.0)
 
 
 def test_kinematic_point_validation():
@@ -222,8 +232,8 @@ def test_parity_closed_forms_random_points():
         for lam in sp.HELICITIES:
             even, odd = sp.parity_components(sp.boosted_spinor(k, lam),
                                              sp.boosted_spinor(k, lam, dotted=True))
-            a, b = k.boost_factor(+1), k.boost_factor(-1)
-            phi = sp.basis_spinor(lam)
+            a, b = _half_boosts(k)
+            phi = PHI[:, sp.HELICITIES.index(lam)]
             np.testing.assert_allclose(even, a * phi, atol=1e-12)
             np.testing.assert_allclose(odd, b * (cl.pauli_dot(k.nhat) @ phi), atol=1e-12)
 
@@ -290,7 +300,7 @@ def test_boost_exponential_at_zero_rapidity_is_the_basis_spinor():
         for lam in sp.HELICITIES:
             for dotted in (False, True):
                 np.testing.assert_allclose(_boost_row("lhs", 1.0, nhat, lam, dotted),
-                                           sp.basis_spinor(lam), rtol=0, atol=1e-15)
+                                           PHI[:, sp.HELICITIES.index(lam)], rtol=0, atol=1e-15)
 
 
 def test_dotted_undotted_product_is_invariant():
@@ -451,8 +461,8 @@ def test_mass_homogeneity_at_m_two():
 
 def test_cached_amplitudes_are_the_boost_factors():
     # the vector (a, b nhat) is computed once per point and shared by every constructor;
-    # it keeps the bits of boost_factor(+1) and boost_factor(-1) nhat for a point, a batch
-    # and a negated point
+    # it keeps the bits of the written-out a and b nhat for a point, a batch and a negated
+    # point
     rng = np.random.default_rng(8)
     nhat = rng.normal(size=(6, 3))
     nhat /= np.linalg.norm(nhat, axis=1)[:, None]
@@ -462,10 +472,38 @@ def test_cached_amplitudes_are_the_boost_factors():
         for kk in (k, k.negated()):  # k's vector is filled before negated() is called
             v = kk._boosts
             assert v.shape == np.shape(kk.p0) + (4,) and v.dtype == complex
-            assert v[..., 0].tobytes() == kk.boost_factor(+1).tobytes()
-            assert v[..., 1:].tobytes() == (kk.boost_factor(-1)[..., None] * kk.nhat).tobytes()
+            a, b = _half_boosts(kk)
+            assert v[..., 0].tobytes() == a.tobytes()
+            assert v[..., 1:].tobytes() == (b[..., None] * kk.nhat).tobytes()
             assert not v.flags.writeable
             assert kk._boosts is v
+
+
+def _swap(z) -> np.ndarray:
+    """z with its real and imaginary parts exchanged, i conj(z), filled part by part: a
+    product with 1j would change the sign of a zero part."""
+    out = np.empty_like(z)
+    out.real, out.imag = z.imag, z.real
+    return out
+
+
+def test_negation_exchanges_the_amplitudes_up_to_a_swap_of_parts():
+    # p0 -> -p0 takes p0 - m to -(p0 + m) exactly, and the principal root of -x is swap(root
+    # of x), swap(z) = i conj(z), so a(-p0) = swap(b(p0)) and b(-p0) = swap(a(p0)) (i b and
+    # i a on p0 >= m): the negated point's b nhat has the bits of swap(a) nhat, and the same
+    # holds the other way round.  On both bands and their edges, for single points and for a
+    # batch with m in [e^-20, e^20] and p0/m in +-[1, e^10], in (-1, 1) and in {0, +-1}
+    rng = np.random.default_rng(14)
+    m = np.exp(rng.uniform(-20.0, 20.0, 3000))
+    ratio = np.concatenate([rng.choice((-1.0, 1.0), 1000) * np.exp(rng.uniform(0.0, 10.0, 1000)),
+                            rng.uniform(-1.0, 1.0, 1000), rng.choice((0.0, 1.0, -1.0), 1000)])
+    nhat = rng.normal(size=(3000, 3))
+    nhat /= np.linalg.norm(nhat, axis=1)[:, None]
+    batch = sp.KinematicPoint(m, m * ratio, nhat)
+    for k in (*_band_points(False), *_band_points(True), batch):
+        for one, other in ((k, k.negated()), (k.negated(), k)):
+            want = _swap(one._boosts[..., 0])[..., None] * one.nhat
+            assert other._boosts[..., 1:].tobytes() == want.tobytes()
 
 
 def _band_points(breve: bool):
@@ -549,7 +587,7 @@ def test_band_constructors_keep_their_written_out_formulas():
     lam = sp.HELICITIES
     for breve in (False, True):
         for k in _band_points(breve):
-            a, b = (k.boost_factor(sign)[..., None] for sign in (+1, -1))
+            a, b = (x[..., None] for x in _half_boosts(k))
             n = k.nhat
             if breve:
                 for j, l in slots:

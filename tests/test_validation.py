@@ -44,7 +44,6 @@ ENTRY_POINTS = {
     "parity_components-dotted": lambda x: sp.parity_components((1.0, 0.0), (0.0, x)),
     "slash": lambda x: cl.slash((x, 0.0, 0.0, 0.0)),
     "pauli_dot": lambda x: cl.pauli_dot((x, 0.0, 0.0)),
-    "gamma_dot_spatial": lambda x: cl.gamma_dot_spatial((0.0, x, 0.0, 1.0)),
     "minkowski_dot-a": lambda x: cl.minkowski_dot((x, 0.0, 0.0, 0.0), REST),
     "minkowski_dot-b": lambda x: cl.minkowski_dot(REST, (x, 0.0, 0.0, 0.0)),
     "trace": lambda x: cl.trace([[[x, 0, 0, 0], *[[0, 0, 0, 0]] * 3]]),
@@ -53,7 +52,7 @@ ENTRY_POINTS = {
 # already checked, run parameters, or nothing; or an exception or a result record
 TAKES_NO_ARRAY = {
     "gamma", "gamma5", "gamma5_from_epsilon", "gamma_lower", "generalized_pauli", "pauli",
-    "sigma_munu", "polsum", "basis_spinor", "boosted_spinor", "breve_u", "breve_u_bar",
+    "sigma_munu", "polsum", "boosted_spinor", "breve_u", "breve_u_bar",
     "dirac_u", "dirac_u_bar", "rest_basis", "tetrad_bispinor", "registry", "run_all",
     "run_check", "IdentityCheck", "CheckResult", "VerificationReport", "RegionError",
     "ConfigurationError",
@@ -157,39 +156,64 @@ def test_entry_points_reject_a_component_that_is_not_a_number(entry, value):
         ENTRY_POINTS[entry](value)
 
 
-# a discrete choice of each kind (an index, a sign) whose options include 1 or 0
+# a discrete choice of each kind (an index, a sign, a helicity) and a valid value of it; the
+# options of all but the helicity include 1 or 0
 CHOICES = {
-    "gamma": cl.gamma,
-    "pauli": cl.pauli,
-    "generalized_pauli": cl.generalized_pauli,
-    "tetrad_bispinor": lambda v: sp.tetrad_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), v),
-    "rest_basis": sp.rest_basis,
-    "energy_projector-sign": lambda v: pj.energy_projector(REST, 1.0, v),
+    "gamma": (cl.gamma, 1),
+    "pauli": (cl.pauli, 1),
+    "generalized_pauli": (cl.generalized_pauli, 1),
+    "tetrad_bispinor": (lambda v: sp.tetrad_bispinor(sp.KinematicPoint(1.0, 2.0, ZHAT), v), 1),
+    "rest_basis": (sp.rest_basis, 1),
+    "energy_projector-sign": (lambda v: pj.energy_projector(REST, 1.0, v), 1),
+    "helicity": (lambda v: sp.dirac_u(sp.KinematicPoint(1.0, 2.0, ZHAT), v, 0.5), 0.5),
 }
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
 @pytest.mark.parametrize("entry", sorted(CHOICES))
 def test_a_bool_is_not_a_discrete_choice(entry, value):
-    # True == 1 and False == 0, but neither is taken for an index or a sign
+    # True == 1 and False == 0, but neither is taken for an index, a sign or a helicity
+    call, valid = CHOICES[entry]
     with pytest.raises(ValueError, match=r" must be one of \(.*\), got (np\.)?(True|False)"):
-        CHOICES[entry](value)
-    CHOICES[entry](1)
+        call(value)
+    call(valid)
 
 
 @pytest.mark.parametrize("value", [1.0, np.float64(1.0)], ids=["1.0", "np.float64"])
 @pytest.mark.parametrize("entry", sorted(CHOICES))
 def test_a_float_is_not_an_integer_choice(entry, value):
-    # 1.0 == 1, but where the options are ints only an integer is taken; NumPy ints are
+    # 1.0 == 1, but where the options are ints only an integer is taken; NumPy scalars of the
+    # option's own kind (NumPy ints, NumPy floats) are
+    call, valid = CHOICES[entry]
     with pytest.raises(ValueError, match=r" must be one of \(.*\), got (np\.float64\()?1\.0"):
-        CHOICES[entry](value)
-    CHOICES[entry](np.int64(1))
+        call(value)
+    call(np.asarray(valid)[()])
+
+
+# the valid value as a complex equal to it, or as an array holding it, which == compares
+# elementwise: numpy's truth-value error for more than one element, a match for one
+NOT_A_CHOICE_FORMS = {
+    "python-complex": complex,
+    "numpy-complex": np.complex128,
+    "array-of-two": lambda v: np.array([v, v]),
+    "array-of-one": lambda v: np.array([v]),
+    "0-d-array": np.array,
+}
+
+
+@pytest.mark.parametrize("form", sorted(NOT_A_CHOICE_FORMS))
+@pytest.mark.parametrize("entry", sorted(CHOICES))
+def test_a_complex_or_an_array_is_not_a_discrete_choice(entry, form):
+    # refused with the one message, as check_real refuses a complex where a real is required
+    call, valid = CHOICES[entry]
+    with pytest.raises(ValueError, match=r" must be one of \(.*\), got "):
+        call(NOT_A_CHOICE_FORMS[form](valid))
 
 
 def test_helicity_labels_stay_float_choices_and_dotted_is_a_bool():
     k = sp.KinematicPoint(1.0, 2.0, ZHAT)
     for lam in (0.5, np.float64(0.5)):
-        assert sp.basis_spinor(lam).tobytes() == sp.basis_spinor(0.5).tobytes()
+        assert sp.boosted_spinor(k, lam).tobytes() == sp.boosted_spinor(k, 0.5).tobytes()
     for value in ("no", 1, 0, 1.0, None):
         with pytest.raises(ValueError, match=r"^dotted must be True or False, got "):
             sp.boosted_spinor(k, 0.5, dotted=value)

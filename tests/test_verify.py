@@ -513,7 +513,7 @@ def _counting(monkeypatch, name: str) -> list:
 
 # the functions whose calls ROWS (below) counts per evaluation; no row calls breve_u, whose
 # values breve-rest-relation takes at import
-COUNTED = ("_point", "_state", "_kappa", "polsum", "trace", "_section4_two_valued", "breve_u")
+COUNTED = ("_point", "_state", "_kappa", "polsum", "_trace", "_section4_two_valued", "breve_u")
 
 
 def test_each_check_computes_its_shared_values_once(monkeypatch):
@@ -634,7 +634,7 @@ def _loop_boost_exponential(pt) -> tuple:
     along, against = pj.spin_projector_rest(k.nhat), pj.spin_projector_rest(-k.nhat)
     rows, boosted = [], []
     for lam in sp.HELICITIES:
-        phi = sp.basis_spinor(lam)
+        phi = np.eye(2, dtype=complex)[:, sp.HELICITIES.index(lam)]
         pa, pb = cl.times_column(along, phi), cl.times_column(against, phi)
         rows += [up * pa + down * pb, down * pa + up * pb]
         boosted += [boosted_spinor(k, lam, dotted) for dotted in (False, True)]
@@ -676,7 +676,7 @@ def _loop_adjoint_dagger(paper_sign: bool):
         k = _kin_of(pt)
         p = k.momentum()
         if paper_sign:
-            dag = -(p[..., :1, None] * cl.gamma(0) + cl.gamma_dot_spatial(p))
+            dag = -(p[..., :1, None] * cl.gamma(0) + cl._contract(p, cl._GAMMA_DOT_S_DOT))
         else:
             dag = np.conj(np.swapaxes(cl.slash(p), -1, -2))
         op = dag - np.asarray(k.m)[..., None, None] * cl._I4
@@ -734,7 +734,7 @@ ROWS = {
     "anticommutator-literal-delta": ("expected-fail", 16, {}),
     "gamma-hermiticity": ("holds", 5, {}),
     "gamma5-pseudoscalar": ("holds", 1, {}),
-    "trace-cyclicity": ("holds", _loop_trace_cycle, {"trace": 2}),
+    "trace-cyclicity": ("holds", _loop_trace_cycle, {"_trace": 2}),
     "boost-exponential": ("holds", _loop_boost_exponential, _STATES),
     "norm-spinor": ("holds", _loop_norm_gram, _STATES),
     "helicity-sum-unity": ("holds", _helicity_sum, {}),
@@ -951,11 +951,15 @@ def test_the_draw_path_runs_no_validator_again(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
     monkeypatch.setattr(sp.KinematicPoint, "__post_init__", _refuse)
-    # nor does the column validator: the draw and the label rows' grids are handed over
+    # nor does the column validator: the draw and the label rows' grids are handed over;
+    # nor trace's factor check: trace-cyclicity calls its core
     monkeypatch.setattr(vf, "_checked_column", _refuse)
-    # the patches hold: a public entry point and the caller's path through Columns refuse
+    monkeypatch.setattr(cl, "_check_factor", _refuse)
+    # the patches hold: public entry points and the caller's path through Columns refuse
     with pytest.raises(AssertionError):
         sp.KinematicPoint(1.0, 2.0, (0.0, 0.0, 1.0))
+    with pytest.raises(AssertionError):
+        cl.trace([cl.gamma(0)])
     with pytest.raises(AssertionError):
         vf.Columns({"nhat": [0.0, 0.0, 1.0]})
     after = vf.run_all(42, 50)
